@@ -23,9 +23,8 @@ from .formulas import (DimensionReport, IntegralityError, branch_labels,
                        main_theorem_total)
 from .grading import (AxiomViolation, CommutationFactor, GradingGroup,
                       super_factor, trivial_factor, validate_commutation_factor)
-from .linalg import (DEFAULT_PRIMES, KernelBasis, SparseIntMatrix,
-                     kernel_basis, nullity, rank_certified,
-                     rank_fraction_free, rank_mod, write_matrix_market)
+from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
+                     rank_certified, write_matrix_market)
 from .weights import (IndexOutOfRange, WeightModel, cochain_weight,
                       count_weight_dim, weight_sequence)
 

@@ -20,12 +20,12 @@ adjoint action shifts each chain one step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Mapping, NamedTuple
 
 from .grading import CommutationFactor, GradingGroup, trivial_factor
-from .scalars import as_coeff, coeff_to_json
+from .linalg import _eliminate_int, primitive_row
+from .scalars import as_coeff, as_int, coeff_to_json
 
 FAMILY_LETTERS = "XYZUVW"
 
@@ -287,8 +287,8 @@ def from_json_dict(data) -> ColorLieAlgebra:
     if not isinstance(data, dict):
         raise AlgebraFormatError("algebra document must be a JSON object")
     try:
-        k = int(data["k"])
-        dims = [int(d) for d in data["dims"]]
+        k = as_int(data["k"], "k")
+        dims = [as_int(d, "dims entry") for d in data["dims"]]
         beta = validate_commutation_factor(data["beta"])
         if beta.group.modulus != k or len(dims) != k:
             raise AlgebraFormatError("k, dims and beta table sizes disagree")
@@ -379,29 +379,6 @@ def validate_jacobi(alg: ColorLieAlgebra) -> list:
 # -- descending sequences ---------------------------------------------
 
 
-def _reduce_into(pivots: dict, vec: Vector) -> bool:
-    """Gaussian-reduce vec against pivots; add it if independent.
-
-    pivots maps a pivot index to a vector normalized to leading
-    coefficient 1.  Returns True when vec enlarged the span.
-    """
-    vec = dict(vec)
-    while vec:
-        lead = min(vec)
-        if lead not in pivots:
-            inv = Fraction(1, 1) / vec[lead]
-            pivots[lead] = {i: as_coeff(inv * c) for i, c in vec.items()}
-            return True
-        scale = vec[lead]
-        for i, c in pivots[lead].items():
-            new = vec.get(i, 0) - scale * c
-            if new:
-                vec[i] = new
-            else:
-                vec.pop(i, None)
-    return False
-
-
 def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
     """Dimensions of C^0(L_g), C^1(L_g), ... down to zero.
 
@@ -414,18 +391,14 @@ def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
     for _ in range(alg.dim + 1):
         if dims[-1] == 0:
             return dims
-        pivots: dict = {}
-        for a in l0:
-            for v in current:
-                w = alg.bracket({a: 1}, v)
-                if w:
-                    _reduce_into(pivots, w)
-        nxt = [pivots[lead] for lead in sorted(pivots)]
-        if len(nxt) == dims[-1]:
+        brackets = (alg.bracket({a: 1}, v) for a in l0 for v in current)
+        images = [primitive_row(w) for w in brackets if w]
+        rank, pivots = _eliminate_int({i: dict(row) for i, row in enumerate(images)}, alg.dim)
+        if rank == dims[-1]:
             raise NotNilpotent(
-                f"descending sequence of degree-{g} component stabilizes at dimension {len(nxt)}")
-        current = nxt
-        dims.append(len(current))
+                f"descending sequence of degree-{g} component stabilizes at dimension {rank}")
+        current = [dict(images[i]) for i, _ in pivots]
+        dims.append(rank)
     raise NotNilpotent("descending sequence failed to terminate")
 
 

@@ -6,8 +6,6 @@ Exit codes form the scripting contract:
     1  mathematical mismatch between methods (the falsification channel)
     2  usage or parse error (bad flags, malformed files, empty grid)
     3  structurally valid but invalid input object (e.g. not a cocycle)
-
-The modular-rank primes can be overridden with COLORFIL_PRIMES="p,q".
 """
 
 from __future__ import annotations
@@ -117,10 +115,12 @@ def run_verify(points, methods, jobs: int = 1):
 
     Rows are per (point, block) comparison dicts in deterministic
     (n, m, p, block) order; grid points are independent, so they can be
-    computed concurrently and merged afterwards.
+    computed concurrently and merged afterwards.  The worker count is
+    bounded by the available cores and the number of points.
     """
     tasks = [(n, m, p, methods) for (n, m, p) in points]
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
+    if jobs > 1:
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = dict(pool.map(_grid_point, tasks, chunksize=4))

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 from .algebra import ColorLieAlgebra, Vector
 from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
                      primitive_row, rank_certified)
-from .scalars import Coeff, as_coeff, coeff_to_string
+from .scalars import Coeff, as_coeff, as_int, coeff_to_string
 
 
 class DecompositionMismatch(ArithmeticError):
@@ -320,8 +320,8 @@ class ConstraintSystem:
     alg: ColorLieAlgebra
     allow_x0_target: bool
 
-    def nullity(self, primes: tuple | None = None) -> int:
-        return nullity(self.matrix, primes)
+    def nullity(self) -> int:
+        return nullity(self.matrix)
 
     def kernel(self) -> KernelBasis:
         return kernel_basis(self.matrix)
@@ -471,8 +471,7 @@ def _restrict_to_block(system: ConstraintSystem, block: BlockKind) -> SparseIntM
     return SparseIntMatrix(len(rows), len(keep), rows)
 
 
-def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False,
-               primes: tuple | None = None) -> dict:
+def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
     """Per-block cocycle dimensions, cross-checked against the joint system.
 
     Raises DecompositionMismatch when the joint kernel dimension differs
@@ -483,8 +482,8 @@ def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False,
     dims = {}
     for block in ALL_BLOCKS:
         sub = _restrict_to_block(joint, block)
-        dims[block] = sub.n_cols - rank_certified(sub, primes)
-    total = joint.nullity(primes)
+        dims[block] = sub.n_cols - rank_certified(sub)
+    total = joint.nullity()
     if total != sum(dims.values()):
         raise DecompositionMismatch(
             f"joint kernel dimension {total} != block sum {sum(dims.values())} "
@@ -660,10 +659,11 @@ def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
     n, m, p = model_shape(alg)
     if not isinstance(data, Mapping) or "terms" not in data:
         raise ValueError("cochain document must be an object with a 'terms' list")
-    if tuple(int(data.get(k, v)) for k, v in (("n", n), ("m", m), ("p", p))) != (n, m, p):
+    if tuple(as_int(data.get(k, v), k) for k, v in (("n", n), ("m", m), ("p", p))) != (n, m, p):
         raise ValueError("cochain parameters disagree with the algebra's (n, m, p)")
     psi = Cochain2(alg, vanish_on_x0=True, allow_x0_target=allow_x0_target)
     for term in data["terms"]:
         block = BlockKind[str(term["block"])]
-        psi.add(block, int(term["i"]), int(term["j"]), int(term["s"]), as_coeff(term["coeff"]))
+        psi.add(block, as_int(term["i"], "i"), as_int(term["j"], "j"), as_int(term["s"], "s"),
+                as_coeff(term["coeff"]))
     return psi

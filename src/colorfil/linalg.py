@@ -1,22 +1,14 @@
 """Exact sparse integer/rational linear algebra.
 
 Rank, nullity and kernel bases of sparse integer matrices, computed
-exactly.  Three elimination routines share one sparse engine:
+exactly.
 
-* `rank_mod` -- Gaussian elimination over GF(p), columns left to right,
-  pivot row chosen with fewest nonzeros.  A nonzero r x r minor mod p is
-  nonzero over Z, so a modular rank is always a lower bound on the
-  rational rank.
-* `rank_fraction_free` -- the exact integer reference path: gcd-scaled
-  cross-multiplication updates (beta*row_j - alpha*row_piv) followed by
-  content removal, so no fractions ever appear.
-* `rank_certified` -- the production path: rank mod two large primes;
-  when the runs agree on rank and pivot columns and a fraction-free
-  elimination of the pivotal submatrix confirms it is nonsingular, the
-  agreed value is returned, otherwise the full fraction-free elimination
-  is used.  The submatrix check certifies the lower bound
-  unconditionally; the two-prime agreement is the (overwhelming)
-  evidence for the upper bound.
+* `rank_certified` -- fraction-free elimination over Z (Bareiss-style):
+  gcd-scaled cross-multiplication updates (beta*row_j - alpha*row_piv)
+  followed by content removal, so no fractions ever appear and the rank
+  is exact by construction.
+* `kernel_basis` -- reduced row echelon form over Q, giving a canonical
+  rational kernel basis.
 
 Matrices are immutable after construction; the elimination routines
 work on private row copies, so concurrent use on shared matrices is
@@ -25,30 +17,10 @@ safe.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Mapping
-
-# Fixed defaults near 2^61 (both prime); override via COLORFIL_PRIMES="p,q".
-DEFAULT_PRIMES = (2305843009213693951, 2305843009213693967)
-
-PRIMES_ENV_VAR = "COLORFIL_PRIMES"
-
-
-def modular_primes() -> tuple:
-    """The pair of primes used by the certified fast path."""
-    raw = os.environ.get(PRIMES_ENV_VAR)
-    if not raw:
-        return DEFAULT_PRIMES
-    parts = [s.strip() for s in raw.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"{PRIMES_ENV_VAR} must hold two comma-separated primes")
-    p1, p2 = (int(s) for s in parts)
-    if p1 == p2 or p1 < 2 or p2 < 2:
-        raise ValueError(f"{PRIMES_ENV_VAR} must hold two distinct primes >= 2")
-    return p1, p2
 
 
 class SparseIntMatrix:
@@ -167,87 +139,28 @@ def primitive_row(row: Mapping) -> tuple:
 # -- elimination engine -------------------------------------------------
 
 
-def _build_col_index(rows: dict) -> dict:
+def _eliminate_int(rows: dict, n_cols: int) -> tuple:
+    """In-place fraction-free elimination over Z; returns (rank, pivots).
+
+    pivots lists the (row_id, col) pairs in elimination order, with row
+    ids referring to the input, so the input rows named there form a
+    basis of the row space.  Row updates use the gcd-scaled
+    cross-multiplication new = (a/g)*row_j - (b/g)*row_piv with
+    g = gcd(a, b), followed by removal of the integer content, so every
+    intermediate entry is an exact integer and growth stays modest.
+    """
+    for i in [i for i, row in rows.items() if not row]:
+        del rows[i]
     col_rows: dict = {}
     for i, row in rows.items():
         for c in row:
             col_rows.setdefault(c, set()).add(i)
-    return col_rows
-
-
-def _pivot_row_for(col: int, col_rows: dict, rows: dict):
-    return min(col_rows[col], key=lambda i: (len(rows[i]), i))
-
-
-def _eliminate_mod(rows: dict, n_cols: int, p: int) -> tuple:
-    """In-place sparse elimination over GF(p); returns (rank, pivots).
-
-    Columns are processed in ascending order, so fill can only appear to
-    the right of the current pivot; pivots is the list of (row_id, col)
-    pairs in elimination order, with row ids referring to the original
-    matrix.
-    """
-    for row in rows.values():
-        for c in list(row):
-            v = row[c] % p
-            if v:
-                row[c] = v
-            else:
-                del row[c]
-    for i in [i for i, row in rows.items() if not row]:
-        del rows[i]
-    col_rows = _build_col_index(rows)
     pivots = []
     for c in range(n_cols):
         holders = col_rows.get(c)
         if not holders:
             continue
-        pid = _pivot_row_for(c, col_rows, rows)
-        prow = rows[pid]
-        inv = pow(prow[c], -1, p)
-        for j in list(holders):
-            if j == pid:
-                continue
-            rj = rows[j]
-            f = rj[c] * inv % p
-            del rj[c]
-            for k, v in prow.items():
-                if k == c:
-                    continue
-                nv = (rj.get(k, 0) - f * v) % p
-                if nv:
-                    if k not in rj:
-                        col_rows.setdefault(k, set()).add(j)
-                    rj[k] = nv
-                elif k in rj:
-                    del rj[k]
-                    col_rows[k].discard(j)
-            if not rj:
-                del rows[j]
-        for k in prow:
-            col_rows[k].discard(pid)
-        del rows[pid]
-        pivots.append((pid, c))
-    return len(pivots), pivots
-
-
-def _eliminate_int(rows: dict, n_cols: int) -> tuple:
-    """In-place fraction-free elimination over Z; returns (rank, pivots).
-
-    Row updates use the gcd-scaled cross-multiplication
-    new = (a/g)*row_j - (b/g)*row_piv with g = gcd(a, b), followed by
-    removal of the integer content, so every intermediate entry is an
-    exact integer and growth stays modest.
-    """
-    for i in [i for i, row in rows.items() if not row]:
-        del rows[i]
-    col_rows = _build_col_index(rows)
-    pivots = []
-    for c in range(n_cols):
-        holders = col_rows.get(c)
-        if not holders:
-            continue
-        pid = _pivot_row_for(c, col_rows, rows)
+        pid = min(holders, key=lambda i: (len(rows[i]), i))
         prow = rows[pid]
         a = prow[c]
         for j in list(holders):
@@ -291,59 +204,19 @@ def _eliminate_int(rows: dict, n_cols: int) -> tuple:
     return len(pivots), pivots
 
 
-def rank_mod(matrix: SparseIntMatrix, p: int) -> int:
-    """Rank of the matrix over GF(p); always <= the rational rank."""
-    rank, _ = _eliminate_mod(matrix.row_dicts(), matrix.n_cols, p)
-    return rank
+def rank_certified(matrix: SparseIntMatrix) -> int:
+    """Exact rank over Q by fraction-free integer elimination.
 
-
-def rank_fraction_free(matrix: SparseIntMatrix) -> int:
-    """Exact rank over Q by fraction-free integer elimination."""
+    Every intermediate value is an exact integer, so the elimination is
+    its own certificate.
+    """
     rank, _ = _eliminate_int(matrix.row_dicts(), matrix.n_cols)
     return rank
 
 
-def _pivot_submatrix_nonsingular(matrix: SparseIntMatrix, pivots: list) -> bool:
-    """Fraction-free check that the r x r pivotal submatrix has rank r."""
-    if not pivots:
-        return True
-    pivot_cols = {c for _, c in pivots}
-    col_renum = {c: i for i, c in enumerate(sorted(pivot_cols))}
-    sub = {}
-    for pid, _ in pivots:
-        row = {col_renum[c]: v for c, v in matrix.rows[pid] if c in col_renum}
-        if not row:
-            return False
-        sub[pid] = row
-    rank, _ = _eliminate_int(sub, len(col_renum))
-    return rank == len(pivots)
-
-
-def rank_certified(matrix: SparseIntMatrix, primes: tuple | None = None) -> int:
-    """Exact rank via the certified modular fast path.
-
-    Computes the rank modulo two independent large primes.  If the runs
-    agree (same rank and same pivot columns) and the fraction-free
-    spot-check confirms the pivotal submatrix of the first run is
-    nonsingular over Z, the agreed value is returned; any disagreement
-    or failed check falls back to the full fraction-free elimination, so
-    no uncertified modular value is ever returned.  Residual caveat: a
-    matrix whose entries are engineered to be divisible by the product
-    of both primes can still slip past the agreement test (override the
-    primes via COLORFIL_PRIMES to re-check such inputs).
-    """
-    p1, p2 = primes if primes is not None else modular_primes()
-    r1, pivots1 = _eliminate_mod(matrix.row_dicts(), matrix.n_cols, p1)
-    r2, pivots2 = _eliminate_mod(matrix.row_dicts(), matrix.n_cols, p2)
-    if (r1 == r2 and {c for _, c in pivots1} == {c for _, c in pivots2}
-            and _pivot_submatrix_nonsingular(matrix, pivots1)):
-        return r1
-    return rank_fraction_free(matrix)
-
-
-def nullity(matrix: SparseIntMatrix, primes: tuple | None = None) -> int:
+def nullity(matrix: SparseIntMatrix) -> int:
     """Exact dimension of the kernel: n_cols - rank."""
-    return matrix.n_cols - rank_certified(matrix, primes)
+    return matrix.n_cols - rank_certified(matrix)
 
 
 def kernel_basis(matrix: SparseIntMatrix) -> KernelBasis:

@@ -29,6 +29,13 @@ def as_coeff(value) -> Coeff:
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}: {value!r}")
 
 
+def as_int(value, name: str) -> int:
+    """An integer field of outside input; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def coeff_to_json(value: Coeff):
     """Encode a scalar for JSON: int when integral, else a "p/q" string."""
     value = as_coeff(value)

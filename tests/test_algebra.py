@@ -174,6 +174,9 @@ def test_json_rational_coefficients():
     {"k": 3, "dims": [2, 1], "beta": [[1, 1, 1]] * 3, "constants": []},
     {"k": 3, "dims": [2, 1, 1], "beta": [[1, 1, 1]] * 3,
      "constants": [{"lhs": "X0", "rhs": "X9", "value": [{"basis": "X1", "coeff": 1}]}]},
+    {"k": 3.9, "dims": [2, 1, 1], "beta": [[1, 1, 1]] * 3, "constants": []},
+    {"k": 3, "dims": [4.2, True, 2], "beta": [[1, 1, 1]] * 3, "constants": []},
+    {"k": 3, "dims": [2, 1, "1"], "beta": [[1, 1, 1]] * 3, "constants": []},
 ])
 def test_from_json_rejects_malformed(doc):
     with pytest.raises(AlgebraFormatError):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from colorfil import formulas
+from colorfil import cli, formulas
 from colorfil.algebra import build_model
 from colorfil.cli import main
 
@@ -88,6 +88,36 @@ def test_verify_csv_and_json_numeric_content_match(capsys, tmp_path):
         for method in ("brute_force", "closed_form", "weight_oracle"):
             expected = "" if jrow[method] is None else str(jrow[method])
             assert crow[method] == expected
+
+
+def test_verify_jobs_bounded_by_cores_and_points(monkeypatch):
+    # a fake pool records the worker count it is asked for; nothing is spawned
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    methods = [formulas.METHOD_CLOSED]
+    points = [(n, 1, 1) for n in range(1, 7)]
+    rows, _ = cli.run_verify(points, methods, jobs=64)
+    assert requested == [4]
+    assert rows == cli.run_verify(points, methods, jobs=1)[0]
+    cli.run_verify(points[:3], methods, jobs=64)
+    assert requested == [4, 3]
+    cli.run_verify(points[:1], methods, jobs=64)  # one point runs serially
+    assert requested == [4, 3]
 
 
 def test_verify_detects_corrupted_formula(capsys, monkeypatch):
@@ -184,12 +214,28 @@ def test_deform_non_cocycle_exits_3(capsys, tmp_path, deform_files):
 
 
 def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):
-    alg_path, _ = deform_files
+    alg_path, cochain_file = deform_files
     bad = tmp_path / "garbage.json"
     bad.write_text("{not json")
     code, _, _ = run_cli(capsys, "deform", "--algebra", str(alg_path),
                          "--cocycle", str(bad))
     assert code == 2
+    # non-integer indices are rejected, not truncated to a valid D term
+    for name, terms in [("float.json", [{"block": "D", "i": 1.7, "j": 2, "s": 1, "coeff": 1}]),
+                        ("bool.json", [{"block": "D", "i": 1, "j": 2, "s": True, "coeff": 1}])]:
+        code, _, err = run_cli(capsys, "deform", "--algebra", str(alg_path),
+                               "--cocycle", str(cochain_file(name, terms)))
+        assert code == 2, name
+        assert "must be an integer" in err
+    good = cochain_file("good.json", [{"block": "D", "i": 1, "j": 2, "s": 1, "coeff": 1}])
+    doc = json.loads(alg_path.read_text())
+    for field, value in [("k", 3.9), ("dims", [4.2, True, 1])]:
+        bad_alg = tmp_path / f"bad_{field}.json"
+        bad_alg.write_text(json.dumps({**doc, field: value}))
+        code, _, err = run_cli(capsys, "deform", "--algebra", str(bad_alg),
+                               "--cocycle", str(good))
+        assert code == 2, field
+        assert "must be an integer" in err
 
 
 def test_deform_accepts_basis_export(capsys, tmp_path):

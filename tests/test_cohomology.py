@@ -270,6 +270,12 @@ def test_cochain_json_roundtrip():
         cochain_from_json(alg, {"n": 1, "m": 1, "p": 1, "terms": []})
     with pytest.raises(ValueError):
         cochain_from_json(alg, {"nope": True})
+    # integer fields are never coerced: 3.0, 1.7 and True are rejected
+    for bad in [{"n": 3.0, "terms": []},
+                {"n": 3, "terms": [{"block": "D", "i": 1.7, "j": 2, "s": 1, "coeff": 1}]},
+                {"n": 3, "terms": [{"block": "D", "i": 1, "j": 2, "s": True, "coeff": 1}]}]:
+        with pytest.raises(ValueError):
+            cochain_from_json(alg, bad)
 
 
 def test_assembly_is_a_generic_validator():

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorfil.linalg import (DEFAULT_PRIMES, SparseIntMatrix, kernel_basis,
-                             modular_primes, nullity, primitive_row,
-                             rank_certified, rank_fraction_free, rank_mod,
+from colorfil.linalg import (SparseIntMatrix, kernel_basis, nullity,
+                             primitive_row, rank_certified,
                              write_matrix_market)
+from test_independent_oracle import dense_nullity
 
 
 def matrix_from_dense(dense):
@@ -68,28 +68,26 @@ def test_rank_certified_identity():
 
 
 def test_rank_certified_matches_reference_on_random_sparse():
+    # the dense oracle shares no code with the sparse elimination engine
     rng = random.Random(2024)
     m = random_sparse(rng, 50, 80)
-    assert rank_certified(m) == rank_fraction_free(m)
-    assert nullity(m) == 80 - rank_fraction_free(m)
+    dense = [[0] * 80 for _ in range(50)]
+    for r, c, v in m.entries():
+        dense[r][c] = v
+    assert nullity(m) == dense_nullity(dense, 80)
+    assert rank_certified(m) == 80 - dense_nullity(dense, 80)
 
 
-def test_prime_divisible_entries_fall_back_correctly():
-    p1, p2 = DEFAULT_PRIMES
+def test_rank_exact_with_large_entries():
+    p1, p2 = 2**61 - 1, 2**61 + 15
     m = SparseIntMatrix.from_entries(2, 2, [(0, 0, p1), (1, 1, 3)])
-    assert rank_mod(m, p1) == 1  # the p1 entry vanishes mod p1
     assert rank_certified(m) == 2
     m2 = SparseIntMatrix.from_entries(3, 3, [(0, 0, p1), (1, 1, p2), (2, 2, 5)])
     assert rank_certified(m2) == 3
-
-
-def test_modular_rank_never_exceeds_exact_rank():
-    rng = random.Random(5)
-    for _ in range(30):
-        m = random_sparse(rng, rng.randint(1, 20), rng.randint(1, 20), (-2, -1, 1, 2, 6))
-        exact = rank_fraction_free(m)
-        for p in (2, 3, 97, DEFAULT_PRIMES[0]):
-            assert rank_mod(m, p) <= exact
+    # rows proportional over Q, with large entries: rank drops to 1
+    m3 = matrix_from_dense([[p1, p2], [3 * p1, 3 * p2]])
+    assert rank_certified(m3) == 1
+    assert nullity(m3) == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -119,7 +117,6 @@ def test_elimination_does_not_mutate_matrix():
     m = matrix_from_dense([[1, 2], [2, 4]])
     before = m.rows
     rank_certified(m)
-    rank_fraction_free(m)
     kernel_basis(m)
     assert m.rows == before
 
@@ -153,12 +150,3 @@ def test_matrix_market_dump():
     assert lines[1] == "2 2 2"
     assert lines[2:] == ["1 1 1", "2 2 -7"]
 
-
-def test_primes_env_override(monkeypatch):
-    monkeypatch.setenv("COLORFIL_PRIMES", "101, 103")
-    assert modular_primes() == (101, 103)
-    monkeypatch.setenv("COLORFIL_PRIMES", "101")
-    with pytest.raises(ValueError):
-        modular_primes()
-    monkeypatch.delenv("COLORFIL_PRIMES")
-    assert modular_primes() == DEFAULT_PRIMES
