@@ -13,8 +13,8 @@ from .algebra import (BasisElement, ColorLieAlgebra, InvalidParams,
                       is_filiform_module, l0_is_filiform, validate_jacobi)
 from .cohomology import (ALL_BLOCKS, BlockKind, Cochain2, CohomologyReport,
                          ColumnKey, ConstraintSystem, DecompositionMismatch,
-                         assemble_Z2_system, block_dims, cochain_from_json,
-                         cochain_to_json, cocycle_basis_json,
+                         KernelMismatch, assemble_Z2_system, block_dims,
+                         cochain_from_json, cochain_to_json, cocycle_basis_json,
                          cohomology_report, delta1, delta2, is_cocycle)
 from .deformation import (CharacteristicVectorViolation, DeformedLaw,
                           NotACocycle, deform, filiform_check, is_integrable)

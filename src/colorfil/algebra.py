@@ -397,7 +397,7 @@ def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
         if rank == dims[-1]:
             raise NotNilpotent(
                 f"descending sequence of degree-{g} component stabilizes at dimension {rank}")
-        current = [dict(images[i]) for i, _ in pivots]
+        current = [dict(images[i]) for i, _, _ in pivots]
         dims.append(rank)
     raise NotNilpotent("descending sequence failed to terminate")
 

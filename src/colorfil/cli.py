@@ -17,12 +17,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import AlgebraFormatError, InvalidParams, build_model, from_json_dict
-from .cohomology import (ALL_BLOCKS, BlockKind, block_dims, cochain_from_json,
-                         cocycle_basis_json)
+from .cohomology import (ALL_BLOCKS, BlockKind, DecompositionMismatch, KernelMismatch,
+                         block_dims, cochain_from_json, cocycle_basis_json)
 from .deformation import (CharacteristicVectorViolation, NotACocycle, deform,
                           filiform_check, is_integrable)
 from .formulas import (METHOD_BRUTE, METHOD_CLOSED, METHOD_WEIGHTS,
-                       DimensionReport, main_theorem_total)
+                       DimensionReport, IntegralityError, main_theorem_total)
 from .weights import count_weight_dim
 
 METHOD_ALIASES = {
@@ -82,8 +82,12 @@ def compute_report(n: int, m: int, p: int, method: str,
 
 
 def _grid_point(args) -> tuple:
+    """((n, m, p), {method: report}), or ((n, m, p), error text) on failure."""
     n, m, p, methods = args
-    return (n, m, p), {method: compute_report(n, m, p, method) for method in methods}
+    try:
+        return (n, m, p), {method: compute_report(n, m, p, method) for method in methods}
+    except (IntegralityError, DecompositionMismatch) as exc:
+        return (n, m, p), f"{type(exc).__name__}: {exc}"
 
 
 def _open_output(path):
@@ -116,7 +120,9 @@ def run_verify(points, methods, jobs: int = 1):
     Rows are per (point, block) comparison dicts in deterministic
     (n, m, p, block) order; grid points are independent, so they can be
     computed concurrently and merged afterwards.  The worker count is
-    bounded by the available cores and the number of points.
+    bounded by the available cores and the number of points.  A point
+    whose computation fails contributes no rows and one mismatch
+    {"n", "m", "p", "error"} naming the error.
     """
     tasks = [(n, m, p, methods) for (n, m, p) in points]
     jobs = min(jobs, os.cpu_count() or 1, len(tasks))
@@ -134,6 +140,9 @@ def run_verify(points, methods, jobs: int = 1):
     for point in sorted(results):
         reports = results[point]
         n, m, p = point
+        if isinstance(reports, str):
+            mismatches.append({"n": n, "m": m, "p": p, "error": reports})
+            continue
         for block in ALL_BLOCKS:
             values = {method: getattr(reports[method], block.name)
                       for method in methods}
@@ -177,14 +186,18 @@ def cmd_verify(args) -> int:
     finally:
         if close:
             stream.close()
-    if mismatches:
-        print(f"{len(mismatches)} mismatching block(s):", file=sys.stderr)
-        for row in mismatches:
+    for row in mismatches:
+        if "error" in row:
+            print(f"error at n={row['n']} m={row['m']} p={row['p']}: {row['error']}",
+                  file=sys.stderr)
+    blocks = [row for row in mismatches if "error" not in row]
+    if blocks:
+        print(f"{len(blocks)} mismatching block(s):", file=sys.stderr)
+        for row in blocks:
             detail = " ".join(f"{m}={row[m]}" for m in args.methods if row[m] is not None)
             print(f"  n={row['n']} m={row['m']} p={row['p']} block={row['block']} {detail}",
                   file=sys.stderr)
-        return MISMATCH_ERROR
-    return 0
+    return MISMATCH_ERROR if mismatches else 0
 
 
 # -- cocycles -----------------------------------------------------------
@@ -201,7 +214,11 @@ def cmd_cocycles(args) -> int:
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    doc = cocycle_basis_json(alg, block, allow_x0_target=args.allow_x0_target)
+    try:
+        doc = cocycle_basis_json(alg, block, allow_x0_target=args.allow_x0_target)
+    except KernelMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return MISMATCH_ERROR
     stream, close = _open_output(args.out)
     try:
         json.dump(doc, stream, indent=2)

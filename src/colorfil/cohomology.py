@@ -43,6 +43,10 @@ class DecompositionMismatch(ArithmeticError):
     """Joint kernel dimension differs from the sum over blocks."""
 
 
+class KernelMismatch(ArithmeticError):
+    """A computed kernel basis vector fails M v = 0."""
+
+
 class BlockKind(Enum):
     """The six degree-0 blocks, keyed by (source degrees, target degree)."""
 
@@ -631,10 +635,17 @@ def cohomology_report(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> Co
 
 def cocycle_basis_json(alg: ColorLieAlgebra, block: BlockKind,
                        allow_x0_target: bool = False) -> dict:
-    """Kernel basis of one block in the export JSON schema."""
+    """Kernel basis of one block in the export JSON schema.
+
+    Every vector is checked against the block matrix (M v = 0) before
+    the document is built; a failure raises KernelMismatch.
+    """
     n, m, p = model_shape(alg)
     system = assemble_Z2_system(alg, {block}, allow_x0_target=allow_x0_target)
     basis = system.kernel()
+    if not basis.verify(system.matrix):
+        raise KernelMismatch(
+            f"block {block.name} kernel basis fails M v = 0 at (n, m, p) = {(n, m, p)}")
     vectors = []
     for vec in basis.vectors:
         vectors.append([

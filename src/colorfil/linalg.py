@@ -1,14 +1,16 @@
 """Exact sparse integer/rational linear algebra.
 
 Rank, nullity and kernel bases of sparse integer matrices, computed
-exactly.
+exactly by one engine, `_eliminate_int`: fraction-free elimination over
+Z (Bareiss-style), with gcd-scaled cross-multiplication updates
+(beta*row_j - alpha*row_piv) followed by content removal, so no
+fractions ever appear.
 
-* `rank_certified` -- fraction-free elimination over Z (Bareiss-style):
-  gcd-scaled cross-multiplication updates (beta*row_j - alpha*row_piv)
-  followed by content removal, so no fractions ever appear and the rank
-  is exact by construction.
-* `kernel_basis` -- reduced row echelon form over Q, giving a canonical
-  rational kernel basis.
+* `rank_certified` -- the number of pivots; exact by construction.
+* `kernel_basis` -- sparse back-substitution over the integer echelon
+  rows the elimination leaves, one free column at a time, giving the
+  canonical rational kernel basis; `Fraction` appears only when the
+  output vectors are formed.
 
 Matrices are immutable after construction; the elimination routines
 work on private row copies, so concurrent use on shared matrices is
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 
@@ -106,7 +109,23 @@ class KernelBasis:
     vectors: tuple
 
     def verify(self, matrix: SparseIntMatrix) -> bool:
-        return all(not matrix.multiply_vector(v) for v in self.vectors)
+        """Whether M v = 0 for every vector.
+
+        Indexes the columns once and evaluates only the rows that touch
+        a vector's support, so the cost follows the vectors' supports,
+        not dim x nnz.  Each vector is scaled to integers first.
+        """
+        col_rows: dict = {}
+        for r, row in enumerate(matrix.rows):
+            for c, _ in row:
+                col_rows.setdefault(c, []).append(r)
+        for v in self.vectors:
+            denom = lcm(*(x.denominator for x in v.values()))
+            w = {c: x.numerator * (denom // x.denominator) for c, x in v.items()}
+            touched = {r for c in w for r in col_rows.get(c, ())}
+            if any(sum(val * w[c] for c, val in matrix.rows[r] if c in w) for r in touched):
+                return False
+        return True
 
 
 def primitive_row(row: Mapping) -> tuple:
@@ -142,12 +161,16 @@ def primitive_row(row: Mapping) -> tuple:
 def _eliminate_int(rows: dict, n_cols: int) -> tuple:
     """In-place fraction-free elimination over Z; returns (rank, pivots).
 
-    pivots lists the (row_id, col) pairs in elimination order, with row
-    ids referring to the input, so the input rows named there form a
-    basis of the row space.  Row updates use the gcd-scaled
-    cross-multiplication new = (a/g)*row_j - (b/g)*row_piv with
-    g = gcd(a, b), followed by removal of the integer content, so every
-    intermediate entry is an exact integer and growth stays modest.
+    pivots lists (row_id, col, row) in elimination order, with row ids
+    referring to the input, so the input rows named there form a basis
+    of the row space.  Columns are visited in order, so the pivot
+    columns are the leftmost-pivot set, and each row is the integer
+    echelon row as it stood when it became the pivot: its lowest column
+    is col, and the elimination never touches it again.  Row updates
+    use the gcd-scaled cross-multiplication
+    new = (a/g)*row_j - (b/g)*row_piv with g = gcd(a, b), followed by
+    removal of the integer content, so every intermediate entry is an
+    exact integer and growth stays modest.
     """
     for i in [i for i, row in rows.items() if not row]:
         del rows[i]
@@ -200,7 +223,7 @@ def _eliminate_int(rows: dict, n_cols: int) -> tuple:
         for k in prow:
             col_rows[k].discard(pid)
         del rows[pid]
-        pivots.append((pid, c))
+        pivots.append((pid, c, prow))
     return len(pivots), pivots
 
 
@@ -222,51 +245,52 @@ def nullity(matrix: SparseIntMatrix) -> int:
 def kernel_basis(matrix: SparseIntMatrix) -> KernelBasis:
     """Exact rational basis of the kernel, in canonical form.
 
-    Computed from the reduced row echelon form over Q with leftmost
-    pivot columns, which makes the output independent of row order.
+    Back-substitution over the integer echelon rows of `_eliminate_int`.
+    Its pivot columns are the leftmost-pivot set, so each free column f
+    has exactly one kernel vector with x_f = 1 and every other free
+    coordinate 0; that vector is the output, independent of row order.
+    Only the pivots reachable from f through the echelon rows are
+    visited, largest column first, so every x_k a row needs is final
+    when the row is solved.  The solution is kept as integers over one
+    common denominator and becomes `Fraction` entries only at output.
     """
-    pivots: dict = {}  # pivot col -> reduced row: 1 at pivot col, else free cols only
-    for raw in matrix.rows:
-        vec = {c: Fraction(v) for c, v in raw}
-        # forward-eliminate every existing pivot column (one pass suffices:
-        # pivot rows carry no other pivot columns)
-        for pc in [c for c in vec if c in pivots]:
-            coeff = vec.pop(pc)
-            for c, v in pivots[pc].items():
-                if c == pc:
-                    continue
-                nv = vec.get(c, 0) - coeff * v
-                if nv:
-                    vec[c] = nv
-                else:
-                    vec.pop(c, None)
-        if not vec:
-            continue
-        lead = min(vec)
-        inv = 1 / vec[lead]
-        new_row = {c: v * inv for c, v in vec.items()}
-        for prow in pivots.values():
-            coeff = prow.get(lead)
-            if coeff:
-                for c, v in new_row.items():
-                    nv = prow.get(c, 0) - coeff * v
-                    if nv:
-                        prow[c] = nv
-                    else:
-                        prow.pop(c, None)
-        pivots[lead] = new_row
-    free_cols = [c for c in range(matrix.n_cols) if c not in pivots]
+    _, pivots = _eliminate_int(matrix.row_dicts(), matrix.n_cols)
+    echelon = {c: row for _, c, row in pivots}
+    users: dict = {}  # col k -> pivot cols whose echelon row holds k
+    for c, row in echelon.items():
+        for k in row:
+            if k != c:
+                users.setdefault(k, []).append(c)
     vectors = []
-    for c in free_cols:
-        vec = {c: Fraction(1)}
-        for pc, prow in pivots.items():
-            coeff = prow.get(c)
-            if coeff:
-                vec[pc] = -coeff
-        lead = min(vec)
-        if vec[lead] < 0:
-            vec = {i: -v for i, v in vec.items()}
-        vectors.append(dict(sorted(vec.items())))
+    for f in range(matrix.n_cols):
+        if f in echelon:
+            continue
+        vec = {f: 1}  # the solution is vec / denom, kept integral
+        denom = 1
+        queued = set(users.get(f, ()))
+        heap = [-c for c in queued]
+        heapify(heap)
+        while heap:
+            c = -heappop(heap)
+            row = echelon[c]
+            total = sum(v * vec[k] for k, v in row.items() if k in vec)
+            if not total:
+                continue
+            a = row[c]
+            scale = abs(a) // gcd(total, a)
+            if scale != 1:
+                for k in vec:
+                    vec[k] *= scale
+                denom *= scale
+                total *= scale
+            vec[c] = -total // a
+            for u in users.get(c, ()):
+                if u not in queued:
+                    queued.add(u)
+                    heappush(heap, -u)
+        if vec[min(vec)] < 0:
+            denom = -denom
+        vectors.append({k: Fraction(vec[k], denom) for k in sorted(vec)})
     vectors.sort(key=lambda v: min(v))
     return KernelBasis(dim=len(vectors), n_cols=matrix.n_cols, vectors=tuple(vectors))
 

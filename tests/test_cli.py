@@ -129,6 +129,29 @@ def test_verify_detects_corrupted_formula(capsys, monkeypatch):
     assert "block=A" in err
 
 
+def test_verify_worker_failure_exits_1(capsys, monkeypatch):
+    # an error at one point is reported on stderr; the healthy points'
+    # rows are printed exactly as a grid without the failing point
+    healthy = run_cli(capsys, "verify", "--n", "1", "--m", "1", "--p", "1..2",
+                      "--format", "csv", "--jobs", "1")
+    compute_report = cli.compute_report
+
+    def failing(n, m, p, method, **kw):
+        if (n, m, p) == (2, 1, 1):
+            raise formulas.IntegralityError("dim_A: 7 not divisible by 2")
+        return compute_report(n, m, p, method, **kw)
+
+    monkeypatch.setattr(cli, "compute_report", failing)
+    code, out, err = run_cli(capsys, "verify", "--n", "1..2", "--m", "1", "--p", "1..2",
+                             "--format", "csv", "--jobs", "1")
+    assert code == 1
+    assert "n=2 m=1 p=1" in err and "IntegralityError: dim_A" in err
+    assert "n=2 m=1 p=2" not in err
+    assert sum(line.startswith("2,1,2,") for line in out.splitlines()) == 6
+    assert [line for line in out.splitlines() if not line.startswith("2,")] == \
+        healthy[1].splitlines()
+
+
 def test_verify_empty_grid_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "3..2", "--m", "1", "--p", "1")
     assert code == 2
@@ -158,6 +181,23 @@ def test_cocycles_empty_block(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["dim"] == 0 and doc["basis"] == []
+
+
+def test_cocycles_unverified_kernel_exits_1(capsys, monkeypatch, tmp_path):
+    # a basis vector outside the kernel is caught before anything is written
+    from colorfil import cohomology
+    from colorfil.linalg import KernelBasis
+
+    def wrong(matrix):
+        return KernelBasis(1, matrix.n_cols, ({c: 1 for c in range(matrix.n_cols)},))
+
+    monkeypatch.setattr(cohomology, "kernel_basis", wrong)
+    out_path = tmp_path / "basis.json"
+    code, out, err = run_cli(capsys, "cocycles", "--n", "3", "--m", "2", "--p", "2",
+                             "--block", "D", "--out", str(out_path))
+    assert code == 1
+    assert "M v = 0" in err and out == ""
+    assert not out_path.exists()
 
 
 def test_cocycles_unknown_block_exits_2(capsys):

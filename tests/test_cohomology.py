@@ -5,13 +5,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from colorfil.algebra import build_model
-from colorfil.cohomology import (BlockKind, Cochain2,
+from colorfil.algebra import build_model, validate_jacobi
+from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2,
                                  assemble_Z2_system, block_dims,
                                  cochain_from_json, cochain_to_json,
                                  cocycle_basis_json, cohomology_report,
                                  delta1, delta2, is_cocycle)
+from colorfil.deformation import deform
 from colorfil.formulas import main_theorem_total
 
 
@@ -290,6 +293,28 @@ def test_assembly_is_a_generic_validator():
     assert system.nullity() >= 0
     for psi in system.kernel_cochains():
         assert is_cocycle(deformed, psi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 4), st.integers(1, 4),
+       st.sampled_from(ALL_BLOCKS), st.data())
+def test_kernel_round_trip_on_deformed_algebras(n, m, p, block, data):
+    # D-block cocycles integrate (phi o phi = 0: phi maps L1 ^ L1 into L2
+    # and vanishes on L2), so any integer combination of them gives a
+    # Jacobi-valid non-model algebra; its kernel vectors must be cocycles
+    base = build_model(n, m, p)
+    d_vectors = assemble_Z2_system(base, {BlockKind.D}).kernel_cochains()
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(d_vectors),
+                                max_size=len(d_vectors)))
+    assume(any(coeffs))
+    phi = Cochain2(base)
+    for c, psi in zip(coeffs, d_vectors):
+        phi = phi + psi.scaled(c)
+    alg = deform(base, phi).result
+    assert validate_jacobi(alg) == []
+    assert list(alg.nonzero_constants()) != list(base.nonzero_constants())
+    for psi in assemble_Z2_system(alg, {block}).kernel_cochains():
+        assert is_cocycle(alg, psi)
 
 
 def test_matrix_and_direct_evaluation_agree_on_non_cocycles():

@@ -9,32 +9,72 @@ recurrence
 where shift is the chain map of the X0-action (last element to zero).
 This file rebuilds that recurrence as dense Fraction matrices and does
 textbook Gaussian elimination, sharing no code with the sparse
-assembler or the elimination engine, then compares dimensions.
+assembler or the elimination engine, then compares dimensions.  The
+same dense elimination gives `dense_kernel`, the second route to the
+canonical kernel bases.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from colorfil.algebra import build_model
-from colorfil.cohomology import ALL_BLOCKS, block_dims
+from colorfil.cohomology import ALL_BLOCKS, assemble_Z2_system, block_dims
+from colorfil.linalg import SparseIntMatrix, kernel_basis
 
 
-def dense_nullity(rows, n_cols):
+def dense_rref(rows, n_cols):
+    """Reduced row echelon form over Q; returns (nonzero rows, pivot columns)."""
     rows = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
+    pivot_cols = []
     for col in range(n_cols):
+        rank = len(pivot_cols)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = 1 / rows[rank][col]
         rows[rank] = [v * inv for v in rows[rank]]
+        support = [(k, b) for k, b in enumerate(rows[rank]) if b]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
                 f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return n_cols - rank
+                for k, b in support:
+                    rows[r][k] -= f * b
+        pivot_cols.append(col)
+    return rows[:len(pivot_cols)], pivot_cols
+
+
+def dense_nullity(rows, n_cols):
+    return n_cols - len(dense_rref(rows, n_cols)[1])
+
+
+def dense_kernel(rows, n_cols):
+    """Kernel basis in canonical form: one vector per free column f with
+    x_f = 1 and the other free coordinates 0, scaled so that its lowest
+    nonzero coordinate is positive, ordered by that coordinate."""
+    reduced, pivot_cols = dense_rref(rows, n_cols)
+    vectors = []
+    for f in range(n_cols):
+        if f in pivot_cols:
+            continue
+        vec = {f: Fraction(1)}
+        for row, pc in zip(reduced, pivot_cols):
+            if row[f]:
+                vec[pc] = -row[f]
+        lead = min(vec)
+        sign = 1 if vec[lead] > 0 else -1
+        vectors.append({c: sign * vec[c] for c in sorted(vec)})
+    return sorted(vectors, key=min)
+
+
+def to_dense(matrix):
+    dense = [[0] * matrix.n_cols for _ in range(matrix.n_rows)]
+    for r, c, v in matrix.entries():
+        dense[r][c] = v
+    return dense
 
 
 def block_dim_by_recurrence(block, n, m, p):
@@ -86,3 +126,33 @@ def test_production_dims_match_dense_recurrence_oracle():
         for block in ALL_BLOCKS:
             expected = block_dim_by_recurrence(block, n, m, p)
             assert produced[block] == expected, (block.name, n, m, p)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Small sparse integer matrices, including empty rows, all-zero
+    columns, 0 x k and k x 0 shapes, and entries of size 2**61 - 1."""
+    n_rows, n_cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    values = st.sampled_from([1, -1, 2, -3, 5, 2**61 - 1, -(2**61 - 1)])
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, max(n_rows - 1, 0)), st.integers(0, max(n_cols - 1, 0))),
+        values, max_size=3 * max(n_rows, n_cols)) if n_rows and n_cols else st.just({}))
+    return SparseIntMatrix.from_entries(
+        n_rows, n_cols, [(r, c, v) for (r, c), v in cells.items()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_kernel_basis_matches_dense_oracle(matrix):
+    basis = kernel_basis(matrix)
+    assert list(basis.vectors) == dense_kernel(to_dense(matrix), matrix.n_cols)
+    assert basis.dim == len(basis.vectors)
+
+
+def test_block_kernels_match_dense_oracle():
+    for nmp in [(8, 6, 6), (5, 0, 3)]:
+        alg = build_model(*nmp)
+        for block in ALL_BLOCKS:
+            matrix = assemble_Z2_system(alg, {block}).matrix
+            expected = dense_kernel(to_dense(matrix), matrix.n_cols)
+            assert list(kernel_basis(matrix).vectors) == expected, (nmp, block.name)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorfil.linalg import (SparseIntMatrix, kernel_basis, nullity,
+from colorfil.linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
                              primitive_row, rank_certified,
                              write_matrix_market)
 from test_independent_oracle import dense_nullity
@@ -46,6 +46,10 @@ def test_kernel_examples():
     kb3 = kernel_basis(SparseIntMatrix(1, 3, [{}]))
     assert kb3.dim == 3
     assert list(kb3.vectors) == [{0: 1}, {1: 1}, {2: 1}]
+    # verify rejects a vector outside the kernel, even beside a good one
+    m = matrix_from_dense([[1, 2], [2, 4]])
+    assert kb.verify(m)
+    assert not KernelBasis(2, 2, (vec, {0: Fraction(1)})).verify(m)
 
 
 def test_kernel_canonical_form():
