@@ -25,7 +25,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .grading import CommutationFactor, GradingGroup, trivial_factor
 from .linalg import _eliminate_int, primitive_row
-from .scalars import as_coeff, as_int, coeff_to_json
+from .scalars import add_into, as_coeff, as_int, coeff_to_json
 
 FAMILY_LETTERS = "XYZUVW"
 
@@ -189,6 +189,10 @@ class ColorLieAlgebra:
         start = self._offsets[g]
         return range(start, start + self._dims[g])
 
+    def global_index(self, g: int, i: int) -> int:
+        """Global basis index of the family-g element numbered i (X_0 is 0)."""
+        return self._offsets[g] + i - (0 if g == 0 else 1)
+
     def vector(self, source) -> Vector:
         """Build a sparse vector from a label, an index, or a mapping."""
         if isinstance(source, str):
@@ -197,11 +201,8 @@ class ColorLieAlgebra:
             return {source: 1}
         out = {}
         for key, c in source.items():
-            i = self.index(key) if isinstance(key, str) else int(key)
-            c = as_coeff(c)
-            if c:
-                out[i] = out.get(i, 0) + c
-        return {i: c for i, c in out.items() if c}
+            add_into(out, self.index(key) if isinstance(key, str) else int(key), as_coeff(c))
+        return out
 
     def format_vector(self, vec: Mapping) -> str:
         if not vec:
@@ -233,11 +234,7 @@ class ColorLieAlgebra:
                 if a > b:
                     scale = -self._beta.beta(self._degrees[a], self._degrees[b]) * scale
                 for t, c in vec.items():
-                    new = out.get(t, 0) + scale * c
-                    if new:
-                        out[t] = new
-                    else:
-                        del out[t]
+                    add_into(out, t, scale * c)
         return out
 
     def nonzero_constants(self) -> Iterator:
@@ -253,11 +250,7 @@ class ColorLieAlgebra:
                 raise ValueError("additions must use canonically ordered pairs")
             tgt = merged.setdefault((a, b), {})
             for t, c in vec.items():
-                new = tgt.get(t, 0) + as_coeff(c)
-                if new:
-                    tgt[t] = new
-                else:
-                    tgt.pop(t, None)
+                add_into(tgt, t, as_coeff(c))
         merged = {pair: vec for pair, vec in merged.items() if vec}
         return ColorLieAlgebra(self._beta, self._dims, merged)
 
@@ -357,19 +350,11 @@ def validate_jacobi(alg: ColorLieAlgebra) -> list:
         res = alg.bracket(alg.bracket_basis(a, b), {c: 1})
         for t, coeff in alg.bracket_basis(b, c).items():
             for u, cu in alg.bracket_basis(a, t).items():
-                new = res.get(u, 0) - coeff * cu
-                if new:
-                    res[u] = new
-                else:
-                    res.pop(u, None)
+                add_into(res, u, -coeff * cu)
         sign = beta.beta(deg(a), deg(b))
         for t, coeff in alg.bracket_basis(a, c).items():
             for u, cu in alg.bracket_basis(b, t).items():
-                new = res.get(u, 0) + sign * coeff * cu
-                if new:
-                    res[u] = new
-                else:
-                    res.pop(u, None)
+                add_into(res, u, sign * coeff * cu)
         if res:
             violations.append(JacobiViolation(
                 "J", (alg.label(a), alg.label(b), alg.label(c)), alg.format_vector(res)))

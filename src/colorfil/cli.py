@@ -4,7 +4,8 @@ Exit codes form the scripting contract:
 
     0  success / all requested methods agree
     1  mathematical mismatch between methods (the falsification channel)
-    2  usage or parse error (bad flags, malformed files, empty grid)
+    2  usage or parse error (bad flags, malformed files, empty grid,
+       parameters out of range)
     3  structurally valid but invalid input object (e.g. not a cocycle)
 """
 
@@ -108,6 +109,9 @@ def cmd_dims(args) -> int:
     except (InvalidParams, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except (IntegralityError, DecompositionMismatch) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return MISMATCH_ERROR
     return 0
 
 
@@ -178,6 +182,9 @@ def cmd_verify(args) -> int:
     if min(n for n, _, _ in points) < 1:
         print("error: n must be >= 1", file=sys.stderr)
         return USAGE_ERROR
+    if min(args.m) < 0 or min(args.p) < 0:
+        print("error: m and p must be >= 0", file=sys.stderr)
+        return USAGE_ERROR
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     rows, mismatches = run_verify(points, args.methods, jobs=jobs)
     stream, close = _open_output(args.output)
@@ -244,10 +251,14 @@ def _cochain_from_document(alg, doc):
     if isinstance(doc, dict) and "basis" in doc:
         block = BlockKind[str(doc["block"])]
         vectors = doc["basis"]
+        if not (isinstance(vectors, list) and all(isinstance(v, list) for v in vectors)):
+            raise ValueError("'basis' must be a list of vectors, each a list of terms")
         if len(vectors) != 1:
             raise ValueError(
                 f"basis export holds {len(vectors)} vectors; deform needs exactly one "
                 "(re-export or convert to a 'terms' document)")
+        if not all(isinstance(item, dict) for item in vectors[0]):
+            raise ValueError("each basis term must be an object")
         terms = [{"block": block.name, **item} for item in vectors[0]]
         return cochain_from_json(alg, {"n": doc["n"], "m": doc["m"], "p": doc["p"],
                                        "terms": terms})

@@ -12,6 +12,14 @@ these being exactly the signatures whose degree balance is 0 mod 3.
 X_0 never appears as a source argument, and is additionally excluded
 from the targets of the two L0-valued blocks A and E (pass
 `allow_x0_target=True` to explore the unconstrained variant).
+`_index_ranges` is the one statement of this X_0 rule.
+
+A `Cochain2` stores its values in the form of the law itself: sparse
+target vectors on canonical global basis pairs a < b, exactly as
+`ColorLieAlgebra` stores its structure constants, so the deformed law
+mu0 + phi is a sum of two such tables.  The block-wise basis maps
+phi^s_{i,j} (the matrix columns, `ColumnKey`) address it through
+`ColorLieAlgebra.global_index`.
 
 `assemble_Z2_system` turns the cocycle identity
 
@@ -36,7 +44,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 from .algebra import ColorLieAlgebra, Vector
 from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
                      primitive_row, rank_certified)
-from .scalars import Coeff, as_coeff, as_int, coeff_to_string
+from .scalars import Coeff, add_into, as_coeff, as_int, coeff_to_string
 
 
 class DecompositionMismatch(ArithmeticError):
@@ -106,14 +114,30 @@ def model_shape(alg: ColorLieAlgebra) -> tuple:
     return alg.dims[0] - 1, alg.dims[1], alg.dims[2]
 
 
+def _index_ranges(nmp: tuple, vanish_on_x0: bool, allow_x0_target: bool) -> tuple:
+    """(source, target) family index ranges per degree: the X_0 rule.
+
+    X_0 (index 0 of the degree-0 family) is a source only when the
+    cochain need not vanish on it, and a target only then or when
+    `allow_x0_target` re-admits it.
+    """
+    n, m, p = nmp
+    rest = (range(1, m + 1), range(1, p + 1))
+    source = range(1 if vanish_on_x0 else 0, n + 1)
+    target = range(0 if allow_x0_target or not vanish_on_x0 else 1, n + 1)
+    return (source, *rest), (target, *rest)
+
+
 class Cochain2:
     """A sparse degree-0 2-cochain on a model-shaped algebra.
 
-    Coefficients are stored per block under canonical keys: same-family
-    source pairs with i < j (the swapped pair is the negative), mixed
-    pairs with the lower-degree family first.  `vanish_on_x0` forbids
-    X_0 as a source argument; `allow_x0_target` re-admits X_0 as a
-    target of the A and E blocks.
+    Values are stored as the algebra stores its structure constants:
+    {(a, b): {t: coeff}} over global basis indices with a < b (the
+    swapped pair is the negative).  The block-wise interface addresses
+    the basis map phi^s_{i,j} of a block by family indices: same-family
+    source pairs with i < j, mixed pairs with the lower-degree family
+    first.  `vanish_on_x0` forbids X_0 as a source argument;
+    `allow_x0_target` re-admits X_0 as a target of the A and E blocks.
     """
 
     def __init__(self, alg: ColorLieAlgebra, coeffs: Mapping | None = None,
@@ -122,112 +146,76 @@ class Cochain2:
         self.nmp = model_shape(alg)
         self.vanish_on_x0 = vanish_on_x0
         self.allow_x0_target = allow_x0_target
-        self._data: dict = {}  # (block, i, j) -> {s: coeff}
+        self._sources, self._targets = _index_ranges(self.nmp, vanish_on_x0, allow_x0_target)
+        self._data: dict = {}  # (a, b), a < b -> {t: coeff}
         if coeffs:
             for (block, i, j, s), c in coeffs.items():
                 self.add(block, i, j, s, c)
 
-    # family bookkeeping: degree g holds indices start..start+count-1
-    def _family_range(self, g: int, target: bool = False) -> range:
-        n, m, p = self.nmp
-        if g == 0:
-            lo = 0 if (not self.vanish_on_x0 and not target) or \
-                      (target and self.allow_x0_target) else 1
-            return range(lo, n + 1)
-        return range(1, (m if g == 1 else p) + 1)
+    def _locate(self, block: BlockKind, i: int, j: int, s: int) -> tuple:
+        """Global (a, b, t) of phi^s_{i,j} with a < b, and the swap sign.
 
-    def _global(self, g: int, index: int) -> int:
-        n, m, _ = self.nmp
-        if g == 0:
-            return index
-        if g == 1:
-            return n + 1 + (index - 1)
-        return n + 1 + m + (index - 1)
-
-    def _family_index(self, global_idx: int) -> int:
-        n, m, _ = self.nmp
-        if global_idx <= n:
-            return global_idx
-        if global_idx <= n + m:
-            return global_idx - n
-        return global_idx - n - m
+        Raises ValueError for a diagonal pair or an index outside the
+        family ranges.
+        """
+        sign = 1
+        if block.same_family:
+            if i == j:
+                raise ValueError(f"diagonal source pair ({i},{i}) in alternating block {block.name}")
+            if i > j:
+                i, j, sign = j, i, -1
+        g1, g2 = block.source_degrees
+        if i not in self._sources[g1]:
+            raise ValueError(f"source index i={i} out of range for block {block.name}")
+        if j not in self._sources[g2]:
+            raise ValueError(f"source index j={j} out of range for block {block.name}")
+        if s not in self._targets[block.target_degree]:
+            raise ValueError(f"target index s={s} out of range for block {block.name}")
+        glob = self.alg.global_index
+        return glob(g1, i), glob(g2, j), glob(block.target_degree, s), sign
 
     def add(self, block: BlockKind, i: int, j: int, s: int, coeff) -> None:
         """Accumulate a coefficient onto the canonical basis map."""
         coeff = as_coeff(coeff)
         if coeff == 0:
             return
-        sign = 1
-        if block.same_family:
-            if i == j:
-                raise ValueError(f"diagonal source pair ({i},{i}) in alternating block {block.name}")
-            if i > j:
-                i, j = j, i
-                sign = -1
-        g1, g2 = block.source_degrees
-        if i not in self._family_range(g1):
-            raise ValueError(f"source index i={i} out of range for block {block.name}")
-        if j not in self._family_range(g2):
-            raise ValueError(f"source index j={j} out of range for block {block.name}")
-        if s not in self._family_range(block.target_degree, target=True):
-            raise ValueError(f"target index s={s} out of range for block {block.name}")
-        slot = self._data.setdefault((block, i, j), {})
-        new = slot.get(s, 0) + sign * coeff
-        if new:
-            slot[s] = new
-        else:
-            slot.pop(s, None)
-            if not slot:
-                del self._data[(block, i, j)]
+        a, b, t, sign = self._locate(block, i, j, s)
+        slot = self._data.setdefault((a, b), {})
+        add_into(slot, t, sign * coeff)
+        if not slot:
+            del self._data[(a, b)]
 
     def get(self, block: BlockKind, i: int, j: int, s: int) -> Coeff:
-        sign = 1
-        if block.same_family:
-            if i == j:
-                return 0
-            if i > j:
-                i, j, sign = j, i, -1
-        return sign * self._data.get((block, i, j), {}).get(s, 0)
+        try:
+            a, b, t, sign = self._locate(block, i, j, s)
+        except ValueError:  # no such basis map: the value is 0
+            return 0
+        return sign * self._data.get((a, b), {}).get(t, 0)
 
     def items(self) -> Iterator:
         """Canonical (ColumnKey, coeff) pairs, deterministic order."""
-        for (block, i, j) in sorted(self._data, key=lambda k: (k[0].name, k[1], k[2])):
-            for s, c in sorted(self._data[(block, i, j)].items()):
-                yield ColumnKey(block, i, j, s), c
+        elem = self.alg.element
+        out = []
+        for (a, b), slot in self._data.items():
+            ea, eb = elem(a), elem(b)
+            block = _BLOCK_BY_SOURCE[(ea.degree, eb.degree)]
+            out.extend((ColumnKey(block, ea.index, eb.index, elem(t).index), c)
+                       for t, c in slot.items())
+        out.sort(key=lambda kc: (kc[0].block.name, kc[0][1:]))
+        return iter(out)
 
     def is_zero(self) -> bool:
         return not self._data
 
     @property
     def has_x0_source(self) -> bool:
-        for (block, i, j) in self._data:
-            g1, g2 = block.source_degrees
-            if (g1 == 0 and i == 0) or (g2 == 0 and j == 0):
-                return True
-        return False
+        return any(a == 0 for a, _ in self._data)
 
     def value_on_pair(self, x: int, y: int) -> Vector:
         """psi(e_x, e_y) as a sparse global vector (skew in x, y)."""
-        if x == y:
-            return {}
-        deg = self.alg.degree_of
-        dx, dy = deg(x), deg(y)
-        sign = 1
-        if (dx, dy) in _BLOCK_BY_SOURCE:
-            block = _BLOCK_BY_SOURCE[(dx, dy)]
-            i, j = self._family_index(x), self._family_index(y)
-        else:
-            block = _BLOCK_BY_SOURCE[(dy, dx)]
-            i, j = self._family_index(y), self._family_index(x)
-            sign = -1
-        if block.same_family and i > j:
-            i, j = j, i
-            sign = -sign
-        slot = self._data.get((block, i, j))
-        if not slot:
-            return {}
-        gt = block.target_degree
-        return {self._global(gt, s): sign * c for s, c in slot.items()}
+        if x <= y:
+            return dict(self._data.get((x, y), {}))
+        return {t: -c for t, c in self._data.get((y, x), {}).items()}
 
     def evaluate(self, x: Mapping, y: Mapping) -> Vector:
         """Bilinear extension of the cochain to sparse vectors."""
@@ -235,11 +223,7 @@ class Cochain2:
         for a, ca in x.items():
             for b, cb in y.items():
                 for t, c in self.value_on_pair(a, b).items():
-                    new = out.get(t, 0) + ca * cb * c
-                    if new:
-                        out[t] = new
-                    else:
-                        del out[t]
+                    add_into(out, t, ca * cb * c)
         return out
 
     def scaled(self, factor) -> "Cochain2":
@@ -264,48 +248,22 @@ class Cochain2:
 
     def as_constant_additions(self) -> dict:
         """Values keyed by canonical global pairs, for deforming a law."""
-        out: dict = {}
-        for (block, i, j), slot in self._data.items():
-            g1, g2 = block.source_degrees
-            a, b = self._global(g1, i), self._global(g2, j)
-            sign = 1
-            if a > b:
-                a, b, sign = b, a, -1
-            vec = out.setdefault((a, b), {})
-            gt = block.target_degree
-            for s, c in slot.items():
-                t = self._global(gt, s)
-                new = vec.get(t, 0) + sign * c
-                if new:
-                    vec[t] = new
-                else:
-                    vec.pop(t, None)
-        return {pair: vec for pair, vec in out.items() if vec}
+        return {pair: dict(vec) for pair, vec in self._data.items()}
 
 
 def cochain_columns(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
                     vanish_on_x0: bool = True, allow_x0_target: bool = False) -> list:
     """Canonical cochain basis keys for the requested blocks, in order."""
-    n, m, p = model_shape(alg)
-    counts = {0: n, 1: m, 2: p}
-    x_src_lo = 1 if vanish_on_x0 else 0
-    x_tgt_lo = 0 if allow_x0_target or not vanish_on_x0 else 1
-
-    def src_range(g):
-        return range(x_src_lo, n + 1) if g == 0 else range(1, counts[g] + 1)
-
-    def tgt_range(g):
-        return range(x_tgt_lo, n + 1) if g == 0 else range(1, counts[g] + 1)
-
+    sources, targets = _index_ranges(model_shape(alg), vanish_on_x0, allow_x0_target)
     keys = []
     for block in sorted(set(blocks), key=lambda b: b.name):
         g1, g2 = block.source_degrees
         if block.same_family:
-            pairs = combinations(src_range(g1), 2)
+            pairs = combinations(sources[g1], 2)
         else:
-            pairs = ((i, j) for i in src_range(g1) for j in src_range(g2))
+            pairs = ((i, j) for i in sources[g1] for j in sources[g2])
         for i, j in pairs:
-            for s in tgt_range(block.target_degree):
+            for s in targets[block.target_degree]:
                 keys.append(ColumnKey(block, i, j, s))
     return keys
 
@@ -378,17 +336,14 @@ def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
     """
     blocks = set(blocks)
     cols = cochain_columns(alg, blocks, allow_x0_target=allow_x0_target)
-    col_id = {key: idx for idx, key in enumerate(cols)}
-    n_cols = len(cols)
 
     # psi lookup: ordered global pair -> ((col, target_global, sign), ...)
     pair_map: dict = {}
-    tmp = Cochain2(alg, vanish_on_x0=True, allow_x0_target=allow_x0_target)
-    for key, idx in col_id.items():
+    glob = alg.global_index
+    for idx, key in enumerate(cols):
         g1, g2 = key.block.source_degrees
-        a = tmp._global(g1, key.i)
-        b = tmp._global(g2, key.j)
-        t = tmp._global(key.block.target_degree, key.s)
+        a, b = glob(g1, key.i), glob(g2, key.j)
+        t = glob(key.block.target_degree, key.s)
         pair_map.setdefault((a, b), []).append((idx, t, 1))
         pair_map.setdefault((b, a), []).append((idx, t, -1))
 
@@ -411,24 +366,14 @@ def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
             # sign * [x, psi(first, second)]
             for col, tgt, s in pair_map.get((first, second), empty):
                 for u, cb in brackets.get((x, tgt), empty):
-                    key = (u, col)
-                    new = acc.get(key, 0) + sign * s * cb
-                    if new:
-                        acc[key] = new
-                    else:
-                        del acc[key]
+                    add_into(acc, (u, col), sign * s * cb)
 
         def psi_term(sign, bx, by, other, bracket_first):
             # sign * psi([bx, by], other), argument order per bracket_first
             for t, cb in brackets.get((bx, by), empty):
                 pair = (t, other) if bracket_first else (other, t)
                 for col, tgt, s in pair_map.get(pair, empty):
-                    key = (tgt, col)
-                    new = acc.get(key, 0) + sign * cb * s
-                    if new:
-                        acc[key] = new
-                    else:
-                        del acc[key]
+                    add_into(acc, (tgt, col), sign * cb * s)
 
         ad_term(1, a, b, c)
         ad_term(-1, b, a, c)
@@ -452,7 +397,7 @@ def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
             row_labels.append(RowLabel(cond, (alg.label(a), alg.label(b), alg.label(c)),
                                        alg.label(u)))
 
-    matrix = SparseIntMatrix(len(rows), n_cols, rows)
+    matrix = SparseIntMatrix(len(rows), len(cols), rows)
     return ConstraintSystem(matrix=matrix, col_keys=tuple(cols),
                             row_labels=tuple(row_labels), alg=alg,
                             allow_x0_target=allow_x0_target)
@@ -504,11 +449,7 @@ def delta2(alg: ColorLieAlgebra, psi: Cochain2, triple) -> Vector:
 
     def accumulate(vec: Vector, sign: int):
         for t, v in vec.items():
-            new = out.get(t, 0) + sign * v
-            if new:
-                out[t] = new
-            else:
-                del out[t]
+            add_into(out, t, sign * v)
 
     accumulate(alg.bracket({a: 1}, psi.value_on_pair(b, c)), 1)
     accumulate(alg.bracket({b: 1}, psi.value_on_pair(a, c)), -1)
@@ -550,31 +491,18 @@ def delta1(alg: ColorLieAlgebra, g_map: Mapping) -> Cochain2:
         out: Vector = {}
         for i, c in vec.items():
             for t, v in gm.get(i, {}).items():
-                new = out.get(t, 0) + c * v
-                if new:
-                    out[t] = new
-                else:
-                    del out[t]
+                add_into(out, t, c * v)
         return out
 
     result = Cochain2(alg, vanish_on_x0=False, allow_x0_target=True)
     for a, b in combinations(range(alg.dim), 2):
-        vec: Vector = {}
-        for t, v in alg.bracket({a: 1}, gm.get(b, {})).items():
-            vec[t] = vec.get(t, 0) + v
+        vec = alg.bracket({a: 1}, gm.get(b, {}))
         for t, v in alg.bracket({b: 1}, gm.get(a, {})).items():
-            vec[t] = vec.get(t, 0) - v
+            add_into(vec, t, -v)
         for t, v in apply_g(alg.bracket_basis(a, b)).items():
-            vec[t] = vec.get(t, 0) - v
-        vec = {t: v for t, v in vec.items() if v}
-        if not vec:
-            continue
-        da, db = alg.degree_of(a), alg.degree_of(b)
-        block = _BLOCK_BY_SOURCE[(da, db)]
-        i = result._family_index(a)
-        j = result._family_index(b)
-        for t, v in vec.items():
-            result.add(block, i, j, result._family_index(t), v)
+            add_into(vec, t, -v)
+        if vec:
+            result._data[(a, b)] = vec
     return result
 
 
@@ -601,17 +529,12 @@ def cohomology_report(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> Co
 
     full_cols = cochain_columns(alg, ALL_BLOCKS, vanish_on_x0=False, allow_x0_target=True)
     col_id = {key: idx for idx, key in enumerate(full_cols)}
-    forbidden = set()
-    for key, idx in col_id.items():
-        g1, g2 = key.block.source_degrees
-        if (g1 == 0 and key.i == 0) or (g2 == 0 and key.j == 0):
-            forbidden.add(idx)
-        elif key.block.target_degree == 0 and key.s == 0 and not allow_x0_target:
-            forbidden.add(idx)
+    allowed = set(cochain_columns(alg, ALL_BLOCKS, allow_x0_target=allow_x0_target))
+    forbidden = [idx for idx, key in enumerate(full_cols) if key not in allowed]
 
     image_rows = []
     forbidden_rows = []
-    forb_renum = {c: i for i, c in enumerate(sorted(forbidden))}
+    forb_renum = {c: i for i, c in enumerate(forbidden)}
     for g in alg.grading.elements():
         comp = list(alg.component_indices(g))
         for u in comp:
@@ -620,7 +543,7 @@ def cohomology_report(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> Co
                 row = {col_id[key]: v for key, v in db.items()}
                 if row:
                     image_rows.append(dict(primitive_row(row)))
-                    frow = {forb_renum[c]: v for c, v in row.items() if c in forbidden}
+                    frow = {forb_renum[c]: v for c, v in row.items() if c in forb_renum}
                     if frow:
                         forbidden_rows.append(dict(primitive_row(frow)))
     full = SparseIntMatrix(len(image_rows), len(full_cols), image_rows)
@@ -672,9 +595,14 @@ def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
         raise ValueError("cochain document must be an object with a 'terms' list")
     if tuple(as_int(data.get(k, v), k) for k, v in (("n", n), ("m", m), ("p", p))) != (n, m, p):
         raise ValueError("cochain parameters disagree with the algebra's (n, m, p)")
+    if not isinstance(data["terms"], list):
+        raise ValueError("cochain 'terms' must be a list")
     psi = Cochain2(alg, vanish_on_x0=True, allow_x0_target=allow_x0_target)
-    for term in data["terms"]:
-        block = BlockKind[str(term["block"])]
-        psi.add(block, as_int(term["i"], "i"), as_int(term["j"], "j"), as_int(term["s"], "s"),
-                as_coeff(term["coeff"]))
+    try:
+        for term in data["terms"]:
+            block = BlockKind[str(term["block"])]
+            psi.add(block, as_int(term["i"], "i"), as_int(term["j"], "j"),
+                    as_int(term["s"], "s"), as_coeff(term["coeff"]))
+    except TypeError as exc:
+        raise ValueError(f"malformed cochain term: {exc}") from exc
     return psi

@@ -25,7 +25,10 @@ def as_coeff(value) -> Coeff:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
-        return as_coeff(Fraction(value))
+        try:
+            return as_coeff(Fraction(value))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {value!r}") from None
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}: {value!r}")
 
 

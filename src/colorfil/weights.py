@@ -83,6 +83,8 @@ def count_weight_dim(block: BlockKind, n: int, m: int, p: int) -> int:
     for B and C all (i, j) pairs are counted.  Empty components simply
     contribute no maps.
     """
+    if n < 1 or m < 0 or p < 0:
+        raise ValueError(f"need n >= 1 and m, p >= 0, got ({n}, {m}, {p})")
     wm = WeightModel(n, m, p)
     if block is BlockKind.A:
         pairs = combinations(range(1, n + 1), 2)

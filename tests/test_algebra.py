@@ -177,6 +177,8 @@ def test_json_rational_coefficients():
     {"k": 3.9, "dims": [2, 1, 1], "beta": [[1, 1, 1]] * 3, "constants": []},
     {"k": 3, "dims": [4.2, True, 2], "beta": [[1, 1, 1]] * 3, "constants": []},
     {"k": 3, "dims": [2, 1, "1"], "beta": [[1, 1, 1]] * 3, "constants": []},
+    {"k": 3, "dims": [3, 1, 1], "beta": [[1, 1, 1]] * 3,
+     "constants": [{"lhs": "X0", "rhs": "X1", "value": [{"basis": "X2", "coeff": "1/0"}]}]},
 ])
 def test_from_json_rejects_malformed(doc):
     with pytest.raises(AlgebraFormatError):

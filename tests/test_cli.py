@@ -1,11 +1,13 @@
 """Exit-code contract and output formats of the command line."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import colorfil
 from colorfil import cli, formulas
 from colorfil.algebra import build_model
 from colorfil.cli import main
@@ -55,6 +57,26 @@ def test_dims_invalid_n_exits_2(capsys):
     code, _, err = run_cli(capsys, "dims", "--n", "0", "--m", "1", "--p", "1")
     assert code == 2
     assert "n must be" in err
+
+
+@pytest.mark.parametrize("method", ["closed", "brute", "weights"])
+def test_dims_negative_m_or_p_exits_2(capsys, method):
+    for m, p in [("-1", "1"), ("1", "-1")]:
+        code, out, err = run_cli(capsys, "dims", "--n", "2", "--m", m, "--p", p,
+                                 "--method", method)
+        assert (code, out) == (2, ""), (method, m, p)
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_dims_arithmetic_error_exits_1(capsys, monkeypatch):
+    for error in (formulas.IntegralityError("dim_A: 7 not divisible by 2"),
+                  cli.DecompositionMismatch("joint kernel dimension 5 != block sum 4")):
+        def failing(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "compute_report", failing)
+        code, out, err = run_cli(capsys, "dims", "--n", "2", "--m", "1", "--p", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {type(error).__name__}: {error}\n"
 
 
 def test_verify_small_grid_agrees(capsys):
@@ -150,6 +172,16 @@ def test_verify_worker_failure_exits_1(capsys, monkeypatch):
     assert sum(line.startswith("2,1,2,") for line in out.splitlines()) == 6
     assert [line for line in out.splitlines() if not line.startswith("2,")] == \
         healthy[1].splitlines()
+
+
+@pytest.mark.parametrize("methods", ["brute,closed,weights", "weights"])
+def test_verify_negative_m_or_p_exits_2(capsys, monkeypatch, methods):
+    # rejected before any grid point is computed
+    monkeypatch.setattr(cli, "run_verify", None)
+    for m, p in [("-1", "1"), ("0..2", "-1..1")]:
+        code, out, err = run_cli(capsys, "verify", "--n", "1..2", f"--m={m}", f"--p={p}",
+                                 "--methods", methods, "--jobs", "1")
+        assert (code, out, err) == (2, "", "error: m and p must be >= 0\n")
 
 
 def test_verify_empty_grid_exits_2(capsys):
@@ -267,6 +299,26 @@ def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):
                                "--cocycle", str(cochain_file(name, terms)))
         assert code == 2, name
         assert "must be an integer" in err
+    # float, null and zero-denominator coefficients, non-list terms and
+    # terms that are not objects: a message and exit 2, no traceback
+    term = {"block": "D", "i": 1, "j": 2, "s": 1}
+    for name, terms in [("fcoeff.json", [{**term, "coeff": 0.5}]),
+                        ("ncoeff.json", [{**term, "coeff": None}]),
+                        ("zcoeff.json", [{**term, "coeff": "1/0"}]),
+                        ("dterms.json", {}), ("iterms.json", 7),
+                        ("iterm.json", [7]), ("lterm.json", [["D", 1, 2, 1, 1]])]:
+        code, out, err = run_cli(capsys, "deform", "--algebra", str(alg_path),
+                                 "--cocycle", str(cochain_file(name, terms)))
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: "), name
+    export = {"block": "D", "n": 3, "m": 2, "p": 1, "dim": 1}
+    for k, basis in enumerate([5, [5], [[5]], [[{**term, "coeff": 1.5}]]]):
+        path = tmp_path / f"export{k}.json"
+        path.write_text(json.dumps({**export, "basis": basis}))
+        code, out, err = run_cli(capsys, "deform", "--algebra", str(alg_path),
+                                 "--cocycle", str(path))
+        assert (code, out) == (2, ""), basis
+        assert err.startswith("error: "), basis
     good = cochain_file("good.json", [{"block": "D", "i": 1, "j": 2, "s": 1, "coeff": 1}])
     doc = json.loads(alg_path.read_text())
     for field, value in [("k", 3.9), ("dims", [4.2, True, 1])]:
@@ -293,9 +345,12 @@ def test_deform_accepts_basis_export(capsys, tmp_path):
 
 
 def test_console_script_entry_point():
+    # the child imports the same colorfil as this process, installed or not
+    src = os.path.dirname(os.path.dirname(colorfil.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "colorfil.cli", "dims", "--n", "1", "--m", "1",
          "--p", "1", "--method", "closed"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total"] == 3

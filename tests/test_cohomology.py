@@ -1,8 +1,9 @@
 """Cocycle conditions, block systems, and the six-way decomposition."""
 
 import random
+import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from colorfil.algebra import build_model, validate_jacobi
 from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2,
-                                 assemble_Z2_system, block_dims,
+                                 assemble_Z2_system, block_dims, cochain_columns,
                                  cochain_from_json, cochain_to_json,
                                  cocycle_basis_json, cohomology_report,
                                  delta1, delta2, is_cocycle)
@@ -188,15 +189,57 @@ def test_row_labels_cover_expected_conditions():
 
 def test_cochain_skew_symmetry():
     alg = build_model(3, 2, 2)
-    psi = Cochain2(alg)
+    psi = Cochain2(alg, allow_x0_target=True)
     psi.add(BlockKind.A, 1, 2, 2, 3)
+    psi.add(BlockKind.A, 3, 1, 0, 5)  # swapped same-family pair, X0 target
     psi.add(BlockKind.B, 1, 1, 2, Fraction(1, 2))
+    psi.add(BlockKind.C, 3, 2, 1, 4)
+    psi.add(BlockKind.D, 2, 1, 1, 1)
     psi.add(BlockKind.E, 2, 1, 1, -2)
+    psi.add(BlockKind.F, 1, 2, 2, 7)
     for u in range(alg.dim):
         for v in range(alg.dim):
             lhs = psi.value_on_pair(u, v)
             rhs = {t: -c for t, c in psi.value_on_pair(v, u).items()}
             assert lhs == rhs
+    # the values are the law-shaped additions deform puts on the model
+    values = {(a, b): psi.value_on_pair(a, b) for a, b in combinations(range(alg.dim), 2)}
+    values = {pair: vec for pair, vec in values.items() if vec}
+    assert len(values) == 7
+    assert psi.as_constant_additions() == values
+    law = deform(alg, psi).result
+    added = {}
+    for a, b in combinations(range(alg.dim), 2):
+        diff = {t: law.bracket_basis(a, b).get(t, 0) - alg.bracket_basis(a, b).get(t, 0)
+                for t in range(alg.dim)}
+        diff = {t: c for t, c in diff.items() if c}
+        if diff:
+            added[(a, b)] = diff
+    assert added == values
+
+
+@pytest.mark.parametrize("vanish_on_x0, allow_x0_target",
+                         [(True, False), (True, True), (False, True)])
+def test_cochain_accepts_exactly_the_column_keys(vanish_on_x0, allow_x0_target):
+    alg = build_model(3, 2, 2)
+    cols = cochain_columns(alg, ALL_BLOCKS, vanish_on_x0, allow_x0_target)
+    psi = Cochain2(alg, vanish_on_x0=vanish_on_x0, allow_x0_target=allow_x0_target)
+    coeff = {key: k + 1 for k, key in enumerate(cols)}
+    for key in cols:
+        psi.add(key.block, key.i, key.j, key.s, coeff[key])
+    assert list(psi.items()) == [(key, coeff[key]) for key in cols]
+    accepted = set(cols)
+    for block in ALL_BLOCKS:
+        for i, j, s in product(range(-1, 6), repeat=3):
+            canonical = (block, *sorted((i, j)), s) if block.same_family else (block, i, j, s)
+            if canonical in accepted:
+                sign = -1 if canonical[1] != i else 1
+                assert psi.get(block, i, j, s) == sign * coeff[canonical]
+                continue
+            # outside the family ranges get is 0, never a neighbour's value
+            assert psi.get(block, i, j, s) == 0
+            with pytest.raises(ValueError):
+                psi.add(block, i, j, s, 1)
 
 
 def test_cochain_canonicalization_and_validation():
@@ -214,6 +257,19 @@ def test_cochain_canonicalization_and_validation():
         psi.add(BlockKind.E, 1, 1, 0, 1)  # X0 target excluded by default
     with pytest.raises(ValueError):
         psi.add(BlockKind.B, 1, 3, 1, 1)  # j exceeds m
+    # the messages and their order: diagonal, then i, j, s after the swap
+    for args, message in [((BlockKind.A, 2, 2, 9), "diagonal source pair (2,2)"),
+                          ((BlockKind.A, 9, 0, 9), "source index i=0"),
+                          ((BlockKind.B, 0, 9, 9), "source index i=0"),
+                          ((BlockKind.B, 1, 9, 9), "source index j=9"),
+                          ((BlockKind.E, 1, 1, 4), "target index s=4")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            psi.add(*args, 1)
+    psi.add(BlockKind.B, 1, 1, 1, 2)  # b(X1, Y1) = 2 Y1
+    # out-of-range indices read 0, not an element of the next family:
+    # "X4" has the global index of Y1
+    assert psi.get(BlockKind.B, 1, 1, 1) == 2
+    assert psi.get(BlockKind.A, 1, 4, 4) == 0 and psi.get(BlockKind.A, 0, 1, 1) == 0
 
 
 def test_cochain_addition_linearity():
@@ -277,6 +333,16 @@ def test_cochain_json_roundtrip():
     for bad in [{"n": 3.0, "terms": []},
                 {"n": 3, "terms": [{"block": "D", "i": 1.7, "j": 2, "s": 1, "coeff": 1}]},
                 {"n": 3, "terms": [{"block": "D", "i": 1, "j": 2, "s": True, "coeff": 1}]}]:
+        with pytest.raises(ValueError):
+            cochain_from_json(alg, bad)
+    # nor are float, null or zero-denominator coefficients, non-list
+    # terms, or terms that are not objects
+    term = {"block": "D", "i": 1, "j": 2, "s": 1}
+    for bad in [{"terms": [{**term, "coeff": 1.5}]},
+                {"terms": [{**term, "coeff": None}]},
+                {"terms": [{**term, "coeff": "1/0"}]},
+                {"terms": {}}, {"terms": 5}, {"terms": "D"},
+                {"terms": [5]}, {"terms": [None]}, {"terms": [["D", 1, 2, 1, 1]]}]:
         with pytest.raises(ValueError):
             cochain_from_json(alg, bad)
 

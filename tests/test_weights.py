@@ -50,6 +50,14 @@ def test_count_tolerates_empty_components():
     assert count_weight_dim(BlockKind.C, 3, 2, 0) == 0
 
 
+@pytest.mark.parametrize("block", [BlockKind.A, BlockKind.B, BlockKind.C])
+@pytest.mark.parametrize("nmp", [(0, 1, 1), (2, -1, 1), (2, 1, -1)])
+def test_count_rejects_invalid_params(block, nmp):
+    # the closed forms reject these points; the oracle must not count them
+    with pytest.raises(ValueError, match="need n >= 1"):
+        count_weight_dim(block, *nmp)
+
+
 def test_weight_parity_matches_n():
     for n, m, p in product(range(1, 8), range(1, 5), range(1, 5)):
         wm = WeightModel(n, m, p)
