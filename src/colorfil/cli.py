@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import AlgebraFormatError, InvalidParams, build_model, from_json_dict
 from .cohomology import (ALL_BLOCKS, BlockKind, DecompositionMismatch, KernelMismatch,
-                         block_dims, cochain_from_json, cocycle_basis_json)
+                         block_dims, block_named, cochain_from_json, cocycle_basis_json)
 from .deformation import (CharacteristicVectorViolation, NotACocycle, deform,
                           filiform_check, is_integrable)
 from .formulas import (METHOD_BRUTE, METHOD_CLOSED, METHOD_WEIGHTS,
@@ -101,6 +101,11 @@ def _open_output(path):
 
 
 def cmd_dims(args) -> int:
+    if args.allow_x0_target and (set(args.method) & {METHOD_CLOSED, METHOD_WEIGHTS}):
+        print("error: --allow-x0-target applies to --method brute only; the closed "
+              "forms and the weight oracle count the space with X0 excluded",
+              file=sys.stderr)
+        return USAGE_ERROR
     try:
         for method in args.method:
             report = compute_report(args.n, args.m, args.p, method,
@@ -212,9 +217,9 @@ def cmd_verify(args) -> int:
 
 def cmd_cocycles(args) -> int:
     try:
-        block = BlockKind[args.block]
-    except KeyError:
-        print(f"error: unknown block {args.block!r} (A-F)", file=sys.stderr)
+        block = block_named(args.block)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
         alg = build_model(args.n, args.m, args.p)
@@ -249,7 +254,10 @@ def _cochain_from_document(alg, doc):
     if isinstance(doc, dict) and "terms" in doc:
         return cochain_from_json(alg, doc)
     if isinstance(doc, dict) and "basis" in doc:
-        block = BlockKind[str(doc["block"])]
+        for field in ("block", "n", "m", "p"):
+            if field not in doc:
+                raise ValueError(f"basis export missing field {field!r}")
+        block = block_named(doc["block"])
         vectors = doc["basis"]
         if not (isinstance(vectors, list) and all(isinstance(v, list) for v in vectors)):
             raise ValueError("'basis' must be a list of vectors, each a list of terms")
@@ -269,7 +277,7 @@ def cmd_deform(args) -> int:
     try:
         alg = from_json_dict(_load_json(args.algebra))
         phi = _cochain_from_document(alg, _load_json(args.cocycle))
-    except (OSError, json.JSONDecodeError, AlgebraFormatError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, AlgebraFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:

@@ -31,14 +31,19 @@ target component) instance, one column per basis cochain.  The ten
 classical condition families correspond to the ten degree shapes of the
 triple; the enumeration is generic, so the same assembler validates
 cocycles on any algebra with trivial commutation factor, not just the
-model.
+model.  Every term of the identity holds a bracket, so only triples a
+nonzero bracket reaches are visited: two of the three elements bracket
+nonzero, or one brackets nonzero with a target of a block whose source
+pairs include the other two.  Any other triple gives an all-zero row,
+so skipping it changes nothing; in the model, where only X_0 acts, the
+visited triples are O(dim^2) of the C(dim, 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import ColorLieAlgebra, Vector
@@ -80,6 +85,15 @@ class BlockKind(Enum):
 
 
 _BLOCK_BY_SOURCE = {kind.source_degrees: kind for kind in BlockKind}
+
+
+def block_named(name) -> BlockKind:
+    """The block with letter `name`; ValueError naming it otherwise."""
+    try:
+        return BlockKind[str(name)]
+    except KeyError:
+        raise ValueError(f"unknown block {str(name)!r} (A-F)") from None
+
 
 ALL_BLOCKS = tuple(BlockKind)
 
@@ -251,21 +265,27 @@ class Cochain2:
         return {pair: dict(vec) for pair, vec in self._data.items()}
 
 
-def cochain_columns(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
-                    vanish_on_x0: bool = True, allow_x0_target: bool = False) -> list:
-    """Canonical cochain basis keys for the requested blocks, in order."""
+def _block_bases(alg: ColorLieAlgebra, blocks: Iterable, vanish_on_x0: bool = True,
+                 allow_x0_target: bool = False) -> list:
+    """(block, source index pairs, target indices) per requested block, by name."""
     sources, targets = _index_ranges(model_shape(alg), vanish_on_x0, allow_x0_target)
-    keys = []
+    out = []
     for block in sorted(set(blocks), key=lambda b: b.name):
         g1, g2 = block.source_degrees
         if block.same_family:
-            pairs = combinations(sources[g1], 2)
+            pairs = list(combinations(sources[g1], 2))
         else:
-            pairs = ((i, j) for i in sources[g1] for j in sources[g2])
-        for i, j in pairs:
-            for s in targets[block.target_degree]:
-                keys.append(ColumnKey(block, i, j, s))
-    return keys
+            pairs = list(product(sources[g1], sources[g2]))
+        out.append((block, pairs, targets[block.target_degree]))
+    return out
+
+
+def cochain_columns(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
+                    vanish_on_x0: bool = True, allow_x0_target: bool = False) -> list:
+    """Canonical cochain basis keys for the requested blocks, in order."""
+    return [ColumnKey(block, i, j, s)
+            for block, pairs, tgts in _block_bases(alg, blocks, vanish_on_x0, allow_x0_target)
+            for i, j in pairs for s in tgts]
 
 
 @dataclass(frozen=True)
@@ -310,18 +330,35 @@ def _bracket_table(alg: ColorLieAlgebra) -> dict:
     return table
 
 
-def _touchable_shapes(requested: set) -> set:
-    """Degree shapes of triples whose conditions can involve the blocks."""
-    wanted = {b.source_degrees for b in requested}
-    shapes = set()
-    for shape in CONDITION_BY_SHAPE:
-        d0, d1, d2 = shape
-        pairs = {tuple(sorted((d1, d2))), tuple(sorted((d0, d2))), tuple(sorted((d0, d1))),
-                 tuple(sorted(((d0 + d1) % 3, d2))), tuple(sorted(((d0 + d2) % 3, d1))),
-                 tuple(sorted((d0, (d1 + d2) % 3)))}
-        if pairs & wanted:
-            shapes.add(shape)
-    return shapes
+def _candidate_triples(alg: ColorLieAlgebra, brackets: dict, block_pairs: list) -> list:
+    """Ascending basis triples at which a cocycle condition can be nonzero.
+
+    Each of the six terms of d2 psi at {x, y, z} needs a nonzero bracket
+    inside it: psi([x, y], z) one between two elements of the triple, and
+    [x, psi(y, z)] one between x and a target t of a block whose source
+    pairs include (y, z).  So a triple is a candidate when (i) two of
+    its elements bracket nonzero, or (ii) it is a source pair of a block
+    together with an element x that brackets nonzero with a target of
+    that block.  Every target of a block shares the block's source
+    pairs, so rule (ii) is applied once per (x, block), not per target.
+    `block_pairs` lists (target indices, canonical source pairs) per block.
+    """
+    dim = alg.dim
+    triples: set = set()
+    for x, y, _ in alg.nonzero_constants():  # x < y: the trivial factor kills [e, e]
+        triples.update((z, x, y) for z in range(x))
+        triples.update((x, z, y) for z in range(x + 1, y))
+        triples.update((x, y, z) for z in range(y + 1, dim))
+    for targets, pairs in block_pairs:
+        for x in {x for x, t in brackets if t in targets}:
+            for a, b in pairs:
+                if x < a:
+                    triples.add((x, a, b))
+                elif a < x < b:
+                    triples.add((a, x, b))
+                elif b < x:
+                    triples.add((a, b, x))
+    return sorted(triples)
 
 
 def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
@@ -331,71 +368,68 @@ def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
     Rows are instances of the cocycle identity over canonical basis
     triples (ascending global order; the ten degree shapes reproduce the
     ten classical condition families), projected onto target basis
-    elements.  Identical rows are merged; rows are reduced to primitive
-    integer form, which leaves the kernel untouched.
+    elements.  Only the triples `_candidate_triples` names are visited:
+    at any other triple every term of the identity holds a zero bracket,
+    so the rows, their order and their labels are those of a walk over
+    all C(dim, 3) triples, at a cost that follows the bracket's nonzeros
+    instead of dim^3.  Identical rows are merged; rows are reduced to
+    primitive integer form, which leaves the kernel untouched.
     """
-    blocks = set(blocks)
-    cols = cochain_columns(alg, blocks, allow_x0_target=allow_x0_target)
-
-    # psi lookup: ordered global pair -> ((col, target_global, sign), ...)
+    cols: list = []
+    # psi lookup: ordered global pair -> [(col, target_global, sign), ...]
     pair_map: dict = {}
+    # per block: (target indices, canonical source pairs), for the candidates
+    block_pairs: list = []
     glob = alg.global_index
-    for idx, key in enumerate(cols):
-        g1, g2 = key.block.source_degrees
-        a, b = glob(g1, key.i), glob(g2, key.j)
-        t = glob(key.block.target_degree, key.s)
-        pair_map.setdefault((a, b), []).append((idx, t, 1))
-        pair_map.setdefault((b, a), []).append((idx, t, -1))
+    for block, pairs, targets in _block_bases(alg, blocks, allow_x0_target=allow_x0_target):
+        (g1, g2), gt = block.source_degrees, block.target_degree
+        tglob = [glob(gt, s) for s in targets]
+        gpairs = [(glob(g1, i), glob(g2, j)) for i, j in pairs]
+        for (i, j), (a, b) in zip(pairs, gpairs):
+            first = len(cols)
+            cols.extend(ColumnKey(block, i, j, s) for s in targets)
+            pair_map[(a, b)] = [(first + k, t, 1) for k, t in enumerate(tglob)]
+            pair_map[(b, a)] = [(first + k, t, -1) for k, t in enumerate(tglob)]
+        block_pairs.append((set(tglob), gpairs))
 
     brackets = _bracket_table(alg)
     degrees = [alg.degree_of(i) for i in range(alg.dim)]
-    shapes = _touchable_shapes(blocks)
+    labels = alg.labels()
     empty: tuple = ()
+
+    def ad_term(acc, sign, x, first, second):
+        # sign * [x, psi(first, second)]
+        for col, tgt, s in pair_map.get((first, second), empty):
+            for u, cb in brackets.get((x, tgt), empty):
+                add_into(acc.setdefault(u, {}), col, sign * s * cb)
+
+    def psi_term(acc, sign, bx, by, other, bracket_first):
+        # sign * psi([bx, by], other), argument order per bracket_first
+        for t, cb in brackets.get((bx, by), empty):
+            pair = (t, other) if bracket_first else (other, t)
+            for col, tgt, s in pair_map.get(pair, empty):
+                add_into(acc.setdefault(tgt, {}), col, sign * cb * s)
 
     rows: list = []
     row_labels: list = []
-    seen: dict = {}
+    seen: set = set()
 
-    for a, b, c in combinations(range(alg.dim), 3):
-        shape = (degrees[a], degrees[b], degrees[c])
-        if shape not in shapes:
-            continue
-        acc: dict = {}  # (target_global, col) -> coeff
-
-        def ad_term(sign, x, first, second):
-            # sign * [x, psi(first, second)]
-            for col, tgt, s in pair_map.get((first, second), empty):
-                for u, cb in brackets.get((x, tgt), empty):
-                    add_into(acc, (u, col), sign * s * cb)
-
-        def psi_term(sign, bx, by, other, bracket_first):
-            # sign * psi([bx, by], other), argument order per bracket_first
-            for t, cb in brackets.get((bx, by), empty):
-                pair = (t, other) if bracket_first else (other, t)
-                for col, tgt, s in pair_map.get(pair, empty):
-                    add_into(acc, (tgt, col), sign * cb * s)
-
-        ad_term(1, a, b, c)
-        ad_term(-1, b, a, c)
-        ad_term(1, c, a, b)
-        psi_term(-1, a, b, c, True)
-        psi_term(1, a, c, b, True)
-        psi_term(1, b, c, a, False)
-
-        if not acc:
-            continue
-        by_target: dict = {}
-        for (u, col), v in acc.items():
-            by_target.setdefault(u, {})[col] = v
-        cond = CONDITION_BY_SHAPE[shape]
-        for u in sorted(by_target):
-            row = primitive_row(by_target[u])
+    for a, b, c in _candidate_triples(alg, brackets, block_pairs):
+        acc: dict = {}  # target_global -> {col: coeff}
+        ad_term(acc, 1, a, b, c)
+        ad_term(acc, -1, b, a, c)
+        ad_term(acc, 1, c, a, b)
+        psi_term(acc, -1, a, b, c, True)
+        psi_term(acc, 1, a, c, b, True)
+        psi_term(acc, 1, b, c, a, False)
+        cond = CONDITION_BY_SHAPE[(degrees[a], degrees[b], degrees[c])]
+        for u in sorted(acc):
+            row = primitive_row(acc[u])
             if not row or row in seen:
                 continue
-            seen[row] = len(rows)
-            rows.append(dict(row))
-            row_labels.append(RowLabel(cond, (alg.label(a), alg.label(b), alg.label(c)),
-                                       alg.label(u)))
+            seen.add(row)
+            rows.append(row)
+            row_labels.append(RowLabel(cond, (labels[a], labels[b], labels[c]), labels[u]))
 
     matrix = SparseIntMatrix(len(rows), len(cols), rows)
     return ConstraintSystem(matrix=matrix, col_keys=tuple(cols),
@@ -414,7 +448,7 @@ def _restrict_to_block(system: ConstraintSystem, block: BlockKind) -> SparseIntM
     renum = {old: new for new, old in enumerate(keep)}
     rows = []
     for row in system.matrix.rows:
-        sub = {renum[c]: v for c, v in row if c in renum}
+        sub = tuple((renum[c], v) for c, v in row if c in renum)
         if sub:
             rows.append(sub)
     return SparseIntMatrix(len(rows), len(keep), rows)
@@ -542,10 +576,10 @@ def cohomology_report(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> Co
                 db = delta1(alg, {u: {t: 1}})
                 row = {col_id[key]: v for key, v in db.items()}
                 if row:
-                    image_rows.append(dict(primitive_row(row)))
+                    image_rows.append(primitive_row(row))
                     frow = {forb_renum[c]: v for c, v in row.items() if c in forb_renum}
                     if frow:
-                        forbidden_rows.append(dict(primitive_row(frow)))
+                        forbidden_rows.append(primitive_row(frow))
     full = SparseIntMatrix(len(image_rows), len(full_cols), image_rows)
     proj = SparseIntMatrix(len(forbidden_rows), len(forbidden), forbidden_rows)
     dim_b2 = rank_certified(full) - rank_certified(proj)
@@ -600,7 +634,12 @@ def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
     psi = Cochain2(alg, vanish_on_x0=True, allow_x0_target=allow_x0_target)
     try:
         for term in data["terms"]:
-            block = BlockKind[str(term["block"])]
+            if not isinstance(term, Mapping):
+                raise ValueError(f"cochain term must be an object, got {term!r}")
+            for field in ("block", "i", "j", "s", "coeff"):
+                if field not in term:
+                    raise ValueError(f"cochain term missing field {field!r}")
+            block = block_named(term["block"])
             psi.add(block, as_int(term["i"], "i"), as_int(term["j"], "j"),
                     as_int(term["s"], "s"), as_coeff(term["coeff"]))
     except TypeError as exc:

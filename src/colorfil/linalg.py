@@ -30,29 +30,34 @@ class SparseIntMatrix:
     """Immutable sparse matrix with exact integer entries.
 
     Stored row-wise as tuples of (col, value) pairs, ascending column,
-    no zeros, no duplicates.
+    no zeros, no duplicates.  Rows are given either as {col: value}
+    dicts, which are sorted here, or already in that tuple form.
     """
 
     __slots__ = ("n_rows", "n_cols", "rows")
 
     def __init__(self, n_rows: int, n_cols: int, rows: Iterable = ()):
-        rows = tuple(tuple(sorted(row.items())) if isinstance(row, dict) else tuple(row)
-                     for row in rows)
-        if len(rows) != n_rows:
-            raise ValueError(f"expected {n_rows} rows, got {len(rows)}")
+        canonical = []
         for row in rows:
-            cols = [c for c, _ in row]
-            if any(not (0 <= c < n_cols) for c in cols):
-                raise ValueError("column index out of range")
-            if len(set(cols)) != len(cols):
-                raise ValueError("duplicate column in row")
-            if any(v == 0 for _, v in row):
-                raise ValueError("explicit zero entry stored")
-            if any(not isinstance(v, int) for _, v in row):
-                raise ValueError("entries must be exact integers")
+            row = tuple(sorted(row.items())) if isinstance(row, dict) else tuple(row)
+            prev = -1
+            for c, v in row:
+                if not 0 <= c < n_cols:
+                    raise ValueError("column index out of range")
+                if c <= prev:
+                    raise ValueError("duplicate column in row" if c == prev
+                                     else "row columns must ascend")
+                if v == 0:
+                    raise ValueError("explicit zero entry stored")
+                if not isinstance(v, int):
+                    raise ValueError("entries must be exact integers")
+                prev = c
+            canonical.append(row)
+        if len(canonical) != n_rows:
+            raise ValueError(f"expected {n_rows} rows, got {len(canonical)}")
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.rows = rows
+        self.rows = tuple(canonical)
 
     @classmethod
     def from_entries(cls, n_rows: int, n_cols: int, entries: Iterable) -> "SparseIntMatrix":
@@ -133,21 +138,16 @@ def primitive_row(row: Mapping) -> tuple:
 
     Clears denominators, strips the integer content and makes the
     lowest-column entry positive; scaling a row never changes the
-    kernel.  Returns a sorted tuple of (col, int) pairs.
+    kernel.  Entries are ints or Fractions, read through their
+    `numerator` and `denominator` (an int's denominator is 1).  Returns
+    a sorted tuple of (col, int) pairs.
     """
-    items = [(c, Fraction(v)) for c, v in row.items() if v]
+    items = sorted([item for item in row.items() if item[1]])
     if not items:
         return ()
-    items.sort()
-    denom = 1
-    for _, v in items:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [(c, int(v * denom)) for c, v in items]
-    content = 0
-    for _, v in ints:
-        content = gcd(content, v)
-        if content == 1:
-            break
+    denom = lcm(*[v.denominator for _, v in items])
+    ints = [(c, v.numerator * (denom // v.denominator)) for c, v in items]
+    content = gcd(*[v for _, v in ints])
     if ints[0][1] < 0:
         content = -content
     if content != 1:

@@ -18,6 +18,7 @@ maps for odd n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .cohomology import BlockKind
@@ -34,21 +35,24 @@ def weight_sequence(d: int) -> list:
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Chain weights of the three graded components of a model algebra."""
+    """Chain weights of the three graded components of a model algebra.
+
+    Each sequence is computed once per model, on first use.
+    """
 
     n: int
     m: int
     p: int
 
-    @property
+    @cached_property
     def seq_V0(self) -> list:
         return weight_sequence(self.n)
 
-    @property
+    @cached_property
     def seq_V1(self) -> list:
         return weight_sequence(self.m)
 
-    @property
+    @cached_property
     def seq_V2(self) -> list:
         return weight_sequence(self.p)
 

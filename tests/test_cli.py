@@ -68,6 +68,21 @@ def test_dims_negative_m_or_p_exits_2(capsys, method):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_dims_allow_x0_target_refused_for_closed_and_weights(capsys):
+    # the closed forms and the weight oracle count only the space with X0
+    # excluded, so printing them next to the unconstrained brute count
+    # (closed A=1 beside brute A=2 at (2,1,1)) would hide a disagreement
+    point = ["dims", "--n", "2", "--m", "1", "--p", "1", "--allow-x0-target"]
+    for methods in (["closed"], ["weights"], ["closed", "brute"], ["brute", "weights"], []):
+        argv = point + [arg for m in methods for arg in ("--method", m)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), methods
+        assert err.startswith("error: --allow-x0-target applies to --method brute only")
+    code, out, _ = run_cli(capsys, *point, "--method", "brute")
+    assert code == 0
+    assert json.loads(out)["A"] == 2
+
+
 def test_dims_arithmetic_error_exits_1(capsys, monkeypatch):
     for error in (formulas.IntegralityError("dim_A: 7 not divisible by 2"),
                   cli.DecompositionMismatch("joint kernel dimension 5 != block sum 4")):
@@ -311,6 +326,14 @@ def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):
                                  "--cocycle", str(cochain_file(name, terms)))
         assert (code, out) == (2, ""), name
         assert err.startswith("error: "), name
+    # an unknown block letter or a missing field is named, not shown as a
+    # bare KeyError repr
+    for name, terms, message in [
+            ("block5.json", [{**term, "block": "5", "coeff": 1}], "unknown block '5' (A-F)"),
+            ("nocoeff.json", [term], "cochain term missing field 'coeff'")]:
+        code, out, err = run_cli(capsys, "deform", "--algebra", str(alg_path),
+                                 "--cocycle", str(cochain_file(name, terms)))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), name
     export = {"block": "D", "n": 3, "m": 2, "p": 1, "dim": 1}
     for k, basis in enumerate([5, [5], [[5]], [[{**term, "coeff": 1.5}]]]):
         path = tmp_path / f"export{k}.json"
@@ -319,6 +342,20 @@ def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):
                                  "--cocycle", str(path))
         assert (code, out) == (2, ""), basis
         assert err.startswith("error: "), basis
+    for field, message in [("block", "basis export missing field 'block'"),
+                           ("n", "basis export missing field 'n'")]:
+        path = tmp_path / f"export_no_{field}.json"
+        doc = {**export, "basis": [[{**term, "coeff": 1}]]}
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "deform", "--algebra", str(alg_path),
+                                 "--cocycle", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), field
+    path = tmp_path / "export_block_G.json"
+    path.write_text(json.dumps({**export, "block": "G", "basis": [[{**term, "coeff": 1}]]}))
+    code, out, err = run_cli(capsys, "deform", "--algebra", str(alg_path),
+                             "--cocycle", str(path))
+    assert (code, out, err) == (2, "", "error: unknown block 'G' (A-F)\n")
     good = cochain_file("good.json", [{"block": "D", "i": 1, "j": 2, "s": 1, "coeff": 1}])
     doc = json.loads(alg_path.read_text())
     for field, value in [("k", 3.9), ("dims", [4.2, True, 1])]:

@@ -345,6 +345,14 @@ def test_cochain_json_roundtrip():
                 {"terms": [5]}, {"terms": [None]}, {"terms": [["D", 1, 2, 1, 1]]}]:
         with pytest.raises(ValueError):
             cochain_from_json(alg, bad)
+    # unknown blocks and missing fields are named in the message
+    for bad, message in [({"terms": [{**term, "block": "5", "coeff": 1}]},
+                          "unknown block '5' (A-F)"),
+                         ({"terms": [term]}, "cochain term missing field 'coeff'"),
+                         ({"terms": [{"i": 1, "j": 2, "s": 1, "coeff": 1}]},
+                          "cochain term missing field 'block'")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cochain_from_json(alg, bad)
 
 
 def test_assembly_is_a_generic_validator():

@@ -12,17 +12,27 @@ textbook Gaussian elimination, sharing no code with the sparse
 assembler or the elimination engine, then compares dimensions.  The
 same dense elimination gives `dense_kernel`, the second route to the
 canonical kernel bases.
+
+`reference_assembly` is the plain walk over all C(dim, 3) basis
+triples; the production assembler visits only the triples a nonzero
+bracket can reach and must produce exactly the same system.
+`reference_primitive_row` is the `Fraction` route to the primitive
+row form that `primitive_row` computes on numerators and denominators.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from colorfil.algebra import build_model
-from colorfil.cohomology import ALL_BLOCKS, assemble_Z2_system, block_dims
-from colorfil.linalg import SparseIntMatrix, kernel_basis
+from colorfil.algebra import build_model, validate_jacobi
+from colorfil.cohomology import (ALL_BLOCKS, CONDITION_BY_SHAPE, BlockKind, Cochain2,
+                                 RowLabel, assemble_Z2_system, block_dims,
+                                 cochain_columns)
+from colorfil.deformation import deform
+from colorfil.linalg import SparseIntMatrix, kernel_basis, primitive_row
 
 
 def dense_rref(rows, n_cols):
@@ -156,3 +166,122 @@ def test_block_kernels_match_dense_oracle():
             matrix = assemble_Z2_system(alg, {block}).matrix
             expected = dense_kernel(to_dense(matrix), matrix.n_cols)
             assert list(kernel_basis(matrix).vectors) == expected, (nmp, block.name)
+
+
+def reference_primitive_row(row):
+    """Primitive integer form of a rational row, through `Fraction`."""
+    items = sorted((c, Fraction(v)) for c, v in row.items() if v)
+    if not items:
+        return ()
+    denom = 1
+    for _, v in items:
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    ints = [(c, int(v * denom)) for c, v in items]
+    content = 0
+    for _, v in ints:
+        content = gcd(content, v)
+    if ints[0][1] < 0:
+        content = -content
+    return tuple((c, v // content) for c, v in ints)
+
+
+def reference_assembly(alg, blocks, allow_x0_target=False):
+    """(rows, row labels, column keys) from a walk over every basis triple.
+
+    Evaluates the six terms of the cocycle identity at each ascending
+    triple straight from `alg.bracket_basis`, splits by target, and
+    keeps each primitive row the first time it appears.  Rows are
+    normalised by `primitive_row`, which is checked on its own against
+    `reference_primitive_row`.
+    """
+    cols = cochain_columns(alg, blocks, allow_x0_target=allow_x0_target)
+    psi_of: dict = {}  # ordered global pair -> [(col, target, sign)]
+    glob = alg.global_index
+    for idx, key in enumerate(cols):
+        g1, g2 = key.block.source_degrees
+        a, b = glob(g1, key.i), glob(g2, key.j)
+        t = glob(key.block.target_degree, key.s)
+        psi_of.setdefault((a, b), []).append((idx, t, 1))
+        psi_of.setdefault((b, a), []).append((idx, t, -1))
+
+    bracket = {(x, y): alg.bracket_basis(x, y).items()
+               for x, y in product(range(alg.dim), repeat=2)}
+    rows, labels, seen = [], [], set()
+    for a, b, c in combinations(range(alg.dim), 3):
+        acc: dict = {}  # target -> {col: coeff}
+
+        def add(u, col, v):
+            acc.setdefault(u, {})[col] = acc.get(u, {}).get(col, 0) + v
+
+        for sign, x, first, second in ((1, a, b, c), (-1, b, a, c), (1, c, a, b)):
+            for col, tgt, s in psi_of.get((first, second), ()):
+                for u, cb in bracket[(x, tgt)]:
+                    add(u, col, sign * s * cb)
+        for sign, bx, by, other, first in ((-1, a, b, c, True), (1, a, c, b, True),
+                                           (1, b, c, a, False)):
+            for t, cb in bracket[(bx, by)]:
+                for col, tgt, s in psi_of.get((t, other) if first else (other, t), ()):
+                    add(tgt, col, sign * cb * s)
+        cond = CONDITION_BY_SHAPE[tuple(alg.degree_of(i) for i in (a, b, c))]
+        for u in sorted(acc):
+            row = primitive_row(acc[u])
+            if row and row not in seen:
+                seen.add(row)
+                rows.append(row)
+                labels.append(RowLabel(cond, (alg.label(a), alg.label(b), alg.label(c)),
+                                       alg.label(u)))
+    return tuple(rows), tuple(labels), tuple(cols)
+
+
+def assert_assembly_matches_reference(alg, blocks, allow_x0_target=False):
+    system = assemble_Z2_system(alg, blocks, allow_x0_target=allow_x0_target)
+    rows, labels, cols = reference_assembly(alg, blocks, allow_x0_target)
+    assert system.matrix.rows == rows
+    assert system.row_labels == labels
+    assert system.col_keys == cols
+
+
+def test_assembly_matches_full_walk_on_acceptance_grid():
+    for nmp in product(range(1, 9), range(1, 7), range(1, 7)):
+        alg = build_model(*nmp)
+        for allow_x0_target in (False, True):
+            assert_assembly_matches_reference(alg, ALL_BLOCKS, allow_x0_target)
+
+
+def test_assembly_matches_full_walk_per_block():
+    alg = build_model(8, 6, 6)
+    for blocks in [{block} for block in ALL_BLOCKS] + [set(ALL_BLOCKS)]:
+        for allow_x0_target in (False, True):
+            assert_assembly_matches_reference(alg, blocks, allow_x0_target)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 4), st.integers(1, 4),
+       st.sampled_from([{block} for block in ALL_BLOCKS] + [set(ALL_BLOCKS)]),
+       st.booleans(), st.data())
+def test_assembly_matches_full_walk_on_deformed_algebras(n, m, p, blocks, allow_x0_target,
+                                                         data):
+    # Jacobi-valid non-model algebras: D-block cocycles integrate, so any
+    # rational combination of them deforms the model into one whose
+    # brackets are no longer only [X0, -]
+    base = build_model(n, m, p)
+    d_vectors = assemble_Z2_system(base, {BlockKind.D}).kernel_cochains()
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coeffs = data.draw(st.lists(coeff, min_size=len(d_vectors), max_size=len(d_vectors)))
+    assume(any(coeffs))
+    phi = Cochain2(base)
+    for c, psi in zip(coeffs, d_vectors):
+        phi = phi + psi.scaled(c)
+    alg = deform(base, phi).result
+    assert validate_jacobi(alg) == []
+    assert_assembly_matches_reference(alg, blocks, allow_x0_target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+    st.integers(0, 40),
+    st.one_of(st.integers(-(2**70), 2**70),
+              st.fractions(max_denominator=2**40).map(lambda v: v * 2**50)),
+    max_size=8))
+def test_primitive_row_matches_fraction_reference(row):
+    assert primitive_row(row) == reference_primitive_row(row)

@@ -137,6 +137,22 @@ def test_constructor_rejects_stored_zero_and_non_int():
         SparseIntMatrix(1, 2, [{0: Fraction(1, 2)}])
 
 
+def test_constructor_checks_tuple_rows():
+    # canonical tuple rows are taken as given, after the same checks as dicts
+    m = SparseIntMatrix(2, 3, [((0, 1), (2, -4)), ()])
+    assert m.rows == (((0, 1), (2, -4)), ())
+    for row, message in [(((0, 1), (3, 1)), "column index out of range"),
+                         (((-1, 1),), "column index out of range"),
+                         (((1, 1), (1, 2)), "duplicate column in row"),
+                         (((0, 1), (1, 0)), "explicit zero entry stored"),
+                         (((0, Fraction(1, 2)),), "entries must be exact integers"),
+                         (((2, 1), (0, 1)), "row columns must ascend")]:
+        with pytest.raises(ValueError, match=message):
+            SparseIntMatrix(1, 3, [row])
+    with pytest.raises(ValueError, match="expected 2 rows, got 1"):
+        SparseIntMatrix(2, 3, [((0, 1),)])
+
+
 def test_primitive_row_normalization():
     row = {3: Fraction(-2, 3), 5: Fraction(4, 3)}
     # denominators cleared, content stripped, leading entry positive

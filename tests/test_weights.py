@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+from colorfil import weights
 from colorfil.cohomology import BlockKind
 from colorfil.weights import (IndexOutOfRange, WeightModel, cochain_weight,
                               count_weight_dim, weight_sequence)
@@ -18,6 +19,16 @@ def test_weight_sequence_shape():
         assert seq == sorted(seq)
         assert all(b - a == 2 for a, b in zip(seq, seq[1:]))
         assert seq == [-w for w in reversed(seq)]  # symmetric about 0
+
+
+def test_weight_model_computes_each_sequence_once(monkeypatch):
+    calls = []
+    real = weights.weight_sequence
+    monkeypatch.setattr(weights, "weight_sequence", lambda d: calls.append(d) or real(d))
+    wm = WeightModel(4, 3, 2)
+    for _ in range(3):
+        assert [wm.component(g) for g in range(3)] == [real(4), real(3), real(2)]
+    assert sorted(calls) == [2, 3, 4]
 
 
 def test_cochain_weight_examples():
