@@ -21,8 +21,6 @@ from .deformation import (CharacteristicVectorViolation, DeformedLaw,
 from .formulas import (DimensionReport, IntegralityError, branch_labels,
                        dim_A, dim_B, dim_C, dim_D, dim_E, dim_F,
                        main_theorem_total)
-from .grading import (AxiomViolation, CommutationFactor, GradingGroup,
-                      super_factor, trivial_factor, validate_commutation_factor)
 from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
                      rank_certified, write_matrix_market)
 from .weights import (IndexOutOfRange, WeightModel, cochain_weight,

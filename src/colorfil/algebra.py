@@ -1,11 +1,12 @@
-"""Z_k-graded Lie algebras with exact sparse structure constants.
+"""Z_3-graded Lie algebras with exact sparse structure constants.
 
 The central object is :class:`ColorLieAlgebra`: a finite-dimensional
-Z_k-graded vector space with a bracket given by sparse structure
-constants and a commutation factor beta.  Brackets are stored only for
-canonically ordered basis pairs; the mirror image is synthesized through
-[x, y] = -beta(g, h) [y, x], so skewness is structural rather than
-checked.
+Z_3-graded vector space with a bracket given by sparse structure
+constants.  Over the rationals the only commutation factor on Z_3 is
+the trivial one, so a Z_3 colour Lie algebra is an ordinary graded Lie
+algebra.  Brackets are stored only for canonically ordered basis pairs;
+the mirror image is synthesized through [x, y] = -[y, x], so skewness
+is structural rather than checked.
 
 The model algebra built by :func:`build_model` has basis
 X_0..X_n (degree 0), Y_1..Y_m (degree 1), Z_1..Z_p (degree 2) and the
@@ -20,14 +21,13 @@ adjoint action shifts each chain one step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Mapping, NamedTuple
 
-from .grading import CommutationFactor, GradingGroup, trivial_factor
 from .linalg import _eliminate_int, primitive_row
 from .scalars import add_into, as_coeff, as_int, coeff_to_json
 
-FAMILY_LETTERS = "XYZUVW"
+FAMILY_LETTERS = "XYZ"
 
 Vector = dict  # sparse vector: global basis index -> exact coefficient
 
@@ -94,17 +94,12 @@ class ColorLieAlgebra:
     after `__init__`, so instances are safe to share between tasks.
     """
 
-    def __init__(self, beta: CommutationFactor, dims, constants: Mapping | None = None):
-        k = beta.group.modulus
+    def __init__(self, dims, constants: Mapping | None = None):
         dims = tuple(int(d) for d in dims)
-        if len(dims) != k:
-            raise ValueError(f"expected {k} graded components, got {len(dims)}")
+        if len(dims) != 3:
+            raise ValueError(f"expected 3 graded components, got {len(dims)}")
         if any(d < 0 for d in dims):
             raise ValueError("component dimensions must be nonnegative")
-        if k > len(FAMILY_LETTERS):
-            raise ValueError(f"at most {len(FAMILY_LETTERS)} graded components supported")
-        self._beta = beta
-        self._grading = beta.group
         self._dims = dims
         self._elements: list[BasisElement] = []
         self._degrees: list[int] = []
@@ -129,35 +124,23 @@ class ColorLieAlgebra:
         clean = {int(t): as_coeff(c) for t, c in vec.items() if as_coeff(c) != 0}
         if not clean:
             return
-        ga, gb = self._degrees[a], self._degrees[b]
-        sign = 1
+        if a == b:
+            raise ValueError(f"[{self.label(a)}, {self.label(a)}] must vanish")
         if a > b:
             a, b = b, a
-            sign = -self._beta.beta(gb, ga)
-        if a == b and self._beta.beta(ga, ga) != -1:
-            raise ValueError(f"[{self.label(a)}, {self.label(a)}] must vanish when beta(g,g) = 1")
-        target_degree = self._grading.add(ga, gb)
+            clean = {t: -c for t, c in clean.items()}
+        target_degree = (self._degrees[a] + self._degrees[b]) % 3
         for t in clean:
             if self._degrees[t] != target_degree:
                 raise ValueError(
                     f"bracket [{self.label(a)}, {self.label(b)}] must land in degree "
                     f"{target_degree}, got component {self.label(t)}"
                 )
-        if sign != 1:
-            clean = {t: sign * c for t, c in clean.items()}
         if (a, b) in self._constants:
             raise ValueError(f"duplicate structure constant for pair ({a}, {b})")
         self._constants[(a, b)] = clean
 
     # -- basic queries ------------------------------------------------
-
-    @property
-    def grading(self) -> GradingGroup:
-        return self._grading
-
-    @property
-    def beta(self) -> CommutationFactor:
-        return self._beta
 
     @property
     def dims(self) -> tuple:
@@ -216,11 +199,7 @@ class ColorLieAlgebra:
         """[e_a, e_b] as a fresh sparse vector."""
         if a <= b:
             return dict(self._constants.get((a, b), ()))
-        stored = self._constants.get((b, a))
-        if not stored:
-            return {}
-        sign = -self._beta.beta(self._degrees[a], self._degrees[b])
-        return {t: sign * c for t, c in stored.items()}
+        return {t: -c for t, c in self._constants.get((b, a), {}).items()}
 
     def bracket(self, x: Mapping, y: Mapping) -> Vector:
         """Bilinear extension of the bracket to sparse vectors."""
@@ -230,9 +209,7 @@ class ColorLieAlgebra:
                 vec = self._constants.get((a, b) if a <= b else (b, a))
                 if not vec:
                     continue
-                scale = ca * cb
-                if a > b:
-                    scale = -self._beta.beta(self._degrees[a], self._degrees[b]) * scale
+                scale = ca * cb if a <= b else -ca * cb
                 for t, c in vec.items():
                     add_into(out, t, scale * c)
         return out
@@ -252,7 +229,7 @@ class ColorLieAlgebra:
             for t, c in vec.items():
                 add_into(tgt, t, as_coeff(c))
         merged = {pair: vec for pair, vec in merged.items() if vec}
-        return ColorLieAlgebra(self._beta, self._dims, merged)
+        return ColorLieAlgebra(self._dims, merged)
 
     # -- serialization ------------------------------------------------
 
@@ -266,26 +243,36 @@ class ColorLieAlgebra:
                           for t, c in sorted(vec.items())],
             })
         return {
-            "k": self._grading.modulus,
+            "k": 3,
             "dims": list(self._dims),
-            "beta": [[coeff_to_json(v) for v in row] for row in self._beta.table],
+            "beta": [[1, 1, 1] for _ in range(3)],
             "constants": constants,
         }
 
 
 def from_json_dict(data) -> ColorLieAlgebra:
-    """Parse the algebra JSON format; raises AlgebraFormatError on bad input."""
-    from .grading import validate_commutation_factor
+    """Parse the algebra JSON format; raises AlgebraFormatError on bad input.
 
+    `k` must be 3 and `beta` the all-ones 3 x 3 table: both fields are
+    kept for format compatibility, since the trivial factor is the only
+    commutation factor on Z_3 over the rationals.
+    """
     if not isinstance(data, dict):
         raise AlgebraFormatError("algebra document must be a JSON object")
     try:
         k = as_int(data["k"], "k")
+        if k != 3:
+            raise AlgebraFormatError(f"k must be 3 (algebras are Z3-graded), got {k}")
         dims = [as_int(d, "dims entry") for d in data["dims"]]
-        beta = validate_commutation_factor(data["beta"])
-        if beta.group.modulus != k or len(dims) != k:
+        beta = data["beta"]
+        if not (isinstance(beta, list) and len(beta) == 3
+                and all(isinstance(row, list) and len(row) == 3
+                        and all(as_coeff(v) == 1 for v in row) for row in beta)):
+            raise AlgebraFormatError(
+                "beta must be the all-ones 3x3 table, the only commutation factor on Z3")
+        if len(dims) != 3:
             raise AlgebraFormatError("k, dims and beta table sizes disagree")
-        alg = ColorLieAlgebra(beta, dims)
+        alg = ColorLieAlgebra(dims)
         constants = {}
         for entry in data.get("constants", []):
             a = alg.index(entry["lhs"])
@@ -295,7 +282,7 @@ def from_json_dict(data) -> ColorLieAlgebra:
             if (a, b) in constants or (b, a) in constants:
                 raise AlgebraFormatError(f"duplicate constants for pair {entry['lhs']},{entry['rhs']}")
             constants[(a, b)] = vec
-        return ColorLieAlgebra(beta, dims, constants)
+        return ColorLieAlgebra(dims, constants)
     except AlgebraFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -313,7 +300,7 @@ def build_model(n: int, m: int, p: int) -> ColorLieAlgebra:
         raise InvalidParams(f"n must be >= 1, got {n}")
     if m < 0 or p < 0:
         raise InvalidParams(f"m and p must be >= 0, got m={m}, p={p}")
-    alg = ColorLieAlgebra(trivial_factor(3), (n + 1, m, p))
+    alg = ColorLieAlgebra((n + 1, m, p))
     x0 = 0
     constants = {}
     for i in range(1, n):
@@ -322,7 +309,7 @@ def build_model(n: int, m: int, p: int) -> ColorLieAlgebra:
         constants[(x0, alg.index(f"Y{j}"))] = {alg.index(f"Y{j + 1}"): 1}
     for l in range(1, p):
         constants[(x0, alg.index(f"Z{l}"))] = {alg.index(f"Z{l + 1}"): 1}
-    return ColorLieAlgebra(trivial_factor(3), (n + 1, m, p), constants)
+    return ColorLieAlgebra((n + 1, m, p), constants)
 
 
 def bracket(alg: ColorLieAlgebra, x, y) -> Vector:
@@ -331,30 +318,21 @@ def bracket(alg: ColorLieAlgebra, x, y) -> Vector:
 
 
 def validate_jacobi(alg: ColorLieAlgebra) -> list:
-    """All violations of the beta-Jacobi identity on basis triples.
+    """All violations of the Jacobi identity on basis triples.
 
     Skewness is structural (canonical storage), so only the Jacobi
-    identity J(x,y,z) = [[x,y],z] - [x,[y,z]] + beta(dx,dy)[y,[x,z]]
-    can fail.  For the trivial factor the Jacobiator is alternating and
-    ascending triples suffice; otherwise all ordered triples are checked.
+    identity J(x,y,z) = [[x,y],z] - [x,[y,z]] + [y,[x,z]] can fail.  The
+    Jacobiator is alternating, so ascending triples suffice.
     """
     violations = []
-    n = alg.dim
-    beta = alg.beta
-    deg = alg.degree_of
-    if beta.is_trivial:
-        triples = combinations(range(n), 3)
-    else:
-        triples = product(range(n), repeat=3)
-    for a, b, c in triples:
+    for a, b, c in combinations(range(alg.dim), 3):
         res = alg.bracket(alg.bracket_basis(a, b), {c: 1})
         for t, coeff in alg.bracket_basis(b, c).items():
             for u, cu in alg.bracket_basis(a, t).items():
                 add_into(res, u, -coeff * cu)
-        sign = beta.beta(deg(a), deg(b))
         for t, coeff in alg.bracket_basis(a, c).items():
             for u, cu in alg.bracket_basis(b, t).items():
-                add_into(res, u, sign * coeff * cu)
+                add_into(res, u, coeff * cu)
         if res:
             violations.append(JacobiViolation(
                 "J", (alg.label(a), alg.label(b), alg.label(c)), alg.format_vector(res)))
@@ -388,13 +366,13 @@ def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
 
 
 def color_nilindex(alg: ColorLieAlgebra) -> NilindexReport:
-    """Per-degree lengths (p_0, ..., p_{k-1}) of the descending sequences.
+    """Per-degree lengths (p_0, p_1, p_2) of the descending sequences.
 
     p_g is the first exponent with C^{p_g}(L_g) = 0; a component that is
     zero to begin with has p_g = 0.
     """
     comps = []
-    for g in alg.grading.elements():
+    for g in range(3):
         dims = _descending_dims(alg, g)
         comps.append(len(dims) - 1)
     return NilindexReport(tuple(comps))
@@ -404,10 +382,10 @@ def is_filiform_module(alg: ColorLieAlgebra, g: int) -> bool:
     """Whether L_g carries the full flag dropped one step at a time by L_0.
 
     Equivalent to the descending sequence C^k(L_g) having dimensions
-    d, d-1, ..., 1, 0.  Vacuously true for d = 0; g must be nonzero.
+    d, d-1, ..., 1, 0.  Vacuously true for d = 0; g must be 1 or 2.
     """
-    if g % alg.grading.modulus == 0:
-        raise ValueError("filiform-module check applies to nonzero degrees")
+    if g not in (1, 2):
+        raise ValueError(f"filiform-module check applies to degrees 1 and 2, got {g}")
     d = alg.dims[g]
     try:
         dims = _descending_dims(alg, g)

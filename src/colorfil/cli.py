@@ -91,10 +91,27 @@ def _grid_point(args) -> tuple:
         return (n, m, p), f"{type(exc).__name__}: {exc}"
 
 
-def _open_output(path):
+def _write_output(path, write) -> int:
+    """write(stream) to stdout (path None or "-") or to the file at path.
+
+    Returns 0, or USAGE_ERROR after a message when the file cannot be
+    written: a bad path is a usage error, not a mismatch.
+    """
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        write(sys.stdout)
+        return 0
+    try:
+        with open(path, "w", encoding="utf-8") as stream:
+            write(stream)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    return 0
+
+
+def _write_json(doc, stream) -> None:
+    json.dump(doc, stream, indent=2)
+    stream.write("\n")
 
 
 # -- dims ---------------------------------------------------------------
@@ -168,8 +185,7 @@ def run_verify(points, methods, jobs: int = 1):
 
 def _emit_rows(rows, methods, fmt: str, stream) -> None:
     if fmt == "json":
-        json.dump(rows, stream, indent=2)
-        stream.write("\n")
+        _write_json(rows, stream)
         return
     header = ["n", "m", "p", "block", *methods, "agree"]
     stream.write(",".join(header) + "\n")
@@ -192,12 +208,10 @@ def cmd_verify(args) -> int:
         return USAGE_ERROR
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     rows, mismatches = run_verify(points, args.methods, jobs=jobs)
-    stream, close = _open_output(args.output)
-    try:
-        _emit_rows(rows, args.methods, args.format, stream)
-    finally:
-        if close:
-            stream.close()
+    code = _write_output(args.output,
+                         lambda stream: _emit_rows(rows, args.methods, args.format, stream))
+    if code:
+        return code
     for row in mismatches:
         if "error" in row:
             print(f"error at n={row['n']} m={row['m']} p={row['p']}: {row['error']}",
@@ -231,14 +245,7 @@ def cmd_cocycles(args) -> int:
     except KernelMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MISMATCH_ERROR
-    stream, close = _open_output(args.out)
-    try:
-        json.dump(doc, stream, indent=2)
-        stream.write("\n")
-    finally:
-        if close:
-            stream.close()
-    return 0
+    return _write_output(args.out, lambda stream: _write_json(doc, stream))
 
 
 # -- deform -------------------------------------------------------------
@@ -290,9 +297,9 @@ def cmd_deform(args) -> int:
     verdict = {"integrable": integrable, "filiform": filiform}
     algebra_doc = law.result.to_json_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(algebra_doc, f, indent=2)
-            f.write("\n")
+        code = _write_output(args.out, lambda stream: _write_json(algebra_doc, stream))
+        if code:
+            return code
     else:
         verdict["algebra"] = algebra_doc
     print(json.dumps(verdict))

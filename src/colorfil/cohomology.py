@@ -1,6 +1,8 @@
 """Degree-0 two-cocycles and their six-block decomposition.
 
-For a Z_3-graded Lie algebra shaped like the model (components of
+The algebras here are Z_3-graded Lie algebras: over the rationals the
+only commutation factor on Z_3 is the trivial one, so no sign twists
+the bracket.  For such an algebra shaped like the model (components of
 dimension n+1, m, p with characteristic vector X_0), the space of
 infinitesimal deformations is the space of degree-0 2-cocycles that
 vanish on X_0.  It splits into six blocks by source/target signature:
@@ -30,11 +32,11 @@ into one sparse integer constraint matrix: one row per (basis triple,
 target component) instance, one column per basis cochain.  The ten
 classical condition families correspond to the ten degree shapes of the
 triple; the enumeration is generic, so the same assembler validates
-cocycles on any algebra with trivial commutation factor, not just the
-model.  Every term of the identity holds a bracket, so only triples a
-nonzero bracket reaches are visited: two of the three elements bracket
-nonzero, or one brackets nonzero with a target of a block whose source
-pairs include the other two.  Any other triple gives an all-zero row,
+cocycles on any Z_3-graded Lie algebra, not just the model.  Every term
+of the identity holds a bracket, so only triples a nonzero bracket
+reaches are visited: two of the three elements bracket nonzero, or one
+brackets nonzero with a target of a block whose source pairs include
+the other two.  Any other triple gives an all-zero row,
 so skipping it changes nothing; in the model, where only X_0 acts, the
 visited triples are O(dim^2) of the C(dim, 3).
 """
@@ -118,11 +120,7 @@ class RowLabel(NamedTuple):
 
 
 def model_shape(alg: ColorLieAlgebra) -> tuple:
-    """(n, m, p) of a model-shaped Z_3 algebra; validates the shape."""
-    if alg.grading.modulus != 3:
-        raise ValueError("cocycle machinery requires a Z_3-graded algebra")
-    if not alg.beta.is_trivial:
-        raise ValueError("cocycle machinery requires the trivial commutation factor")
+    """(n, m, p) of a model-shaped algebra; validates the shape."""
     if alg.dims[0] < 1:
         raise ValueError("degree-0 component must contain the characteristic vector X0")
     return alg.dims[0] - 1, alg.dims[1], alg.dims[2]
@@ -325,7 +323,6 @@ def _bracket_table(alg: ColorLieAlgebra) -> dict:
         items = tuple(vec.items())
         table[(a, b)] = items
         if a != b:
-            # trivial commutation factor: the mirror is the negative
             table[(b, a)] = tuple((t, -c) for t, c in items)
     return table
 
@@ -476,8 +473,6 @@ def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
 
 def delta2(alg: ColorLieAlgebra, psi: Cochain2, triple) -> Vector:
     """(d2 psi) evaluated at three homogeneous basis elements."""
-    if not alg.beta.is_trivial:
-        raise ValueError("delta2 is implemented for the trivial commutation factor")
     a, b, c = (next(iter(alg.vector(t))) for t in triple)
     out: Vector = {}
 
@@ -510,8 +505,6 @@ def delta1(alg: ColorLieAlgebra, g_map: Mapping) -> Cochain2:
     g is given as {basis index or label: sparse vector}; missing basis
     elements map to zero.  The result satisfies d2(d1 g) = 0.
     """
-    if not alg.beta.is_trivial:
-        raise ValueError("delta1 is implemented for the trivial commutation factor")
     gm: dict = {}
     for key, vec in g_map.items():
         idx = alg.index(key) if isinstance(key, str) else int(key)
@@ -569,7 +562,7 @@ def cohomology_report(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> Co
     image_rows = []
     forbidden_rows = []
     forb_renum = {c: i for i, c in enumerate(forbidden)}
-    for g in alg.grading.elements():
+    for g in range(3):
         comp = list(alg.component_indices(g))
         for u in comp:
             for t in comp:

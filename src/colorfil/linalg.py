@@ -61,11 +61,15 @@ class SparseIntMatrix:
 
     @classmethod
     def from_entries(cls, n_rows: int, n_cols: int, entries: Iterable) -> "SparseIntMatrix":
-        """Build from (row, col, value) triples; duplicates are rejected."""
+        """Build from (row, col, value) triples; duplicates, zero or not, are rejected."""
         rows: list = [dict() for _ in range(n_rows)]
+        seen = set()
         for r, c, v in entries:
-            if c in rows[r]:
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise ValueError(f"entry ({r}, {c}) outside a {n_rows}x{n_cols} matrix")
+            if (r, c) in seen:
                 raise ValueError(f"duplicate entry at ({r}, {c})")
+            seen.add((r, c))
             if v:
                 rows[r][c] = v
         return cls(n_rows, n_cols, rows)

@@ -9,7 +9,6 @@ from colorfil.algebra import (AlgebraFormatError, ColorLieAlgebra,
                               build_model, color_nilindex, from_json_dict,
                               is_filiform_module, l0_is_filiform,
                               validate_jacobi)
-from colorfil.grading import trivial_factor
 
 
 def constants_by_label(alg):
@@ -66,10 +65,9 @@ def test_bracket_anticommutative():
 
 def test_bracket_degree_additive():
     alg = build_model(4, 3, 2)
-    add = alg.grading.add
     for a in range(alg.dim):
         for b in range(alg.dim):
-            expected = add(alg.degree_of(a), alg.degree_of(b))
+            expected = (alg.degree_of(a) + alg.degree_of(b)) % 3
             for t in alg.bracket_basis(a, b):
                 assert alg.degree_of(t) == expected
 
@@ -87,7 +85,7 @@ def test_injected_constant_breaks_jacobi():
 
 
 def test_abelian_algebra_satisfies_jacobi():
-    alg = ColorLieAlgebra(trivial_factor(3), (3, 2, 2))
+    alg = ColorLieAlgebra((3, 2, 2))
     assert validate_jacobi(alg) == []
 
 
@@ -120,10 +118,9 @@ def test_filiform_module_examples():
     assert is_filiform_module(alg, 1)
     assert is_filiform_module(alg, 2)
     # drop [X0, Y1]: the degree-1 flag no longer descends one step at a time
-    beta = trivial_factor(3)
     constants = {(a, b): vec for a, b, vec in alg.nonzero_constants()
                  if (alg.label(a), alg.label(b)) != ("X0", "Y1")}
-    maimed = ColorLieAlgebra(beta, alg.dims, constants)
+    maimed = ColorLieAlgebra(alg.dims, constants)
     assert not is_filiform_module(maimed, 1)
     assert is_filiform_module(maimed, 2)
 
@@ -133,14 +130,16 @@ def test_filiform_module_empty_component_vacuous():
 
 
 def test_filiform_module_rejects_degree_zero():
-    with pytest.raises(ValueError):
-        is_filiform_module(build_model(2, 1, 1), 0)
+    # only the nonzero degrees 1 and 2 of Z_3 carry a module; no index wraps
+    for g in (0, 3, 4, -1):
+        with pytest.raises(ValueError):
+            is_filiform_module(build_model(2, 1, 1), g)
 
 
 def test_l0_filiform():
     assert l0_is_filiform(build_model(4, 1, 1))
     assert l0_is_filiform(build_model(1, 1, 1))  # 2-dim abelian: trivially filiform
-    fat_abelian = ColorLieAlgebra(trivial_factor(3), (3, 0, 0))
+    fat_abelian = ColorLieAlgebra((3, 0, 0))
     assert not l0_is_filiform(fat_abelian)
 
 
@@ -152,13 +151,14 @@ def test_json_roundtrip():
     assert constants_by_label(back) == constants_by_label(alg)
     assert doc["dims"] == [4, 2, 1]
     assert doc["beta"] == [[1, 1, 1]] * 3
+    # any spelling of 1 is the trivial factor
+    doc["beta"] = [["1/1", 1, 1], [1, "2/2", 1], [1, 1, 1]]
+    assert constants_by_label(from_json_dict(doc)) == constants_by_label(alg)
 
 
 def test_json_rational_coefficients():
     from fractions import Fraction
-    from colorfil.grading import trivial_factor
-    alg = ColorLieAlgebra(trivial_factor(3), (3, 0, 0),
-                          {(0, 1): {2: Fraction(1, 2)}})
+    alg = ColorLieAlgebra((3, 0, 0), {(0, 1): {2: Fraction(1, 2)}})
     doc = alg.to_json_dict()
     assert doc["constants"][0]["value"] == [{"basis": "X2", "coeff": "1/2"}]
     back = from_json_dict(doc)
@@ -179,6 +179,12 @@ def test_json_rational_coefficients():
     {"k": 3, "dims": [2, 1, "1"], "beta": [[1, 1, 1]] * 3, "constants": []},
     {"k": 3, "dims": [3, 1, 1], "beta": [[1, 1, 1]] * 3,
      "constants": [{"lhs": "X0", "rhs": "X1", "value": [{"basis": "X2", "coeff": "1/0"}]}]},
+    # the format keeps k and beta, but only Z_3 with the trivial factor is legal
+    {"k": 2, "dims": [1, 2], "beta": [[1, 1], [1, -1]], "constants": []},
+    {"k": 4, "dims": [2, 1, 1, 1], "beta": [[1, 1, 1, 1]] * 4, "constants": []},
+    {"k": 3, "dims": [2, 1, 1], "beta": [[1, 1, 1], [1, 1, -1], [1, -1, 1]], "constants": []},
+    {"k": 3, "dims": [2, 1, 1], "beta": [[1, 1, 1], [1, 1], [1, 1, 1]], "constants": []},
+    {"k": 3, "dims": [2, 1, 1], "constants": []},
 ])
 def test_from_json_rejects_malformed(doc):
     with pytest.raises(AlgebraFormatError):
@@ -188,13 +194,9 @@ def test_from_json_rejects_malformed(doc):
 def test_degree_incompatible_constant_rejected():
     with pytest.raises(ValueError):
         # [X0, X1] must stay in degree 0
-        ColorLieAlgebra(trivial_factor(3), (3, 1, 1), {(0, 1): {3: 1}})
+        ColorLieAlgebra((3, 1, 1), {(0, 1): {3: 1}})
 
 
-def test_diagonal_bracket_requires_odd_sign():
-    from colorfil.grading import super_factor
-    # Z_2 superalgebra: [Y1, Y1] = X0 is legal since beta(1,1) = -1
-    alg = ColorLieAlgebra(super_factor(), (1, 2), {(1, 1): {0: 1}})
-    assert alg.bracket_basis(1, 1) == {0: 1}
+def test_diagonal_bracket_rejected():
     with pytest.raises(ValueError):
-        ColorLieAlgebra(trivial_factor(3), (2, 1, 1), {(1, 1): {0: 1}})
+        ColorLieAlgebra((2, 1, 1), {(1, 1): {0: 1}})

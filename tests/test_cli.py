@@ -365,6 +365,42 @@ def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):
                                "--cocycle", str(good))
         assert code == 2, field
         assert "must be an integer" in err
+    # the format keeps k and beta, but only Z_3 with the trivial factor is legal
+    k_message = "error: k must be 3 (algebras are Z3-graded), got {}\n"
+    beta_message = "error: beta must be the all-ones 3x3 table, the only commutation factor on Z3\n"
+    for name, bad_doc, message in [
+            ("super", {**doc, "k": 2, "dims": [1, 2], "beta": [[1, 1], [1, -1]]},
+             k_message.format(2)),
+            ("k4", {**doc, "k": 4, "dims": [2, 1, 1, 1], "beta": [[1] * 4] * 4},
+             k_message.format(4)),
+            ("nontrivial", {**doc, "beta": [[1, 1, 1], [1, 1, -1], [1, -1, 1]]}, beta_message),
+            ("nonsquare", {**doc, "beta": [[1, 1, 1], [1, 1], [1, 1, 1]]}, beta_message),
+            ("nobeta", {key: v for key, v in doc.items() if key != "beta"},
+             "error: malformed algebra document: 'beta'\n")]:
+        bad_alg = tmp_path / f"bad_{name}.json"
+        bad_alg.write_text(json.dumps(bad_doc))
+        code, out, err = run_cli(capsys, "deform", "--algebra", str(bad_alg),
+                                 "--cocycle", str(good))
+        assert (code, out, err) == (2, "", message), name
+
+
+@pytest.mark.parametrize("command", ["verify", "cocycles", "deform"])
+def test_unwritable_output_exits_2(capsys, tmp_path, deform_files, command):
+    # a bad path is a usage error (2), not a mathematical mismatch (1)
+    alg_path, cochain_file = deform_files
+    missing = tmp_path / "no-such-dir" / "out.json"
+    argv = {
+        "verify": ["verify", "--n", "1", "--m", "1", "--p", "1", "--jobs", "1",
+                   "--output", str(missing)],
+        "cocycles": ["cocycles", "--n", "2", "--m", "1", "--p", "1", "--block", "A",
+                     "--out", str(missing)],
+        "deform": ["deform", "--algebra", str(alg_path),
+                   "--cocycle", str(cochain_file("zero.json", [])), "--out", str(missing)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not missing.parent.exists()
 
 
 def test_deform_accepts_basis_export(capsys, tmp_path):

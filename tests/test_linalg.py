@@ -126,8 +126,12 @@ def test_elimination_does_not_mutate_matrix():
 
 
 def test_from_entries_rejects_duplicates():
-    with pytest.raises(ValueError):
-        SparseIntMatrix.from_entries(1, 2, [(0, 0, 1), (0, 0, 2)])
+    # a duplicate is rejected whatever the order and whether a value is zero;
+    # an index outside the matrix is rejected, never wrapped
+    for entries in ([(0, 0, 1), (0, 0, 2)], [(0, 0, 0), (0, 0, 5)],
+                    [(0, 0, 5), (0, 0, 0)], [(-1, 0, 5)], [(1, 0, 5)], [(0, 2, 0)]):
+        with pytest.raises(ValueError):
+            SparseIntMatrix.from_entries(1, 2, entries)
 
 
 def test_constructor_rejects_stored_zero_and_non_int():
