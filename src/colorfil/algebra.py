@@ -356,7 +356,7 @@ def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
             return dims
         brackets = (alg.bracket({a: 1}, v) for a in l0 for v in current)
         images = [primitive_row(w) for w in brackets if w]
-        rank, pivots = _eliminate_int({i: dict(row) for i, row in enumerate(images)}, alg.dim)
+        rank, pivots = _eliminate_int({i: dict(row) for i, row in enumerate(images)})
         if rank == dims[-1]:
             raise NotNilpotent(
                 f"descending sequence of degree-{g} component stabilizes at dimension {rank}")

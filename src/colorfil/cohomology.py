@@ -39,6 +39,15 @@ brackets nonzero with a target of a block whose source pairs include
 the other two.  Any other triple gives an all-zero row,
 so skipping it changes nothing; in the model, where only X_0 acts, the
 visited triples are O(dim^2) of the C(dim, 3).
+
+`block_dims` assembles the joint system once and splits its rows into
+connected components (rows sharing a column, transitively).  Each
+component is ranked once; a block's dimension is its column count minus
+the ranks of the components inside it.  In the model no component spans
+two blocks, so the six-block decomposition holds by structure.  A
+component that does (a law with [Y, Y] != 0 couples blocks B and C) is
+also ranked block by block, and a difference raises
+DecompositionMismatch.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import ColorLieAlgebra, Vector
 from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
-                     primitive_row, rank_certified)
+                     primitive_row, rank_certified, row_components)
 from .scalars import Coeff, add_into, as_coeff, as_int, coeff_to_string
 
 
@@ -452,18 +461,42 @@ def _restrict_to_block(system: ConstraintSystem, block: BlockKind) -> SparseIntM
 
 
 def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
-    """Per-block cocycle dimensions, cross-checked against the joint system.
+    """Per-block cocycle dimensions from one split of the joint system.
 
-    Raises DecompositionMismatch when the joint kernel dimension differs
-    from the sum over blocks, which would mean the six-block splitting
-    fails for this algebra (it holds for every model algebra).
+    The joint rows are split into connected components
+    (`row_components`); no component shares a column with another, so
+    the joint rank is the sum of the component ranks.  A block's
+    dimension is its column count minus the ranks of the components
+    whose columns lie inside it.  A component whose columns span two
+    blocks (none does in the model; a law with [Y, Y] != 0 couples B
+    and C) is ranked jointly and restricted to each block; when the
+    joint rank differs from the sum of those restricted ranks the
+    six-block splitting fails for this algebra, and
+    DecompositionMismatch is raised.
     """
     joint = assemble_Z2_system(alg, ALL_BLOCKS, allow_x0_target=allow_x0_target)
-    dims = {}
-    for block in ALL_BLOCKS:
-        sub = _restrict_to_block(joint, block)
-        dims[block] = sub.n_cols - rank_certified(sub)
-    total = joint.nullity()
+    rows, n_cols = joint.matrix.rows, joint.matrix.n_cols
+    block_of = [key.block for key in joint.col_keys]
+    dims = dict.fromkeys(ALL_BLOCKS, 0)
+    for block in block_of:
+        dims[block] += 1
+    joint_rank = 0
+    for component in row_components(joint.matrix):
+        comp_rows = [rows[r] for r in component]
+        rank = rank_certified(SparseIntMatrix(len(comp_rows), n_cols, comp_rows))
+        joint_rank += rank
+        # the columns come grouped by block, so a component whose lowest
+        # and highest columns share a block lies inside that block
+        low = min(row[0][0] for row in comp_rows)
+        high = max(row[-1][0] for row in comp_rows)
+        if block_of[low] is block_of[high]:
+            dims[block_of[low]] -= rank
+            continue
+        for block in {block_of[c] for row in comp_rows for c, _ in row}:
+            sub = [kept for kept in (tuple((c, v) for c, v in row if block_of[c] is block)
+                                     for row in comp_rows) if kept]
+            dims[block] -= rank_certified(SparseIntMatrix(len(sub), n_cols, sub))
+    total = n_cols - joint_rank
     if total != sum(dims.values()):
         raise DecompositionMismatch(
             f"joint kernel dimension {total} != block sum {sum(dims.values())} "

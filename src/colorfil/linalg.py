@@ -11,6 +11,8 @@ fractions ever appear.
   rows the elimination leaves, one free column at a time, giving the
   canonical rational kernel basis; `Fraction` appears only when the
   output vectors are formed.
+* `row_components` -- the rows split into connected components (rows
+  sharing a column, transitively), which can be ranked one at a time.
 
 Matrices are immutable after construction; the elimination routines
 work on private row copies, so concurrent use on shared matrices is
@@ -162,12 +164,12 @@ def primitive_row(row: Mapping) -> tuple:
 # -- elimination engine -------------------------------------------------
 
 
-def _eliminate_int(rows: dict, n_cols: int) -> tuple:
+def _eliminate_int(rows: dict) -> tuple:
     """In-place fraction-free elimination over Z; returns (rank, pivots).
 
     pivots lists (row_id, col, row) in elimination order, with row ids
     referring to the input, so the input rows named there form a basis
-    of the row space.  Columns are visited in order, so the pivot
+    of the row space.  Columns are visited in ascending order, so the pivot
     columns are the leftmost-pivot set, and each row is the integer
     echelon row as it stood when it became the pivot: its lowest column
     is col, and the elimination never touches it again.  Row updates
@@ -183,8 +185,10 @@ def _eliminate_int(rows: dict, n_cols: int) -> tuple:
         for c in row:
             col_rows.setdefault(c, set()).add(i)
     pivots = []
-    for c in range(n_cols):
-        holders = col_rows.get(c)
+    # fill-in only reaches columns some row already holds, so these are
+    # all the pivot candidates, and the cost follows the rows, not n_cols
+    for c in sorted(col_rows):
+        holders = col_rows[c]
         if not holders:
             continue
         pid = min(holders, key=lambda i: (len(rows[i]), i))
@@ -231,13 +235,44 @@ def _eliminate_int(rows: dict, n_cols: int) -> tuple:
     return len(pivots), pivots
 
 
+def row_components(matrix: SparseIntMatrix) -> list:
+    """Row indices of `matrix` grouped by connected component.
+
+    Columns are joined when a row holds both (union-find), and each
+    nonempty row belongs to the component of its columns.  No row of
+    one component shares a column with another, so the rank of the
+    matrix is the sum of the ranks of its components' rows.  Empty rows
+    belong to no component; components are ordered by their first row.
+    """
+    parent = list(range(matrix.n_cols))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for row in matrix.rows:
+        if row:
+            root = find(row[0][0])
+            for c, _ in row[1:]:
+                rc = find(c)
+                if rc != root:
+                    parent[rc] = root
+    groups: dict = {}
+    for r, row in enumerate(matrix.rows):
+        if row:
+            groups.setdefault(find(row[0][0]), []).append(r)
+    return list(groups.values())
+
+
 def rank_certified(matrix: SparseIntMatrix) -> int:
     """Exact rank over Q by fraction-free integer elimination.
 
     Every intermediate value is an exact integer, so the elimination is
     its own certificate.
     """
-    rank, _ = _eliminate_int(matrix.row_dicts(), matrix.n_cols)
+    rank, _ = _eliminate_int(matrix.row_dicts())
     return rank
 
 
@@ -258,7 +293,7 @@ def kernel_basis(matrix: SparseIntMatrix) -> KernelBasis:
     when the row is solved.  The solution is kept as integers over one
     common denominator and becomes `Fraction` entries only at output.
     """
-    _, pivots = _eliminate_int(matrix.row_dicts(), matrix.n_cols)
+    _, pivots = _eliminate_int(matrix.row_dicts())
     echelon = {c: row for _, c, row in pivots}
     users: dict = {}  # col k -> pivot cols whose echelon row holds k
     for c, row in echelon.items():

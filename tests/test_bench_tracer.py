@@ -1,12 +1,18 @@
-"""The benchmark tracer's wrapped names still exist in the package.
+"""The benchmark tracer's wrapped names still exist and still see the work.
 
 ``bench/spans.py`` rebinds names that colorfil modules import; a rename
 under ``src/`` would otherwise only surface when the benchmark runs
-with ``--trace 1``.
+with ``--trace 1``, and a rank taken behind another name would drop out
+of the per-layer timings.
 """
 
 import importlib
 from pathlib import Path
+
+import colorfil.cohomology
+from colorfil.algebra import build_model
+from colorfil.cohomology import assemble_Z2_system
+from colorfil.linalg import rank_certified, row_components
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -17,3 +23,27 @@ def test_traced_names_resolve(monkeypatch):
     assert spans.WRAPPED
     for module, attr, name in spans.WRAPPED:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
+
+
+def test_block_dims_ranks_each_component_once(monkeypatch):
+    # the tracer times the rank layer through colorfil.cohomology.rank_certified;
+    # block_dims ranks every component of the joint rows through that name,
+    # once, and neither restricts to blocks nor ranks the joint matrix
+    alg = build_model(8, 6, 6)
+    joint = assemble_Z2_system(alg).matrix
+    ranks = []
+
+    def counting(matrix):
+        ranks.append(rank_certified(matrix))
+        return ranks[-1]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("block_dims called a whole-matrix pass")
+
+    monkeypatch.setattr(colorfil.cohomology, "rank_certified", counting)
+    monkeypatch.setattr(colorfil.cohomology, "_restrict_to_block", forbidden)
+    monkeypatch.setattr(colorfil.cohomology, "nullity", forbidden)
+    dims = colorfil.cohomology.block_dims(alg)
+    assert len(ranks) == len(row_components(joint))
+    assert sum(ranks) == rank_certified(joint)
+    assert sum(dims.values()) == joint.n_cols - sum(ranks)

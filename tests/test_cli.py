@@ -166,6 +166,36 @@ def test_verify_detects_corrupted_formula(capsys, monkeypatch):
     assert "block=A" in err
 
 
+def test_verify_degenerate_closed_form_outside_domain_agrees(capsys):
+    # at p = 0, n = m + 2 the closed form for E reads -1 where brute force
+    # finds 0: the value is printed, but it lies outside the formula's
+    # domain, so the row agrees and the grid exits 0
+    code, out, err = run_cli(capsys, "verify", "--n", "1..8", "--m", "0..6", "--p", "0",
+                             "--format", "csv", "--jobs", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "n,m,p,block,brute_force,closed_form,weight_oracle,agree"
+    assert [line for line in out.splitlines() if ",-1," in line] == \
+        [f"{m + 2},{m},0,E,0,-1,,true" for m in range(7)]
+    assert all(line.endswith(",true") for line in out.splitlines()[1:])
+
+
+@pytest.mark.parametrize("point, module, name, value, block", [
+    # a non-negative closed form is inside the domain, degenerate or not
+    ((2, 0, 0), formulas, "dim_E", lambda n, m, p: 5, "E"),
+    # a negative one is outside it only on a degenerate model
+    ((3, 1, 1), formulas, "dim_E", lambda n, m, p: -1, "E"),
+    # brute force and the weight oracle must agree on a degenerate model
+    ((2, 0, 0), cli, "count_weight_dim", lambda block, n, m, p: 7, "A"),
+])
+def test_verify_degenerate_rule_still_reports_mismatches(capsys, monkeypatch, point, module,
+                                                         name, value, block):
+    monkeypatch.setattr(module, name, value)
+    n, m, p = map(str, point)
+    code, _, err = run_cli(capsys, "verify", "--n", n, "--m", m, "--p", p, "--jobs", "1")
+    assert code == 1
+    assert f"n={n} m={m} p={p} block={block}" in err
+
+
 def test_verify_worker_failure_exits_1(capsys, monkeypatch):
     # an error at one point is reported on stderr; the healthy points'
     # rows are printed exactly as a grid without the failing point

@@ -18,21 +18,27 @@ triples; the production assembler visits only the triples a nonzero
 bracket can reach and must produce exactly the same system.
 `reference_primitive_row` is the `Fraction` route to the primitive
 row form that `primitive_row` computes on numerators and denominators.
+`reference_block_dims` restricts the joint rows to each block and
+ranks the joint matrix as a whole; `block_dims` ranks each connected
+component once and must give the same dimensions and the same
+`DecompositionMismatch`.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colorfil.algebra import build_model, validate_jacobi
 from colorfil.cohomology import (ALL_BLOCKS, CONDITION_BY_SHAPE, BlockKind, Cochain2,
-                                 RowLabel, assemble_Z2_system, block_dims,
-                                 cochain_columns)
+                                 DecompositionMismatch, RowLabel, _restrict_to_block,
+                                 assemble_Z2_system, block_dims, cochain_columns)
 from colorfil.deformation import deform
-from colorfil.linalg import SparseIntMatrix, kernel_basis, primitive_row
+from colorfil.linalg import (SparseIntMatrix, kernel_basis, primitive_row, rank_certified,
+                             row_components)
 
 
 def dense_rref(rows, n_cols):
@@ -255,15 +261,13 @@ def test_assembly_matches_full_walk_per_block():
             assert_assembly_matches_reference(alg, blocks, allow_x0_target)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 5), st.integers(2, 4), st.integers(1, 4),
-       st.sampled_from([{block} for block in ALL_BLOCKS] + [set(ALL_BLOCKS)]),
-       st.booleans(), st.data())
-def test_assembly_matches_full_walk_on_deformed_algebras(n, m, p, blocks, allow_x0_target,
-                                                         data):
-    # Jacobi-valid non-model algebras: D-block cocycles integrate, so any
-    # rational combination of them deforms the model into one whose
-    # brackets are no longer only [X0, -]
+def d_deformed(n, m, p, data):
+    """A Jacobi-valid non-model algebra drawn by Hypothesis.
+
+    D-block cocycles integrate, so any rational combination of them
+    deforms the model into one whose brackets are no longer only
+    [X0, -].
+    """
     base = build_model(n, m, p)
     d_vectors = assemble_Z2_system(base, {BlockKind.D}).kernel_cochains()
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -274,7 +278,87 @@ def test_assembly_matches_full_walk_on_deformed_algebras(n, m, p, blocks, allow_
         phi = phi + psi.scaled(c)
     alg = deform(base, phi).result
     assert validate_jacobi(alg) == []
+    return alg
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 4), st.integers(1, 4),
+       st.sampled_from([{block} for block in ALL_BLOCKS] + [set(ALL_BLOCKS)]),
+       st.booleans(), st.data())
+def test_assembly_matches_full_walk_on_deformed_algebras(n, m, p, blocks, allow_x0_target,
+                                                         data):
+    alg = d_deformed(n, m, p, data)
     assert_assembly_matches_reference(alg, blocks, allow_x0_target)
+
+
+def reference_block_dims(alg, allow_x0_target=False):
+    """Per-block dimensions from the joint rows restricted to each block.
+
+    Each block's rank is taken on the joint rows projected onto its
+    columns, and the joint nullity, ranked as a whole, must equal the
+    sum of the block dimensions.
+    """
+    joint = assemble_Z2_system(alg, ALL_BLOCKS, allow_x0_target=allow_x0_target)
+    dims = {}
+    for block in ALL_BLOCKS:
+        sub = _restrict_to_block(joint, block)
+        dims[block] = sub.n_cols - rank_certified(sub)
+    total = joint.nullity()
+    if total != sum(dims.values()):
+        raise DecompositionMismatch(
+            f"joint kernel dimension {total} != block sum {sum(dims.values())} "
+            f"at dims {alg.dims}")
+    return dims
+
+
+def dims_or_mismatch(fn, alg, allow_x0_target):
+    try:
+        return fn(alg, allow_x0_target=allow_x0_target)
+    except DecompositionMismatch as exc:
+        return f"DecompositionMismatch: {exc}"
+
+
+def spanning_components(alg):
+    """Components of the joint rows whose columns lie in two blocks or more."""
+    joint = assemble_Z2_system(alg)
+    block_of = [key.block for key in joint.col_keys]
+    spans = [{block_of[c] for r in comp for c, _ in joint.matrix.rows[r]}
+             for comp in row_components(joint.matrix)]
+    return [blocks for blocks in spans if len(blocks) > 1]
+
+
+def test_block_dims_matches_reference_on_acceptance_grid():
+    degenerate = [nmp for nmp in product(range(1, 9), range(0, 7), range(0, 7))
+                  if 0 in nmp[1:]]
+    for nmp in [*product(range(1, 9), range(1, 7), range(1, 7)), *degenerate]:
+        alg = build_model(*nmp)
+        for allow_x0_target in (False, True):
+            assert block_dims(alg, allow_x0_target=allow_x0_target) == \
+                reference_block_dims(alg, allow_x0_target), (nmp, allow_x0_target)
+
+
+def test_block_dims_spanning_component_raises_like_reference():
+    # [Y1, Y2] = Z1 couples blocks B and C (psi_B(X, Y) bracketed with Y
+    # meets psi_C(X, [Y, Y])), so one component spans both and the
+    # six-block splitting fails
+    base = build_model(1, 2, 1)
+    psi = assemble_Z2_system(base, {BlockKind.D}).kernel_cochains()[0]
+    alg = deform(base, psi).result
+    assert spanning_components(alg) == [{BlockKind.B, BlockKind.C}]
+    with pytest.raises(DecompositionMismatch) as split:
+        block_dims(alg)
+    with pytest.raises(DecompositionMismatch) as reference:
+        reference_block_dims(alg)
+    assert str(split.value) == str(reference.value) == \
+        "joint kernel dimension 4 != block sum 3 at dims (2, 2, 1)"
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 4), st.integers(1, 4), st.booleans(), st.data())
+def test_block_dims_matches_reference_on_deformed_algebras(n, m, p, allow_x0_target, data):
+    alg = d_deformed(n, m, p, data)
+    assert dims_or_mismatch(block_dims, alg, allow_x0_target) == \
+        dims_or_mismatch(reference_block_dims, alg, allow_x0_target)
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorfil.linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
-                             primitive_row, rank_certified,
+                             primitive_row, rank_certified, row_components,
                              write_matrix_market)
-from test_independent_oracle import dense_nullity
+from test_independent_oracle import dense_kernel, dense_nullity, sparse_matrices, to_dense
 
 
 def matrix_from_dense(dense):
@@ -115,6 +115,54 @@ def test_rank_plus_nullity_is_n_cols():
     for _ in range(25):
         m = random_sparse(rng, rng.randint(1, 18), rng.randint(1, 18))
         assert rank_certified(m) + nullity(m) == m.n_cols
+
+
+def test_row_components_examples():
+    # empty rows belong to no component, and a column no row holds starts none
+    assert row_components(SparseIntMatrix(0, 4)) == []
+    assert row_components(SparseIntMatrix(3, 5, [{}, {}, {}])) == []
+    m = SparseIntMatrix(6, 8, [{0: 1, 3: 2}, {}, {5: 1}, {3: -1, 6: 1}, {7: 4}, {5: 2, 7: 1}])
+    assert row_components(m) == [[0, 3], [2, 4, 5]]
+    # rows 0 and 1 share no column; row 2 joins them
+    chain = SparseIntMatrix(3, 5, [{1: 1, 2: 1}, {3: 1, 4: 1}, {2: 1, 3: -1}])
+    assert row_components(chain) == [[0, 1, 2]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_row_components_partition_rows_and_rank(matrix):
+    comps = row_components(matrix)
+    assert sorted(r for comp in comps for r in comp) == \
+        [r for r, row in enumerate(matrix.rows) if row]
+    cols = [{c for r in comp for c, _ in matrix.rows[r]} for comp in comps]
+    assert sum(map(len, cols)) == len(set().union(*cols))  # no column is shared
+    ranks = [rank_certified(SparseIntMatrix(len(comp), matrix.n_cols,
+                                            [matrix.rows[r] for r in comp]))
+             for comp in comps]
+    assert sum(ranks) == rank_certified(matrix)
+
+
+def test_wide_matrix_with_one_small_component():
+    width = 2_000_000
+    rows = [{}, {1_500_000: 2, 1_999_999: -4}, {1_500_000: 1, 1_600_000: 3, 1_999_999: -2}]
+    m = SparseIntMatrix(3, width, rows)
+    assert row_components(m) == [[1, 2]]
+    assert rank_certified(m) == 2
+    assert nullity(m) == width - 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.integers(0, 40), st.randoms(use_true_random=False))
+def test_rank_and_kernel_on_mostly_empty_columns(matrix, extra, rnd):
+    # the same matrix spread over a wider one: the elimination visits only
+    # the columns its rows hold, and the empty ones become free columns
+    width = matrix.n_cols + extra
+    where = sorted(rnd.sample(range(width), matrix.n_cols))
+    wide = SparseIntMatrix.from_entries(
+        matrix.n_rows, width, [(r, where[c], v) for r, c, v in matrix.entries()])
+    dense = to_dense(wide)
+    assert rank_certified(wide) == rank_certified(matrix) == width - dense_nullity(dense, width)
+    assert list(kernel_basis(wide).vectors) == dense_kernel(dense, width)
 
 
 def test_elimination_does_not_mutate_matrix():
