@@ -18,7 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import AlgebraFormatError, InvalidParams, build_model, from_json_dict
-from .cohomology import (ALL_BLOCKS, BlockKind, DecompositionMismatch, KernelMismatch,
+from .cohomology import (ALL_BLOCKS, DecompositionMismatch, KernelMismatch,
                          block_dims, block_named, cochain_from_json, cocycle_basis_json)
 from .deformation import (CharacteristicVectorViolation, NotACocycle, deform,
                           filiform_check, is_integrable)
@@ -71,15 +71,12 @@ def compute_report(n: int, m: int, p: int, method: str,
         return main_theorem_total(n, m, p)
     if method == METHOD_BRUTE:
         dims = block_dims(build_model(n, m, p), allow_x0_target=allow_x0_target)
-        named = {b.name: d for b, d in dims.items()}
-        return DimensionReport(n=n, m=m, p=p, method=METHOD_BRUTE, **named)
-    if method == METHOD_WEIGHTS:
-        return DimensionReport(
-            n=n, m=m, p=p, method=METHOD_WEIGHTS,
-            A=count_weight_dim(BlockKind.A, n, m, p),
-            B=count_weight_dim(BlockKind.B, n, m, p),
-            C=count_weight_dim(BlockKind.C, n, m, p))
-    raise ValueError(f"unknown method {method!r}")
+    elif method == METHOD_WEIGHTS:
+        dims = {block: count_weight_dim(block, n, m, p) for block in ALL_BLOCKS}
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return DimensionReport(n=n, m=m, p=p, method=method,
+                           **{block.name: d for block, d in dims.items()})
 
 
 def _grid_point(args) -> tuple:
@@ -178,8 +175,8 @@ def run_verify(points, methods, jobs: int = 1):
         for block in ALL_BLOCKS:
             values = {method: getattr(reports[method], block.name)
                       for method in methods}
-            present = [v for method, v in values.items() if v is not None
-                       and not (degenerate and method == METHOD_CLOSED and v < 0)]
+            present = [v for method, v in values.items()
+                       if not (degenerate and method == METHOD_CLOSED and v < 0)]
             agree = len(set(present)) <= 1
             row = {"n": n, "m": m, "p": p, "block": block.name}
             row.update({method: values[method] for method in methods})
@@ -197,7 +194,7 @@ def _emit_rows(rows, methods, fmt: str, stream) -> None:
     header = ["n", "m", "p", "block", *methods, "agree"]
     stream.write(",".join(header) + "\n")
     for row in rows:
-        cells = [str(row[h]) if row[h] is not None else "" for h in header[:-1]]
+        cells = [str(row[h]) for h in header[:-1]]
         cells.append("true" if row["agree"] else "false")
         stream.write(",".join(cells) + "\n")
 
@@ -227,7 +224,7 @@ def cmd_verify(args) -> int:
     if blocks:
         print(f"{len(blocks)} mismatching block(s):", file=sys.stderr)
         for row in blocks:
-            detail = " ".join(f"{m}={row[m]}" for m in args.methods if row[m] is not None)
+            detail = " ".join(f"{m}={row[m]}" for m in args.methods)
             print(f"  n={row['n']} m={row['m']} p={row['p']} block={row['block']} {detail}",
                   file=sys.stderr)
     return MISMATCH_ERROR if mismatches else 0
@@ -370,7 +367,7 @@ def main(argv=None) -> int:
     if getattr(args, "method", "skip") is None:
         args.method = ["closed"]
     if getattr(args, "method", None):
-        args.method = [METHOD_ALIASES[m] for m in args.method]
+        args.method = list(dict.fromkeys(METHOD_ALIASES[m] for m in args.method))
     return args.func(args)
 
 

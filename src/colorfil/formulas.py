@@ -129,8 +129,7 @@ METHOD_WEIGHTS = "weight_oracle"
 class DimensionReport:
     """Per-block dimensions at one parameter point, from one method.
 
-    The weight oracle covers only A, B, C; its D, E, F and total are
-    None.  Complete reports satisfy total = A+B+C+D+E+F.
+    Every method reports all six blocks; total = A+B+C+D+E+F.
     """
 
     n: int
@@ -140,24 +139,20 @@ class DimensionReport:
     A: int
     B: int
     C: int
-    D: int | None = None
-    E: int | None = None
-    F: int | None = None
+    D: int
+    E: int
+    F: int
 
     @property
-    def total(self) -> int | None:
-        parts = (self.A, self.B, self.C, self.D, self.E, self.F)
-        if any(v is None for v in parts):
-            return None
-        return sum(parts)
+    def total(self) -> int:
+        return self.A + self.B + self.C + self.D + self.E + self.F
 
     def blocks(self) -> dict:
-        return {name: getattr(self, name) for name in "ABCDEF"
-                if getattr(self, name) is not None}
+        return {name: getattr(self, name) for name in "ABCDEF"}
 
     def to_json_dict(self) -> dict:
         out = {"n": self.n, "m": self.m, "p": self.p, "method": self.method}
-        out.update({name: getattr(self, name) for name in "ABCDEF"})
+        out.update(self.blocks())
         out["total"] = self.total
         return out
 

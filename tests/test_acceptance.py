@@ -17,16 +17,16 @@ import pytest
 
 from colorfil.algebra import build_model
 from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2,
-                                 _restrict_to_block, assemble_Z2_system,
-                                 delta1, delta2)
+                                 assemble_Z2_system, block_dims, delta1, delta2)
 from colorfil.deformation import deform, filiform_check, is_integrable
 from colorfil.formulas import (branch_labels, dim_A, dim_B, dim_C, dim_D,
                                dim_E, dim_F, main_theorem_total)
-from colorfil.linalg import rank_certified
 from colorfil.weights import WeightModel, cochain_weight, count_weight_dim
 
 GRID_DEF = [(n, m, p) for n, m, p in product(range(1, 9), range(1, 7), range(1, 7))]
 GRID_BC = [(n, m) for n, m in product(range(1, 13), range(1, 9))]
+GRID_DEGENERATE = ([(n, m, 0) for n, m in GRID_BC] + [(n, 0, p) for n, p in GRID_BC]
+                   + [(n, 0, 0) for n in range(1, 13)])
 PERF_POINT = (25, 20, 20)
 PERF_BUDGET_SECONDS = 300.0
 
@@ -58,14 +58,14 @@ def _single_block_dim(nmp, block) -> int:
     return system.nullity()
 
 
+def _block_dims_by_name(nmp) -> dict:
+    return {block.name: d for block, d in block_dims(build_model(*nmp)).items()}
+
+
 def _full_point(nmp):
     """Per-block brute dims plus the joint kernel dimension at one point."""
     joint = assemble_Z2_system(build_model(*nmp))
-    blocks = {}
-    for block in ALL_BLOCKS:
-        sub = _restrict_to_block(joint, block)
-        blocks[block.name] = sub.n_cols - rank_certified(sub)
-    return nmp, blocks, joint.nullity()
+    return nmp, _block_dims_by_name(nmp), joint.nullity()
 
 
 def _integrability_point(nmp):
@@ -161,8 +161,8 @@ def test_criterion_4_decomposition_lemma(grid_results):
             assert joint == sum(blocks.values()), f"decomposition at {nmp}"
 
 
-def test_criterion_5_weight_oracle_equivalence(brute_BC):
-    with criterion(5, "weight-oracle counts equal brute-force dims for A, B, C"):
+def test_criterion_5_weight_oracle_equivalence(brute_BC, grid_results):
+    with criterion(5, "weight-oracle counts equal brute-force dims for all six blocks"):
         brute_b, brute_c, _ = brute_BC
         for n in range(1, 13):
             assert count_weight_dim(BlockKind.A, n, 1, 1) == \
@@ -171,6 +171,16 @@ def test_criterion_5_weight_oracle_equivalence(brute_BC):
             assert count_weight_dim(BlockKind.B, n, m, 0) == got, f"B at {(n, m)}"
         for (n, p), got in brute_c.items():
             assert count_weight_dim(BlockKind.C, n, 0, p) == got, f"C at {(n, p)}"
+        data, _ = grid_results
+        brute = {nmp: blocks for nmp, (blocks, _) in data.items()}
+        brute.update(zip(GRID_DEGENERATE, _parallel_map(_block_dims_by_name, GRID_DEGENERATE)))
+        for nmp, blocks in brute.items():
+            for block in ALL_BLOCKS:
+                assert count_weight_dim(block, *nmp) == blocks[block.name], \
+                    f"{block.name} at {nmp}"
+            # p = 0 holds the points where the closed form for E reads -1
+            if nmp[2] == 0:
+                assert count_weight_dim(BlockKind.E, *nmp) == blocks["E"] == 0, nmp
 
 
 def test_criterion_6_weight_parity():
@@ -230,10 +240,7 @@ def test_criterion_9_performance_desk_scale():
     with criterion(9, f"exact six-block computation at {PERF_POINT} under "
                       f"{PERF_BUDGET_SECONDS:.0f}s by fraction-free elimination"):
         start = time.time()
-        alg = build_model(n, m, p)
-        joint = assemble_Z2_system(alg)
-        subs = {b: _restrict_to_block(joint, b) for b in ALL_BLOCKS}
-        dims = {b.name: s.n_cols - rank_certified(s) for b, s in subs.items()}
+        dims = block_dims(build_model(n, m, p))
         elapsed = time.time() - start
         assert elapsed < PERF_BUDGET_SECONDS, f"took {elapsed:.1f}s"
-        assert dims == main_theorem_total(n, m, p).blocks()
+        assert {b.name: d for b, d in dims.items()} == main_theorem_total(n, m, p).blocks()

@@ -9,10 +9,13 @@ of the per-layer timings.
 import importlib
 from pathlib import Path
 
+import colorfil.cli
 import colorfil.cohomology
 from colorfil.algebra import build_model
-from colorfil.cohomology import assemble_Z2_system
+from colorfil.cohomology import ALL_BLOCKS, assemble_Z2_system
+from colorfil.formulas import METHOD_WEIGHTS
 from colorfil.linalg import rank_certified, row_components
+from colorfil.weights import count_weight_dim
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -47,3 +50,18 @@ def test_block_dims_ranks_each_component_once(monkeypatch):
     assert len(ranks) == len(row_components(joint))
     assert sum(ranks) == rank_certified(joint)
     assert sum(dims.values()) == joint.n_cols - sum(ranks)
+
+
+def test_weight_report_counts_through_the_traced_name(monkeypatch):
+    # the tracer times the weight layer through colorfil.cli.count_weight_dim;
+    # a weight report must count each of the six blocks through that name
+    calls = []
+
+    def counting(block, n, m, p):
+        calls.append(block)
+        return count_weight_dim(block, n, m, p)
+
+    monkeypatch.setattr(colorfil.cli, "count_weight_dim", counting)
+    report = colorfil.cli.compute_report(3, 2, 2, METHOD_WEIGHTS)
+    assert sorted(calls, key=lambda b: b.name) == list(ALL_BLOCKS)
+    assert report.total == 17

@@ -11,6 +11,7 @@ import colorfil
 from colorfil import cli, formulas
 from colorfil.algebra import build_model
 from colorfil.cli import main
+from colorfil.weights import count_weight_dim
 
 
 def run_cli(capsys, *argv):
@@ -35,13 +36,13 @@ def test_dims_brute_total(capsys):
     assert json.loads(out)["total"] == 3
 
 
-def test_dims_weights_partial(capsys):
+def test_dims_weights_complete(capsys):
     code, out, _ = run_cli(capsys, "dims", "--n", "3", "--m", "2", "--p", "2",
                            "--method", "weights")
     assert code == 0
     report = json.loads(out)
-    assert (report["A"], report["B"], report["C"]) == (3, 4, 4)
-    assert report["D"] is None and report["total"] is None
+    assert [report[name] for name in "ABCDEF"] == [3, 4, 4, 1, 4, 1]
+    assert report["total"] == 17
 
 
 def test_dims_multiple_methods(capsys):
@@ -51,6 +52,13 @@ def test_dims_multiple_methods(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert [r["method"] for r in lines] == ["closed_form", "brute_force"]
     assert lines[0]["total"] == lines[1]["total"]
+    # aliases of one method print one report, in first-seen order
+    code, out, _ = run_cli(capsys, "dims", "--n", "2", "--m", "2", "--p", "2",
+                           "--method", "brute", "--method", "closed",
+                           "--method", "brute_force")
+    assert code == 0
+    assert [json.loads(line)["method"] for line in out.strip().splitlines()] == \
+        ["brute_force", "closed_form"]
 
 
 def test_dims_invalid_n_exits_2(capsys):
@@ -123,8 +131,7 @@ def test_verify_csv_and_json_numeric_content_match(capsys, tmp_path):
             assert int(crow[key]) == jrow[key]
         assert crow["block"] == jrow["block"]
         for method in ("brute_force", "closed_form", "weight_oracle"):
-            expected = "" if jrow[method] is None else str(jrow[method])
-            assert crow[method] == expected
+            assert crow[method] == str(jrow[method])
 
 
 def test_verify_jobs_bounded_by_cores_and_points(monkeypatch):
@@ -175,7 +182,7 @@ def test_verify_degenerate_closed_form_outside_domain_agrees(capsys):
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == "n,m,p,block,brute_force,closed_form,weight_oracle,agree"
     assert [line for line in out.splitlines() if ",-1," in line] == \
-        [f"{m + 2},{m},0,E,0,-1,,true" for m in range(7)]
+        [f"{m + 2},{m},0,E,0,-1,0,true" for m in range(7)]
     assert all(line.endswith(",true") for line in out.splitlines()[1:])
 
 
@@ -186,6 +193,9 @@ def test_verify_degenerate_closed_form_outside_domain_agrees(capsys):
     ((3, 1, 1), formulas, "dim_E", lambda n, m, p: -1, "E"),
     # brute force and the weight oracle must agree on a degenerate model
     ((2, 0, 0), cli, "count_weight_dim", lambda block, n, m, p: 7, "A"),
+    # ... on every block, E included, where the closed form reads -1
+    ((2, 0, 0), cli, "count_weight_dim",
+     lambda block, n, m, p: 7 if block.name == "E" else count_weight_dim(block, n, m, p), "E"),
 ])
 def test_verify_degenerate_rule_still_reports_mismatches(capsys, monkeypatch, point, module,
                                                          name, value, block):

@@ -4,11 +4,12 @@ from itertools import product
 
 import pytest
 
-from colorfil.cohomology import block_dims
+from colorfil.cohomology import ALL_BLOCKS, block_dims
 from colorfil.algebra import build_model
 from colorfil.formulas import (IntegralityError, branch_labels, dim_A, dim_B,
                                dim_C, dim_D, dim_E, dim_F, main_theorem_total,
                                _exact_div)
+from colorfil.weights import count_weight_dim
 
 
 def test_dim_A_examples():
@@ -102,6 +103,33 @@ def test_degenerate_components_defer_to_brute_force():
     # A, B, C stay valid even on degenerate components
     assert brute[BlockKind.A] == dim_A(2)
     assert brute[BlockKind.B] == dim_B(2, 0) == 0
+
+
+def _weight_report(n, m, p) -> dict:
+    return {block.name: count_weight_dim(block, n, m, p) for block in ALL_BLOCKS}
+
+
+@pytest.mark.parametrize("nmp, total", [((14, 10, 12), 468), ((25, 20, 20), 1550),
+                                        ((40, 30, 30), 3650), ((60, 45, 50), 8840)])
+def test_closed_forms_match_weight_oracle_beyond_brute_force(nmp, total):
+    # the weight count is independent of the closed forms and far cheaper
+    # than elimination, so it checks the paper's totals at sizes brute
+    # force does not reach in the test suite
+    report = main_theorem_total(*nmp)
+    assert report.blocks() == _weight_report(*nmp)
+    assert report.total == total
+
+
+def test_closed_forms_match_weight_oracle_on_wide_grid():
+    # the one exception is the rule of `verify`: on a degenerate model
+    # (m = 0 or p = 0) a negative closed form lies outside its domain
+    for n, m, p in product(range(1, 21), range(0, 13), range(0, 13)):
+        closed = main_theorem_total(n, m, p).blocks()
+        for name, count in _weight_report(n, m, p).items():
+            if (m == 0 or p == 0) and closed[name] < 0:
+                assert count == 0, (name, n, m, p)
+                continue
+            assert closed[name] == count, (name, n, m, p)
 
 
 def test_branch_labels_structure():
