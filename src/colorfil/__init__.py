@@ -17,7 +17,8 @@ from .cohomology import (ALL_BLOCKS, BlockKind, Cochain2, CohomologyReport,
                          cochain_from_json, cochain_to_json, cocycle_basis_json,
                          cohomology_report, delta1, delta2, is_cocycle)
 from .deformation import (CharacteristicVectorViolation, DeformedLaw,
-                          NotACocycle, deform, filiform_check, is_integrable)
+                          NotACocycle, NotALieAlgebra, deform, filiform_check,
+                          is_integrable)
 from .formulas import (DimensionReport, IntegralityError, branch_labels,
                        dim_A, dim_B, dim_C, dim_D, dim_E, dim_F,
                        main_theorem_total)

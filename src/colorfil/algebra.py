@@ -21,7 +21,6 @@ adjoint action shifts each chain one step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Mapping, NamedTuple
 
 from .linalg import _eliminate_int, primitive_row
@@ -317,15 +316,41 @@ def bracket(alg: ColorLieAlgebra, x, y) -> Vector:
     return alg.bracket(alg.vector(x), alg.vector(y))
 
 
+def partners_of(pairs) -> dict:
+    """{i: set of j} over the given basis pairs, both ways round.
+
+    For the stored pairs of a bracket (or of a cochain) this maps each
+    basis element to the elements it brackets nonzero with (or shares a
+    nonzero value with).
+    """
+    partners: dict = {}
+    for a, b in pairs:
+        partners.setdefault(a, set()).add(b)
+        partners.setdefault(b, set()).add(a)
+    return partners
+
+
 def validate_jacobi(alg: ColorLieAlgebra) -> list:
-    """All violations of the Jacobi identity on basis triples.
+    """Violations of the Jacobi identity, in ascending basis-triple order.
 
     Skewness is structural (canonical storage), so only the Jacobi
     identity J(x,y,z) = [[x,y],z] - [x,[y,z]] + [y,[x,z]] can fail.  The
-    Jacobiator is alternating, so ascending triples suffice.
+    Jacobiator is alternating, so ascending triples suffice.  Each of its
+    three terms is some [[u,v],w], which is nonzero only when a
+    component t of a stored bracket [u,v] brackets nonzero with w.  So
+    only the triples sorted(u, v, w) built that way are evaluated; J is
+    zero at every other triple, and the list is the one a walk over all
+    C(dim, 3) triples would give.
     """
+    constants = list(alg.nonzero_constants())
+    partners = partners_of((a, b) for a, b, _ in constants)
+    triples: set = set()
+    for u, v, vec in constants:
+        for t in vec:
+            triples.update(tuple(sorted((u, v, w)))
+                           for w in partners.get(t, ()) if w != u and w != v)
     violations = []
-    for a, b, c in combinations(range(alg.dim), 3):
+    for a, b, c in sorted(triples):
         res = alg.bracket(alg.bracket_basis(a, b), {c: 1})
         for t, coeff in alg.bracket_basis(b, c).items():
             for u, cu in alg.bracket_basis(a, t).items():

@@ -6,7 +6,8 @@ Exit codes form the scripting contract:
     1  mathematical mismatch between methods (the falsification channel)
     2  usage or parse error (bad flags, malformed files, empty grid,
        parameters out of range)
-    3  structurally valid but invalid input object (e.g. not a cocycle)
+    3  structurally valid but invalid input object (e.g. not a cocycle,
+       or a base algebra that fails the Jacobi identity)
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from .algebra import AlgebraFormatError, InvalidParams, build_model, from_json_dict
 from .cohomology import (ALL_BLOCKS, DecompositionMismatch, KernelMismatch,
                          block_dims, block_named, cochain_from_json, cocycle_basis_json)
-from .deformation import (CharacteristicVectorViolation, NotACocycle, deform,
-                          filiform_check, is_integrable)
+from .deformation import (CharacteristicVectorViolation, NotACocycle, NotALieAlgebra,
+                          deform, filiform_check, is_integrable)
 from .formulas import (METHOD_BRUTE, METHOD_CLOSED, METHOD_WEIGHTS,
                        DimensionReport, IntegralityError, main_theorem_total)
 from .weights import count_weight_dim
@@ -210,7 +211,11 @@ def cmd_verify(args) -> int:
     if min(args.m) < 0 or min(args.p) < 0:
         print("error: m and p must be >= 0", file=sys.stderr)
         return USAGE_ERROR
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+    if args.jobs < 0:
+        print(f"error: --jobs must be >= 0 (0: available cores), got {args.jobs}",
+              file=sys.stderr)
+        return USAGE_ERROR
+    jobs = args.jobs or (os.cpu_count() or 1)
     rows, mismatches = run_verify(points, args.methods, jobs=jobs)
     code = _write_output(args.output,
                          lambda stream: _emit_rows(rows, args.methods, args.format, stream))
@@ -294,7 +299,7 @@ def cmd_deform(args) -> int:
     try:
         law = deform(alg, phi)
         integrable = is_integrable(law)
-    except (CharacteristicVectorViolation, NotACocycle) as exc:
+    except (CharacteristicVectorViolation, NotALieAlgebra, NotACocycle) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID_OBJECT_ERROR
     filiform = filiform_check(law) if integrable else False
@@ -340,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=("json", "csv"), default="json")
     verify.add_argument("--output", default=None, help="report path (default stdout)")
     verify.add_argument("--jobs", type=int, default=0,
-                        help="parallel grid workers (default: available cores)")
+                        help="parallel grid workers; 0 (the default): available cores")
     verify.set_defaults(func=cmd_verify)
 
     cocycles = sub.add_parser("cocycles", help="export a kernel basis of one block")

@@ -57,7 +57,7 @@ from enum import Enum
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .algebra import ColorLieAlgebra, Vector
+from .algebra import ColorLieAlgebra, Vector, partners_of
 from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
                      primitive_row, rank_certified, row_components)
 from .scalars import Coeff, add_into, as_coeff, as_int, coeff_to_string
@@ -522,14 +522,47 @@ def delta2(alg: ColorLieAlgebra, psi: Cochain2, triple) -> Vector:
     return out
 
 
-def is_cocycle(alg: ColorLieAlgebra, psi: Cochain2) -> bool:
-    """Direct check of d2 psi = 0 over all canonical basis triples.
+def cocycle_defect(alg: ColorLieAlgebra, psi: Cochain2):
+    """The first ascending basis triple where d2 psi is nonzero, with that value.
 
-    Independent of the matrix assembly: evaluates the six-term identity
-    elementwise, so it re-verifies kernel vectors by a separate route.
+    Returns None for a cocycle.  A term [x, psi(y, z)] of the six-term
+    identity needs (y, z) to be a pair psi stores and x to bracket
+    nonzero with a target of psi(y, z); a term psi([x, y], z) needs a
+    component t of a stored bracket [x, y] with (t, z) a pair psi
+    stores.  Only the triples sorted(x, y, z) built by these two rules
+    are evaluated, in ascending order: d2 psi is zero at every other
+    triple, so the answer is the one a walk over all C(dim, 3) triples
+    would give.  The rules read psi's values and the stored brackets
+    only, not the matrix assembly, so this re-verifies kernel vectors by
+    a separate route.
     """
-    return all(not delta2(alg, psi, triple)
-               for triple in combinations(range(alg.dim), 3))
+    values = psi.as_constant_additions()
+    constants = list(alg.nonzero_constants())
+    bracket_partners = partners_of((a, b) for a, b, _ in constants)
+    psi_partners = partners_of(values)
+    triples: set = set()
+    for (y, z), vec in values.items():
+        for t in vec:
+            triples.update(tuple(sorted((x, y, z)))
+                           for x in bracket_partners.get(t, ()) if x != y and x != z)
+    for x, y, vec in constants:
+        for t in vec:
+            triples.update(tuple(sorted((x, y, z)))
+                           for z in psi_partners.get(t, ()) if z != x and z != y)
+    for triple in sorted(triples):
+        value = delta2(alg, psi, triple)
+        if value:
+            return triple, value
+    return None
+
+
+def is_cocycle(alg: ColorLieAlgebra, psi: Cochain2) -> bool:
+    """Whether d2 psi = 0, checked directly by `cocycle_defect`.
+
+    Only the triples a value of psi or a stored bracket reaches are
+    evaluated; d2 psi vanishes at every other triple.
+    """
+    return cocycle_defect(alg, psi) is None
 
 
 def delta1(alg: ColorLieAlgebra, g_map: Mapping) -> Cochain2:

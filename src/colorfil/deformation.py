@@ -6,7 +6,15 @@ values on each basis pair.  For a 2-cocycle phi the deformed bracket
 satisfies the Jacobi identity exactly when the quadratic obstruction
 phi o phi vanishes, so integrability is decided by re-validating Jacobi
 on the deformed algebra directly; this sidesteps any sign convention
-for the composition.  First order only: no higher deformation terms.
+for the composition.  Both facts assume a Lie base, so the base law is
+validated first.  First order only: no higher deformation terms.
+
+The three checks evaluate only the basis triples where their identity
+can be nonzero: for Jacobi, a component of a stored bracket [u, v] that
+brackets nonzero with the third element; for d2 phi, a value of phi
+that brackets nonzero with the third element, or a component of a
+stored bracket at which phi has a value with the third element.  Their
+results are those of a walk over all C(dim, 3) triples.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import (ColorLieAlgebra, NotNilpotent, is_filiform_module,
                       l0_is_filiform, validate_jacobi)
-from .cohomology import Cochain2, is_cocycle
+from .cohomology import Cochain2, cocycle_defect, is_cocycle
 
 
 class CharacteristicVectorViolation(ValueError):
@@ -24,6 +32,10 @@ class CharacteristicVectorViolation(ValueError):
 
 class NotACocycle(ValueError):
     """Integrability asked for a cochain that is not a 2-cocycle."""
+
+
+class NotALieAlgebra(ValueError):
+    """Integrability asked for on a base law that fails the Jacobi identity."""
 
 
 @dataclass(frozen=True)
@@ -47,14 +59,22 @@ def deform(alg: ColorLieAlgebra, phi: Cochain2) -> DeformedLaw:
 def is_integrable(d: DeformedLaw) -> bool:
     """Whether mu0 + phi is again a graded Lie algebra law.
 
-    Requires phi to be a 2-cocycle (rechecked directly through the
-    six-term identity; raises NotACocycle otherwise).  For a cocycle the
-    Jacobi defect of the deformed bracket is exactly the quadratic term
-    phi o phi, so validating Jacobi on the deformed algebra decides
-    integrability.
+    Requires the base law mu0 to satisfy the Jacobi identity (raises
+    NotALieAlgebra naming the first violation otherwise) and phi to be a
+    2-cocycle on it (rechecked directly through the six-term identity;
+    raises NotACocycle naming the first failing triple otherwise).  For
+    a cocycle the Jacobi defect of the deformed bracket is exactly the
+    quadratic term phi o phi, so validating Jacobi on the deformed
+    algebra decides integrability.
     """
+    base_violations = validate_jacobi(d.base)
+    if base_violations:
+        raise NotALieAlgebra(f"base algebra fails the Jacobi identity: {base_violations[0]}")
     if not is_cocycle(d.base, d.phi):
-        raise NotACocycle("phi fails the 2-cocycle conditions on the base algebra")
+        triple, value = cocycle_defect(d.base, d.phi)
+        labels = ", ".join(d.base.label(i) for i in triple)
+        raise NotACocycle("phi fails the 2-cocycle conditions on the base algebra: "
+                          f"d2 phi({labels}) = {d.base.format_vector(value)} != 0")
     return not validate_jacobi(d.result)
 
 

@@ -239,6 +239,13 @@ def test_verify_negative_m_or_p_exits_2(capsys, monkeypatch, methods):
         assert (code, out, err) == (2, "", "error: m and p must be >= 0\n")
 
 
+def test_verify_negative_jobs_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n", "1", "--m", "1", "--p", "1",
+                             "--jobs", "-3")
+    assert (code, out, err) == (
+        2, "", "error: --jobs must be >= 0 (0: available cores), got -3\n")
+
+
 def test_verify_empty_grid_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "3..2", "--m", "1", "--p", "1")
     assert code == 2
@@ -337,7 +344,23 @@ def test_deform_non_cocycle_exits_3(capsys, tmp_path, deform_files):
     code, _, err = run_cli(capsys, "deform", "--algebra", str(alg_path),
                            "--cocycle", str(coc))
     assert code == 3
-    assert "cocycle" in err
+    assert err == ("error: phi fails the 2-cocycle conditions on the base algebra: "
+                   "d2 phi(X0, X1, X2) = 1*X2 != 0\n")
+
+
+def test_deform_non_lie_base_exits_3(capsys, tmp_path):
+    base = build_model(3, 2, 2)
+    alg = base.with_added_constants({(base.index("X1"), base.index("Y1")): {base.index("Y1"): 1}})
+    alg_path = tmp_path / "alg.json"
+    alg_path.write_text(json.dumps(alg.to_json_dict()))
+    coc = tmp_path / "zero.json"
+    coc.write_text(json.dumps({"n": 3, "m": 2, "p": 2, "terms": []}))
+    code, out, err = run_cli(capsys, "deform", "--algebra", str(alg_path),
+                             "--cocycle", str(coc))
+    assert code == 3
+    assert out == ""
+    assert err == ("error: base algebra fails the Jacobi identity: "
+                   "J(X0, X1, Y1) = -1*Y2 != 0\n")
 
 
 def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):

@@ -5,7 +5,7 @@ import pytest
 from colorfil.algebra import build_model, validate_jacobi
 from colorfil.cohomology import BlockKind, Cochain2, assemble_Z2_system, delta2
 from colorfil.deformation import (CharacteristicVectorViolation, NotACocycle,
-                                  deform, filiform_check, is_integrable)
+                                  NotALieAlgebra, deform, filiform_check, is_integrable)
 
 
 def test_zero_cochain_is_identity_deformation():
@@ -40,8 +40,20 @@ def test_non_cocycle_raises():
     phi = Cochain2(alg)
     phi.add(BlockKind.A, 1, 2, 1, 1)  # delta2 is X2 on (X0, X1, X2)
     law = deform(alg, phi)
-    with pytest.raises(NotACocycle):
+    with pytest.raises(NotACocycle) as raised:
         is_integrable(law)
+    assert str(raised.value) == ("phi fails the 2-cocycle conditions on the base algebra: "
+                                 "d2 phi(X0, X1, X2) = 1*X2 != 0")
+
+
+def test_non_lie_base_raises():
+    # [X1, Y1] = Y1 on the model: J(X0, X1, Y1) = [X2, Y1] - [X0, Y1] + [X1, Y2] = -Y2
+    base = build_model(3, 2, 2)
+    alg = base.with_added_constants({(base.index("X1"), base.index("Y1")): {base.index("Y1"): 1}})
+    with pytest.raises(NotALieAlgebra) as raised:
+        is_integrable(deform(alg, Cochain2(alg)))
+    assert str(raised.value) == \
+        "base algebra fails the Jacobi identity: J(X0, X1, Y1) = -1*Y2 != 0"
 
 
 def test_d_plus_f_obstruction():

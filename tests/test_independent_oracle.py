@@ -22,6 +22,10 @@ row form that `primitive_row` computes on numerators and denominators.
 ranks the joint matrix as a whole; `block_dims` ranks each connected
 component once and must give the same dimensions and the same
 `DecompositionMismatch`.
+`reference_is_cocycle` and `reference_validate_jacobi` walk every
+ascending basis triple as well; `is_cocycle` and `validate_jacobi`
+evaluate only the triples a bracket or a cochain value reaches and must
+give the same verdicts and the same violation lists, in order.
 """
 
 from fractions import Fraction
@@ -32,10 +36,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from colorfil.algebra import build_model, validate_jacobi
+from colorfil.algebra import JacobiViolation, build_model, validate_jacobi
 from colorfil.cohomology import (ALL_BLOCKS, CONDITION_BY_SHAPE, BlockKind, Cochain2,
                                  DecompositionMismatch, RowLabel, _restrict_to_block,
-                                 assemble_Z2_system, block_dims, cochain_columns)
+                                 assemble_Z2_system, block_dims, cochain_columns,
+                                 cocycle_defect, delta1, is_cocycle)
 from colorfil.deformation import deform
 from colorfil.linalg import (SparseIntMatrix, kernel_basis, primitive_row, rank_certified,
                              row_components)
@@ -369,3 +374,123 @@ def test_block_dims_matches_reference_on_deformed_algebras(n, m, p, allow_x0_tar
     max_size=8))
 def test_primitive_row_matches_fraction_reference(row):
     assert primitive_row(row) == reference_primitive_row(row)
+
+
+def _accumulate(acc, scale, vec):
+    for u, c in vec.items():
+        acc[u] = acc.get(u, 0) + scale * c
+        if not acc[u]:
+            del acc[u]
+
+
+def reference_validate_jacobi(alg):
+    """Jacobi violations from a walk over every ascending basis triple."""
+    violations = []
+    for a, b, c in combinations(range(alg.dim), 3):
+        res: dict = {}
+        # J(a, b, c) = [[a, b], c] - [a, [b, c]] + [b, [a, c]]
+        for t, v in alg.bracket_basis(a, b).items():
+            _accumulate(res, v, alg.bracket_basis(t, c))
+        for t, v in alg.bracket_basis(b, c).items():
+            _accumulate(res, -v, alg.bracket_basis(a, t))
+        for t, v in alg.bracket_basis(a, c).items():
+            _accumulate(res, v, alg.bracket_basis(b, t))
+        if res:
+            violations.append(JacobiViolation(
+                "J", (alg.label(a), alg.label(b), alg.label(c)), alg.format_vector(res)))
+    return violations
+
+
+def reference_d2(alg, psi, a, b, c):
+    """(d2 psi)(e_a, e_b, e_c) from the six-term identity, term by term."""
+    out: dict = {}
+    for sign, x, y, z in ((1, a, b, c), (-1, b, a, c), (1, c, a, b)):
+        for t, v in psi.value_on_pair(y, z).items():  # sign * [x, psi(y, z)]
+            _accumulate(out, sign * v, alg.bracket_basis(x, t))
+    for sign, x, y, z in ((-1, a, b, c), (1, a, c, b)):
+        for t, v in alg.bracket_basis(x, y).items():  # sign * psi([x, y], z)
+            _accumulate(out, sign * v, psi.value_on_pair(t, z))
+    for t, v in alg.bracket_basis(b, c).items():  # psi(a, [b, c])
+        _accumulate(out, v, psi.value_on_pair(a, t))
+    return out
+
+
+def reference_cocycle_defect(alg, psi):
+    """First ascending triple where d2 psi is nonzero, walking every triple."""
+    for triple in combinations(range(alg.dim), 3):
+        value = reference_d2(alg, psi, *triple)
+        if value:
+            return triple, value
+    return None
+
+
+def reference_is_cocycle(alg, psi):
+    return reference_cocycle_defect(alg, psi) is None
+
+
+def drawn_algebra(data):
+    """A model algebra, a D-deformed one, or a model with random added brackets.
+
+    Random brackets respect the grading but usually break Jacobi.
+    """
+    kind = data.draw(st.sampled_from(("model", "deformed", "perturbed")))
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(2 if kind == "deformed" else 0, 3))
+    p = data.draw(st.integers(1 if kind == "deformed" else 0, 3))
+    if kind == "deformed":
+        return d_deformed(n, m, p, data)
+    alg = build_model(n, m, p)
+    if kind == "perturbed":
+        additions: dict = {}
+        for a, b in data.draw(st.lists(st.lists(st.integers(0, alg.dim - 1), min_size=2,
+                                                max_size=2, unique=True).map(sorted),
+                                       min_size=1, max_size=3)):
+            degree = (alg.degree_of(a) + alg.degree_of(b)) % 3
+            targets = [t for t in range(alg.dim) if alg.degree_of(t) == degree]
+            if targets:
+                t = data.draw(st.sampled_from(targets))
+                additions.setdefault((a, b), {})[t] = data.draw(st.sampled_from((1, -1, 2)))
+        alg = alg.with_added_constants(additions)
+    return alg
+
+
+def drawn_cochain(data, alg):
+    """A random cochain, X0 sources and targets allowed or not, or a
+    coboundary (a cocycle on a Lie algebra) with random terms added."""
+    if data.draw(st.booleans()):
+        u = data.draw(st.integers(0, alg.dim - 1))
+        same = [t for t in range(alg.dim) if alg.degree_of(t) == alg.degree_of(u)]
+        psi = delta1(alg, {u: {data.draw(st.sampled_from(same)): 1}})
+    else:
+        psi = Cochain2(alg, vanish_on_x0=data.draw(st.booleans()),
+                       allow_x0_target=data.draw(st.booleans()))
+    keys = cochain_columns(alg, ALL_BLOCKS, vanish_on_x0=psi.vanish_on_x0,
+                           allow_x0_target=psi.allow_x0_target)
+    if keys:
+        for key in data.draw(st.lists(st.sampled_from(keys), max_size=3)):
+            psi.add(key.block, key.i, key.j, key.s,
+                    data.draw(st.sampled_from((1, -1, 2, Fraction(1, 2)))))
+    return psi
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_checkers_match_full_walks(data):
+    alg = drawn_algebra(data)
+    psi = drawn_cochain(data, alg)
+    assert validate_jacobi(alg) == reference_validate_jacobi(alg)
+    defect = reference_cocycle_defect(alg, psi)
+    assert cocycle_defect(alg, psi) == defect
+    assert is_cocycle(alg, psi) == (defect is None)
+    # the cochain's values as extra brackets: a law with X0 sources
+    summed = alg.with_added_constants(psi.as_constant_additions())
+    assert validate_jacobi(summed) == reference_validate_jacobi(summed)
+
+
+def test_checkers_match_full_walks_on_exported_vectors():
+    alg = build_model(6, 4, 5)
+    for block in ALL_BLOCKS:
+        for psi in assemble_Z2_system(alg, {block}).kernel_cochains():
+            assert is_cocycle(alg, psi) and reference_is_cocycle(alg, psi), block.name
+            result = deform(alg, psi).result
+            assert validate_jacobi(result) == reference_validate_jacobi(result), block.name
