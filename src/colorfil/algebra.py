@@ -276,8 +276,13 @@ def from_json_dict(data) -> ColorLieAlgebra:
         for entry in data.get("constants", []):
             a = alg.index(entry["lhs"])
             b = alg.index(entry["rhs"])
-            vec = {alg.index(item["basis"]): as_coeff(item["coeff"])
-                   for item in entry["value"]}
+            vec = {}
+            for item in entry["value"]:
+                t = alg.index(item["basis"])
+                if t in vec:
+                    raise AlgebraFormatError(f"duplicate basis element {item['basis']} in the "
+                                             f"value of pair {entry['lhs']},{entry['rhs']}")
+                vec[t] = as_coeff(item["coeff"])
             if (a, b) in constants or (b, a) in constants:
                 raise AlgebraFormatError(f"duplicate constants for pair {entry['lhs']},{entry['rhs']}")
             constants[(a, b)] = vec

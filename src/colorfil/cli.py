@@ -305,12 +305,12 @@ def cmd_deform(args) -> int:
     filiform = filiform_check(law) if integrable else False
     verdict = {"integrable": integrable, "filiform": filiform}
     algebra_doc = law.result.to_json_dict()
-    if args.out:
+    if args.out in (None, "-"):  # stdout carries one document: the verdict with the algebra
+        verdict["algebra"] = algebra_doc
+    else:
         code = _write_output(args.out, lambda stream: _write_json(algebra_doc, stream))
         if code:
             return code
-    else:
-        verdict["algebra"] = algebra_doc
     print(json.dumps(verdict))
     return 0
 
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     deform_p = sub.add_parser("deform", help="apply a cocycle to an algebra file")
     deform_p.add_argument("--algebra", required=True, help="algebra JSON path")
     deform_p.add_argument("--cocycle", required=True, help="cochain JSON path")
-    deform_p.add_argument("--out", default=None, help="deformed algebra path")
+    deform_p.add_argument("--out", default=None, help="deformed algebra path (default: stdout)")
     deform_p.set_defaults(func=cmd_deform)
 
     return parser
@@ -373,7 +373,14 @@ def main(argv=None) -> int:
         args.method = ["closed"]
     if getattr(args, "method", None):
         args.method = list(dict.fromkeys(METHOD_ALIASES[m] for m in args.method))
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader went away (`| head`); devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -40,26 +40,26 @@ the other two.  Any other triple gives an all-zero row,
 so skipping it changes nothing; in the model, where only X_0 acts, the
 visited triples are O(dim^2) of the C(dim, 3).
 
-`block_dims` assembles the joint system once and splits its rows into
-connected components (rows sharing a column, transitively).  Each
-component is ranked once; a block's dimension is its column count minus
-the ranks of the components inside it.  In the model no component spans
-two blocks, so the six-block decomposition holds by structure.  A
-component that does (a law with [Y, Y] != 0 couples blocks B and C) is
-also ranked block by block, and a difference raises
-DecompositionMismatch.
+`block_dims` assembles the joint system once and groups its rows by
+block: the columns come grouped by block, so a row whose first and last
+columns share a block lies inside it.  Each block's rows are ranked
+once; a block's dimension is its column count minus that rank.  In the
+model no row spans two blocks, so the six-block decomposition holds by
+structure.  When a row does (a law with [Y, Y] != 0 couples blocks B
+and C), every row is restricted to each block, the joint matrix is
+ranked once as well, and a difference raises DecompositionMismatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import ColorLieAlgebra, Vector, partners_of
 from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
-                     primitive_row, rank_certified, row_components)
+                     primitive_row, rank_certified)
 from .scalars import Coeff, add_into, as_coeff, as_int, coeff_to_string
 
 
@@ -305,9 +305,18 @@ class ConstraintSystem:
 
     matrix: SparseIntMatrix
     col_keys: tuple
-    row_labels: tuple
+    row_origins: tuple  # (ascending global basis triple, global target) per row
     alg: ColorLieAlgebra
     allow_x0_target: bool
+
+    @property
+    def row_labels(self) -> tuple:
+        """RowLabel (condition family, triple labels, target label) per row."""
+        labels = self.alg.labels()
+        degree = self.alg.degree_of
+        return tuple(RowLabel(CONDITION_BY_SHAPE[(degree(a), degree(b), degree(c))],
+                              (labels[a], labels[b], labels[c]), labels[u])
+                     for (a, b, c), u in self.row_origins)
 
     def nullity(self) -> int:
         return nullity(self.matrix)
@@ -382,64 +391,73 @@ def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
     primitive integer form, which leaves the kernel untouched.
     """
     cols: list = []
-    # psi lookup: ordered global pair -> [(col, target_global, sign), ...]
+    # psi lookup: ordered global pair -> (first column, lowest target,
+    # target count, sign).  A block's targets are consecutive global
+    # indices, so target t of the pair sits in column first + t - lowest.
     pair_map: dict = {}
     # per block: (target indices, canonical source pairs), for the candidates
     block_pairs: list = []
     glob = alg.global_index
     for block, pairs, targets in _block_bases(alg, blocks, allow_x0_target=allow_x0_target):
         (g1, g2), gt = block.source_degrees, block.target_degree
-        tglob = [glob(gt, s) for s in targets]
+        lowest, count = glob(gt, targets.start), len(targets)
         gpairs = [(glob(g1, i), glob(g2, j)) for i, j in pairs]
         for (i, j), (a, b) in zip(pairs, gpairs):
-            first = len(cols)
+            pair_map[(a, b)] = (len(cols), lowest, count, 1)
+            pair_map[(b, a)] = (len(cols), lowest, count, -1)
             cols.extend(ColumnKey(block, i, j, s) for s in targets)
-            pair_map[(a, b)] = [(first + k, t, 1) for k, t in enumerate(tglob)]
-            pair_map[(b, a)] = [(first + k, t, -1) for k, t in enumerate(tglob)]
-        block_pairs.append((set(tglob), gpairs))
+        block_pairs.append((range(lowest, lowest + count), gpairs))
 
     brackets = _bracket_table(alg)
-    degrees = [alg.degree_of(i) for i in range(alg.dim)]
-    labels = alg.labels()
+    partners: dict = {}  # x -> [(t, items of [x, t])] over the nonzero brackets
+    for (x, t), items in brackets.items():
+        partners.setdefault(x, []).append((t, items))
     empty: tuple = ()
 
-    def ad_term(acc, sign, x, first, second):
-        # sign * [x, psi(first, second)]
-        for col, tgt, s in pair_map.get((first, second), empty):
-            for u, cb in brackets.get((x, tgt), empty):
-                add_into(acc.setdefault(u, {}), col, sign * s * cb)
-
-    def psi_term(acc, sign, bx, by, other, bracket_first):
-        # sign * psi([bx, by], other), argument order per bracket_first
-        for t, cb in brackets.get((bx, by), empty):
-            pair = (t, other) if bracket_first else (other, t)
-            for col, tgt, s in pair_map.get(pair, empty):
-                add_into(acc.setdefault(tgt, {}), col, sign * cb * s)
-
     rows: list = []
-    row_labels: list = []
+    origins: list = []
     seen: set = set()
 
-    for a, b, c in _candidate_triples(alg, brackets, block_pairs):
+    for triple in _candidate_triples(alg, brackets, block_pairs):
+        a, b, c = triple
         acc: dict = {}  # target_global -> {col: coeff}
-        ad_term(acc, 1, a, b, c)
-        ad_term(acc, -1, b, a, c)
-        ad_term(acc, 1, c, a, b)
-        psi_term(acc, -1, a, b, c, True)
-        psi_term(acc, 1, a, c, b, True)
-        psi_term(acc, 1, b, c, a, False)
-        cond = CONDITION_BY_SHAPE[(degrees[a], degrees[b], degrees[c])]
+        # sign * [x, psi(first, second)]: the partners t of x inside the
+        # pair's target range
+        for sign, x, pair in ((1, a, (b, c)), (-1, b, (a, c)), (1, c, (a, b))):
+            entry = pair_map.get(pair)
+            if entry is None:
+                continue
+            first, lowest, count, s = entry
+            for t, items in partners.get(x, empty):
+                k = t - lowest
+                if 0 <= k < count:
+                    col = first + k
+                    for u, cb in items:
+                        row = acc.setdefault(u, {})
+                        row[col] = row.get(col, 0) + sign * s * cb
+        # sign * psi([x, y], other); psi(a, [b, c]) enters as -psi([b, c], a)
+        for sign, bracket_pair, other in ((-1, (a, b), c), (1, (a, c), b), (-1, (b, c), a)):
+            for t, cb in brackets.get(bracket_pair, empty):
+                entry = pair_map.get((t, other))
+                if entry is None:
+                    continue
+                col, lowest, count, s = entry
+                value = sign * cb * s
+                for u in range(lowest, lowest + count):
+                    row = acc.setdefault(u, {})
+                    row[col] = row.get(col, 0) + value
+                    col += 1
         for u in sorted(acc):
             row = primitive_row(acc[u])
             if not row or row in seen:
                 continue
             seen.add(row)
             rows.append(row)
-            row_labels.append(RowLabel(cond, (labels[a], labels[b], labels[c]), labels[u]))
+            origins.append((triple, u))
 
     matrix = SparseIntMatrix(len(rows), len(cols), rows)
     return ConstraintSystem(matrix=matrix, col_keys=tuple(cols),
-                            row_labels=tuple(row_labels), alg=alg,
+                            row_origins=tuple(origins), alg=alg,
                             allow_x0_target=allow_x0_target)
 
 
@@ -461,46 +479,44 @@ def _restrict_to_block(system: ConstraintSystem, block: BlockKind) -> SparseIntM
 
 
 def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
-    """Per-block cocycle dimensions from one split of the joint system.
+    """Per-block cocycle dimensions from one pass over the joint rows.
 
-    The joint rows are split into connected components
-    (`row_components`); no component shares a column with another, so
-    the joint rank is the sum of the component ranks.  A block's
-    dimension is its column count minus the ranks of the components
-    whose columns lie inside it.  A component whose columns span two
-    blocks (none does in the model; a law with [Y, Y] != 0 couples B
-    and C) is ranked jointly and restricted to each block; when the
-    joint rank differs from the sum of those restricted ranks the
-    six-block splitting fails for this algebra, and
+    The columns come grouped by block, so a row lies inside one block
+    exactly when its first and last columns share a block.  Each block's
+    rows are ranked once; its dimension is its column count minus that
+    rank.  In the model no row spans two blocks, so the blocks share no
+    row or column and the joint rank is the sum of the block ranks.  A
+    row that does span blocks (a law with [Y, Y] != 0 couples B and C)
+    is restricted to each block instead, and the joint matrix is ranked
+    once: when its nullity differs from the sum of the block dimensions
+    the six-block splitting fails for this algebra, and
     DecompositionMismatch is raised.
     """
     joint = assemble_Z2_system(alg, ALL_BLOCKS, allow_x0_target=allow_x0_target)
-    rows, n_cols = joint.matrix.rows, joint.matrix.n_cols
-    block_of = [key.block for key in joint.col_keys]
-    dims = dict.fromkeys(ALL_BLOCKS, 0)
-    for block in block_of:
-        dims[block] += 1
-    joint_rank = 0
-    for component in row_components(joint.matrix):
-        comp_rows = [rows[r] for r in component]
-        rank = rank_certified(SparseIntMatrix(len(comp_rows), n_cols, comp_rows))
-        joint_rank += rank
-        # the columns come grouped by block, so a component whose lowest
-        # and highest columns share a block lies inside that block
-        low = min(row[0][0] for row in comp_rows)
-        high = max(row[-1][0] for row in comp_rows)
-        if block_of[low] is block_of[high]:
-            dims[block_of[low]] -= rank
+    n_cols = joint.matrix.n_cols
+    # (block, column count) per run of columns, and each column's run
+    runs = [(block, len(list(keys)))
+            for block, keys in groupby(joint.col_keys, key=lambda key: key.block)]
+    position = [k for k, (_, size) in enumerate(runs) for _ in range(size)]
+    pieces: list = [[] for _ in runs]
+    spanning = False
+    for row in joint.matrix.rows:
+        k = position[row[0][0]]
+        if position[row[-1][0]] == k:
+            pieces[k].append(row)
             continue
-        for block in {block_of[c] for row in comp_rows for c, _ in row}:
-            sub = [kept for kept in (tuple((c, v) for c, v in row if block_of[c] is block)
-                                     for row in comp_rows) if kept]
-            dims[block] -= rank_certified(SparseIntMatrix(len(sub), n_cols, sub))
-    total = n_cols - joint_rank
-    if total != sum(dims.values()):
-        raise DecompositionMismatch(
-            f"joint kernel dimension {total} != block sum {sum(dims.values())} "
-            f"at dims {alg.dims}")
+        spanning = True
+        for k, part in groupby(row, key=lambda entry: position[entry[0]]):
+            pieces[k].append(tuple(part))
+    dims = dict.fromkeys(ALL_BLOCKS, 0)
+    for (block, size), rows in zip(runs, pieces):
+        dims[block] = size - rank_certified(SparseIntMatrix(len(rows), n_cols, rows))
+    if spanning:
+        total = n_cols - rank_certified(joint.matrix)
+        if total != sum(dims.values()):
+            raise DecompositionMismatch(
+                f"joint kernel dimension {total} != block sum {sum(dims.values())} "
+                f"at dims {alg.dims}")
     return dims
 
 

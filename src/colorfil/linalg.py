@@ -11,8 +11,6 @@ fractions ever appear.
   rows the elimination leaves, one free column at a time, giving the
   canonical rational kernel basis; `Fraction` appears only when the
   output vectors are formed.
-* `row_components` -- the rows split into connected components (rows
-  sharing a column, transitively), which can be ranked one at a time.
 
 Matrices are immutable after construction; the elimination routines
 work on private row copies, so concurrent use on shared matrices is
@@ -51,7 +49,7 @@ class SparseIntMatrix:
                                      else "row columns must ascend")
                 if v == 0:
                     raise ValueError("explicit zero entry stored")
-                if not isinstance(v, int):
+                if type(v) is not int:  # bool is an int subclass, and not a matrix entry
                     raise ValueError("entries must be exact integers")
                 prev = c
             canonical.append(row)
@@ -63,7 +61,7 @@ class SparseIntMatrix:
 
     @classmethod
     def from_entries(cls, n_rows: int, n_cols: int, entries: Iterable) -> "SparseIntMatrix":
-        """Build from (row, col, value) triples; duplicates, zero or not, are rejected."""
+        """Build from (row, col, int value) triples; duplicates, zero or not, are rejected."""
         rows: list = [dict() for _ in range(n_rows)]
         seen = set()
         for r, c, v in entries:
@@ -71,6 +69,8 @@ class SparseIntMatrix:
                 raise ValueError(f"entry ({r}, {c}) outside a {n_rows}x{n_cols} matrix")
             if (r, c) in seen:
                 raise ValueError(f"duplicate entry at ({r}, {c})")
+            if type(v) is not int:
+                raise ValueError("entries must be exact integers")
             seen.add((r, c))
             if v:
                 rows[r][c] = v
@@ -148,11 +148,11 @@ def primitive_row(row: Mapping) -> tuple:
     `numerator` and `denominator` (an int's denominator is 1).  Returns
     a sorted tuple of (col, int) pairs.
     """
-    items = sorted([item for item in row.items() if item[1]])
-    if not items:
-        return ()
+    items = sorted(row.items())
     denom = lcm(*[v.denominator for _, v in items])
-    ints = [(c, v.numerator * (denom // v.denominator)) for c, v in items]
+    ints = [(c, v.numerator * (denom // v.denominator)) for c, v in items if v]
+    if not ints:
+        return ()
     content = gcd(*[v for _, v in ints])
     if ints[0][1] < 0:
         content = -content
@@ -233,37 +233,6 @@ def _eliminate_int(rows: dict) -> tuple:
         del rows[pid]
         pivots.append((pid, c, prow))
     return len(pivots), pivots
-
-
-def row_components(matrix: SparseIntMatrix) -> list:
-    """Row indices of `matrix` grouped by connected component.
-
-    Columns are joined when a row holds both (union-find), and each
-    nonempty row belongs to the component of its columns.  No row of
-    one component shares a column with another, so the rank of the
-    matrix is the sum of the ranks of its components' rows.  Empty rows
-    belong to no component; components are ordered by their first row.
-    """
-    parent = list(range(matrix.n_cols))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for row in matrix.rows:
-        if row:
-            root = find(row[0][0])
-            for c, _ in row[1:]:
-                rc = find(c)
-                if rc != root:
-                    parent[rc] = root
-    groups: dict = {}
-    for r, row in enumerate(matrix.rows):
-        if row:
-            groups.setdefault(find(row[0][0]), []).append(r)
-    return list(groups.values())
 
 
 def rank_certified(matrix: SparseIntMatrix) -> int:

@@ -185,6 +185,10 @@ def test_json_rational_coefficients():
     {"k": 3, "dims": [2, 1, 1], "beta": [[1, 1, 1], [1, 1, -1], [1, -1, 1]], "constants": []},
     {"k": 3, "dims": [2, 1, 1], "beta": [[1, 1, 1], [1, 1], [1, 1, 1]], "constants": []},
     {"k": 3, "dims": [2, 1, 1], "constants": []},
+    # a basis element repeated in one value is neither summed nor overwritten
+    {"k": 3, "dims": [3, 2, 2], "beta": [[1, 1, 1]] * 3,
+     "constants": [{"lhs": "X0", "rhs": "X1",
+                    "value": [{"basis": "X2", "coeff": 1}, {"basis": "X2", "coeff": -1}]}]},
 ])
 def test_from_json_rejects_malformed(doc):
     with pytest.raises(AlgebraFormatError):

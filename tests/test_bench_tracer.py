@@ -14,7 +14,7 @@ import colorfil.cohomology
 from colorfil.algebra import build_model
 from colorfil.cohomology import ALL_BLOCKS, assemble_Z2_system
 from colorfil.formulas import METHOD_WEIGHTS
-from colorfil.linalg import rank_certified, row_components
+from colorfil.linalg import rank_certified
 from colorfil.weights import count_weight_dim
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -28,12 +28,12 @@ def test_traced_names_resolve(monkeypatch):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
 
 
-def test_block_dims_ranks_each_component_once(monkeypatch):
+def test_block_dims_ranks_each_block_once(monkeypatch):
     # the tracer times the rank layer through colorfil.cohomology.rank_certified;
-    # block_dims ranks every component of the joint rows through that name,
-    # once, and neither restricts to blocks nor ranks the joint matrix
+    # block_dims ranks the rows of every block through that name, once, and
+    # neither restricts to blocks nor ranks the joint matrix
     alg = build_model(8, 6, 6)
-    joint = assemble_Z2_system(alg).matrix
+    joint = assemble_Z2_system(alg)
     ranks = []
 
     def counting(matrix):
@@ -47,9 +47,11 @@ def test_block_dims_ranks_each_component_once(monkeypatch):
     monkeypatch.setattr(colorfil.cohomology, "_restrict_to_block", forbidden)
     monkeypatch.setattr(colorfil.cohomology, "nullity", forbidden)
     dims = colorfil.cohomology.block_dims(alg)
-    assert len(ranks) == len(row_components(joint))
-    assert sum(ranks) == rank_certified(joint)
-    assert sum(dims.values()) == joint.n_cols - sum(ranks)
+    # every block holds columns and rows at this point
+    assert {joint.col_keys[row[0][0]].block for row in joint.matrix.rows} == set(ALL_BLOCKS)
+    assert len(ranks) == len(ALL_BLOCKS)
+    assert sum(ranks) == rank_certified(joint.matrix)
+    assert sum(dims.values()) == joint.matrix.n_cols - sum(ranks)
 
 
 def test_weight_report_counts_through_the_traced_name(monkeypatch):

@@ -1,5 +1,6 @@
 """Exit-code contract and output formats of the command line."""
 
+import io
 import json
 import os
 import subprocess
@@ -338,6 +339,58 @@ def test_deform_zero_cocycle_roundtrips(capsys, tmp_path, deform_files):
     assert json.loads(out_path.read_text()) == json.loads(alg_path.read_text())
 
 
+def test_deform_out_dash_prints_one_document(capsys, deform_files):
+    # "-" means stdout, as an omitted --out does: one verdict carrying the algebra
+    alg_path, cochain_file = deform_files
+    coc = cochain_file("d.json", [{"block": "D", "i": 1, "j": 2, "s": 1, "coeff": "1"}])
+    argv = ["deform", "--algebra", str(alg_path), "--cocycle", str(coc)]
+    code, out, _ = run_cli(capsys, *argv, "--out", "-")
+    assert code == 0
+    verdict = json.loads(out)
+    assert (verdict["integrable"], verdict["filiform"]) == (True, True)
+    assert {"lhs": "Y1", "rhs": "Y2",
+            "value": [{"basis": "Z1", "coeff": 1}]} in verdict["algebra"]["constants"]
+    assert run_cli(capsys, *argv) == (code, out, "")
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("command", ["verify", "deform"])
+def test_closed_stdout_exits_2_without_traceback(capsys, monkeypatch, tmp_path, deform_files,
+                                                  command):
+    # `colorfil ... | head`: exit 2, as for an unwritable --out, with nothing on
+    # stderr, and stdout pointed at devnull so the flush at exit cannot fail
+    alg_path, cochain_file = deform_files
+    argv = {
+        "verify": ["verify", "--n", "1..2", "--m", "0..1", "--p", "0..1",
+                   "--format", "csv", "--jobs", "1"],
+        "deform": ["deform", "--algebra", str(alg_path),
+                   "--cocycle", str(cochain_file("zero.json", [])), "--out", "-"],
+    }[command]
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = main(argv)
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert (code, capsys.readouterr().err) == (2, "")
+
+
 def test_deform_non_cocycle_exits_3(capsys, tmp_path, deform_files):
     alg_path, cochain_file = deform_files
     coc = cochain_file("bad.json", [{"block": "A", "i": 1, "j": 2, "s": 1, "coeff": "1"}])
@@ -439,7 +492,11 @@ def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):
             ("nontrivial", {**doc, "beta": [[1, 1, 1], [1, 1, -1], [1, -1, 1]]}, beta_message),
             ("nonsquare", {**doc, "beta": [[1, 1, 1], [1, 1], [1, 1, 1]]}, beta_message),
             ("nobeta", {key: v for key, v in doc.items() if key != "beta"},
-             "error: malformed algebra document: 'beta'\n")]:
+             "error: malformed algebra document: 'beta'\n"),
+            ("dupbasis", {**doc, "constants": [
+                {"lhs": "X0", "rhs": "X1",
+                 "value": [{"basis": "X2", "coeff": 1}, {"basis": "X2", "coeff": -1}]}]},
+             "error: duplicate basis element X2 in the value of pair X0,X1\n")]:
         bad_alg = tmp_path / f"bad_{name}.json"
         bad_alg.write_text(json.dumps(bad_doc))
         code, out, err = run_cli(capsys, "deform", "--algebra", str(bad_alg),

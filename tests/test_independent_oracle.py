@@ -19,8 +19,8 @@ bracket can reach and must produce exactly the same system.
 `reference_primitive_row` is the `Fraction` route to the primitive
 row form that `primitive_row` computes on numerators and denominators.
 `reference_block_dims` restricts the joint rows to each block and
-ranks the joint matrix as a whole; `block_dims` ranks each connected
-component once and must give the same dimensions and the same
+ranks the joint matrix as a whole; `block_dims` ranks each block's rows
+once and must give the same dimensions and the same
 `DecompositionMismatch`.
 `reference_is_cocycle` and `reference_validate_jacobi` walk every
 ascending basis triple as well; `is_cocycle` and `validate_jacobi`
@@ -42,8 +42,7 @@ from colorfil.cohomology import (ALL_BLOCKS, CONDITION_BY_SHAPE, BlockKind, Coch
                                  assemble_Z2_system, block_dims, cochain_columns,
                                  cocycle_defect, delta1, is_cocycle)
 from colorfil.deformation import deform
-from colorfil.linalg import (SparseIntMatrix, kernel_basis, primitive_row, rank_certified,
-                             row_components)
+from colorfil.linalg import SparseIntMatrix, kernel_basis, primitive_row, rank_certified
 
 
 def dense_rref(rows, n_cols):
@@ -324,12 +323,26 @@ def dims_or_mismatch(fn, alg, allow_x0_target):
 
 
 def spanning_components(alg):
-    """Components of the joint rows whose columns lie in two blocks or more."""
+    """Blocks of each connected component of the joint rows that spans two or more.
+
+    Columns are joined when a row holds both (union-find), and a row
+    belongs to the component of its columns.
+    """
     joint = assemble_Z2_system(alg)
-    block_of = [key.block for key in joint.col_keys]
-    spans = [{block_of[c] for r in comp for c, _ in joint.matrix.rows[r]}
-             for comp in row_components(joint.matrix)]
-    return [blocks for blocks in spans if len(blocks) > 1]
+    parent = list(range(joint.matrix.n_cols))
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for row in joint.matrix.rows:
+        for c, _ in row[1:]:
+            parent[find(c)] = find(row[0][0])
+    spans: dict = {}
+    for row in joint.matrix.rows:
+        spans.setdefault(find(row[0][0]), set()).update(joint.col_keys[c].block for c, _ in row)
+    return [blocks for blocks in spans.values() if len(blocks) > 1]
 
 
 def test_block_dims_matches_reference_on_acceptance_grid():

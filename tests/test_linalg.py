@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorfil.linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
-                             primitive_row, rank_certified, row_components,
-                             write_matrix_market)
+                             primitive_row, rank_certified, write_matrix_market)
 from test_independent_oracle import dense_kernel, dense_nullity, sparse_matrices, to_dense
 
 
@@ -117,36 +116,10 @@ def test_rank_plus_nullity_is_n_cols():
         assert rank_certified(m) + nullity(m) == m.n_cols
 
 
-def test_row_components_examples():
-    # empty rows belong to no component, and a column no row holds starts none
-    assert row_components(SparseIntMatrix(0, 4)) == []
-    assert row_components(SparseIntMatrix(3, 5, [{}, {}, {}])) == []
-    m = SparseIntMatrix(6, 8, [{0: 1, 3: 2}, {}, {5: 1}, {3: -1, 6: 1}, {7: 4}, {5: 2, 7: 1}])
-    assert row_components(m) == [[0, 3], [2, 4, 5]]
-    # rows 0 and 1 share no column; row 2 joins them
-    chain = SparseIntMatrix(3, 5, [{1: 1, 2: 1}, {3: 1, 4: 1}, {2: 1, 3: -1}])
-    assert row_components(chain) == [[0, 1, 2]]
-
-
-@settings(max_examples=100, deadline=None)
-@given(sparse_matrices())
-def test_row_components_partition_rows_and_rank(matrix):
-    comps = row_components(matrix)
-    assert sorted(r for comp in comps for r in comp) == \
-        [r for r, row in enumerate(matrix.rows) if row]
-    cols = [{c for r in comp for c, _ in matrix.rows[r]} for comp in comps]
-    assert sum(map(len, cols)) == len(set().union(*cols))  # no column is shared
-    ranks = [rank_certified(SparseIntMatrix(len(comp), matrix.n_cols,
-                                            [matrix.rows[r] for r in comp]))
-             for comp in comps]
-    assert sum(ranks) == rank_certified(matrix)
-
-
 def test_wide_matrix_with_one_small_component():
     width = 2_000_000
     rows = [{}, {1_500_000: 2, 1_999_999: -4}, {1_500_000: 1, 1_600_000: 3, 1_999_999: -2}]
     m = SparseIntMatrix(3, width, rows)
-    assert row_components(m) == [[1, 2]]
     assert rank_certified(m) == 2
     assert nullity(m) == width - 2
 
@@ -180,6 +153,10 @@ def test_from_entries_rejects_duplicates():
                     [(0, 0, 5), (0, 0, 0)], [(-1, 0, 5)], [(1, 0, 5)], [(0, 2, 0)]):
         with pytest.raises(ValueError):
             SparseIntMatrix.from_entries(1, 2, entries)
+    # a bool is an int subclass but not an entry, a zero one included
+    for value in (True, False, Fraction(2, 1), 1.0):
+        with pytest.raises(ValueError, match="entries must be exact integers"):
+            SparseIntMatrix.from_entries(1, 2, [(0, 0, value)])
 
 
 def test_constructor_rejects_stored_zero_and_non_int():
@@ -187,6 +164,8 @@ def test_constructor_rejects_stored_zero_and_non_int():
         SparseIntMatrix(1, 2, [{0: 0}])
     with pytest.raises(ValueError):
         SparseIntMatrix(1, 2, [{0: Fraction(1, 2)}])
+    with pytest.raises(ValueError, match="entries must be exact integers"):
+        SparseIntMatrix(1, 2, [{0: True}])
 
 
 def test_constructor_checks_tuple_rows():
@@ -198,6 +177,7 @@ def test_constructor_checks_tuple_rows():
                          (((1, 1), (1, 2)), "duplicate column in row"),
                          (((0, 1), (1, 0)), "explicit zero entry stored"),
                          (((0, Fraction(1, 2)),), "entries must be exact integers"),
+                         (((0, True),), "entries must be exact integers"),
                          (((2, 1), (0, 1)), "row columns must ascend")]:
         with pytest.raises(ValueError, match=message):
             SparseIntMatrix(1, 3, [row])
