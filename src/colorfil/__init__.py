@@ -11,11 +11,11 @@ from .algebra import (BasisElement, ColorLieAlgebra, InvalidParams,
                       JacobiViolation, NilindexReport, NotNilpotent, bracket,
                       build_model, color_nilindex, from_json_dict,
                       is_filiform_module, l0_is_filiform, validate_jacobi)
-from .cohomology import (ALL_BLOCKS, BlockKind, Cochain2, CohomologyReport,
-                         ColumnKey, ConstraintSystem, DecompositionMismatch,
-                         KernelMismatch, assemble_Z2_system, block_dims,
-                         cochain_from_json, cochain_to_json, cocycle_basis_json,
-                         cohomology_report, delta1, delta2, is_cocycle)
+from .cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
+                         ConstraintSystem, DecompositionMismatch, KernelMismatch,
+                         assemble_Z2_system, block_dims, cochain_from_json,
+                         cochain_to_json, cocycle_basis_json, delta1, delta2,
+                         is_cocycle)
 from .deformation import (CharacteristicVectorViolation, DeformedLaw,
                           NotACocycle, NotALieAlgebra, deform, filiform_check,
                           is_integrable)

@@ -335,25 +335,33 @@ def partners_of(pairs) -> dict:
     return partners
 
 
+def reached_triples(values: Mapping, partners: Mapping) -> set:
+    """Ascending triples sorted(a, b, w) that a table of values reaches.
+
+    `values` maps basis pairs (a, b) to sparse vectors (a bracket or a
+    cochain); `partners` is `partners_of` of a second table.  A triple
+    is reached when a component t of values[(a, b)] pairs nonzero with
+    w in the second table and w is neither a nor b.  A term such as
+    [[a, b], w] or psi([a, b], w) is zero at every other triple.
+    """
+    return {tuple(sorted((a, b, w)))
+            for (a, b), vec in values.items() for t in vec
+            for w in partners.get(t, ()) if w != a and w != b}
+
+
 def validate_jacobi(alg: ColorLieAlgebra) -> list:
     """Violations of the Jacobi identity, in ascending basis-triple order.
 
     Skewness is structural (canonical storage), so only the Jacobi
     identity J(x,y,z) = [[x,y],z] - [x,[y,z]] + [y,[x,z]] can fail.  The
     Jacobiator is alternating, so ascending triples suffice.  Each of its
-    three terms is some [[u,v],w], which is nonzero only when a
-    component t of a stored bracket [u,v] brackets nonzero with w.  So
-    only the triples sorted(u, v, w) built that way are evaluated; J is
-    zero at every other triple, and the list is the one a walk over all
+    three terms is some [[u,v],w], so only the triples the bracket
+    reaches against itself (`reached_triples`) are evaluated; J is zero
+    at every other triple, and the list is the one a walk over all
     C(dim, 3) triples would give.
     """
-    constants = list(alg.nonzero_constants())
-    partners = partners_of((a, b) for a, b, _ in constants)
-    triples: set = set()
-    for u, v, vec in constants:
-        for t in vec:
-            triples.update(tuple(sorted((u, v, w)))
-                           for w in partners.get(t, ()) if w != u and w != v)
+    constants = {(a, b): vec for a, b, vec in alg.nonzero_constants()}
+    triples = reached_triples(constants, partners_of(constants))
     violations = []
     for a, b, c in sorted(triples):
         res = alg.bracket(alg.bracket_basis(a, b), {c: 1})
@@ -386,7 +394,7 @@ def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
             return dims
         brackets = (alg.bracket({a: 1}, v) for a in l0 for v in current)
         images = [primitive_row(w) for w in brackets if w]
-        rank, pivots = _eliminate_int({i: dict(row) for i, row in enumerate(images)})
+        rank, pivots = _eliminate_int(images)
         if rank == dims[-1]:
             raise NotNilpotent(
                 f"descending sequence of degree-{g} component stabilizes at dimension {rank}")
@@ -421,7 +429,7 @@ def is_filiform_module(alg: ColorLieAlgebra, g: int) -> bool:
         dims = _descending_dims(alg, g)
     except NotNilpotent:
         return False
-    return dims == list(range(d, -1, -1)) or (d == 0 and dims == [0])
+    return dims == list(range(d, -1, -1))
 
 
 def l0_is_filiform(alg: ColorLieAlgebra) -> bool:
@@ -432,10 +440,10 @@ def l0_is_filiform(alg: ColorLieAlgebra) -> bool:
     component is accepted as trivially filiform.
     """
     d0 = alg.dims[0]
+    if d0 <= 1:
+        return True
     try:
         dims = _descending_dims(alg, 0)
     except NotNilpotent:
         return False
-    if d0 <= 1:
-        return dims[-1] == 0
     return dims == [d0] + list(range(d0 - 2, -1, -1))

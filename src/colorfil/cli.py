@@ -116,13 +116,14 @@ def _write_json(doc, stream) -> None:
 
 
 def cmd_dims(args) -> int:
-    if args.allow_x0_target and (set(args.method) & {METHOD_CLOSED, METHOD_WEIGHTS}):
+    methods = list(dict.fromkeys(METHOD_ALIASES[m] for m in args.method or ["closed"]))
+    if args.allow_x0_target and (set(methods) & {METHOD_CLOSED, METHOD_WEIGHTS}):
         print("error: --allow-x0-target applies to --method brute only; the closed "
               "forms and the weight oracle count the space with X0 excluded",
               file=sys.stderr)
         return USAGE_ERROR
     try:
-        for method in args.method:
+        for method in methods:
             report = compute_report(args.n, args.m, args.p, method,
                                     allow_x0_target=args.allow_x0_target)
             print(json.dumps(report.to_json_dict()))
@@ -159,7 +160,7 @@ def run_verify(points, methods, jobs: int = 1):
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = dict(pool.map(_grid_point, tasks, chunksize=4))
-        except (OSError, PermissionError):  # no subprocess support: run serial
+        except OSError:  # no subprocess support: run serial
             results = dict(map(_grid_point, tasks))
     else:
         results = dict(map(_grid_point, tasks))
@@ -369,10 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "method", "skip") is None:
-        args.method = ["closed"]
-    if getattr(args, "method", None):
-        args.method = list(dict.fromkeys(METHOD_ALIASES[m] for m in args.method))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

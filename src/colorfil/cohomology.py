@@ -57,7 +57,7 @@ from enum import Enum
 from itertools import combinations, groupby, product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .algebra import ColorLieAlgebra, Vector, partners_of
+from .algebra import ColorLieAlgebra, Vector, partners_of, reached_triples
 from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
                      primitive_row, rank_certified)
 from .scalars import Coeff, add_into, as_coeff, as_int, coeff_to_string
@@ -196,11 +196,11 @@ class Cochain2:
         return glob(g1, i), glob(g2, j), glob(block.target_degree, s), sign
 
     def add(self, block: BlockKind, i: int, j: int, s: int, coeff) -> None:
-        """Accumulate a coefficient onto the canonical basis map."""
+        """Accumulate a coefficient onto the canonical basis map, located even for 0."""
         coeff = as_coeff(coeff)
+        a, b, t, sign = self._locate(block, i, j, s)
         if coeff == 0:
             return
-        a, b, t, sign = self._locate(block, i, j, s)
         slot = self._data.setdefault((a, b), {})
         add_into(slot, t, sign * coeff)
         if not slot:
@@ -542,29 +542,18 @@ def cocycle_defect(alg: ColorLieAlgebra, psi: Cochain2):
     """The first ascending basis triple where d2 psi is nonzero, with that value.
 
     Returns None for a cocycle.  A term [x, psi(y, z)] of the six-term
-    identity needs (y, z) to be a pair psi stores and x to bracket
-    nonzero with a target of psi(y, z); a term psi([x, y], z) needs a
-    component t of a stored bracket [x, y] with (t, z) a pair psi
-    stores.  Only the triples sorted(x, y, z) built by these two rules
-    are evaluated, in ascending order: d2 psi is zero at every other
-    triple, so the answer is the one a walk over all C(dim, 3) triples
-    would give.  The rules read psi's values and the stored brackets
-    only, not the matrix assembly, so this re-verifies kernel vectors by
-    a separate route.
+    identity is reached by psi's values against the bracket, and a term
+    psi([x, y], z) by the bracket against psi's values
+    (`reached_triples`).  Only those triples are evaluated, in ascending
+    order: d2 psi is zero at every other triple, so the answer is the
+    one a walk over all C(dim, 3) triples would give.  The rule reads
+    psi's values and the stored brackets only, not the matrix assembly,
+    so this re-verifies kernel vectors by a separate route.
     """
     values = psi.as_constant_additions()
-    constants = list(alg.nonzero_constants())
-    bracket_partners = partners_of((a, b) for a, b, _ in constants)
-    psi_partners = partners_of(values)
-    triples: set = set()
-    for (y, z), vec in values.items():
-        for t in vec:
-            triples.update(tuple(sorted((x, y, z)))
-                           for x in bracket_partners.get(t, ()) if x != y and x != z)
-    for x, y, vec in constants:
-        for t in vec:
-            triples.update(tuple(sorted((x, y, z)))
-                           for z in psi_partners.get(t, ()) if z != x and z != y)
+    constants = {(a, b): vec for a, b, vec in alg.nonzero_constants()}
+    triples = (reached_triples(values, partners_of(constants))
+               | reached_triples(constants, partners_of(values)))
     for triple in sorted(triples):
         value = delta2(alg, psi, triple)
         if value:
@@ -615,53 +604,6 @@ def delta1(alg: ColorLieAlgebra, g_map: Mapping) -> Cochain2:
     return result
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
-    dim_Z2: int
-    dim_B2: int
-    dim_H2: int
-    per_block: dict
-
-
-def cohomology_report(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> CohomologyReport:
-    """Dimensions of the constrained cocycle, coboundary and quotient spaces.
-
-    Z2 is the kernel of the constraint system (vanishing on X_0, target
-    exclusions).  B2 is the part of the image of d1 that happens to lie
-    inside the constrained space, computed exactly as
-    rank(d1) - rank(d1 projected to the forbidden coordinates); this is
-    the only coboundary space contained in Z2, so H2 = Z2/B2 is
-    well-formed.
-    """
-    per_block = block_dims(alg, allow_x0_target=allow_x0_target)
-    dim_z2 = sum(per_block.values())
-
-    full_cols = cochain_columns(alg, ALL_BLOCKS, vanish_on_x0=False, allow_x0_target=True)
-    col_id = {key: idx for idx, key in enumerate(full_cols)}
-    allowed = set(cochain_columns(alg, ALL_BLOCKS, allow_x0_target=allow_x0_target))
-    forbidden = [idx for idx, key in enumerate(full_cols) if key not in allowed]
-
-    image_rows = []
-    forbidden_rows = []
-    forb_renum = {c: i for i, c in enumerate(forbidden)}
-    for g in range(3):
-        comp = list(alg.component_indices(g))
-        for u in comp:
-            for t in comp:
-                db = delta1(alg, {u: {t: 1}})
-                row = {col_id[key]: v for key, v in db.items()}
-                if row:
-                    image_rows.append(primitive_row(row))
-                    frow = {forb_renum[c]: v for c, v in row.items() if c in forb_renum}
-                    if frow:
-                        forbidden_rows.append(primitive_row(frow))
-    full = SparseIntMatrix(len(image_rows), len(full_cols), image_rows)
-    proj = SparseIntMatrix(len(forbidden_rows), len(forbidden), forbidden_rows)
-    dim_b2 = rank_certified(full) - rank_certified(proj)
-    return CohomologyReport(dim_Z2=dim_z2, dim_B2=dim_b2,
-                            dim_H2=dim_z2 - dim_b2, per_block=per_block)
-
-
 # -- serialization ------------------------------------------------------
 
 
@@ -698,7 +640,11 @@ def cochain_to_json(psi: Cochain2) -> dict:
 
 def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
                       allow_x0_target: bool = False) -> Cochain2:
-    """Parse a single-cochain document ({"terms": [...]}) onto an algebra."""
+    """Parse a single-cochain document ({"terms": [...]}) onto an algebra.
+
+    Each basis map may be named once: a repeated term, or the swapped
+    pair of an alternating block, raises ValueError instead of summing.
+    """
     n, m, p = model_shape(alg)
     if not isinstance(data, Mapping) or "terms" not in data:
         raise ValueError("cochain document must be an object with a 'terms' list")
@@ -707,6 +653,7 @@ def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
     if not isinstance(data["terms"], list):
         raise ValueError("cochain 'terms' must be a list")
     psi = Cochain2(alg, vanish_on_x0=True, allow_x0_target=allow_x0_target)
+    named: set = set()
     try:
         for term in data["terms"]:
             if not isinstance(term, Mapping):
@@ -715,8 +662,14 @@ def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
                 if field not in term:
                     raise ValueError(f"cochain term missing field {field!r}")
             block = block_named(term["block"])
-            psi.add(block, as_int(term["i"], "i"), as_int(term["j"], "j"),
-                    as_int(term["s"], "s"), as_coeff(term["coeff"]))
+            i, j, s = (as_int(term[k], k) for k in "ijs")
+            coeff = as_coeff(term["coeff"])
+            a, b, t, _ = psi._locate(block, i, j, s)
+            if (a, b, t) in named:
+                raise ValueError(f"cochain names the basis map of block {block.name} "
+                                 f"at i={i}, j={j}, s={s} twice")
+            named.add((a, b, t))
+            psi.add(block, i, j, s, coeff)
     except TypeError as exc:
         raise ValueError(f"malformed cochain term: {exc}") from exc
     return psi

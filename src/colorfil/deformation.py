@@ -9,12 +9,8 @@ on the deformed algebra directly; this sidesteps any sign convention
 for the composition.  Both facts assume a Lie base, so the base law is
 validated first.  First order only: no higher deformation terms.
 
-The three checks evaluate only the basis triples where their identity
-can be nonzero: for Jacobi, a component of a stored bracket [u, v] that
-brackets nonzero with the third element; for d2 phi, a value of phi
-that brackets nonzero with the third element, or a component of a
-stored bracket at which phi has a value with the third element.  Their
-results are those of a walk over all C(dim, 3) triples.
+The Jacobi and cocycle checks evaluate only the basis triples
+`algebra.reached_triples` names.
 """
 
 from __future__ import annotations

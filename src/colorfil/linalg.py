@@ -85,10 +85,6 @@ class SparseIntMatrix:
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows)
 
-    def row_dicts(self) -> dict:
-        """Fresh mutable {row_id: {col: value}} copy for elimination."""
-        return {i: dict(row) for i, row in enumerate(self.rows) if row}
-
     def multiply_vector(self, v: Mapping) -> dict:
         """M @ v for a sparse column vector; returns sparse result."""
         out = {}
@@ -164,11 +160,13 @@ def primitive_row(row: Mapping) -> tuple:
 # -- elimination engine -------------------------------------------------
 
 
-def _eliminate_int(rows: dict) -> tuple:
-    """In-place fraction-free elimination over Z; returns (rank, pivots).
+def _eliminate_int(rows: Iterable) -> tuple:
+    """Fraction-free elimination over Z; returns (rank, pivots).
 
+    `rows` is a sequence of sparse integer rows ({col: value} dicts or
+    tuples of (col, value) pairs); the elimination works on its own copies.
     pivots lists (row_id, col, row) in elimination order, with row ids
-    referring to the input, so the input rows named there form a basis
+    the positions in the input, so the input rows named there form a basis
     of the row space.  Columns are visited in ascending order, so the pivot
     columns are the leftmost-pivot set, and each row is the integer
     echelon row as it stood when it became the pivot: its lowest column
@@ -178,8 +176,7 @@ def _eliminate_int(rows: dict) -> tuple:
     removal of the integer content, so every intermediate entry is an
     exact integer and growth stays modest.
     """
-    for i in [i for i, row in rows.items() if not row]:
-        del rows[i]
+    rows = {i: dict(row) for i, row in enumerate(rows) if row}
     col_rows: dict = {}
     for i, row in rows.items():
         for c in row:
@@ -241,7 +238,7 @@ def rank_certified(matrix: SparseIntMatrix) -> int:
     Every intermediate value is an exact integer, so the elimination is
     its own certificate.
     """
-    rank, _ = _eliminate_int(matrix.row_dicts())
+    rank, _ = _eliminate_int(matrix.rows)
     return rank
 
 
@@ -262,7 +259,7 @@ def kernel_basis(matrix: SparseIntMatrix) -> KernelBasis:
     when the row is solved.  The solution is kept as integers over one
     common denominator and becomes `Fraction` entries only at output.
     """
-    _, pivots = _eliminate_int(matrix.row_dicts())
+    _, pivots = _eliminate_int(matrix.rows)
     echelon = {c: row for _, c, row in pivots}
     users: dict = {}  # col k -> pivot cols whose echelon row holds k
     for c, row in echelon.items():

@@ -8,7 +8,7 @@ from colorfil.algebra import (AlgebraFormatError, ColorLieAlgebra,
                               InvalidParams, NotNilpotent, bracket,
                               build_model, color_nilindex, from_json_dict,
                               is_filiform_module, l0_is_filiform,
-                              validate_jacobi)
+                              partners_of, reached_triples, validate_jacobi)
 
 
 def constants_by_label(alg):
@@ -107,6 +107,18 @@ def test_model_properties_sweep(n, m, p):
             assert is_filiform_module(alg, g)
 
 
+def test_reached_triples():
+    alg = build_model(3, 2, 1)  # [X0, X1] = X2, [X0, X2] = X3, [X0, Y1] = Y2
+    constants = {(a, b): vec for a, b, vec in alg.nonzero_constants()}
+    partners = partners_of(constants)
+    assert partners == {0: {1, 2, 4}, 1: {0}, 2: {0}, 4: {0}}
+    # [[X0, X1], w] needs w = X0 again: the model's brackets reach no triple
+    assert reached_triples(constants, partners) == set()
+    # a value on (X2, Y2) reaches each partner of each of its components,
+    # except X2 and Y2 themselves, as ascending triples
+    assert reached_triples({(2, 5): {0: 1, 1: 1}}, partners) == {(1, 2, 5), (2, 4, 5), (0, 2, 5)}
+
+
 def test_not_nilpotent_detected():
     broken = build_model(2, 1, 1).with_added_constants({(1, 2): {1: 1}})
     with pytest.raises(NotNilpotent):
@@ -139,6 +151,7 @@ def test_filiform_module_rejects_degree_zero():
 def test_l0_filiform():
     assert l0_is_filiform(build_model(4, 1, 1))
     assert l0_is_filiform(build_model(1, 1, 1))  # 2-dim abelian: trivially filiform
+    assert l0_is_filiform(ColorLieAlgebra((1, 0, 0)))  # X0 alone: the d0 <= 1 branch
     fat_abelian = ColorLieAlgebra((3, 0, 0))
     assert not l0_is_filiform(fat_abelian)
 

@@ -450,6 +450,20 @@ def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):
         code, out, err = run_cli(capsys, "deform", "--algebra", str(alg_path),
                                  "--cocycle", str(cochain_file(name, terms)))
         assert (code, out, err) == (2, "", f"error: {message}\n"), name
+    # a basis map named twice (also as the swapped pair of the alternating
+    # block D) is refused, not summed; an index outside the block is
+    # refused whatever the coefficient
+    one = {**term, "coeff": "1"}
+    for name, terms, message in [
+            ("twice.json", [one, one],
+             "cochain names the basis map of block D at i=1, j=2, s=1 twice"),
+            ("swapped.json", [one, {**one, "i": 2, "j": 1}],
+             "cochain names the basis map of block D at i=2, j=1, s=1 twice"),
+            ("outside0.json", [{"block": "D", "i": 99, "j": 100, "s": 7, "coeff": "0"}],
+             "source index i=99 out of range for block D")]:
+        code, out, err = run_cli(capsys, "deform", "--algebra", str(alg_path),
+                                 "--cocycle", str(cochain_file(name, terms)))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), name
     export = {"block": "D", "n": 3, "m": 2, "p": 1, "dim": 1}
     for k, basis in enumerate([5, [5], [[5]], [[{**term, "coeff": 1.5}]]]):
         path = tmp_path / f"export{k}.json"

@@ -13,8 +13,7 @@ from colorfil.algebra import build_model, validate_jacobi
 from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2,
                                  assemble_Z2_system, block_dims, cochain_columns,
                                  cochain_from_json, cochain_to_json,
-                                 cocycle_basis_json, cohomology_report,
-                                 delta1, delta2, is_cocycle)
+                                 cocycle_basis_json, delta1, delta2, is_cocycle)
 from colorfil.deformation import deform
 from colorfil.formulas import main_theorem_total
 
@@ -290,24 +289,6 @@ def test_cochain_addition_linearity():
     assert combined.value_on_pair(y1, y2) == expected
 
 
-# -- cohomology report ----------------------------------------------------
-
-
-def test_cohomology_report_1_1_1():
-    report = cohomology_report(build_model(1, 1, 1))
-    assert report.dim_Z2 == 3
-    assert report.dim_B2 == 0  # abelian model: d1 vanishes identically
-    assert report.dim_H2 == 3
-
-
-def test_cohomology_report_invariants():
-    for nmp in [(2, 1, 1), (3, 2, 2), (2, 2, 2)]:
-        report = cohomology_report(build_model(*nmp))
-        assert report.dim_H2 == report.dim_Z2 - report.dim_B2
-        assert report.dim_H2 >= 0
-        assert report.dim_Z2 == sum(report.per_block.values())
-
-
 # -- serialization --------------------------------------------------------
 
 
@@ -353,6 +334,27 @@ def test_cochain_json_roundtrip():
                           "cochain term missing field 'block'")]:
         with pytest.raises(ValueError, match=re.escape(message)):
             cochain_from_json(alg, bad)
+
+
+def test_cochain_from_json_refuses_repeated_and_outside_terms():
+    alg = build_model(3, 2, 1)
+    term = {"block": "D", "i": 1, "j": 2, "s": 1, "coeff": "1"}
+    # each basis map is named once: a repeat would sum, a swapped pair cancel
+    for terms, message in [([term, term], "at i=1, j=2, s=1 twice"),
+                           ([term, {**term, "i": 2, "j": 1}], "at i=2, j=1, s=1 twice"),
+                           ([{**term, "coeff": "0"}, term], "at i=1, j=2, s=1 twice")]:
+        with pytest.raises(ValueError, match=re.escape(f"basis map of block D {message}")):
+            cochain_from_json(alg, {"terms": terms})
+    # an index outside the block is refused whatever the coefficient
+    outside = {"block": "D", "i": 99, "j": 100, "s": 7}
+    for coeff in ("0", "1"):
+        with pytest.raises(ValueError, match="source index i=99 out of range for block D"):
+            cochain_from_json(alg, {"terms": [{**outside, "coeff": coeff}]})
+    with pytest.raises(ValueError, match="source index i=99 out of range"):
+        Cochain2(alg).add(BlockKind.D, 99, 100, 7, 0)
+    # distinct basis maps still load as written
+    b_term = {"block": "B", "i": 2, "j": 1, "s": 1, "coeff": "1"}
+    assert len(list(cochain_from_json(alg, {"terms": [term, b_term]}).items())) == 2
 
 
 def test_assembly_is_a_generic_validator():
