@@ -4,9 +4,9 @@ The central object is :class:`ColorLieAlgebra`: a finite-dimensional
 Z_3-graded vector space with a bracket given by sparse structure
 constants.  Over the rationals the only commutation factor on Z_3 is
 the trivial one, so a Z_3 colour Lie algebra is an ordinary graded Lie
-algebra.  Brackets are stored only for canonically ordered basis pairs;
-the mirror image is synthesized through [x, y] = -[y, x], so skewness
-is structural rather than checked.
+algebra.  Brackets are stored for canonically ordered basis pairs and
+indexed once both ways round, [y, x] = -[x, y] (`both_ways`), so
+skewness is structural rather than checked.
 
 The model algebra built by :func:`build_model` has basis
 X_0..X_n (degree 0), Y_1..Y_m (degree 1), Z_1..Z_p (degree 2) and the
@@ -115,6 +115,7 @@ class ColorLieAlgebra:
         self._constants: dict = {}
         for (a, b), vec in (constants or {}).items():
             self._add_constant(int(a), int(b), vec)
+        self._brackets = both_ways(self._constants)
 
     def _add_constant(self, a: int, b: int, vec) -> None:
         n = self.dim
@@ -194,23 +195,31 @@ class ColorLieAlgebra:
 
     # -- the bracket --------------------------------------------------
 
+    @property
+    def bracket_index(self) -> Mapping:
+        """{x: {y: [e_x, e_y]}} over the nonzero brackets, both orientations.
+
+        `bracket_index[x]` lists the partners of x.  Shared, not copied:
+        callers must not mutate it.
+        """
+        return self._brackets
+
     def bracket_basis(self, a: int, b: int) -> Vector:
         """[e_a, e_b] as a fresh sparse vector."""
-        if a <= b:
-            return dict(self._constants.get((a, b), ()))
-        return {t: -c for t, c in self._constants.get((b, a), {}).items()}
+        return dict(self._brackets.get(a, {}).get(b, ()))
 
     def bracket(self, x: Mapping, y: Mapping) -> Vector:
         """Bilinear extension of the bracket to sparse vectors."""
         out: Vector = {}
         for a, ca in x.items():
+            partners = self._brackets.get(a)
+            if not partners:
+                continue
             for b, cb in y.items():
-                vec = self._constants.get((a, b) if a <= b else (b, a))
-                if not vec:
-                    continue
-                scale = ca * cb if a <= b else -ca * cb
-                for t, c in vec.items():
-                    add_into(out, t, scale * c)
+                vec = partners.get(b)
+                if vec:
+                    for t, c in vec.items():
+                        add_into(out, t, ca * cb * c)
         return out
 
     def nonzero_constants(self) -> Iterator:
@@ -321,25 +330,25 @@ def bracket(alg: ColorLieAlgebra, x, y) -> Vector:
     return alg.bracket(alg.vector(x), alg.vector(y))
 
 
-def partners_of(pairs) -> dict:
-    """{i: set of j} over the given basis pairs, both ways round.
+def both_ways(table: Mapping) -> dict:
+    """{x: {y: value of (x, y)}} from a skew table {(a, b): vector}, a < b.
 
-    For the stored pairs of a bracket (or of a cochain) this maps each
-    basis element to the elements it brackets nonzero with (or shares a
-    nonzero value with).
+    The mirrored entry (b, a) holds the negated vector.  For a bracket
+    (or a cochain) this maps each basis element to the elements it
+    brackets nonzero with (or shares a nonzero value with).
     """
-    partners: dict = {}
-    for a, b in pairs:
-        partners.setdefault(a, set()).add(b)
-        partners.setdefault(b, set()).add(a)
-    return partners
+    index: dict = {}
+    for (a, b), vec in table.items():
+        index.setdefault(a, {})[b] = vec
+        index.setdefault(b, {})[a] = {t: -c for t, c in vec.items()}
+    return index
 
 
 def reached_triples(values: Mapping, partners: Mapping) -> set:
     """Ascending triples sorted(a, b, w) that a table of values reaches.
 
     `values` maps basis pairs (a, b) to sparse vectors (a bracket or a
-    cochain); `partners` is `partners_of` of a second table.  A triple
+    cochain); `partners` is `both_ways` of a second table.  A triple
     is reached when a component t of values[(a, b)] pairs nonzero with
     w in the second table and w is neither a nor b.  A term such as
     [[a, b], w] or psi([a, b], w) is zero at every other triple.
@@ -361,7 +370,7 @@ def validate_jacobi(alg: ColorLieAlgebra) -> list:
     C(dim, 3) triples would give.
     """
     constants = {(a, b): vec for a, b, vec in alg.nonzero_constants()}
-    triples = reached_triples(constants, partners_of(constants))
+    triples = reached_triples(constants, alg.bracket_index)
     violations = []
     for a, b, c in sorted(triples):
         res = alg.bracket(alg.bracket_basis(a, b), {c: 1})

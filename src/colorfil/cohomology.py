@@ -33,12 +33,13 @@ target component) instance, one column per basis cochain.  The ten
 classical condition families correspond to the ten degree shapes of the
 triple; the enumeration is generic, so the same assembler validates
 cocycles on any Z_3-graded Lie algebra, not just the model.  Every term
-of the identity holds a bracket, so only triples a nonzero bracket
-reaches are visited: two of the three elements bracket nonzero, or one
-brackets nonzero with a target of a block whose source pairs include
-the other two.  Any other triple gives an all-zero row,
-so skipping it changes nothing; in the model, where only X_0 acts, the
-visited triples are O(dim^2) of the C(dim, 3).
+of the identity holds a nonzero bracket, so the assembler generates
+each term from the bracket it holds (the algebra's `bracket_index`) and
+adds it to its triple: [x, psi(a, b)] where x brackets nonzero with a
+target of the block of (a, b), psi([x, y], z) where a component of a
+stored bracket [x, y] forms a source pair with z.  No term reaches any
+other triple, whose rows are all zero; in the model, where only X_0
+acts, the reached triples are O(dim^2) of the C(dim, 3).
 
 `block_dims` assembles the joint system once and groups its rows by
 block: the columns come grouped by block, so a row whose first and last
@@ -57,7 +58,7 @@ from enum import Enum
 from itertools import combinations, groupby, product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .algebra import ColorLieAlgebra, Vector, partners_of, reached_triples
+from .algebra import ColorLieAlgebra, Vector, both_ways, reached_triples
 from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
                      primitive_row, rank_certified)
 from .scalars import Coeff, add_into, as_coeff, as_int, coeff_to_string
@@ -159,9 +160,13 @@ class Cochain2:
     source pairs with i < j, mixed pairs with the lower-degree family
     first.  `vanish_on_x0` forbids X_0 as a source argument;
     `allow_x0_target` re-admits X_0 as a target of the A and E blocks.
+
+    `coeffs` (a mapping, or an iterable of (ColumnKey, coeff) pairs) may
+    name each basis map once: a repeat, or the swapped pair of an
+    alternating block, raises ValueError instead of summing.
     """
 
-    def __init__(self, alg: ColorLieAlgebra, coeffs: Mapping | None = None,
+    def __init__(self, alg: ColorLieAlgebra, coeffs: Mapping | Iterable | None = None,
                  vanish_on_x0: bool = True, allow_x0_target: bool = False):
         self.alg = alg
         self.nmp = model_shape(alg)
@@ -169,9 +174,18 @@ class Cochain2:
         self.allow_x0_target = allow_x0_target
         self._sources, self._targets = _index_ranges(self.nmp, vanish_on_x0, allow_x0_target)
         self._data: dict = {}  # (a, b), a < b -> {t: coeff}
-        if coeffs:
-            for (block, i, j, s), c in coeffs.items():
-                self.add(block, i, j, s, c)
+        if isinstance(coeffs, Mapping):
+            coeffs = coeffs.items()
+        named: set = set()  # named once, so each value is set, not summed
+        for (block, i, j, s), c in coeffs or ():
+            c = as_coeff(c)
+            a, b, t, sign = self._locate(block, i, j, s)
+            if (a, b, t) in named:
+                raise ValueError(f"cochain names the basis map of block {block.name} "
+                                 f"at i={i}, j={j}, s={s} twice")
+            named.add((a, b, t))
+            if c:
+                self._data.setdefault((a, b), {})[t] = sign * c
 
     def _locate(self, block: BlockKind, i: int, j: int, s: int) -> tuple:
         """Global (a, b, t) of phi^s_{i,j} with a < b, and the swap sign.
@@ -334,48 +348,6 @@ class ConstraintSystem:
         return out
 
 
-def _bracket_table(alg: ColorLieAlgebra) -> dict:
-    """All ordered basis pairs with nonzero bracket, as tuples of items."""
-    table: dict = {}
-    for a, b, vec in alg.nonzero_constants():
-        items = tuple(vec.items())
-        table[(a, b)] = items
-        if a != b:
-            table[(b, a)] = tuple((t, -c) for t, c in items)
-    return table
-
-
-def _candidate_triples(alg: ColorLieAlgebra, brackets: dict, block_pairs: list) -> list:
-    """Ascending basis triples at which a cocycle condition can be nonzero.
-
-    Each of the six terms of d2 psi at {x, y, z} needs a nonzero bracket
-    inside it: psi([x, y], z) one between two elements of the triple, and
-    [x, psi(y, z)] one between x and a target t of a block whose source
-    pairs include (y, z).  So a triple is a candidate when (i) two of
-    its elements bracket nonzero, or (ii) it is a source pair of a block
-    together with an element x that brackets nonzero with a target of
-    that block.  Every target of a block shares the block's source
-    pairs, so rule (ii) is applied once per (x, block), not per target.
-    `block_pairs` lists (target indices, canonical source pairs) per block.
-    """
-    dim = alg.dim
-    triples: set = set()
-    for x, y, _ in alg.nonzero_constants():  # x < y: the trivial factor kills [e, e]
-        triples.update((z, x, y) for z in range(x))
-        triples.update((x, z, y) for z in range(x + 1, y))
-        triples.update((x, y, z) for z in range(y + 1, dim))
-    for targets, pairs in block_pairs:
-        for x in {x for x, t in brackets if t in targets}:
-            for a, b in pairs:
-                if x < a:
-                    triples.add((x, a, b))
-                elif a < x < b:
-                    triples.add((a, x, b))
-                elif b < x:
-                    triples.add((a, b, x))
-    return sorted(triples)
-
-
 def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
                        allow_x0_target: bool = False) -> ConstraintSystem:
     """Constraint matrix whose kernel is the cocycle space of the blocks.
@@ -383,70 +355,71 @@ def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
     Rows are instances of the cocycle identity over canonical basis
     triples (ascending global order; the ten degree shapes reproduce the
     ten classical condition families), projected onto target basis
-    elements.  Only the triples `_candidate_triples` names are visited:
-    at any other triple every term of the identity holds a zero bracket,
-    so the rows, their order and their labels are those of a walk over
-    all C(dim, 3) triples, at a cost that follows the bracket's nonzeros
-    instead of dim^3.  Identical rows are merged; rows are reduced to
-    primitive integer form, which leaves the kernel untouched.
+    elements.  Each term of the identity is generated from the nonzero
+    bracket it holds (see the module docstring) and summed into its
+    triple.  A triple no term reaches has all-zero rows, so the rows,
+    their order and their labels are those of a walk over all C(dim, 3)
+    triples.  Identical rows are merged; rows are reduced to primitive
+    integer form, which leaves the kernel untouched.
     """
     cols: list = []
-    # psi lookup: ordered global pair -> (first column, lowest target,
+    # psi lookup: element -> partner -> (first column, lowest target,
     # target count, sign).  A block's targets are consecutive global
     # indices, so target t of the pair sits in column first + t - lowest.
     pair_map: dict = {}
-    # per block: (target indices, canonical source pairs), for the candidates
-    block_pairs: list = []
+    index = alg.bracket_index
+    sums: dict = {}  # ascending triple -> target -> {col: coeff}
     glob = alg.global_index
     for block, pairs, targets in _block_bases(alg, blocks, allow_x0_target=allow_x0_target):
         (g1, g2), gt = block.source_degrees, block.target_degree
         lowest, count = glob(gt, targets.start), len(targets)
-        gpairs = [(glob(g1, i), glob(g2, j)) for i, j in pairs]
-        for (i, j), (a, b) in zip(pairs, gpairs):
-            pair_map[(a, b)] = (len(cols), lowest, count, 1)
-            pair_map[(b, a)] = (len(cols), lowest, count, -1)
+        span = range(lowest, lowest + count)
+        # the actors: each x with [x, t] != 0 for a target t, and those t
+        actors = {x: [(t - lowest, vec.items()) for t, vec in index[x].items() if t in span]
+                  for x in {x for t in span for x in index.get(t, ())}}
+        for i, j in pairs:
+            a, b, first = glob(g1, i), glob(g2, j), len(cols)
+            pair_map.setdefault(a, {})[b] = (first, lowest, count, 1)
+            pair_map.setdefault(b, {})[a] = (first, lowest, count, -1)
             cols.extend(ColumnKey(block, i, j, s) for s in targets)
-        block_pairs.append((range(lowest, lowest + count), gpairs))
-
-    brackets = _bracket_table(alg)
-    partners: dict = {}  # x -> [(t, items of [x, t])] over the nonzero brackets
-    for (x, t), items in brackets.items():
-        partners.setdefault(x, []).append((t, items))
-    empty: tuple = ()
-
-    rows: list = []
-    origins: list = []
-    seen: set = set()
-
-    for triple in _candidate_triples(alg, brackets, block_pairs):
-        a, b, c = triple
-        acc: dict = {}  # target_global -> {col: coeff}
-        # sign * [x, psi(first, second)]: the partners t of x inside the
-        # pair's target range
-        for sign, x, pair in ((1, a, (b, c)), (-1, b, (a, c)), (1, c, (a, b))):
-            entry = pair_map.get(pair)
-            if entry is None:
-                continue
-            first, lowest, count, s = entry
-            for t, items in partners.get(x, empty):
-                k = t - lowest
-                if 0 <= k < count:
+            # [x, psi(a, b)] with sign -1 exactly when a < x < b
+            for x, reach in actors.items():
+                if x == a or x == b:
+                    continue
+                if x < a:
+                    acc, sign = sums.setdefault((x, a, b), {}), 1
+                elif x < b:
+                    acc, sign = sums.setdefault((a, x, b), {}), -1
+                else:
+                    acc, sign = sums.setdefault((a, b, x), {}), 1
+                for k, items in reach:
                     col = first + k
                     for u, cb in items:
                         row = acc.setdefault(u, {})
-                        row[col] = row.get(col, 0) + sign * s * cb
-        # sign * psi([x, y], other); psi(a, [b, c]) enters as -psi([b, c], a)
-        for sign, bracket_pair, other in ((-1, (a, b), c), (1, (a, c), b), (-1, (b, c), a)):
-            for t, cb in brackets.get(bracket_pair, empty):
-                entry = pair_map.get((t, other))
-                if entry is None:
+                        row[col] = row.get(col, 0) + sign * cb
+    # psi([x, y], z) with sign +1 exactly when x < z < y; psi(z, t)
+    # enters through the pair orientation s
+    for x, y, vec in alg.nonzero_constants():
+        for t, cb in vec.items():
+            for z, (col, lowest, count, s) in pair_map.get(t, {}).items():
+                if z == x or z == y:
                     continue
-                col, lowest, count, s = entry
-                value = sign * cb * s
+                if z < x:
+                    acc, value = sums.setdefault((z, x, y), {}), -cb * s
+                elif z < y:
+                    acc, value = sums.setdefault((x, z, y), {}), cb * s
+                else:
+                    acc, value = sums.setdefault((x, y, z), {}), -cb * s
                 for u in range(lowest, lowest + count):
                     row = acc.setdefault(u, {})
                     row[col] = row.get(col, 0) + value
                     col += 1
+
+    rows: list = []
+    origins: list = []
+    seen: set = set()
+    for triple in sorted(sums):
+        acc = sums.pop(triple)
         for u in sorted(acc):
             row = primitive_row(acc[u])
             if not row or row in seen:
@@ -552,8 +525,8 @@ def cocycle_defect(alg: ColorLieAlgebra, psi: Cochain2):
     """
     values = psi.as_constant_additions()
     constants = {(a, b): vec for a, b, vec in alg.nonzero_constants()}
-    triples = (reached_triples(values, partners_of(constants))
-               | reached_triples(constants, partners_of(values)))
+    triples = (reached_triples(values, alg.bracket_index)
+               | reached_triples(constants, both_ways(values)))
     for triple in sorted(triples):
         value = delta2(alg, psi, triple)
         if value:
@@ -642,8 +615,9 @@ def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
                       allow_x0_target: bool = False) -> Cochain2:
     """Parse a single-cochain document ({"terms": [...]}) onto an algebra.
 
-    Each basis map may be named once: a repeated term, or the swapped
-    pair of an alternating block, raises ValueError instead of summing.
+    Each basis map may be named once (the `Cochain2` rule): a repeated
+    term, or the swapped pair of an alternating block, raises ValueError
+    instead of summing.
     """
     n, m, p = model_shape(alg)
     if not isinstance(data, Mapping) or "terms" not in data:
@@ -652,9 +626,8 @@ def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
         raise ValueError("cochain parameters disagree with the algebra's (n, m, p)")
     if not isinstance(data["terms"], list):
         raise ValueError("cochain 'terms' must be a list")
-    psi = Cochain2(alg, vanish_on_x0=True, allow_x0_target=allow_x0_target)
-    named: set = set()
-    try:
+
+    def terms() -> Iterator:  # parsed one at a time, so the first bad term is named
         for term in data["terms"]:
             if not isinstance(term, Mapping):
                 raise ValueError(f"cochain term must be an object, got {term!r}")
@@ -663,13 +636,9 @@ def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
                     raise ValueError(f"cochain term missing field {field!r}")
             block = block_named(term["block"])
             i, j, s = (as_int(term[k], k) for k in "ijs")
-            coeff = as_coeff(term["coeff"])
-            a, b, t, _ = psi._locate(block, i, j, s)
-            if (a, b, t) in named:
-                raise ValueError(f"cochain names the basis map of block {block.name} "
-                                 f"at i={i}, j={j}, s={s} twice")
-            named.add((a, b, t))
-            psi.add(block, i, j, s, coeff)
+            yield ColumnKey(block, i, j, s), as_coeff(term["coeff"])
+
+    try:
+        return Cochain2(alg, terms(), vanish_on_x0=True, allow_x0_target=allow_x0_target)
     except TypeError as exc:
         raise ValueError(f"malformed cochain term: {exc}") from exc
-    return psi

@@ -42,17 +42,12 @@ def as_int(value, name: str) -> int:
 def coeff_to_json(value: Coeff):
     """Encode a scalar for JSON: int when integral, else a "p/q" string."""
     value = as_coeff(value)
-    if isinstance(value, int):
-        return value
-    return f"{value.numerator}/{value.denominator}"
+    return value if isinstance(value, int) else f"{value.numerator}/{value.denominator}"
 
 
 def coeff_to_string(value: Coeff) -> str:
     """Encode a scalar as an exact rational string ("3", "-1/2")."""
-    value = as_coeff(value)
-    if isinstance(value, int):
-        return str(value)
-    return f"{value.numerator}/{value.denominator}"
+    return str(coeff_to_json(value))
 
 
 def add_into(acc: dict, key, value: Coeff) -> None:

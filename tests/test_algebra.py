@@ -8,7 +8,7 @@ from colorfil.algebra import (AlgebraFormatError, ColorLieAlgebra,
                               InvalidParams, NotNilpotent, bracket,
                               build_model, color_nilindex, from_json_dict,
                               is_filiform_module, l0_is_filiform,
-                              partners_of, reached_triples, validate_jacobi)
+                              both_ways, reached_triples, validate_jacobi)
 
 
 def constants_by_label(alg):
@@ -110,8 +110,10 @@ def test_model_properties_sweep(n, m, p):
 def test_reached_triples():
     alg = build_model(3, 2, 1)  # [X0, X1] = X2, [X0, X2] = X3, [X0, Y1] = Y2
     constants = {(a, b): vec for a, b, vec in alg.nonzero_constants()}
-    partners = partners_of(constants)
-    assert partners == {0: {1, 2, 4}, 1: {0}, 2: {0}, 4: {0}}
+    partners = both_ways(constants)
+    assert partners == alg.bracket_index
+    assert {x: set(row) for x, row in partners.items()} == {0: {1, 2, 4}, 1: {0}, 2: {0}, 4: {0}}
+    assert partners[0][1] == {2: 1} and partners[1][0] == {2: -1}
     # [[X0, X1], w] needs w = X0 again: the model's brackets reach no triple
     assert reached_triples(constants, partners) == set()
     # a value on (X2, Y2) reaches each partner of each of its components,

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colorfil.algebra import build_model, validate_jacobi
-from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2,
+from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
                                  assemble_Z2_system, block_dims, cochain_columns,
                                  cochain_from_json, cochain_to_json,
                                  cocycle_basis_json, delta1, delta2, is_cocycle)
@@ -355,6 +355,21 @@ def test_cochain_from_json_refuses_repeated_and_outside_terms():
     # distinct basis maps still load as written
     b_term = {"block": "B", "i": 2, "j": 1, "s": 1, "coeff": "1"}
     assert len(list(cochain_from_json(alg, {"terms": [term, b_term]}).items())) == 2
+
+
+def test_cochain_refuses_a_basis_map_named_twice():
+    alg = build_model(3, 2, 1)
+    d12, d21 = ColumnKey(BlockKind.D, 1, 2, 1), ColumnKey(BlockKind.D, 2, 1, 1)
+    # both orientations of an alternating block's map would cancel to zero
+    for coeffs in ({d12: 1, d21: 1}, {d12: 0, d21: 1}):
+        with pytest.raises(ValueError,
+                           match=re.escape("basis map of block D at i=2, j=1, s=1 twice")):
+            Cochain2(alg, coeffs)
+    with pytest.raises(ValueError, match=re.escape("block D at i=1, j=2, s=1 twice")):
+        Cochain2(alg, [(d12, 1), (d12, 1)])
+    # each map named once loads as written, the swapped pair negated
+    psi = Cochain2(alg, {d21: 3, ColumnKey(BlockKind.B, 2, 1, 1): 0})
+    assert list(psi.items()) == [(d12, -3)]
 
 
 def test_assembly_is_a_generic_validator():

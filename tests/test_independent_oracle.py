@@ -14,8 +14,12 @@ same dense elimination gives `dense_kernel`, the second route to the
 canonical kernel bases.
 
 `reference_assembly` is the plain walk over all C(dim, 3) basis
-triples; the production assembler visits only the triples a nonzero
-bracket can reach and must produce exactly the same system.
+triples; the production assembler generates only the terms a nonzero
+bracket holds and must produce exactly the same system.  The references
+read the bracket through `bracket_basis`, which reads the algebra's
+bracket index; `test_bracket_index_matches_canonical_constants` checks
+that index against the canonical constants, so a sign slip in it
+cannot hide behind the references.
 `reference_primitive_row` is the `Fraction` route to the primitive
 row form that `primitive_row` computes on numerators and denominators.
 `reference_block_dims` restricts the joint rows to each block and
@@ -484,6 +488,22 @@ def drawn_cochain(data, alg):
             psi.add(key.block, key.i, key.j, key.s,
                     data.draw(st.sampled_from((1, -1, 2, Fraction(1, 2)))))
     return psi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bracket_index_matches_canonical_constants(data):
+    alg = drawn_algebra(data)
+    canonical = {(a, b): vec for a, b, vec in alg.nonzero_constants()}
+    for a, b in product(range(alg.dim), repeat=2):
+        if a < b:
+            expected = canonical.get((a, b), {})
+        else:
+            expected = {t: -c for t, c in canonical.get((b, a), {}).items()}
+        assert alg.bracket_basis(a, b) == expected, (a, b)
+        assert alg.bracket_index.get(a, {}).get(b, {}) == expected, (a, b)
+    assert ({(x, y) for x, row in alg.bracket_index.items() for y in row}
+            == set(canonical) | {(b, a) for a, b in canonical})
 
 
 @settings(max_examples=150, deadline=None)
