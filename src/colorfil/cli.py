@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
 from .algebra import AlgebraFormatError, InvalidParams, build_model, from_json_dict
 from .cohomology import (ALL_BLOCKS, DecompositionMismatch, KernelMismatch,
@@ -160,7 +160,7 @@ def run_verify(points, methods, jobs: int = 1):
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = dict(pool.map(_grid_point, tasks, chunksize=4))
-        except OSError:  # no subprocess support: run serial
+        except (OSError, BrokenProcessPool):  # no subprocess support, or a killed worker
             results = dict(map(_grid_point, tasks))
     else:
         results = dict(map(_grid_point, tasks))

@@ -30,24 +30,23 @@ phi^s_{i,j} (the matrix columns, `ColumnKey`) address it through
 
 into one sparse integer constraint matrix: one row per (basis triple,
 target component) instance, one column per basis cochain.  The ten
-classical condition families correspond to the ten degree shapes of the
-triple; the enumeration is generic, so the same assembler validates
-cocycles on any Z_3-graded Lie algebra, not just the model.  Every term
-of the identity holds a nonzero bracket, so the assembler generates
-each term from the bracket it holds (the algebra's `bracket_index`) and
-adds it to its triple: [x, psi(a, b)] where x brackets nonzero with a
-target of the block of (a, b), psi([x, y], z) where a component of a
-stored bracket [x, y] forms a source pair with z.  No term reaches any
-other triple, whose rows are all zero; in the model, where only X_0
-acts, the reached triples are O(dim^2) of the C(dim, 3).
+classical condition families are the ten degree shapes of the triple;
+the enumeration is generic, so the assembler validates cocycles on any
+Z_3-graded Lie algebra.  Every term of the identity holds a nonzero
+bracket, so `_term_sums` generates each term from the bracket it holds
+(the algebra's `bracket_index`) and sums it into its triple:
+[x, psi(a, b)] where x brackets nonzero with a target of the block of
+(a, b), psi([x, y], z) where a component of a stored bracket [x, y]
+forms a source pair with z.  Every other triple has only zero rows; in
+the model, where only X_0 acts, the reached triples are O(dim^2).
 
-`block_dims` assembles the joint system once and groups its rows by
-block: the columns come grouped by block, so a row whose first and last
+`block_dims` ranks those sums directly, without the canonical form:
+the columns come grouped by block, so a row whose lowest and highest
 columns share a block lies inside it.  Each block's rows are ranked
 once; a block's dimension is its column count minus that rank.  In the
 model no row spans two blocks, so the six-block decomposition holds by
 structure.  When a row does (a law with [Y, Y] != 0 couples blocks B
-and C), every row is restricted to each block, the joint matrix is
+and C), every row is restricted to each block, the joint rows are
 ranked once as well, and a difference raises DecompositionMismatch.
 """
 
@@ -56,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, groupby, product
+from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import ColorLieAlgebra, Vector, both_ways, reached_triples
@@ -348,28 +348,22 @@ class ConstraintSystem:
         return out
 
 
-def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
-                       allow_x0_target: bool = False) -> ConstraintSystem:
-    """Constraint matrix whose kernel is the cocycle space of the blocks.
+def _term_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) -> tuple:
+    """([(block, column range)], {ascending triple: {target: {col: coeff}}}).
 
-    Rows are instances of the cocycle identity over canonical basis
-    triples (ascending global order; the ten degree shapes reproduce the
-    ten classical condition families), projected onto target basis
-    elements.  Each term of the identity is generated from the nonzero
-    bracket it holds (see the module docstring) and summed into its
-    triple.  A triple no term reaches has all-zero rows, so the rows,
-    their order and their labels are those of a walk over all C(dim, 3)
-    triples.  Identical rows are merged; rows are reduced to primitive
-    integer form, which leaves the kernel untouched.
+    Each term of d2 psi is generated from the nonzero bracket it holds
+    (see the module docstring) and summed into its triple.  The sums are
+    raw: an entry may cancel to 0 or be a Fraction.
     """
-    cols: list = []
+    ranges: list = []
     # psi lookup: element -> partner -> (first column, lowest target,
     # target count, sign).  A block's targets are consecutive global
     # indices, so target t of the pair sits in column first + t - lowest.
     pair_map: dict = {}
     index = alg.bracket_index
-    sums: dict = {}  # ascending triple -> target -> {col: coeff}
+    sums: dict = {}
     glob = alg.global_index
+    first = 0
     for block, pairs, targets in _block_bases(alg, blocks, allow_x0_target=allow_x0_target):
         (g1, g2), gt = block.source_degrees, block.target_degree
         lowest, count = glob(gt, targets.start), len(targets)
@@ -377,11 +371,11 @@ def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
         # the actors: each x with [x, t] != 0 for a target t, and those t
         actors = {x: [(t - lowest, vec.items()) for t, vec in index[x].items() if t in span]
                   for x in {x for t in span for x in index.get(t, ())}}
+        start = first
         for i, j in pairs:
-            a, b, first = glob(g1, i), glob(g2, j), len(cols)
+            a, b = glob(g1, i), glob(g2, j)
             pair_map.setdefault(a, {})[b] = (first, lowest, count, 1)
             pair_map.setdefault(b, {})[a] = (first, lowest, count, -1)
-            cols.extend(ColumnKey(block, i, j, s) for s in targets)
             # [x, psi(a, b)] with sign -1 exactly when a < x < b
             for x, reach in actors.items():
                 if x == a or x == b:
@@ -397,6 +391,8 @@ def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
                     for u, cb in items:
                         row = acc.setdefault(u, {})
                         row[col] = row.get(col, 0) + sign * cb
+            first += count
+        ranges.append((block, range(start, first)))
     # psi([x, y], z) with sign +1 exactly when x < z < y; psi(z, t)
     # enters through the pair orientation s
     for x, y, vec in alg.nonzero_constants():
@@ -414,10 +410,22 @@ def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
                     row = acc.setdefault(u, {})
                     row[col] = row.get(col, 0) + value
                     col += 1
+    return ranges, sums
 
-    rows: list = []
-    origins: list = []
-    seen: set = set()
+
+def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
+                       allow_x0_target: bool = False) -> ConstraintSystem:
+    """Constraint matrix whose kernel is the cocycle space of the blocks.
+
+    Rows are the `_term_sums` rows in canonical form: ascending basis
+    triples (the ten degree shapes are the ten classical condition
+    families), targets ascending, each row primitive and merged with its
+    repeats, which leaves the kernel untouched.  A triple no term
+    reaches has only zero rows, so rows, order and labels are those of
+    a walk over all C(dim, 3) triples.
+    """
+    _, sums = _term_sums(alg, blocks, allow_x0_target)
+    rows, origins, seen = [], [], set()
     for triple in sorted(sums):
         acc = sums.pop(triple)
         for u in sorted(acc):
@@ -428,6 +436,7 @@ def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
             rows.append(row)
             origins.append((triple, u))
 
+    cols = cochain_columns(alg, blocks, allow_x0_target=allow_x0_target)
     matrix = SparseIntMatrix(len(rows), len(cols), rows)
     return ConstraintSystem(matrix=matrix, col_keys=tuple(cols),
                             row_origins=tuple(origins), alg=alg,
@@ -435,12 +444,7 @@ def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
 
 
 def _restrict_to_block(system: ConstraintSystem, block: BlockKind) -> SparseIntMatrix:
-    """Rows of the joint system projected onto one block's columns.
-
-    Identical to assembling the block alone: every matrix contribution
-    lands in the column of the cochain value it multiplies, so dropping
-    the other blocks' columns is exactly the single-block system.
-    """
+    """Joint rows projected onto one block's columns: the block assembled alone."""
     keep = [idx for idx, key in enumerate(system.col_keys) if key.block is block]
     renum = {old: new for new, old in enumerate(keep)}
     rows = []
@@ -452,40 +456,36 @@ def _restrict_to_block(system: ConstraintSystem, block: BlockKind) -> SparseIntM
 
 
 def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
-    """Per-block cocycle dimensions from one pass over the joint rows.
+    """Per-block cocycle dimensions, ranked straight from `_term_sums`.
 
-    The columns come grouped by block, so a row lies inside one block
-    exactly when its first and last columns share a block.  Each block's
-    rows are ranked once; its dimension is its column count minus that
-    rank.  In the model no row spans two blocks, so the blocks share no
-    row or column and the joint rank is the sum of the block ranks.  A
-    row that does span blocks (a law with [Y, Y] != 0 couples B and C)
-    is restricted to each block instead, and the joint matrix is ranked
-    once: when its nullity differs from the sum of the block dimensions
-    the six-block splitting fails for this algebra, and
-    DecompositionMismatch is raised.
+    The block and spanning rules are the module docstring's.  Entries
+    that cancel to 0 are dropped.  Every term of d2 psi holds one
+    structure constant, so the law's common denominator, found once per
+    algebra, makes every row integral.
     """
-    joint = assemble_Z2_system(alg, ALL_BLOCKS, allow_x0_target=allow_x0_target)
-    n_cols = joint.matrix.n_cols
-    # (block, column count) per run of columns, and each column's run
-    runs = [(block, len(list(keys)))
-            for block, keys in groupby(joint.col_keys, key=lambda key: key.block)]
-    position = [k for k, (_, size) in enumerate(runs) for _ in range(size)]
-    pieces: list = [[] for _ in runs]
+    ranges, sums = _term_sums(alg, ALL_BLOCKS, allow_x0_target)
+    ranges = [(block, cols) for block, cols in ranges if cols]
+    position = [k for k, (_, cols) in enumerate(ranges) for _ in cols]
+    denom = lcm(*(c.denominator for _, _, vec in alg.nonzero_constants() for c in vec.values()))
+    joint = [row for acc in sums.values() for row in acc.values()]
+    if denom != 1 or any(0 in row.values() for row in joint):
+        joint = [{c: (v * denom).numerator for c, v in row.items() if v} for row in joint]
+        joint = [row for row in joint if row]
+    pieces: list = [[] for _ in ranges]
     spanning = False
-    for row in joint.matrix.rows:
-        k = position[row[0][0]]
-        if position[row[-1][0]] == k:
+    for row in joint:
+        k = position[min(row)]
+        if position[max(row)] == k:
             pieces[k].append(row)
             continue
         spanning = True
-        for k, part in groupby(row, key=lambda entry: position[entry[0]]):
-            pieces[k].append(tuple(part))
+        for k, part in groupby(sorted(row.items()), key=lambda entry: position[entry[0]]):
+            pieces[k].append(dict(part))
     dims = dict.fromkeys(ALL_BLOCKS, 0)
-    for (block, size), rows in zip(runs, pieces):
-        dims[block] = size - rank_certified(SparseIntMatrix(len(rows), n_cols, rows))
+    for (block, cols), rows in zip(ranges, pieces):
+        dims[block] = len(cols) - rank_certified(rows)
     if spanning:
-        total = n_cols - rank_certified(joint.matrix)
+        total = len(position) - rank_certified(joint)
         if total != sum(dims.values()):
             raise DecompositionMismatch(
                 f"joint kernel dimension {total} != block sum {sum(dims.values())} "

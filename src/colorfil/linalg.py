@@ -85,6 +85,9 @@ class SparseIntMatrix:
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows)
 
+    def __iter__(self) -> Iterator:
+        return iter(self.rows)
+
     def multiply_vector(self, v: Mapping) -> dict:
         """M @ v for a sparse column vector; returns sparse result."""
         out = {}
@@ -188,7 +191,7 @@ def _eliminate_int(rows: Iterable) -> tuple:
         holders = col_rows[c]
         if not holders:
             continue
-        pid = min(holders, key=lambda i: (len(rows[i]), i))
+        pid = min(holders) if len(holders) == 1 else min(holders, key=lambda i: (len(rows[i]), i))
         prow = rows[pid]
         a = prow[c]
         for j in list(holders):
@@ -217,11 +220,7 @@ def _eliminate_int(rows: Iterable) -> tuple:
             if not rj:
                 del rows[j]
                 continue
-            content = 0
-            for v in rj.values():
-                content = gcd(content, v)
-                if content == 1:
-                    break
+            content = gcd(*rj.values())
             if content > 1:
                 for k in rj:
                     rj[k] //= content
@@ -232,13 +231,14 @@ def _eliminate_int(rows: Iterable) -> tuple:
     return len(pivots), pivots
 
 
-def rank_certified(matrix: SparseIntMatrix) -> int:
+def rank_certified(rows: Iterable) -> int:
     """Exact rank over Q by fraction-free integer elimination.
 
-    Every intermediate value is an exact integer, so the elimination is
-    its own certificate.
+    `rows` is any sequence of sparse integer rows with nonzero entries: a
+    `SparseIntMatrix`, or {col: value} dicts.  Every intermediate value
+    is an exact integer, so the elimination is its own certificate.
     """
-    rank, _ = _eliminate_int(matrix.rows)
+    rank, _ = _eliminate_int(rows)
     return rank
 
 

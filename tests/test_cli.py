@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -163,6 +164,34 @@ def test_verify_jobs_bounded_by_cores_and_points(monkeypatch):
     assert requested == [4, 3]
     cli.run_verify(points[:1], methods, jobs=64)  # one point runs serially
     assert requested == [4, 3]
+
+
+def test_verify_falls_back_to_serial_when_a_worker_is_killed(capsys, monkeypatch):
+    # the OS killing a worker breaks the pool; the grid is then computed
+    # serially, as when no subprocess can be started
+    class KilledPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+    argv = ["verify", "--n", "1..4", "--m", "0..1", "--p", "1", "--format", "csv"]
+    serial = run_cli(capsys, *argv, "--jobs", "1")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", KilledPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    points = [(n, m, 1) for n in range(1, 5) for m in range(2)]
+    methods = [formulas.METHOD_BRUTE, formulas.METHOD_CLOSED, formulas.METHOD_WEIGHTS]
+    rows, mismatches = cli.run_verify(points, methods, jobs=4)
+    assert (rows, mismatches) == cli.run_verify(points, methods, jobs=1)
+    assert run_cli(capsys, *argv, "--jobs", "4") == serial
+    assert serial[0] == 0
 
 
 def test_verify_detects_corrupted_formula(capsys, monkeypatch):

@@ -22,10 +22,12 @@ that index against the canonical constants, so a sign slip in it
 cannot hide behind the references.
 `reference_primitive_row` is the `Fraction` route to the primitive
 row form that `primitive_row` computes on numerators and denominators.
-`reference_block_dims` restricts the joint rows to each block and
-ranks the joint matrix as a whole; `block_dims` ranks each block's rows
-once and must give the same dimensions and the same
-`DecompositionMismatch`.
+`reference_block_dims` restricts the canonical joint rows to each block
+and ranks the joint matrix as a whole; `block_dims` ranks the raw row
+sums of each block once and must give the same dimensions and the same
+`DecompositionMismatch`, also on laws with rational constants and on
+laws whose row sums cancel, while `checked_rank` sees only nonempty
+rows of nonzero ints.
 `reference_is_cocycle` and `reference_validate_jacobi` walk every
 ascending basis triple as well; `is_cocycle` and `validate_jacobi`
 evaluate only the triples a bracket or a cochain value reaches and must
@@ -40,10 +42,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from colorfil.algebra import JacobiViolation, build_model, validate_jacobi
+import colorfil.cohomology
+from colorfil.algebra import ColorLieAlgebra, JacobiViolation, build_model, validate_jacobi
 from colorfil.cohomology import (ALL_BLOCKS, CONDITION_BY_SHAPE, BlockKind, Cochain2,
                                  DecompositionMismatch, RowLabel, _restrict_to_block,
-                                 assemble_Z2_system, block_dims, cochain_columns,
+                                 _term_sums, assemble_Z2_system, block_dims, cochain_columns,
                                  cocycle_defect, delta1, is_cocycle)
 from colorfil.deformation import deform
 from colorfil.linalg import SparseIntMatrix, kernel_basis, primitive_row, rank_certified
@@ -349,7 +352,20 @@ def spanning_components(alg):
     return [blocks for blocks in spans.values() if len(blocks) > 1]
 
 
-def test_block_dims_matches_reference_on_acceptance_grid():
+def checked_rank(rows):
+    """rank_certified, after asserting its input: nonempty rows of nonzero ints.
+
+    A zero entry would become a zero pivot, and a Fraction would reach gcd.
+    """
+    rows = list(rows)
+    for row in rows:
+        values = dict(row).values()
+        assert values and all(type(v) is int and v != 0 for v in values), row
+    return rank_certified(rows)
+
+
+def test_block_dims_matches_reference_on_acceptance_grid(monkeypatch):
+    monkeypatch.setattr(colorfil.cohomology, "rank_certified", checked_rank)
     degenerate = [nmp for nmp in product(range(1, 9), range(0, 7), range(0, 7))
                   if 0 in nmp[1:]]
     for nmp in [*product(range(1, 9), range(1, 7), range(1, 7)), *degenerate]:
@@ -359,13 +375,24 @@ def test_block_dims_matches_reference_on_acceptance_grid():
                 reference_block_dims(alg, allow_x0_target), (nmp, allow_x0_target)
 
 
+def spanning_law():
+    """L^{1,2,1} deformed by its D-block cocycle: [Y1, Y2] = Z1 is added."""
+    base = build_model(1, 2, 1)
+    psi = assemble_Z2_system(base, {BlockKind.D}).kernel_cochains()[0]
+    return deform(base, psi).result
+
+
+def scaled_law(alg, factor):
+    """The law with every structure constant multiplied by `factor`."""
+    return ColorLieAlgebra(alg.dims, {(a, b): {t: c * factor for t, c in vec.items()}
+                                      for a, b, vec in alg.nonzero_constants()})
+
+
 def test_block_dims_spanning_component_raises_like_reference():
     # [Y1, Y2] = Z1 couples blocks B and C (psi_B(X, Y) bracketed with Y
     # meets psi_C(X, [Y, Y])), so one component spans both and the
     # six-block splitting fails
-    base = build_model(1, 2, 1)
-    psi = assemble_Z2_system(base, {BlockKind.D}).kernel_cochains()[0]
-    alg = deform(base, psi).result
+    alg = spanning_law()
     assert spanning_components(alg) == [{BlockKind.B, BlockKind.C}]
     with pytest.raises(DecompositionMismatch) as split:
         block_dims(alg)
@@ -379,8 +406,64 @@ def test_block_dims_spanning_component_raises_like_reference():
 @given(st.integers(1, 5), st.integers(2, 4), st.integers(1, 4), st.booleans(), st.data())
 def test_block_dims_matches_reference_on_deformed_algebras(n, m, p, allow_x0_target, data):
     alg = d_deformed(n, m, p, data)
-    assert dims_or_mismatch(block_dims, alg, allow_x0_target) == \
-        dims_or_mismatch(reference_block_dims, alg, allow_x0_target)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(colorfil.cohomology, "rank_certified", checked_rank)
+        assert dims_or_mismatch(block_dims, alg, allow_x0_target) == \
+            dims_or_mismatch(reference_block_dims, alg, allow_x0_target)
+
+
+def test_block_dims_on_rational_constants():
+    # every term of d2 psi holds exactly one structure constant, so halving
+    # them all halves each row and changes no dimension, nor the failure
+    # of the spanning law
+    half = Fraction(1, 2)
+    for nmp in [(2, 1, 1), (3, 2, 2), (5, 0, 3), (6, 4, 0), (8, 6, 6)]:
+        model = build_model(*nmp)
+        alg = scaled_law(model, half)
+        assert any(type(c) is Fraction for _, _, vec in alg.nonzero_constants()
+                   for c in vec.values())
+        for allow_x0_target in (False, True):
+            assert block_dims(alg, allow_x0_target=allow_x0_target) == \
+                block_dims(model, allow_x0_target=allow_x0_target) == \
+                reference_block_dims(alg, allow_x0_target), (nmp, allow_x0_target)
+    alg = scaled_law(spanning_law(), half)
+    with pytest.raises(DecompositionMismatch) as split:
+        block_dims(alg)
+    with pytest.raises(DecompositionMismatch) as reference:
+        reference_block_dims(alg)
+    assert str(split.value) == str(reference.value) == \
+        "joint kernel dimension 4 != block sum 3 at dims (2, 2, 1)"
+
+
+def weighted_law(n, m, p, shift):
+    """X0 scales every other element by its index, plus the model's shift if `shift`.
+
+    Only X0 acts, so Jacobi holds.  The weights make terms of d2 psi
+    cancel: some row sums hold zero entries, and without the shift whole
+    rows sum to zero.
+    """
+    model = build_model(n, m, p)
+    constants = {(a, b): vec for a, b, vec in model.nonzero_constants()} if shift else {}
+    for e in range(1, model.dim):
+        constants.setdefault((0, e), {})[e] = model.element(e).index
+    return ColorLieAlgebra(model.dims, constants)
+
+
+def test_block_dims_ranks_nonempty_rows_of_nonzero_ints(monkeypatch):
+    # laws whose row sums cancel, and laws with rational constants; the
+    # model grid and deformed laws run under checked_rank above
+    monkeypatch.setattr(colorfil.cohomology, "rank_certified", checked_rank)
+    for alg in (weighted_law(4, 3, 2, False), weighted_law(4, 3, 2, True),
+                scaled_law(weighted_law(5, 0, 3, True), Fraction(2, 3)),
+                scaled_law(spanning_law(), Fraction(1, 2))):
+        for allow_x0_target in (False, True):
+            assert dims_or_mismatch(block_dims, alg, allow_x0_target) == \
+                dims_or_mismatch(reference_block_dims, alg, allow_x0_target)
+    for shift in (False, True):
+        _, sums = _term_sums(weighted_law(4, 3, 2, shift), ALL_BLOCKS, False)
+        rows = [row for acc in sums.values() for row in acc.values()]
+        assert any(0 in row.values() and any(row.values()) for row in rows) == shift
+        assert any(not any(row.values()) for row in rows) != shift
 
 
 @settings(max_examples=300, deadline=None)

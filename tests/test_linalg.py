@@ -79,6 +79,8 @@ def test_rank_certified_matches_reference_on_random_sparse():
         dense[r][c] = v
     assert nullity(m) == dense_nullity(dense, 80)
     assert rank_certified(m) == 80 - dense_nullity(dense, 80)
+    # any sequence of sparse rows ranks alike: here the rows as dicts
+    assert rank_certified([dict(row) for row in m]) == rank_certified(m)
 
 
 def test_rank_exact_with_large_entries():
@@ -135,6 +137,7 @@ def test_rank_and_kernel_on_mostly_empty_columns(matrix, extra, rnd):
         matrix.n_rows, width, [(r, where[c], v) for r, c, v in matrix.entries()])
     dense = to_dense(wide)
     assert rank_certified(wide) == rank_certified(matrix) == width - dense_nullity(dense, width)
+    assert rank_certified([dict(row) for row in wide]) == rank_certified(wide)
     assert list(kernel_basis(wide).vectors) == dense_kernel(dense, width)
 
 
