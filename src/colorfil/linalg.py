@@ -191,7 +191,7 @@ def _eliminate_int(rows: Iterable) -> tuple:
         holders = col_rows[c]
         if not holders:
             continue
-        pid = min(holders) if len(holders) == 1 else min(holders, key=lambda i: (len(rows[i]), i))
+        pid = min(holders, key=lambda i: (len(rows[i]), i))
         prow = rows[pid]
         a = prow[c]
         for j in list(holders):

@@ -412,29 +412,6 @@ def test_block_dims_matches_reference_on_deformed_algebras(n, m, p, allow_x0_tar
             dims_or_mismatch(reference_block_dims, alg, allow_x0_target)
 
 
-def test_block_dims_on_rational_constants():
-    # every term of d2 psi holds exactly one structure constant, so halving
-    # them all halves each row and changes no dimension, nor the failure
-    # of the spanning law
-    half = Fraction(1, 2)
-    for nmp in [(2, 1, 1), (3, 2, 2), (5, 0, 3), (6, 4, 0), (8, 6, 6)]:
-        model = build_model(*nmp)
-        alg = scaled_law(model, half)
-        assert any(type(c) is Fraction for _, _, vec in alg.nonzero_constants()
-                   for c in vec.values())
-        for allow_x0_target in (False, True):
-            assert block_dims(alg, allow_x0_target=allow_x0_target) == \
-                block_dims(model, allow_x0_target=allow_x0_target) == \
-                reference_block_dims(alg, allow_x0_target), (nmp, allow_x0_target)
-    alg = scaled_law(spanning_law(), half)
-    with pytest.raises(DecompositionMismatch) as split:
-        block_dims(alg)
-    with pytest.raises(DecompositionMismatch) as reference:
-        reference_block_dims(alg)
-    assert str(split.value) == str(reference.value) == \
-        "joint kernel dimension 4 != block sum 3 at dims (2, 2, 1)"
-
-
 def weighted_law(n, m, p, shift):
     """X0 scales every other element by its index, plus the model's shift if `shift`.
 
@@ -450,15 +427,25 @@ def weighted_law(n, m, p, shift):
 
 
 def test_block_dims_ranks_nonempty_rows_of_nonzero_ints(monkeypatch):
-    # laws whose row sums cancel, and laws with rational constants; the
+    # laws whose row sums cancel, and laws with rational constants: every
+    # term of d2 psi holds exactly one structure constant, so scaling them
+    # all changes no dimension, nor the failure of the spanning law.  The
     # model grid and deformed laws run under checked_rank above
     monkeypatch.setattr(colorfil.cohomology, "rank_certified", checked_rank)
-    for alg in (weighted_law(4, 3, 2, False), weighted_law(4, 3, 2, True),
-                scaled_law(weighted_law(5, 0, 3, True), Fraction(2, 3)),
-                scaled_law(spanning_law(), Fraction(1, 2))):
+    laws = [build_model(*nmp) for nmp in [(2, 1, 1), (3, 2, 2), (5, 0, 3), (6, 4, 0), (8, 6, 6)]]
+    pairs = [(scaled_law(law, Fraction(1, 2)), law) for law in laws + [spanning_law()]]
+    pairs.append((scaled_law(weighted_law(5, 0, 3, True), Fraction(2, 3)), weighted_law(5, 0, 3, True)))
+    for alg, law in pairs:
+        assert any(type(c) is Fraction for _, _, vec in alg.nonzero_constants() for c in vec.values())
+    pairs += [(weighted_law(4, 3, 2, shift), None) for shift in (False, True)]
+    for alg, law in pairs:
         for allow_x0_target in (False, True):
-            assert dims_or_mismatch(block_dims, alg, allow_x0_target) == \
-                dims_or_mismatch(reference_block_dims, alg, allow_x0_target)
+            dims = dims_or_mismatch(block_dims, alg, allow_x0_target)
+            assert dims == dims_or_mismatch(reference_block_dims, alg, allow_x0_target)
+            if law is not None:
+                assert dims == dims_or_mismatch(block_dims, law, allow_x0_target)
+    assert dims_or_mismatch(block_dims, pairs[5][0], False) == \
+        "DecompositionMismatch: joint kernel dimension 4 != block sum 3 at dims (2, 2, 1)"
     for shift in (False, True):
         _, sums = _term_sums(weighted_law(4, 3, 2, shift), ALL_BLOCKS, False)
         rows = [row for acc in sums.values() for row in acc.values()]
