@@ -8,9 +8,9 @@ independent routes: brute-force kernel computation and weight counting.
 """
 
 from .algebra import (BasisElement, ColorLieAlgebra, InvalidParams,
-                      JacobiViolation, NilindexReport, NotNilpotent, bracket,
-                      build_model, color_nilindex, from_json_dict,
-                      is_filiform_module, l0_is_filiform, validate_jacobi)
+                      JacobiViolation, NotNilpotent, build_model,
+                      color_nilindex, from_json_dict, is_filiform_module,
+                      l0_is_filiform, validate_jacobi)
 from .cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
                          ConstraintSystem, DecompositionMismatch, KernelMismatch,
                          assemble_Z2_system, block_dims, cochain_from_json,
@@ -23,7 +23,7 @@ from .formulas import (DimensionReport, IntegralityError, branch_labels,
                        dim_A, dim_B, dim_C, dim_D, dim_E, dim_F,
                        main_theorem_total)
 from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
-                     rank_certified, write_matrix_market)
+                     rank_certified)
 from .weights import (IndexOutOfRange, WeightModel, cochain_weight,
                       count_weight_dim, weight_sequence)
 

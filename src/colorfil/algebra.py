@@ -54,25 +54,6 @@ class BasisElement(NamedTuple):
 
 
 @dataclass(frozen=True)
-class NilindexReport:
-    """Lengths of the descending sequences C^k(L_g), one per degree."""
-
-    components: tuple
-
-    @property
-    def p0(self) -> int:
-        return self.components[0]
-
-    @property
-    def p1(self) -> int:
-        return self.components[1]
-
-    @property
-    def p2(self) -> int:
-        return self.components[2]
-
-
-@dataclass(frozen=True)
 class JacobiViolation:
     identity: str
     elements: tuple
@@ -313,21 +294,11 @@ def build_model(n: int, m: int, p: int) -> ColorLieAlgebra:
         raise InvalidParams(f"n must be >= 1, got {n}")
     if m < 0 or p < 0:
         raise InvalidParams(f"m and p must be >= 0, got m={m}, p={p}")
-    alg = ColorLieAlgebra((n + 1, m, p))
-    x0 = 0
-    constants = {}
-    for i in range(1, n):
-        constants[(x0, alg.index(f"X{i}"))] = {alg.index(f"X{i + 1}"): 1}
-    for j in range(1, m):
-        constants[(x0, alg.index(f"Y{j}"))] = {alg.index(f"Y{j + 1}"): 1}
-    for l in range(1, p):
-        constants[(x0, alg.index(f"Z{l}"))] = {alg.index(f"Z{l + 1}"): 1}
+    # chain element i sits at global index offset + i, after X_0 at 0
+    constants = {(0, offset + i): {offset + i + 1: 1}
+                 for offset, length in ((0, n), (n, m), (n + m, p))
+                 for i in range(1, length)}
     return ColorLieAlgebra((n + 1, m, p), constants)
-
-
-def bracket(alg: ColorLieAlgebra, x, y) -> Vector:
-    """[x, y] for sparse vectors, labels or indices."""
-    return alg.bracket(alg.vector(x), alg.vector(y))
 
 
 def both_ways(table: Mapping) -> dict:
@@ -392,8 +363,9 @@ def validate_jacobi(alg: ColorLieAlgebra) -> list:
 def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
     """Dimensions of C^0(L_g), C^1(L_g), ... down to zero.
 
-    C^{k+1}(L_g) = [L_0, C^k(L_g)].  Raises NotNilpotent if the sequence
-    stabilizes at a nonzero subspace (checked within dim(L)+1 steps).
+    C^{k+1}(L_g) = [L_0, C^k(L_g)]; the echelon rows of each term are the
+    basis the next one is bracketed from.  Raises NotNilpotent if the
+    sequence stabilizes at a nonzero subspace (checked within dim(L)+1 steps).
     """
     l0 = list(alg.component_indices(0))
     current = [{i: 1} for i in alg.component_indices(g)]
@@ -403,26 +375,22 @@ def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
             return dims
         brackets = (alg.bracket({a: 1}, v) for a in l0 for v in current)
         images = [primitive_row(w) for w in brackets if w]
-        rank, pivots = _eliminate_int(images)
-        if rank == dims[-1]:
+        echelon = _eliminate_int(images)
+        if len(echelon) == dims[-1]:
             raise NotNilpotent(
-                f"descending sequence of degree-{g} component stabilizes at dimension {rank}")
-        current = [dict(images[i]) for i, _, _ in pivots]
-        dims.append(rank)
+                f"descending sequence of degree-{g} component stabilizes at dimension {dims[-1]}")
+        current = list(echelon.values())
+        dims.append(len(current))
     raise NotNilpotent("descending sequence failed to terminate")
 
 
-def color_nilindex(alg: ColorLieAlgebra) -> NilindexReport:
+def color_nilindex(alg: ColorLieAlgebra) -> tuple:
     """Per-degree lengths (p_0, p_1, p_2) of the descending sequences.
 
     p_g is the first exponent with C^{p_g}(L_g) = 0; a component that is
     zero to begin with has p_g = 0.
     """
-    comps = []
-    for g in range(3):
-        dims = _descending_dims(alg, g)
-        comps.append(len(dims) - 1)
-    return NilindexReport(tuple(comps))
+    return tuple(len(_descending_dims(alg, g)) - 1 for g in range(3))
 
 
 def is_filiform_module(alg: ColorLieAlgebra, g: int) -> bool:

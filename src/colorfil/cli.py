@@ -263,7 +263,10 @@ def cmd_cocycles(args) -> int:
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except RecursionError as exc:  # nested deeper than the parser's stack
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _cochain_from_document(alg, doc):

@@ -59,9 +59,9 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import ColorLieAlgebra, Vector, both_ways, reached_triples
-from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
-                     primitive_row, rank_certified)
-from .scalars import Coeff, add_into, as_coeff, as_int, coeff_to_string
+from .linalg import (SparseIntMatrix, kernel_basis, nullity, primitive_row,
+                     rank_certified)
+from .scalars import Coeff, add_into, as_coeff, as_int, coeff_to_json
 
 
 class DecompositionMismatch(ArithmeticError):
@@ -271,7 +271,7 @@ class Cochain2:
         return out
 
     def __add__(self, other: "Cochain2") -> "Cochain2":
-        if other.alg is not self.alg and other.nmp != self.nmp:
+        if other.nmp != self.nmp:
             raise ValueError("cochains live on different algebras")
         out = Cochain2(self.alg,
                        vanish_on_x0=self.vanish_on_x0 and other.vanish_on_x0,
@@ -335,13 +335,10 @@ class ConstraintSystem:
     def nullity(self) -> int:
         return nullity(self.matrix)
 
-    def kernel(self) -> KernelBasis:
-        return kernel_basis(self.matrix)
-
     def kernel_cochains(self) -> list:
         """Kernel basis vectors converted to Cochain2 values."""
         out = []
-        for vec in self.kernel().vectors:
+        for vec in kernel_basis(self.matrix).vectors:
             coeffs = {self.col_keys[c]: v for c, v in vec.items()}
             out.append(Cochain2(self.alg, coeffs, vanish_on_x0=True,
                                 allow_x0_target=self.allow_x0_target))
@@ -595,7 +592,7 @@ def cocycle_basis_json(alg: ColorLieAlgebra, block: BlockKind,
     """
     n, m, p = model_shape(alg)
     system = assemble_Z2_system(alg, {block}, allow_x0_target=allow_x0_target)
-    basis = system.kernel()
+    basis = kernel_basis(system.matrix)
     if not basis.verify(system.matrix):
         raise KernelMismatch(
             f"block {block.name} kernel basis fails M v = 0 at (n, m, p) = {(n, m, p)}")
@@ -603,7 +600,7 @@ def cocycle_basis_json(alg: ColorLieAlgebra, block: BlockKind,
     for vec in basis.vectors:
         vectors.append([
             {"i": system.col_keys[c].i, "j": system.col_keys[c].j,
-             "s": system.col_keys[c].s, "coeff": coeff_to_string(v)}
+             "s": system.col_keys[c].s, "coeff": str(coeff_to_json(v))}
             for c, v in vec.items()
         ])
     return {"block": block.name, "n": n, "m": m, "p": p,
@@ -613,7 +610,7 @@ def cocycle_basis_json(alg: ColorLieAlgebra, block: BlockKind,
 def cochain_to_json(psi: Cochain2) -> dict:
     n, m, p = psi.nmp
     terms = [{"block": key.block.name, "i": key.i, "j": key.j, "s": key.s,
-              "coeff": coeff_to_string(c)} for key, c in psi.items()]
+              "coeff": str(coeff_to_json(c))} for key, c in psi.items()]
     return {"n": n, "m": m, "p": p, "terms": terms}
 
 

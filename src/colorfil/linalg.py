@@ -59,28 +59,6 @@ class SparseIntMatrix:
         self.n_cols = n_cols
         self.rows = tuple(canonical)
 
-    @classmethod
-    def from_entries(cls, n_rows: int, n_cols: int, entries: Iterable) -> "SparseIntMatrix":
-        """Build from (row, col, int value) triples; duplicates, zero or not, are rejected."""
-        rows: list = [dict() for _ in range(n_rows)]
-        seen = set()
-        for r, c, v in entries:
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise ValueError(f"entry ({r}, {c}) outside a {n_rows}x{n_cols} matrix")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            if type(v) is not int:
-                raise ValueError("entries must be exact integers")
-            seen.add((r, c))
-            if v:
-                rows[r][c] = v
-        return cls(n_rows, n_cols, rows)
-
-    def entries(self) -> Iterator:
-        for r, row in enumerate(self.rows):
-            for c, v in row:
-                yield r, c, v
-
     @property
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows)
@@ -163,18 +141,16 @@ def primitive_row(row: Mapping) -> tuple:
 # -- elimination engine -------------------------------------------------
 
 
-def _eliminate_int(rows: Iterable) -> tuple:
-    """Fraction-free elimination over Z; returns (rank, pivots).
+def _eliminate_int(rows: Iterable) -> dict:
+    """Fraction-free elimination over Z; returns the echelon {col: row}.
 
     `rows` is a sequence of sparse integer rows ({col: value} dicts or
     tuples of (col, value) pairs); the elimination works on its own copies.
-    pivots lists (row_id, col, row) in elimination order, with row ids
-    the positions in the input, so the input rows named there form a basis
-    of the row space.  Columns are visited in ascending order, so the pivot
-    columns are the leftmost-pivot set, and each row is the integer
-    echelon row as it stood when it became the pivot: its lowest column
-    is col, and the elimination never touches it again.  Row updates
-    use the gcd-scaled cross-multiplication
+    Columns are visited in ascending order, so the pivot columns are the
+    leftmost-pivot set, and the echelon maps each pivot column to the
+    integer row that became its pivot: its lowest column is col, and the
+    elimination never touches it again.  The rows form a basis of the
+    row space.  Row updates use the gcd-scaled cross-multiplication
     new = (a/g)*row_j - (b/g)*row_piv with g = gcd(a, b), followed by
     removal of the integer content, so every intermediate entry is an
     exact integer and growth stays modest.
@@ -184,7 +160,7 @@ def _eliminate_int(rows: Iterable) -> tuple:
     for i, row in rows.items():
         for c in row:
             col_rows.setdefault(c, set()).add(i)
-    pivots = []
+    echelon = {}
     # fill-in only reaches columns some row already holds, so these are
     # all the pivot candidates, and the cost follows the rows, not n_cols
     for c in sorted(col_rows):
@@ -227,8 +203,8 @@ def _eliminate_int(rows: Iterable) -> tuple:
         for k in prow:
             col_rows[k].discard(pid)
         del rows[pid]
-        pivots.append((pid, c, prow))
-    return len(pivots), pivots
+        echelon[c] = prow
+    return echelon
 
 
 def rank_certified(rows: Iterable) -> int:
@@ -238,8 +214,7 @@ def rank_certified(rows: Iterable) -> int:
     `SparseIntMatrix`, or {col: value} dicts.  Every intermediate value
     is an exact integer, so the elimination is its own certificate.
     """
-    rank, _ = _eliminate_int(rows)
-    return rank
+    return len(_eliminate_int(rows))
 
 
 def nullity(matrix: SparseIntMatrix) -> int:
@@ -259,8 +234,7 @@ def kernel_basis(matrix: SparseIntMatrix) -> KernelBasis:
     when the row is solved.  The solution is kept as integers over one
     common denominator and becomes `Fraction` entries only at output.
     """
-    _, pivots = _eliminate_int(matrix.rows)
-    echelon = {c: row for _, c, row in pivots}
+    echelon = _eliminate_int(matrix.rows)
     users: dict = {}  # col k -> pivot cols whose echelon row holds k
     for c, row in echelon.items():
         for k in row:
@@ -298,11 +272,3 @@ def kernel_basis(matrix: SparseIntMatrix) -> KernelBasis:
         vectors.append({k: Fraction(vec[k], denom) for k in sorted(vec)})
     vectors.sort(key=lambda v: min(v))
     return KernelBasis(dim=len(vectors), n_cols=matrix.n_cols, vectors=tuple(vectors))
-
-
-def write_matrix_market(matrix: SparseIntMatrix, stream) -> None:
-    """Dump in MatrixMarket coordinate format with exact integer values."""
-    stream.write("%%MatrixMarket matrix coordinate integer general\n")
-    stream.write(f"{matrix.n_rows} {matrix.n_cols} {matrix.nnz}\n")
-    for r, c, v in matrix.entries():
-        stream.write(f"{r + 1} {c + 1} {v}\n")

@@ -45,11 +45,6 @@ def coeff_to_json(value: Coeff):
     return value if isinstance(value, int) else f"{value.numerator}/{value.denominator}"
 
 
-def coeff_to_string(value: Coeff) -> str:
-    """Encode a scalar as an exact rational string ("3", "-1/2")."""
-    return str(coeff_to_json(value))
-
-
 def add_into(acc: dict, key, value: Coeff) -> None:
     """acc[key] += value, dropping the key when the sum cancels to zero."""
     new = acc.get(key, 0) + value

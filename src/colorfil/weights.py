@@ -20,9 +20,8 @@ maps for odd n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .cohomology import BlockKind
 
@@ -36,31 +35,16 @@ def weight_sequence(d: int) -> list:
     return [-d + 2 * t - 1 for t in range(1, d + 1)]
 
 
-@dataclass(frozen=True)
-class WeightModel:
-    """Chain weights of the three graded components of a model algebra.
-
-    Each sequence is computed once per model, on first use.
-    """
+class WeightModel(NamedTuple):
+    """Chain lengths of the three graded components of a model algebra."""
 
     n: int
     m: int
     p: int
 
-    @cached_property
-    def seq_V0(self) -> list:
-        return weight_sequence(self.n)
-
-    @cached_property
-    def seq_V1(self) -> list:
-        return weight_sequence(self.m)
-
-    @cached_property
-    def seq_V2(self) -> list:
-        return weight_sequence(self.p)
-
     def component(self, degree: int) -> list:
-        return (self.seq_V0, self.seq_V1, self.seq_V2)[degree]
+        """Chain weights of the degree-`degree` component."""
+        return weight_sequence(self[degree])
 
 
 def cochain_weight(block: BlockKind, i: int, j: int, s: int, wm: WeightModel) -> int:

@@ -1,11 +1,11 @@
 """Model construction, bracket arithmetic, and structural checks."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colorfil.algebra import (AlgebraFormatError, ColorLieAlgebra,
-                              InvalidParams, NotNilpotent, bracket,
+                              InvalidParams, NotNilpotent,
                               build_model, color_nilindex, from_json_dict,
                               is_filiform_module, l0_is_filiform,
                               both_ways, reached_triples, validate_jacobi)
@@ -14,6 +14,11 @@ from colorfil.algebra import (AlgebraFormatError, ColorLieAlgebra,
 def constants_by_label(alg):
     return {(alg.label(a), alg.label(b)): {alg.label(t): c for t, c in vec.items()}
             for a, b, vec in alg.nonzero_constants()}
+
+
+def bracket(alg, x, y):
+    """[x, y] for labels, indices or sparse vectors keyed by either."""
+    return alg.bracket(alg.vector(x), alg.vector(y))
 
 
 def test_model_2_1_1_constants():
@@ -90,17 +95,23 @@ def test_abelian_algebra_satisfies_jacobi():
 
 
 def test_nilindex_examples():
-    assert color_nilindex(build_model(3, 2, 2)).components == (3, 2, 2)
-    report = color_nilindex(build_model(1, 1, 1))
-    assert (report.p0, report.p1, report.p2) == (1, 1, 1)
+    assert color_nilindex(build_model(3, 2, 2)) == (3, 2, 2)
+    assert color_nilindex(build_model(1, 1, 1)) == (1, 1, 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 5))
+@example(1, 0, 0)
+@example(4, 0, 3)
+@example(3, 5, 0)
 def test_model_properties_sweep(n, m, p):
     alg = build_model(n, m, p)
+    # [X0, Xi] = X(i+1), [X0, Yj] = Y(j+1), [X0, Zl] = Z(l+1), and nothing else
+    assert constants_by_label(alg) == {
+        ("X0", f"{family}{i}"): {f"{family}{i + 1}": 1}
+        for family, length in zip("XYZ", (n, m, p)) for i in range(1, length)}
     assert validate_jacobi(alg) == []
-    assert color_nilindex(alg).components == (n, m, p)
+    assert color_nilindex(alg) == (n, m, p)
     assert l0_is_filiform(alg)
     for g in (1, 2):
         if alg.dims[g] >= 1:

@@ -452,6 +452,17 @@ def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):
     code, _, _ = run_cli(capsys, "deform", "--algebra", str(alg_path),
                          "--cocycle", str(bad))
     assert code == 2
+    # nesting deeper than the parser's stack is malformed input, not a
+    # RecursionError traceback: as the algebra, and as a cochain's terms
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    deep_terms = tmp_path / "deep_terms.json"
+    deep_terms.write_text('{"n": 3, "m": 2, "p": 1, "terms": ' + "[" * 100000 + "]" * 100000 + "}")
+    for algebra, cocycle in [(deep, cochain_file("ok.json", [])), (alg_path, deep_terms)]:
+        code, out, err = run_cli(capsys, "deform", "--algebra", str(algebra),
+                                 "--cocycle", str(cocycle))
+        assert (code, out) == (2, ""), cocycle
+        assert err.startswith("error: ") and "maximum recursion depth" in err, cocycle
     # non-integer indices are rejected, not truncated to a valid D term
     for name, terms in [("float.json", [{"block": "D", "i": 1.7, "j": 2, "s": 1, "coeff": 1}]),
                         ("bool.json", [{"block": "D", "i": 1, "j": 2, "s": True, "coeff": 1}])]:

@@ -32,6 +32,10 @@ rows of nonzero ints.
 ascending basis triple as well; `is_cocycle` and `validate_jacobi`
 evaluate only the triples a bracket or a cochain value reaches and must
 give the same verdicts and the same violation lists, in order.
+`reference_descending_dims` spans each term of a descending sequence by
+`dense_rref`; `_descending_dims` brackets the next term from the sparse
+echelon rows and must give the same dimensions and the same
+`NotNilpotent` verdicts.
 """
 
 from fractions import Fraction
@@ -43,7 +47,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import colorfil.cohomology
-from colorfil.algebra import ColorLieAlgebra, JacobiViolation, build_model, validate_jacobi
+from colorfil.algebra import (ColorLieAlgebra, JacobiViolation, NotNilpotent,
+                              _descending_dims, build_model, validate_jacobi)
 from colorfil.cohomology import (ALL_BLOCKS, CONDITION_BY_SHAPE, BlockKind, Cochain2,
                                  DecompositionMismatch, RowLabel, _restrict_to_block,
                                  _term_sums, assemble_Z2_system, block_dims, cochain_columns,
@@ -99,9 +104,22 @@ def dense_kernel(rows, n_cols):
 
 def to_dense(matrix):
     dense = [[0] * matrix.n_cols for _ in range(matrix.n_rows)]
-    for r, c, v in matrix.entries():
+    for (r, c), v in cells_of(matrix).items():
         dense[r][c] = v
     return dense
+
+
+def cells_of(matrix):
+    """{(row, col): value} over the stored entries of a sparse matrix."""
+    return {(r, c): v for r, row in enumerate(matrix.rows) for c, v in row}
+
+
+def from_cells(n_rows, n_cols, cells):
+    """The sparse matrix holding a {(row, col): value} map of nonzero entries."""
+    rows = [{} for _ in range(n_rows)]
+    for (r, c), v in cells.items():
+        rows[r][c] = v
+    return SparseIntMatrix(n_rows, n_cols, rows)
 
 
 def block_dim_by_recurrence(block, n, m, p):
@@ -164,8 +182,7 @@ def sparse_matrices(draw):
     cells = draw(st.dictionaries(
         st.tuples(st.integers(0, max(n_rows - 1, 0)), st.integers(0, max(n_cols - 1, 0))),
         values, max_size=3 * max(n_rows, n_cols)) if n_rows and n_cols else st.just({}))
-    return SparseIntMatrix.from_entries(
-        n_rows, n_cols, [(r, c, v) for (r, c), v in cells.items()])
+    return from_cells(n_rows, n_cols, cells)
 
 
 @settings(max_examples=200, deadline=None)
@@ -597,3 +614,60 @@ def test_checkers_match_full_walks_on_exported_vectors():
             assert is_cocycle(alg, psi) and reference_is_cocycle(alg, psi), block.name
             result = deform(alg, psi).result
             assert validate_jacobi(result) == reference_validate_jacobi(result), block.name
+
+
+def reference_descending_dims(alg, g):
+    """Dimensions of C^0(L_g), C^1(L_g), ... by dense `Fraction` elimination.
+
+    C^{k+1}(L_g) = [L_0, C^k(L_g)] is spanned by the brackets of L_0 with
+    the rows `dense_rref` leaves for C^k(L_g); a term whose dimension
+    repeats a nonzero one is a nonzero fixed point, so the sequence
+    never reaches zero.
+    """
+    basis = [[int(i == j) for j in range(alg.dim)] for i in alg.component_indices(g)]
+    dims = [len(basis)]
+    while dims[-1]:
+        images = []
+        for a in alg.component_indices(0):
+            for v in basis:
+                w = [0] * alg.dim
+                for b, cb in enumerate(v):
+                    for t, c in alg.bracket_basis(a, b).items():
+                        w[t] += cb * c
+                images.append(w)
+        basis, pivots = dense_rref(images, alg.dim)
+        if len(pivots) == dims[-1]:
+            raise NotNilpotent(f"degree {g} stabilizes at dimension {dims[-1]}")
+        dims.append(len(pivots))
+    return dims
+
+
+def descending_outcomes(fn, alg):
+    """Per degree g = 0, 1, 2: the dimension list, or "NotNilpotent"."""
+    out = []
+    for g in range(3):
+        try:
+            out.append(fn(alg, g))
+        except NotNilpotent:
+            out.append("NotNilpotent")
+    return out
+
+
+def test_descending_dims_not_nilpotent_like_reference():
+    # [X1, X2] = X1 fixes X1 in every C^k(L_0); [X0, Y2] = Y1 closes the
+    # Y chain into a cycle, so only degree 1 stabilizes
+    model = build_model(2, 2, 1)
+    y1, y2 = model.index("Y1"), model.index("Y2")
+    for additions, expected in [({(1, 2): {1: 1}}, 0), ({(0, y2): {y1: 1}}, 1)]:
+        alg = model.with_added_constants(additions)
+        outcomes = descending_outcomes(_descending_dims, alg)
+        assert outcomes == descending_outcomes(reference_descending_dims, alg)
+        assert [g for g, dims in enumerate(outcomes) if dims == "NotNilpotent"] == [expected]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 4), st.integers(1, 4), st.data())
+def test_descending_dims_match_dense_reference(n, m, p, data):
+    for alg in (d_deformed(n, m, p, data), drawn_algebra(data)):
+        assert descending_outcomes(_descending_dims, alg) == \
+            descending_outcomes(reference_descending_dims, alg)

@@ -1,6 +1,5 @@
 """Exact rank, nullity and kernel computations."""
 
-import io
 import random
 from fractions import Fraction
 
@@ -9,24 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorfil.linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
-                             primitive_row, rank_certified, write_matrix_market)
-from test_independent_oracle import dense_kernel, dense_nullity, sparse_matrices, to_dense
+                             primitive_row, rank_certified)
+from test_independent_oracle import (cells_of, dense_kernel, dense_nullity, from_cells,
+                                     sparse_matrices, to_dense)
 
 
 def matrix_from_dense(dense):
-    n_rows = len(dense)
     n_cols = len(dense[0]) if dense else 0
-    entries = [(r, c, v) for r, row in enumerate(dense)
-               for c, v in enumerate(row) if v]
-    return SparseIntMatrix.from_entries(n_rows, n_cols, entries)
+    return SparseIntMatrix(len(dense), n_cols,
+                           [{c: v for c, v in enumerate(row) if v} for row in dense])
 
 
 def random_sparse(rng, n_rows, n_cols, values=(-1, 1)):
     cells = {}
     for _ in range(rng.randint(0, 3 * max(n_rows, n_cols))):
         cells[(rng.randrange(n_rows), rng.randrange(n_cols))] = rng.choice(values)
-    return SparseIntMatrix.from_entries(
-        n_rows, n_cols, [(r, c, v) for (r, c), v in cells.items()])
+    return from_cells(n_rows, n_cols, cells)
 
 
 def test_nullity_examples():
@@ -74,9 +71,7 @@ def test_rank_certified_matches_reference_on_random_sparse():
     # the dense oracle shares no code with the sparse elimination engine
     rng = random.Random(2024)
     m = random_sparse(rng, 50, 80)
-    dense = [[0] * 80 for _ in range(50)]
-    for r, c, v in m.entries():
-        dense[r][c] = v
+    dense = to_dense(m)
     assert nullity(m) == dense_nullity(dense, 80)
     assert rank_certified(m) == 80 - dense_nullity(dense, 80)
     # any sequence of sparse rows ranks alike: here the rows as dicts
@@ -85,9 +80,9 @@ def test_rank_certified_matches_reference_on_random_sparse():
 
 def test_rank_exact_with_large_entries():
     p1, p2 = 2**61 - 1, 2**61 + 15
-    m = SparseIntMatrix.from_entries(2, 2, [(0, 0, p1), (1, 1, 3)])
+    m = SparseIntMatrix(2, 2, [{0: p1}, {1: 3}])
     assert rank_certified(m) == 2
-    m2 = SparseIntMatrix.from_entries(3, 3, [(0, 0, p1), (1, 1, p2), (2, 2, 5)])
+    m2 = SparseIntMatrix(3, 3, [{0: p1}, {1: p2}, {2: 5}])
     assert rank_certified(m2) == 3
     # rows proportional over Q, with large entries: rank drops to 1
     m3 = matrix_from_dense([[p1, p2], [3 * p1, 3 * p2]])
@@ -105,8 +100,8 @@ def test_rank_permutation_invariant(seed):
     cols = list(range(n_cols))
     rng.shuffle(rows)
     rng.shuffle(cols)
-    permuted = SparseIntMatrix.from_entries(
-        n_rows, n_cols, [(rows[r], cols[c], v) for r, c, v in m.entries()])
+    permuted = from_cells(n_rows, n_cols,
+                          {(rows[r], cols[c]): v for (r, c), v in cells_of(m).items()})
     assert rank_certified(m) == rank_certified(permuted)
     assert nullity(m) == nullity(permuted)
 
@@ -133,8 +128,8 @@ def test_rank_and_kernel_on_mostly_empty_columns(matrix, extra, rnd):
     # the columns its rows hold, and the empty ones become free columns
     width = matrix.n_cols + extra
     where = sorted(rnd.sample(range(width), matrix.n_cols))
-    wide = SparseIntMatrix.from_entries(
-        matrix.n_rows, width, [(r, where[c], v) for r, c, v in matrix.entries()])
+    wide = from_cells(matrix.n_rows, width,
+                      {(r, where[c]): v for (r, c), v in cells_of(matrix).items()})
     dense = to_dense(wide)
     assert rank_certified(wide) == rank_certified(matrix) == width - dense_nullity(dense, width)
     assert rank_certified([dict(row) for row in wide]) == rank_certified(wide)
@@ -147,19 +142,6 @@ def test_elimination_does_not_mutate_matrix():
     rank_certified(m)
     kernel_basis(m)
     assert m.rows == before
-
-
-def test_from_entries_rejects_duplicates():
-    # a duplicate is rejected whatever the order and whether a value is zero;
-    # an index outside the matrix is rejected, never wrapped
-    for entries in ([(0, 0, 1), (0, 0, 2)], [(0, 0, 0), (0, 0, 5)],
-                    [(0, 0, 5), (0, 0, 0)], [(-1, 0, 5)], [(1, 0, 5)], [(0, 2, 0)]):
-        with pytest.raises(ValueError):
-            SparseIntMatrix.from_entries(1, 2, entries)
-    # a bool is an int subclass but not an entry, a zero one included
-    for value in (True, False, Fraction(2, 1), 1.0):
-        with pytest.raises(ValueError, match="entries must be exact integers"):
-            SparseIntMatrix.from_entries(1, 2, [(0, 0, value)])
 
 
 def test_constructor_rejects_stored_zero_and_non_int():
@@ -194,14 +176,4 @@ def test_primitive_row_normalization():
     assert primitive_row(row) == ((3, 1), (5, -2))
     assert primitive_row({}) == ()
     assert primitive_row({2: 6, 4: -9}) == ((2, 2), (4, -3))
-
-
-def test_matrix_market_dump():
-    m = matrix_from_dense([[1, 0], [0, -7]])
-    buf = io.StringIO()
-    write_matrix_market(m, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "%%MatrixMarket matrix coordinate integer general"
-    assert lines[1] == "2 2 2"
-    assert lines[2:] == ["1 1 1", "2 2 -7"]
 
