@@ -8,7 +8,7 @@ independent routes: brute-force kernel computation and weight counting.
 """
 
 from .algebra import (BasisElement, ColorLieAlgebra, InvalidParams,
-                      JacobiViolation, NotNilpotent, build_model,
+                      JacobiViolation, NotNilpotent, build_model, check_params,
                       color_nilindex, from_json_dict, is_filiform_module,
                       l0_is_filiform, validate_jacobi)
 from .cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
@@ -20,11 +20,10 @@ from .deformation import (CharacteristicVectorViolation, DeformedLaw,
                           NotACocycle, NotALieAlgebra, deform, filiform_check,
                           is_integrable)
 from .formulas import (DimensionReport, IntegralityError, branch_labels,
-                       dim_A, dim_B, dim_C, dim_D, dim_E, dim_F,
                        main_theorem_total)
 from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
                      rank_certified)
-from .weights import (IndexOutOfRange, WeightModel, cochain_weight,
-                      count_weight_dim, weight_sequence)
+from .weights import (IndexOutOfRange, cochain_weight, count_weight_dim,
+                      weight_sequence)
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ adjoint action shifts each chain one step.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
@@ -147,7 +148,7 @@ class ColorLieAlgebra:
         try:
             return self._index[label]
         except KeyError:
-            raise KeyError(f"no basis element {label!r}") from None
+            raise KeyError(f"no basis element {reprlib.repr(label)}") from None
 
     def component_indices(self, g: int) -> range:
         start = self._offsets[g]
@@ -283,6 +284,14 @@ def from_json_dict(data) -> ColorLieAlgebra:
         raise AlgebraFormatError(f"malformed algebra document: {exc}") from exc
 
 
+def check_params(n: int, m: int, p: int) -> None:
+    """The parameter domain of L^{n,m,p}: n >= 1 and m, p >= 0, else InvalidParams."""
+    if n < 1:
+        raise InvalidParams(f"n must be >= 1, got {n}")
+    if m < 0 or p < 0:
+        raise InvalidParams(f"m and p must be >= 0, got m={m}, p={p}")
+
+
 def build_model(n: int, m: int, p: int) -> ColorLieAlgebra:
     """The model graded filiform algebra on X_0..X_n, Y_1..Y_m, Z_1..Z_p.
 
@@ -290,10 +299,7 @@ def build_model(n: int, m: int, p: int) -> ColorLieAlgebra:
     last element.  m = 0 or p = 0 gives a degenerate but legal model with
     an empty graded component.
     """
-    if n < 1:
-        raise InvalidParams(f"n must be >= 1, got {n}")
-    if m < 0 or p < 0:
-        raise InvalidParams(f"m and p must be >= 0, got m={m}, p={p}")
+    check_params(n, m, p)
     # chain element i sits at global index offset + i, after X_0 at 0
     constants = {(0, offset + i): {offset + i + 1: 1}
                  for offset, length in ((0, n), (n, m), (n + m, p))
@@ -364,15 +370,13 @@ def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
     """Dimensions of C^0(L_g), C^1(L_g), ... down to zero.
 
     C^{k+1}(L_g) = [L_0, C^k(L_g)]; the echelon rows of each term are the
-    basis the next one is bracketed from.  Raises NotNilpotent if the
-    sequence stabilizes at a nonzero subspace (checked within dim(L)+1 steps).
+    basis the next one is bracketed from.  Each term lies in the one
+    before, so a step that keeps the dimension raises NotNilpotent.
     """
     l0 = list(alg.component_indices(0))
     current = [{i: 1} for i in alg.component_indices(g)]
     dims = [len(current)]
-    for _ in range(alg.dim + 1):
-        if dims[-1] == 0:
-            return dims
+    while dims[-1]:
         brackets = (alg.bracket({a: 1}, v) for a in l0 for v in current)
         images = [primitive_row(w) for w in brackets if w]
         echelon = _eliminate_int(images)
@@ -381,7 +385,7 @@ def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
                 f"descending sequence of degree-{g} component stabilizes at dimension {dims[-1]}")
         current = list(echelon.values())
         dims.append(len(current))
-    raise NotNilpotent("descending sequence failed to terminate")
+    return dims
 
 
 def color_nilindex(alg: ColorLieAlgebra) -> tuple:

@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-from .algebra import AlgebraFormatError, InvalidParams, build_model, from_json_dict
+from .algebra import AlgebraFormatError, build_model, from_json_dict
 from .cohomology import (ALL_BLOCKS, DecompositionMismatch, KernelMismatch,
                          block_dims, block_named, cochain_from_json, cocycle_basis_json)
 from .deformation import (CharacteristicVectorViolation, NotACocycle, NotALieAlgebra,
@@ -127,7 +127,7 @@ def cmd_dims(args) -> int:
             report = compute_report(args.n, args.m, args.p, method,
                                     allow_x0_target=args.allow_x0_target)
             print(json.dumps(report.to_json_dict()))
-    except (InvalidParams, ValueError) as exc:
+    except ValueError as exc:  # InvalidParams is one
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (IntegralityError, DecompositionMismatch) as exc:
@@ -242,12 +242,8 @@ def cmd_verify(args) -> int:
 def cmd_cocycles(args) -> int:
     try:
         block = block_named(args.block)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
         alg = build_model(args.n, args.m, args.p)
-    except InvalidParams as exc:
+    except ValueError as exc:  # InvalidParams is one
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:

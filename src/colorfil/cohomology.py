@@ -13,8 +13,8 @@ vanish on X_0.  It splits into six blocks by source/target signature:
 these being exactly the signatures whose degree balance is 0 mod 3.
 X_0 never appears as a source argument, and is additionally excluded
 from the targets of the two L0-valued blocks A and E (pass
-`allow_x0_target=True` to explore the unconstrained variant).
-`_index_ranges` is the one statement of this X_0 rule.
+`allow_x0_target=True` to readmit it there).  `_index_ranges` is the
+one statement of this X_0 rule.
 
 A `Cochain2` stores its values in the form of the law itself: sparse
 target vectors on canonical global basis pairs a < b, exactly as
@@ -52,6 +52,7 @@ ranked once as well, and a difference raises DecompositionMismatch.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, groupby, product
@@ -104,7 +105,7 @@ def block_named(name) -> BlockKind:
     try:
         return BlockKind[str(name)]
     except KeyError:
-        raise ValueError(f"unknown block {str(name)!r} (A-F)") from None
+        raise ValueError(f"unknown block {reprlib.repr(str(name))} (A-F)") from None
 
 
 ALL_BLOCKS = tuple(BlockKind)
@@ -136,18 +137,16 @@ def model_shape(alg: ColorLieAlgebra) -> tuple:
     return alg.dims[0] - 1, alg.dims[1], alg.dims[2]
 
 
-def _index_ranges(nmp: tuple, vanish_on_x0: bool, allow_x0_target: bool) -> tuple:
+def _index_ranges(nmp: tuple, allow_x0_target: bool) -> tuple:
     """(source, target) family index ranges per degree: the X_0 rule.
 
-    X_0 (index 0 of the degree-0 family) is a source only when the
-    cochain need not vanish on it, and a target only then or when
-    `allow_x0_target` re-admits it.
+    X_0 (index 0 of the degree-0 family) is never a source, and is a
+    target only when `allow_x0_target` admits it.
     """
     n, m, p = nmp
     rest = (range(1, m + 1), range(1, p + 1))
-    source = range(1 if vanish_on_x0 else 0, n + 1)
-    target = range(0 if allow_x0_target or not vanish_on_x0 else 1, n + 1)
-    return (source, *rest), (target, *rest)
+    target = range(0 if allow_x0_target else 1, n + 1)
+    return (range(1, n + 1), *rest), (target, *rest)
 
 
 class Cochain2:
@@ -158,8 +157,8 @@ class Cochain2:
     swapped pair is the negative).  The block-wise interface addresses
     the basis map phi^s_{i,j} of a block by family indices: same-family
     source pairs with i < j, mixed pairs with the lower-degree family
-    first.  `vanish_on_x0` forbids X_0 as a source argument;
-    `allow_x0_target` re-admits X_0 as a target of the A and E blocks.
+    first, in the ranges of `_index_ranges`.  A table written directly
+    (`delta1`) may take X_0 as a source: `has_x0_source` tells.
 
     `coeffs` (a mapping, or an iterable of (ColumnKey, coeff) pairs) may
     name each basis map once: a repeat, or the swapped pair of an
@@ -167,12 +166,11 @@ class Cochain2:
     """
 
     def __init__(self, alg: ColorLieAlgebra, coeffs: Mapping | Iterable | None = None,
-                 vanish_on_x0: bool = True, allow_x0_target: bool = False):
+                 allow_x0_target: bool = False):
         self.alg = alg
         self.nmp = model_shape(alg)
-        self.vanish_on_x0 = vanish_on_x0
         self.allow_x0_target = allow_x0_target
-        self._sources, self._targets = _index_ranges(self.nmp, vanish_on_x0, allow_x0_target)
+        self._sources, self._targets = _index_ranges(self.nmp, allow_x0_target)
         self._data: dict = {}  # (a, b), a < b -> {t: coeff}
         if isinstance(coeffs, Mapping):
             coeffs = coeffs.items()
@@ -263,8 +261,7 @@ class Cochain2:
 
     def scaled(self, factor) -> "Cochain2":
         factor = as_coeff(factor)
-        out = Cochain2(self.alg, vanish_on_x0=self.vanish_on_x0,
-                       allow_x0_target=self.allow_x0_target)
+        out = Cochain2(self.alg, allow_x0_target=self.allow_x0_target)
         if factor:
             for key, c in self.items():
                 out.add(key.block, key.i, key.j, key.s, factor * c)
@@ -273,9 +270,7 @@ class Cochain2:
     def __add__(self, other: "Cochain2") -> "Cochain2":
         if other.nmp != self.nmp:
             raise ValueError("cochains live on different algebras")
-        out = Cochain2(self.alg,
-                       vanish_on_x0=self.vanish_on_x0 and other.vanish_on_x0,
-                       allow_x0_target=self.allow_x0_target or other.allow_x0_target)
+        out = Cochain2(self.alg, allow_x0_target=self.allow_x0_target or other.allow_x0_target)
         for src in (self, other):
             for key, c in src.items():
                 out.add(key.block, key.i, key.j, key.s, c)
@@ -286,10 +281,9 @@ class Cochain2:
         return {pair: dict(vec) for pair, vec in self._data.items()}
 
 
-def _block_bases(alg: ColorLieAlgebra, blocks: Iterable, vanish_on_x0: bool = True,
-                 allow_x0_target: bool = False) -> list:
+def _block_bases(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) -> list:
     """(block, source index pairs, target indices) per requested block, by name."""
-    sources, targets = _index_ranges(model_shape(alg), vanish_on_x0, allow_x0_target)
+    sources, targets = _index_ranges(model_shape(alg), allow_x0_target)
     out = []
     for block in sorted(set(blocks), key=lambda b: b.name):
         g1, g2 = block.source_degrees
@@ -302,10 +296,10 @@ def _block_bases(alg: ColorLieAlgebra, blocks: Iterable, vanish_on_x0: bool = Tr
 
 
 def cochain_columns(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
-                    vanish_on_x0: bool = True, allow_x0_target: bool = False) -> list:
+                    allow_x0_target: bool = False) -> list:
     """Canonical cochain basis keys for the requested blocks, in order."""
     return [ColumnKey(block, i, j, s)
-            for block, pairs, tgts in _block_bases(alg, blocks, vanish_on_x0, allow_x0_target)
+            for block, pairs, tgts in _block_bases(alg, blocks, allow_x0_target)
             for i, j in pairs for s in tgts]
 
 
@@ -340,8 +334,7 @@ class ConstraintSystem:
         out = []
         for vec in kernel_basis(self.matrix).vectors:
             coeffs = {self.col_keys[c]: v for c, v in vec.items()}
-            out.append(Cochain2(self.alg, coeffs, vanish_on_x0=True,
-                                allow_x0_target=self.allow_x0_target))
+            out.append(Cochain2(self.alg, coeffs, allow_x0_target=self.allow_x0_target))
         return out
 
 
@@ -361,7 +354,7 @@ def _term_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) ->
     sums: dict = {}
     glob = alg.global_index
     first = 0
-    for block, pairs, targets in _block_bases(alg, blocks, allow_x0_target=allow_x0_target):
+    for block, pairs, targets in _block_bases(alg, blocks, allow_x0_target):
         (g1, g2), gt = block.source_degrees, block.target_degree
         lowest, count = glob(gt, targets.start), len(targets)
         span = range(lowest, lowest + count)
@@ -547,10 +540,11 @@ def is_cocycle(alg: ColorLieAlgebra, psi: Cochain2) -> bool:
 
 
 def delta1(alg: ColorLieAlgebra, g_map: Mapping) -> Cochain2:
-    """Coboundary of a degree-0 linear map g, as an unconstrained cochain.
+    """Coboundary of a degree-0 linear map g, X_0 sources and targets included.
 
     g is given as {basis index or label: sparse vector}; missing basis
-    elements map to zero.  The result satisfies d2(d1 g) = 0.
+    elements map to zero.  The result satisfies d2(d1 g) = 0.  Its values
+    are written into the table directly, past the X_0 rule of `add`.
     """
     gm: dict = {}
     for key, vec in g_map.items():
@@ -568,7 +562,7 @@ def delta1(alg: ColorLieAlgebra, g_map: Mapping) -> Cochain2:
                 add_into(out, t, c * v)
         return out
 
-    result = Cochain2(alg, vanish_on_x0=False, allow_x0_target=True)
+    result = Cochain2(alg, allow_x0_target=True)
     for a, b in combinations(range(alg.dim), 2):
         vec = alg.bracket({a: 1}, gm.get(b, {}))
         for t, v in alg.bracket({b: 1}, gm.get(a, {})).items():
@@ -631,9 +625,10 @@ def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
         raise ValueError("cochain 'terms' must be a list")
 
     def terms() -> Iterator:  # parsed one at a time, so the first bad term is named
-        for term in data["terms"]:
+        for k, term in enumerate(data["terms"]):
             if not isinstance(term, Mapping):
-                raise ValueError(f"cochain term must be an object, got {term!r}")
+                raise ValueError(f"cochain terms[{k}] must be an object, "
+                                 f"got {type(term).__name__} {reprlib.repr(term)}")
             for field in ("block", "i", "j", "s", "coeff"):
                 if field not in term:
                     raise ValueError(f"cochain term missing field {field!r}")
@@ -642,6 +637,6 @@ def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
             yield ColumnKey(block, i, j, s), as_coeff(term["coeff"])
 
     try:
-        return Cochain2(alg, terms(), vanish_on_x0=True, allow_x0_target=allow_x0_target)
+        return Cochain2(alg, terms(), allow_x0_target=allow_x0_target)
     except TypeError as exc:
         raise ValueError(f"malformed cochain term: {exc}") from exc

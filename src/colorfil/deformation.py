@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (ColorLieAlgebra, NotNilpotent, is_filiform_module,
-                      l0_is_filiform, validate_jacobi)
+from .algebra import ColorLieAlgebra, is_filiform_module, l0_is_filiform, validate_jacobi
 from .cohomology import Cochain2, cocycle_defect, is_cocycle
 
 
@@ -82,12 +81,4 @@ def filiform_check(d: DeformedLaw) -> bool:
     fails outright.
     """
     alg = d.result
-    try:
-        if not l0_is_filiform(alg):
-            return False
-        for g in (1, 2):
-            if not is_filiform_module(alg, g):
-                return False
-    except NotNilpotent:
-        return False
-    return True
+    return l0_is_filiform(alg) and all(is_filiform_module(alg, g) for g in (1, 2))

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import check_params
+
 
 class IntegralityError(ArithmeticError):
     """A branch expression failed to divide exactly (formula misread)."""
@@ -25,16 +27,12 @@ def _exact_div(numerator: int, denominator: int, context: str) -> int:
 
 
 def _dim_A(n: int) -> tuple:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if n % 2 == 0:
         return _exact_div(n * (3 * n - 2), 8, "A even"), "even"
     return _exact_div(3 * n * n - 4 * n + 1, 8, "A odd") + (n + 1) // 4, "odd"
 
 
 def _dim_B(n: int, m: int) -> tuple:
-    if n < 1 or m < 0:
-        raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     if n >= 2 * m + 1:
         return m * m, "saturated"
     if n % 2 == 1:
@@ -43,8 +41,6 @@ def _dim_B(n: int, m: int) -> tuple:
 
 
 def _dim_D(m: int, p: int) -> tuple:
-    if m < 0 or p < 0:
-        raise ValueError(f"need m, p >= 0, got m={m}, p={p}")
     if p >= 2 * m - 1:
         return _exact_div(m * (m - 1), 2, "D saturated"), "saturated"
     if (p % 4 == 1 and m % 2 == 1) or (p % 4 == 3 and m % 2 == 0):
@@ -56,8 +52,6 @@ def _dim_D(m: int, p: int) -> tuple:
 
 
 def _dim_E(n: int, m: int, p: int) -> tuple:
-    if n < 1 or m < 0 or p < 0:
-        raise ValueError(f"need n >= 1 and m, p >= 0, got ({n}, {m}, {p})")
     quad = -m * m - n * n - p * p + 2 * n * p + 2 * m * n + 2 * m * p
     if (m + p - n) % 2 == 0:
         if p >= m + n:
@@ -78,46 +72,20 @@ def _dim_E(n: int, m: int, p: int) -> tuple:
     return m * p, "odd/p<n-m+1"
 
 
-def dim_A(n: int) -> int:
-    """Dimension of the L0-on-L0 block."""
-    return _dim_A(n)[0]
+def _closed_forms(n: int, m: int, p: int) -> dict:
+    """{block letter: (dimension, branch label)} at (n, m, p).
 
-
-def dim_B(n: int, m: int) -> int:
-    """Dimension of the L0-on-L1 block."""
-    return _dim_B(n, m)[0]
-
-
-def dim_C(n: int, p: int) -> int:
-    """Dimension of the L0-on-L2 block: the B formula with m -> p."""
-    return _dim_B(n, p)[0]
-
-
-def dim_D(m: int, p: int) -> int:
-    """Dimension of the L1-wedge-L1-into-L2 block."""
-    return _dim_D(m, p)[0]
-
-
-def dim_F(p: int, m: int) -> int:
-    """Dimension of the L2-wedge-L2-into-L1 block: D with m and p swapped."""
-    return _dim_D(p, m)[0]
-
-
-def dim_E(n: int, m: int, p: int) -> int:
-    """Dimension of the L1-wedge-L2-into-L0 block."""
-    return _dim_E(n, m, p)[0]
+    C is the B formula with m -> p, and F the D formula with m and p
+    swapped.  Raises InvalidParams outside the model's domain.
+    """
+    check_params(n, m, p)
+    return {"A": _dim_A(n), "B": _dim_B(n, m), "C": _dim_B(n, p),
+            "D": _dim_D(m, p), "E": _dim_E(n, m, p), "F": _dim_D(p, m)}
 
 
 def branch_labels(n: int, m: int, p: int) -> dict:
     """Which branch of each block formula fires at (n, m, p)."""
-    return {
-        "A": _dim_A(n)[1],
-        "B": _dim_B(n, m)[1],
-        "C": _dim_B(n, p)[1],
-        "D": _dim_D(m, p)[1],
-        "E": _dim_E(n, m, p)[1],
-        "F": _dim_D(p, m)[1],
-    }
+    return {name: label for name, (_, label) in _closed_forms(n, m, p).items()}
 
 
 METHOD_CLOSED = "closed_form"
@@ -159,8 +127,5 @@ class DimensionReport:
 
 def main_theorem_total(n: int, m: int, p: int) -> DimensionReport:
     """All six block dimensions and their sum from the closed forms."""
-    return DimensionReport(
-        n=n, m=m, p=p, method=METHOD_CLOSED,
-        A=dim_A(n), B=dim_B(n, m), C=dim_C(n, p),
-        D=dim_D(m, p), E=dim_E(n, m, p), F=dim_F(p, m),
-    )
+    dims = {name: dim for name, (dim, _) in _closed_forms(n, m, p).items()}
+    return DimensionReport(n=n, m=m, p=p, method=METHOD_CLOSED, **dims)

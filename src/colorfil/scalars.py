@@ -7,6 +7,7 @@ rounding error can never leak into a rank or dimension.
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 
 Coeff = int | Fraction
@@ -28,14 +29,16 @@ def as_coeff(value) -> Coeff:
         try:
             return as_coeff(Fraction(value))
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in scalar {value!r}") from None
-    raise TypeError(f"expected an exact scalar, got {type(value).__name__}: {value!r}")
+            raise ValueError(f"zero denominator in scalar {reprlib.repr(value)}") from None
+        except ValueError:  # the parser's own message quotes the whole string
+            raise ValueError(f"Invalid literal for Fraction: {reprlib.repr(value)}") from None
+    raise TypeError(f"expected an exact scalar, got {type(value).__name__}: {reprlib.repr(value)}")
 
 
 def as_int(value, name: str) -> int:
     """An integer field of outside input; bools, floats and strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return value
 
 

@@ -21,8 +21,8 @@ maps for odd n.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import NamedTuple
 
+from .algebra import check_params
 from .cohomology import BlockKind
 
 
@@ -35,27 +35,14 @@ def weight_sequence(d: int) -> list:
     return [-d + 2 * t - 1 for t in range(1, d + 1)]
 
 
-class WeightModel(NamedTuple):
-    """Chain lengths of the three graded components of a model algebra."""
-
-    n: int
-    m: int
-    p: int
-
-    def component(self, degree: int) -> list:
-        """Chain weights of the degree-`degree` component."""
-        return weight_sequence(self[degree])
-
-
-def cochain_weight(block: BlockKind, i: int, j: int, s: int, wm: WeightModel) -> int:
-    """Weight of the basis map phi^s_{i,j} of a block.
+def cochain_weight(block: BlockKind, i: int, j: int, s: int, nmp: tuple) -> int:
+    """Weight of the basis map phi^s_{i,j} of a block on the model (n, m, p).
 
     lambda(target_s) - lambda(source_i) - lambda(source_j); for the
     A and B blocks this evaluates to n + 2(s - i - j) + 1.
     """
     g1, g2 = block.source_degrees
-    seq1, seq2 = wm.component(g1), wm.component(g2)
-    tgt = wm.component(block.target_degree)
+    seq1, seq2, tgt = (weight_sequence(nmp[g]) for g in (g1, g2, block.target_degree))
     for name, idx, seq in (("i", i, seq1), ("j", j, seq2), ("s", s, tgt)):
         if not 1 <= idx <= len(seq):
             raise IndexOutOfRange(f"index {name}={idx} out of range for block {block.name}")
@@ -70,13 +57,12 @@ def count_weight_dim(block: BlockKind, n: int, m: int, p: int) -> int:
     (i < j, skew-symmetry) when both sources lie in one component, all
     (i, j) otherwise.  Empty components simply contribute no maps.
     """
-    if n < 1 or m < 0 or p < 0:
-        raise ValueError(f"need n >= 1 and m, p >= 0, got ({n}, {m}, {p})")
-    wm = WeightModel(n, m, p)
+    check_params(n, m, p)
+    seq = [weight_sequence(d) for d in (n, m, p)]
     g1, g2 = block.source_degrees
     if g1 == g2:
-        pairs = combinations(wm.component(g1), 2)
+        pairs = combinations(seq[g1], 2)
     else:
-        pairs = product(wm.component(g1), wm.component(g2))
-    targets = set(wm.component(block.target_degree))
+        pairs = product(seq[g1], seq[g2])
+    targets = set(seq[block.target_degree])
     return sum((w1 + w2 in targets) + (w1 + w2 + 1 in targets) for w1, w2 in pairs)

@@ -19,9 +19,8 @@ from colorfil.algebra import build_model
 from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2,
                                  assemble_Z2_system, block_dims, delta1, delta2)
 from colorfil.deformation import deform, filiform_check, is_integrable
-from colorfil.formulas import (branch_labels, dim_A, dim_B, dim_C, dim_D,
-                               dim_E, dim_F, main_theorem_total)
-from colorfil.weights import WeightModel, cochain_weight, count_weight_dim
+from colorfil.formulas import branch_labels, main_theorem_total
+from colorfil.weights import cochain_weight, count_weight_dim
 
 GRID_DEF = [(n, m, p) for n, m, p in product(range(1, 9), range(1, 7), range(1, 7))]
 GRID_BC = [(n, m) for n, m in product(range(1, 13), range(1, 9))]
@@ -113,7 +112,7 @@ def test_criterion_1_block_A_closed_form():
         start = time.time()
         residues = set()
         for n in range(1, 17):
-            assert _single_block_dim((n, 1, 1), BlockKind.A) == dim_A(n), f"n={n}"
+            assert _single_block_dim((n, 1, 1), BlockKind.A) == main_theorem_total(n, 1, 1).A, f"n={n}"
             residues.add(n % 4)
         assert residues == {0, 1, 2, 3}  # all four proof cases exercised
         assert time.time() - start < 10.0
@@ -125,12 +124,12 @@ def test_criterion_2_blocks_B_C_closed_forms(brute_BC):
         start = time.time()
         branches = set()
         for (n, m), got in brute_b.items():
-            assert got == dim_B(n, m), f"B at (n={n}, m={m})"
+            assert got == main_theorem_total(n, m, 1).B, f"B at (n={n}, m={m})"
             branches.add(branch_labels(n, m, 1)["B"])
         assert branches == {"odd", "even", "saturated"}
         branches_c = set()
         for (n, p), got in brute_c.items():
-            assert got == dim_C(n, p), f"C at (n={n}, p={p})"
+            assert got == main_theorem_total(n, 1, p).C, f"C at (n={n}, p={p})"
             branches_c.add(branch_labels(n, 1, p)["C"])
         assert branches_c == {"odd", "even", "saturated"}
         assert fixture_seconds + (time.time() - start) < 60.0
@@ -142,9 +141,10 @@ def test_criterion_3_blocks_D_E_F_closed_forms(grid_results):
         start = time.time()
         seen = {"D": set(), "E": set(), "F": set()}
         for (n, m, p), (blocks, _) in data.items():
-            assert blocks["D"] == dim_D(m, p), f"D at {(n, m, p)}"
-            assert blocks["E"] == dim_E(n, m, p), f"E at {(n, m, p)}"
-            assert blocks["F"] == dim_F(p, m), f"F at {(n, m, p)}"
+            closed = main_theorem_total(n, m, p)
+            assert blocks["D"] == closed.D, f"D at {(n, m, p)}"
+            assert blocks["E"] == closed.E, f"E at {(n, m, p)}"
+            assert blocks["F"] == closed.F, f"F at {(n, m, p)}"
             labels = branch_labels(n, m, p)
             for name in seen:
                 seen[name].add(labels[name])
@@ -186,16 +186,16 @@ def test_criterion_5_weight_oracle_equivalence(brute_BC, grid_results):
 def test_criterion_6_weight_parity():
     with criterion(6, "basis-cochain weight parity equals parity of n+1 for A, B, C"):
         for n, m in GRID_BC:
-            wm = WeightModel(n, m, m)
+            nmp = (n, m, m)
             want = (n + 1) % 2
             for i, j in combinations(range(1, n + 1), 2):
                 for s in range(1, n + 1):
-                    assert cochain_weight(BlockKind.A, i, j, s, wm) % 2 == want
+                    assert cochain_weight(BlockKind.A, i, j, s, nmp) % 2 == want
             for i in range(1, n + 1):
                 for j in range(1, m + 1):
                     for s in range(1, m + 1):
-                        assert cochain_weight(BlockKind.B, i, j, s, wm) % 2 == want
-                        assert cochain_weight(BlockKind.C, i, j, s, wm) % 2 == want
+                        assert cochain_weight(BlockKind.B, i, j, s, nmp) % 2 == want
+                        assert cochain_weight(BlockKind.C, i, j, s, nmp) % 2 == want
 
 
 def test_criterion_7_coboundaries_are_cocycles():

@@ -71,11 +71,14 @@ def test_dims_invalid_n_exits_2(capsys):
 
 @pytest.mark.parametrize("method", ["closed", "brute", "weights"])
 def test_dims_negative_m_or_p_exits_2(capsys, method):
-    for m, p in [("-1", "1"), ("1", "-1")]:
-        code, out, err = run_cli(capsys, "dims", "--n", "2", "--m", m, "--p", p,
+    # one statement of the parameter domain (n too): the closed forms,
+    # brute force and the weight oracle refuse a point in the same words
+    for (n, m, p), message in [(("0", "1", "1"), "n must be >= 1, got 0"),
+                               (("2", "-1", "1"), "m and p must be >= 0, got m=-1, p=1"),
+                               (("2", "1", "-1"), "m and p must be >= 0, got m=1, p=-1")]:
+        code, out, err = run_cli(capsys, "dims", "--n", n, "--m", m, "--p", p,
                                  "--method", method)
-        assert (code, out) == (2, ""), (method, m, p)
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert (code, out, err) == (2, "", f"error: {message}\n"), (method, n, m, p)
 
 
 def test_dims_allow_x0_target_refused_for_closed_and_weights(capsys):
@@ -196,7 +199,7 @@ def test_verify_falls_back_to_serial_when_a_worker_is_killed(capsys, monkeypatch
 
 def test_verify_detects_corrupted_formula(capsys, monkeypatch):
     # harness self-test: a wrong closed form must trip the mismatch channel
-    monkeypatch.setattr(formulas, "dim_A", lambda n: 999)
+    monkeypatch.setattr(formulas, "_dim_A", lambda n: (999, "odd"))
     code, _, err = run_cli(capsys, "verify", "--n", "2", "--m", "1", "--p", "1",
                            "--methods", "brute,closed", "--jobs", "1")
     assert code == 1
@@ -218,9 +221,9 @@ def test_verify_degenerate_closed_form_outside_domain_agrees(capsys):
 
 @pytest.mark.parametrize("point, module, name, value, block", [
     # a non-negative closed form is inside the domain, degenerate or not
-    ((2, 0, 0), formulas, "dim_E", lambda n, m, p: 5, "E"),
+    ((2, 0, 0), formulas, "_dim_E", lambda n, m, p: (5, "even/quadratic"), "E"),
     # a negative one is outside it only on a degenerate model
-    ((3, 1, 1), formulas, "dim_E", lambda n, m, p: -1, "E"),
+    ((3, 1, 1), formulas, "_dim_E", lambda n, m, p: (-1, "even/quadratic"), "E"),
     # brute force and the weight oracle must agree on a degenerate model
     ((2, 0, 0), cli, "count_weight_dim", lambda block, n, m, p: 7, "A"),
     # ... on every block, E included, where the closed form reads -1
@@ -556,6 +559,27 @@ def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):
         code, out, err = run_cli(capsys, "deform", "--algebra", str(bad_alg),
                                  "--cocycle", str(good))
         assert (code, out, err) == (2, "", message), name
+
+
+@pytest.mark.parametrize("field, huge", [
+    ("term", [0] * 100000), ("i", [0] * 100000), ("coeff", [0] * 100000),
+    ("coeff", "x" * 100000), ("block", "A" * 100000), ("lhs", "Q" * 100000),
+], ids=["term", "i", "coeff", "coeff-text", "block", "algebra-label"])
+def test_deform_bounds_the_echo_of_a_huge_value(capsys, tmp_path, deform_files, field, huge):
+    # a message names a bad value by a bounded repr, not by the whole input
+    alg_path, cochain_file = deform_files
+    term = {"block": "D", "i": 1, "j": 2, "s": 1, "coeff": 1}
+    terms = [huge] if field == "term" else [{**term, field: huge}]
+    if field == "lhs":  # a basis label of the algebra document
+        doc = json.loads(alg_path.read_text())
+        doc["constants"][0]["lhs"] = huge
+        alg_path = tmp_path / "huge_label.json"
+        alg_path.write_text(json.dumps(doc))
+        terms = []
+    code, out, err = run_cli(capsys, "deform", "--algebra", str(alg_path),
+                             "--cocycle", str(cochain_file("huge.json", terms)))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.encode()) < 300, err[:400]
 
 
 @pytest.mark.parametrize("command", ["verify", "cocycles", "deform"])

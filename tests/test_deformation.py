@@ -2,9 +2,9 @@
 
 import pytest
 
-from colorfil.algebra import build_model, validate_jacobi
-from colorfil.cohomology import BlockKind, Cochain2, assemble_Z2_system, delta2
-from colorfil.deformation import (CharacteristicVectorViolation, NotACocycle,
+from colorfil.algebra import ColorLieAlgebra, build_model, validate_jacobi
+from colorfil.cohomology import BlockKind, Cochain2, assemble_Z2_system, delta1, delta2
+from colorfil.deformation import (CharacteristicVectorViolation, DeformedLaw, NotACocycle,
                                   NotALieAlgebra, deform, filiform_check, is_integrable)
 
 
@@ -29,10 +29,13 @@ def test_d_block_cocycle_deforms_integrably():
 
 def test_x0_source_rejected():
     alg = build_model(2, 1, 1)
-    phi = Cochain2(alg, vanish_on_x0=False)
-    phi.add(BlockKind.A, 0, 1, 2, 1)  # phi(X0, X1) = X2
+    phi = delta1(alg, {"X1": "X1"})  # d1 g (X0, X1) = [X0, g X1] - g([X0, X1]) = X2
+    assert phi.value_on_pair(alg.index("X0"), alg.index("X1")) == {alg.index("X2"): 1}
     with pytest.raises(CharacteristicVectorViolation):
         deform(alg, phi)
+    # the block-wise interface never takes X0 as a source
+    with pytest.raises(ValueError, match="source index i=0 out of range"):
+        Cochain2(alg).add(BlockKind.A, 0, 1, 2, 1)
 
 
 def test_non_cocycle_raises():
@@ -95,5 +98,8 @@ def test_filiform_check_fails_on_non_nilpotent():
     law = deform(alg, Cochain2(alg))
     # hand-build a broken result: [X1, X2] = X1 destroys nilpotency
     broken = alg.with_added_constants({(1, 2): {1: 1}})
-    from colorfil.deformation import DeformedLaw
     assert not filiform_check(DeformedLaw(base=alg, phi=law.phi, result=broken))
+    # [X0, X1] = X1: L_0 is not nilpotent; [X0, Y1] = Y1: L_1 is not a nilpotent module
+    for dims, pair, vector in [((2, 0, 0), (0, 1), {1: 1}), ((2, 1, 0), (0, 2), {2: 1})]:
+        law = ColorLieAlgebra(dims, {pair: vector})
+        assert not filiform_check(DeformedLaw(base=law, phi=Cochain2(law), result=law))

@@ -6,48 +6,49 @@ import pytest
 
 from colorfil.cohomology import ALL_BLOCKS, block_dims
 from colorfil.algebra import build_model
-from colorfil.formulas import (IntegralityError, branch_labels, dim_A, dim_B,
-                               dim_C, dim_D, dim_E, dim_F, main_theorem_total,
+from colorfil.algebra import InvalidParams
+from colorfil.formulas import (IntegralityError, branch_labels, main_theorem_total,
                                _exact_div)
 from colorfil.weights import count_weight_dim
 
 
 def test_dim_A_examples():
-    assert dim_A(2) == 1   # even branch
-    assert dim_A(1) == 0   # odd branch with floor term 0
-    assert dim_A(3) == 3   # 16/8 + 1
-    assert dim_A(5) == 8
+    assert main_theorem_total(2, 0, 0).A == 1   # even branch
+    assert main_theorem_total(1, 0, 0).A == 0   # odd branch with floor term 0
+    assert main_theorem_total(3, 0, 0).A == 3   # 16/8 + 1
+    assert main_theorem_total(5, 0, 0).A == 8
 
 
 def test_dim_B_examples():
-    assert dim_B(3, 1) == 1   # saturated branch, m^2
-    assert dim_B(1, 1) == 1   # odd branch
-    assert dim_B(2, 2) == 3   # even branch
+    assert main_theorem_total(3, 1, 0).B == 1   # saturated branch, m^2
+    assert main_theorem_total(1, 1, 0).B == 1   # odd branch
+    assert main_theorem_total(2, 2, 0).B == 3   # even branch
 
 
 def test_dim_C_examples():
-    assert dim_C(3, 1) == 1
-    assert dim_C(1, 1) == 1
-    assert dim_C(2, 3) == 5
+    assert main_theorem_total(3, 0, 1).C == 1
+    assert main_theorem_total(1, 0, 1).C == 1
+    assert main_theorem_total(2, 0, 3).C == 5
 
 
 def test_dim_D_examples():
-    assert dim_D(2, 1) == 1   # p=1 mod 4, m even: (8-1-2+3)/8
-    assert dim_D(1, 1) == 0   # saturated
-    assert dim_D(3, 2) == 2   # p even
+    assert main_theorem_total(1, 2, 1).D == 1   # p=1 mod 4, m even: (8-1-2+3)/8
+    assert main_theorem_total(1, 1, 1).D == 0   # saturated
+    assert main_theorem_total(1, 3, 2).D == 2   # p even
 
 
 def test_dim_F_examples():
-    assert dim_F(1, 1) == 0
-    assert dim_F(2, 1) == 1
-    assert dim_F(3, 2) == 2
+    # F at (m, p) is D at (p, m)
+    assert main_theorem_total(1, 1, 1).F == 0
+    assert main_theorem_total(1, 1, 2).F == 1
+    assert main_theorem_total(1, 2, 3).F == 2
 
 
 def test_dim_E_examples():
-    assert dim_E(1, 1, 1) == 1   # odd case, saturated: mn
-    assert dim_E(2, 1, 1) == 1   # even case, p = m-n+2: np-1
-    assert dim_E(2, 2, 2) == 3
-    assert dim_E(3, 2, 2) == 4
+    assert main_theorem_total(1, 1, 1).E == 1   # odd case, saturated: mn
+    assert main_theorem_total(2, 1, 1).E == 1   # even case, p = m-n+2: np-1
+    assert main_theorem_total(2, 2, 2).E == 3
+    assert main_theorem_total(3, 2, 2).E == 4
 
 
 def test_main_theorem_totals():
@@ -60,14 +61,15 @@ def test_main_theorem_totals():
 
 
 def test_symmetries_as_functions():
-    for a, b in product(range(1, 13), range(0, 9)):
-        assert dim_C(a, b) == dim_B(a, b)
-        assert dim_F(a, b) == dim_D(a, b)
+    # swapping m and p swaps B with C and D with F
+    for n, m, p in product(range(1, 13), range(0, 9), range(0, 9)):
+        report, mirror = main_theorem_total(n, m, p), main_theorem_total(n, p, m)
+        assert (report.C, report.F) == (mirror.B, mirror.D)
 
 
 def test_monotonicity_in_m():
     for n, m in product(range(1, 13), range(0, 9)):
-        assert dim_B(n, m + 1) >= dim_B(n, m)
+        assert main_theorem_total(n, m + 1, 0).B >= main_theorem_total(n, m, 0).B
 
 
 def test_every_branch_is_integral_over_wide_grid():
@@ -85,24 +87,24 @@ def test_exact_div_guards():
 
 
 def test_invalid_parameters_rejected():
-    with pytest.raises(ValueError):
-        dim_A(0)
-    with pytest.raises(ValueError):
-        dim_B(1, -1)
-    with pytest.raises(ValueError):
-        dim_E(0, 1, 1)
+    for nmp in [(0, 0, 0), (1, -1, 0), (0, 1, 1), (2, 1, -1)]:
+        with pytest.raises(InvalidParams):
+            main_theorem_total(*nmp)
+        with pytest.raises(InvalidParams):
+            branch_labels(*nmp)
 
 
 def test_degenerate_components_defer_to_brute_force():
     # with m = 0 or p = 0 the printed formulas may leave their domain;
     # the kernel computation is the arbiter there, and they can disagree
-    assert dim_E(2, 0, 0) == -1
+    closed = main_theorem_total(2, 0, 0)
+    assert closed.E == -1
     brute = block_dims(build_model(2, 0, 0))
     from colorfil.cohomology import BlockKind
     assert brute[BlockKind.E] == 0
     # A, B, C stay valid even on degenerate components
-    assert brute[BlockKind.A] == dim_A(2)
-    assert brute[BlockKind.B] == dim_B(2, 0) == 0
+    assert brute[BlockKind.A] == closed.A
+    assert brute[BlockKind.B] == closed.B == 0
 
 
 def _weight_report(n, m, p) -> dict:

@@ -559,17 +559,15 @@ def drawn_algebra(data):
 
 
 def drawn_cochain(data, alg):
-    """A random cochain, X0 sources and targets allowed or not, or a
-    coboundary (a cocycle on a Lie algebra) with random terms added."""
+    """A random cochain, X0 targets allowed or not, or a coboundary (a
+    cocycle on a Lie algebra, X0 sources included) with random terms added."""
     if data.draw(st.booleans()):
         u = data.draw(st.integers(0, alg.dim - 1))
         same = [t for t in range(alg.dim) if alg.degree_of(t) == alg.degree_of(u)]
         psi = delta1(alg, {u: {data.draw(st.sampled_from(same)): 1}})
     else:
-        psi = Cochain2(alg, vanish_on_x0=data.draw(st.booleans()),
-                       allow_x0_target=data.draw(st.booleans()))
-    keys = cochain_columns(alg, ALL_BLOCKS, vanish_on_x0=psi.vanish_on_x0,
-                           allow_x0_target=psi.allow_x0_target)
+        psi = Cochain2(alg, allow_x0_target=data.draw(st.booleans()))
+    keys = cochain_columns(alg, ALL_BLOCKS, allow_x0_target=psi.allow_x0_target)
     if keys:
         for key in data.draw(st.lists(st.sampled_from(keys), max_size=3)):
             psi.add(key.block, key.i, key.j, key.s,

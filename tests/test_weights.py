@@ -4,9 +4,10 @@ from itertools import combinations, product
 
 import pytest
 
+from colorfil.algebra import InvalidParams
 from colorfil.cohomology import ALL_BLOCKS, BlockKind
-from colorfil.weights import (IndexOutOfRange, WeightModel, cochain_weight,
-                              count_weight_dim, weight_sequence)
+from colorfil.weights import (IndexOutOfRange, cochain_weight, count_weight_dim,
+                              weight_sequence)
 
 
 def test_weight_sequence_shape():
@@ -21,22 +22,22 @@ def test_weight_sequence_shape():
 
 
 def test_cochain_weight_examples():
-    assert cochain_weight(BlockKind.A, 1, 2, 2, WeightModel(2, 1, 1)) == 1
-    assert cochain_weight(BlockKind.B, 1, 1, 1, WeightModel(1, 1, 1)) == 0
-    assert cochain_weight(BlockKind.A, 1, 2, 3, WeightModel(3, 1, 1)) == 4
+    assert cochain_weight(BlockKind.A, 1, 2, 2, (2, 1, 1)) == 1
+    assert cochain_weight(BlockKind.B, 1, 1, 1, (1, 1, 1)) == 0
+    assert cochain_weight(BlockKind.A, 1, 2, 3, (3, 1, 1)) == 4
 
 
 def test_cochain_weight_closed_form():
     # for the X-sourced blocks the weight is n + 2(s - i - j) + 1
     for n, m in product(range(1, 7), range(1, 5)):
-        wm = WeightModel(n, m, 2)
+        nmp = (n, m, 2)
         for i, j in combinations(range(1, n + 1), 2):
             for s in range(1, n + 1):
-                assert cochain_weight(BlockKind.A, i, j, s, wm) == n + 2 * (s - i - j) + 1
+                assert cochain_weight(BlockKind.A, i, j, s, nmp) == n + 2 * (s - i - j) + 1
         for i in range(1, n + 1):
             for j in range(1, m + 1):
                 for s in range(1, m + 1):
-                    assert cochain_weight(BlockKind.B, i, j, s, wm) == n + 2 * (s - i - j) + 1
+                    assert cochain_weight(BlockKind.B, i, j, s, nmp) == n + 2 * (s - i - j) + 1
 
 
 def test_count_examples():
@@ -62,9 +63,9 @@ def test_count_equals_weight_0_or_1_basis_maps():
     # the count reads the weight sequences directly; cochain_weight,
     # map by map, must select the same number of basis maps
     for n, m, p in product(range(1, 7), range(0, 5), range(0, 5)):
-        wm = WeightModel(n, m, p)
+        nmp = (n, m, p)
         for block in ALL_BLOCKS:
-            want = sum(cochain_weight(block, i, j, s, wm) in (0, 1)
+            want = sum(cochain_weight(block, i, j, s, nmp) in (0, 1)
                        for i, j, s in _basis_maps(block, n, m, p))
             assert count_weight_dim(block, n, m, p) == want, (block, n, m, p)
 
@@ -82,24 +83,25 @@ def test_count_tolerates_empty_components():
 @pytest.mark.parametrize("nmp", [(0, 1, 1), (2, -1, 1), (2, 1, -1)])
 def test_count_rejects_invalid_params(block, nmp):
     # the closed forms reject these points; the oracle must not count them
-    with pytest.raises(ValueError, match="need n >= 1"):
+    message = "n must be >= 1" if nmp[0] < 1 else "m and p must be >= 0"
+    with pytest.raises(InvalidParams, match=message):
         count_weight_dim(block, *nmp)
 
 
 def test_weight_parity_matches_n():
     for n, m, p in product(range(1, 8), range(1, 5), range(1, 5)):
-        wm = WeightModel(n, m, p)
+        nmp = (n, m, p)
         want = (n + 1) % 2
         for i, j in combinations(range(1, n + 1), 2):
             for s in range(1, n + 1):
-                assert cochain_weight(BlockKind.A, i, j, s, wm) % 2 == want
+                assert cochain_weight(BlockKind.A, i, j, s, nmp) % 2 == want
         for i in range(1, n + 1):
             for j in range(1, m + 1):
                 for s in range(1, m + 1):
-                    assert cochain_weight(BlockKind.B, i, j, s, wm) % 2 == want
+                    assert cochain_weight(BlockKind.B, i, j, s, nmp) % 2 == want
             for j in range(1, p + 1):
                 for s in range(1, p + 1):
-                    assert cochain_weight(BlockKind.C, i, j, s, wm) % 2 == want
+                    assert cochain_weight(BlockKind.C, i, j, s, nmp) % 2 == want
 
 
 def test_b_c_symmetry():
@@ -112,23 +114,23 @@ def test_b_c_symmetry():
 
 
 def test_index_validation():
-    wm = WeightModel(3, 2, 1)
+    nmp = (3, 2, 1)
     with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.A, 1, 4, 1, wm)
+        cochain_weight(BlockKind.A, 1, 4, 1, nmp)
     with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.B, 1, 3, 1, wm)
+        cochain_weight(BlockKind.B, 1, 3, 1, nmp)
     with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.A, 1, 2, 0, wm)
+        cochain_weight(BlockKind.A, 1, 2, 0, nmp)
     # D: L1 x L1 -> L2, E: L1 x L2 -> L0, F: L2 x L2 -> L1 at (m, p) = (2, 1)
     with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.D, 1, 2, 2, wm)
+        cochain_weight(BlockKind.D, 1, 2, 2, nmp)
     with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.E, 1, 2, 1, wm)
+        cochain_weight(BlockKind.E, 1, 2, 1, nmp)
     with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.E, 1, 1, 4, wm)
+        cochain_weight(BlockKind.E, 1, 1, 4, nmp)
     with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.F, 1, 1, 3, wm)
+        cochain_weight(BlockKind.F, 1, 1, 3, nmp)
     with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.F, 0, 1, 1, wm)
-    assert cochain_weight(BlockKind.D, 1, 2, 1, wm) == 0
-    assert cochain_weight(BlockKind.E, 2, 1, 3, wm) == 1
+        cochain_weight(BlockKind.F, 0, 1, 1, nmp)
+    assert cochain_weight(BlockKind.D, 1, 2, 1, nmp) == 0
+    assert cochain_weight(BlockKind.E, 2, 1, 3, nmp) == 1
