@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterator, Mapping, NamedTuple
 
-from .linalg import _eliminate_int, primitive_row
+from .linalg import _eliminate_int
 from .scalars import add_into, as_coeff, as_int, coeff_to_json
 
 FAMILY_LETTERS = "XYZ"
@@ -292,6 +293,17 @@ def check_params(n: int, m: int, p: int) -> None:
         raise InvalidParams(f"m and p must be >= 0, got m={m}, p={p}")
 
 
+def law_denominator(alg: ColorLieAlgebra) -> int:
+    """The lcm of the denominators of the law's structure constants.
+
+    The package's one integrality rule: a bracket image of an integer
+    vector, or a term of d2 psi, holds one structure constant per term,
+    so scaling it by this number makes it integral without changing the
+    span or the kernel it stands for.
+    """
+    return lcm(*(c.denominator for _, _, vec in alg.nonzero_constants() for c in vec.values()))
+
+
 def build_model(n: int, m: int, p: int) -> ColorLieAlgebra:
     """The model graded filiform algebra on X_0..X_n, Y_1..Y_m, Z_1..Z_p.
 
@@ -369,16 +381,18 @@ def validate_jacobi(alg: ColorLieAlgebra) -> list:
 def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
     """Dimensions of C^0(L_g), C^1(L_g), ... down to zero.
 
-    C^{k+1}(L_g) = [L_0, C^k(L_g)]; the echelon rows of each term are the
-    basis the next one is bracketed from.  Each term lies in the one
-    before, so a step that keeps the dimension raises NotNilpotent.
+    C^{k+1}(L_g) = [L_0, C^k(L_g)]; the integer echelon rows of each term
+    are the basis the next one is bracketed from, and `law_denominator`
+    keeps the bracket images integral.  Each term lies in the one before,
+    so a step that keeps the dimension raises NotNilpotent.
     """
     l0 = list(alg.component_indices(0))
+    denom = law_denominator(alg)
     current = [{i: 1} for i in alg.component_indices(g)]
     dims = [len(current)]
     while dims[-1]:
         brackets = (alg.bracket({a: 1}, v) for a in l0 for v in current)
-        images = [primitive_row(w) for w in brackets if w]
+        images = [{t: (c * denom).numerator for t, c in w.items()} for w in brackets if w]
         echelon = _eliminate_int(images)
         if len(echelon) == dims[-1]:
             raise NotNilpotent(

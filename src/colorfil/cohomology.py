@@ -28,26 +28,28 @@ phi^s_{i,j} (the matrix columns, `ColumnKey`) address it through
     (d2 psi)(A0,A1,A2) = [A0,psi(A1,A2)] - [A1,psi(A0,A2)] + [A2,psi(A0,A1)]
                          - psi([A0,A1],A2) + psi([A0,A2],A1) + psi(A0,[A1,A2]) = 0
 
-into one sparse integer constraint matrix: one row per (basis triple,
-target component) instance, one column per basis cochain.  The ten
-classical condition families are the ten degree shapes of the triple;
-the enumeration is generic, so the assembler validates cocycles on any
-Z_3-graded Lie algebra.  Every term of the identity holds a nonzero
-bracket, so `_term_sums` generates each term from the bracket it holds
-(the algebra's `bracket_index`) and sums it into its triple:
+into one sparse integer constraint matrix: one row per nonzero (basis
+triple, target component) instance, one column per basis cochain.  The
+ten classical condition families are the ten degree shapes of the
+triple; the enumeration is generic, so the assembler validates cocycles
+on any Z_3-graded Lie algebra.  Every term of the identity holds a
+nonzero bracket, so `_term_sums` generates each term from the bracket
+it holds (the algebra's `bracket_index`) and sums it into its triple:
 [x, psi(a, b)] where x brackets nonzero with a target of the block of
 (a, b), psi([x, y], z) where a component of a stored bracket [x, y]
 forms a source pair with z.  Every other triple has only zero rows; in
 the model, where only X_0 acts, the reached triples are O(dim^2).
 
-`block_dims` ranks those sums directly, without the canonical form:
-the columns come grouped by block, so a row whose lowest and highest
-columns share a block lies inside it.  Each block's rows are ranked
-once; a block's dimension is its column count minus that rank.  In the
-model no row spans two blocks, so the six-block decomposition holds by
-structure.  When a row does (a law with [Y, Y] != 0 couples blocks B
-and C), every row is restricted to each block, the joint rows are
-ranked once as well, and a difference raises DecompositionMismatch.
+`_integral_sums` is the one row source: it scales those sums by the
+law's denominator and drops what cancels.  `assemble_Z2_system` builds
+its matrix from these rows, and `block_dims` ranks the same rows
+directly: the columns come grouped by block, so a row whose lowest and
+highest columns share a block lies inside it.  Each block's rows are
+ranked once; a block's dimension is its column count minus that rank.
+In the model no row spans two blocks, so the six-block decomposition
+holds by structure.  When a row does (a law with [Y, Y] != 0 couples
+blocks B and C), every row is restricted to each block, the joint rows
+are ranked once as well, and a difference raises DecompositionMismatch.
 """
 
 from __future__ import annotations
@@ -56,12 +58,10 @@ import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, groupby, product
-from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .algebra import ColorLieAlgebra, Vector, both_ways, reached_triples
-from .linalg import (SparseIntMatrix, kernel_basis, nullity, primitive_row,
-                     rank_certified)
+from .algebra import ColorLieAlgebra, Vector, both_ways, law_denominator, reached_triples
+from .linalg import SparseIntMatrix, kernel_basis, nullity, rank_certified
 from .scalars import Coeff, add_into, as_coeff, as_int, coeff_to_json
 
 
@@ -403,34 +403,42 @@ def _term_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) ->
     return ranges, sums
 
 
+def _integral_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) -> tuple:
+    """`_term_sums` with every row integral and nonempty: the one row source.
+
+    Every term of d2 psi holds one structure constant, so the law's
+    denominator (`law_denominator`) makes every row integral.  Entries
+    that cancel to 0 are dropped, and so are rows that cancel whole.
+    """
+    ranges, sums = _term_sums(alg, blocks, allow_x0_target)
+    denom = law_denominator(alg)
+    # the model's sums are integral with no 0; rebuilding them costs grid-verify ~9%
+    if denom != 1 or any(0 in row.values() for acc in sums.values() for row in acc.values()):
+        for triple, acc in sums.items():
+            scaled = ((u, {c: (v * denom).numerator for c, v in row.items() if v})
+                      for u, row in acc.items())
+            sums[triple] = {u: row for u, row in scaled if row}
+    return ranges, sums
+
+
 def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
                        allow_x0_target: bool = False) -> ConstraintSystem:
     """Constraint matrix whose kernel is the cocycle space of the blocks.
 
-    Rows are the `_term_sums` rows in canonical form: ascending basis
-    triples (the ten degree shapes are the ten classical condition
-    families), targets ascending, each row primitive and merged with its
-    repeats, which leaves the kernel untouched.  A triple no term
-    reaches has only zero rows, so rows, order and labels are those of
-    a walk over all C(dim, 3) triples.
+    One row per nonzero (basis triple, target) sum of `_integral_sums`,
+    in the order the sums are generated; `row_origins` names the
+    ascending triple and the target of each.  A triple no term reaches
+    has only zero rows, so the rows are those of a walk over all
+    C(dim, 3) triples, up to order and scaling, which leave the kernel
+    and its canonical basis untouched.
     """
-    _, sums = _term_sums(alg, blocks, allow_x0_target)
-    rows, origins, seen = [], [], set()
-    for triple in sorted(sums):
-        acc = sums.pop(triple)
-        for u in sorted(acc):
-            row = primitive_row(acc[u])
-            if not row or row in seen:
-                continue
-            seen.add(row)
-            rows.append(row)
-            origins.append((triple, u))
-
+    _, sums = _integral_sums(alg, blocks, allow_x0_target)
+    rows = [row for acc in sums.values() for row in acc.values()]
+    origins = tuple((triple, u) for triple, acc in sums.items() for u in acc)
     cols = cochain_columns(alg, blocks, allow_x0_target=allow_x0_target)
     matrix = SparseIntMatrix(len(rows), len(cols), rows)
-    return ConstraintSystem(matrix=matrix, col_keys=tuple(cols),
-                            row_origins=tuple(origins), alg=alg,
-                            allow_x0_target=allow_x0_target)
+    return ConstraintSystem(matrix=matrix, col_keys=tuple(cols), row_origins=origins,
+                            alg=alg, allow_x0_target=allow_x0_target)
 
 
 def _restrict_to_block(system: ConstraintSystem, block: BlockKind) -> SparseIntMatrix:
@@ -451,22 +459,15 @@ def _restrict_to_block(system: ConstraintSystem, block: BlockKind) -> SparseIntM
 
 
 def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
-    """Per-block cocycle dimensions, ranked straight from `_term_sums`.
+    """Per-block cocycle dimensions, ranked straight from `_integral_sums`.
 
-    The block and spanning rules are the module docstring's.  Entries
-    that cancel to 0 are dropped.  Every term of d2 psi holds one
-    structure constant, so the law's common denominator, found once per
-    algebra, makes every row integral.
+    The same rows as `assemble_Z2_system`, without a matrix or a column
+    key; the block and spanning rules are the module docstring's.
     """
-    ranges, sums = _term_sums(alg, ALL_BLOCKS, allow_x0_target)
+    ranges, sums = _integral_sums(alg, ALL_BLOCKS, allow_x0_target)
     ranges = [(block, cols) for block, cols in ranges if cols]
     position = [k for k, (_, cols) in enumerate(ranges) for _ in cols]
-    denom = lcm(*(c.denominator for _, _, vec in alg.nonzero_constants() for c in vec.values()))
     joint = [row for acc in sums.values() for row in acc.values()]
-    # the model's sums are integral with no 0; rebuilding them costs grid-verify ~9%
-    if denom != 1 or any(0 in row.values() for row in joint):
-        joint = [{c: (v * denom).numerator for c, v in row.items() if v} for row in joint]
-        joint = [row for row in joint if row]
     pieces: list = [[] for _ in ranges]
     spanning = False
     for row in joint:

@@ -116,28 +116,6 @@ class KernelBasis:
         return True
 
 
-def primitive_row(row: Mapping) -> tuple:
-    """Canonical integer form of a sparse rational row.
-
-    Clears denominators, strips the integer content and makes the
-    lowest-column entry positive; scaling a row never changes the
-    kernel.  Entries are ints or Fractions, read through their
-    `numerator` and `denominator` (an int's denominator is 1).  Returns
-    a sorted tuple of (col, int) pairs.
-    """
-    items = sorted(row.items())
-    denom = lcm(*[v.denominator for _, v in items])
-    ints = [(c, v.numerator * (denom // v.denominator)) for c, v in items if v]
-    if not ints:
-        return ()
-    content = gcd(*[v for _, v in ints])
-    if ints[0][1] < 0:
-        content = -content
-    if content != 1:
-        ints = [(c, v // content) for c, v in ints]
-    return tuple(ints)
-
-
 # -- elimination engine -------------------------------------------------
 
 

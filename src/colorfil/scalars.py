@@ -17,7 +17,9 @@ def as_coeff(value) -> Coeff:
     """Coerce a user-supplied value to an exact scalar.
 
     Accepts ints, Fractions and strings ("7", "-3/4", "0.5"); integral
-    Fractions are collapsed back to int.
+    Fractions are collapsed back to int.  Exponent notation is refused:
+    `Fraction` would expand the 11 bytes "1e10000000" into a
+    33-million-bit integer.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
@@ -26,6 +28,8 @@ def as_coeff(value) -> Coeff:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation in scalar {reprlib.repr(value)}")
         try:
             return as_coeff(Fraction(value))
         except ZeroDivisionError:

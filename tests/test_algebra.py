@@ -205,6 +205,10 @@ def test_json_rational_coefficients():
     {"k": 3, "dims": [2, 1, "1"], "beta": [[1, 1, 1]] * 3, "constants": []},
     {"k": 3, "dims": [3, 1, 1], "beta": [[1, 1, 1]] * 3,
      "constants": [{"lhs": "X0", "rhs": "X1", "value": [{"basis": "X2", "coeff": "1/0"}]}]},
+    # exponent notation: Fraction would expand this into a 33-million-bit integer
+    {"k": 3, "dims": [3, 1, 1], "beta": [[1, 1, 1]] * 3,
+     "constants": [{"lhs": "X0", "rhs": "X1",
+                    "value": [{"basis": "X2", "coeff": "1e10000000"}]}]},
     # the format keeps k and beta, but only Z_3 with the trivial factor is legal
     {"k": 2, "dims": [1, 2], "beta": [[1, 1], [1, -1]], "constants": []},
     {"k": 4, "dims": [2, 1, 1, 1], "beta": [[1, 1, 1, 1]] * 4, "constants": []},

@@ -473,12 +473,14 @@ def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):
                                "--cocycle", str(cochain_file(name, terms)))
         assert code == 2, name
         assert "must be an integer" in err
-    # float, null and zero-denominator coefficients, non-list terms and
+    # float, null, zero-denominator and exponent-notation coefficients
+    # (Fraction would expand "1e10000000" for seconds), non-list terms and
     # terms that are not objects: a message and exit 2, no traceback
     term = {"block": "D", "i": 1, "j": 2, "s": 1}
     for name, terms in [("fcoeff.json", [{**term, "coeff": 0.5}]),
                         ("ncoeff.json", [{**term, "coeff": None}]),
                         ("zcoeff.json", [{**term, "coeff": "1/0"}]),
+                        ("ecoeff.json", [{**term, "coeff": "1e10000000"}]),
                         ("dterms.json", {}), ("iterms.json", 7),
                         ("iterm.json", [7]), ("lterm.json", [["D", 1, 2, 1, 1]])]:
         code, out, err = run_cli(capsys, "deform", "--algebra", str(alg_path),

@@ -176,6 +176,28 @@ def test_x0_target_exclusion():
     assert (a_strict.nullity(), a_loose.nullity()) == (1, 2)
 
 
+def test_x0_target_changes_dims_only_in_a_finite_region():
+    # Let f(a, b) be the X0 coefficient of psi(a, b), and x not in {a, b} an
+    # element that is not the top of its chain.  At the triple (x, a, b) the
+    # term [x, psi(a, b)] contributes -f(a, b) [X0, x] in the target just
+    # after x; only X0 brackets, so every other term vanishes or lands just
+    # after a or b.  Hence f(a, b) = 0 unless every non-top element lies in
+    # {a, b}: X0 values survive only for A at n <= 3 with m, p <= 1 and for
+    # E at n = 1 with m, p <= 2.  Brute force finds them at n in {2, 3} and
+    # at m, p in {1, 2}, one more dimension each, and nowhere else.
+    region = ({((n, m, p), BlockKind.A) for n in (2, 3) for m in (0, 1) for p in (0, 1)}
+              | {((1, m, p), BlockKind.E) for m in (1, 2) for p in (1, 2)})
+    changed = set()
+    for nmp in product(range(1, 7), range(0, 6), range(0, 6)):
+        alg = build_model(*nmp)
+        strict, loose = block_dims(alg), block_dims(alg, allow_x0_target=True)
+        for block in ALL_BLOCKS:
+            if loose[block] != strict[block]:
+                assert loose[block] == strict[block] + 1, (nmp, block.name)
+                changed.add((nmp, block))
+    assert changed == region
+
+
 def test_row_labels_cover_expected_conditions():
     system = assemble_Z2_system(build_model(3, 2, 2))
     conditions = {label.condition for label in system.row_labels}
@@ -326,9 +348,14 @@ def test_cochain_json_roundtrip():
                 {"terms": [5]}, {"terms": [None]}, {"terms": [["D", 1, 2, 1, 1]]}]:
         with pytest.raises(ValueError):
             cochain_from_json(alg, bad)
-    # unknown blocks and missing fields are named in the message
+    # unknown blocks, missing fields and exponent notation (which Fraction
+    # would expand over seconds) are named in the message
     for bad, message in [({"terms": [{**term, "block": "5", "coeff": 1}]},
                           "unknown block '5' (A-F)"),
+                         ({"terms": [{**term, "coeff": "1e10000000"}]},
+                          "exponent notation in scalar '1e10000000'"),
+                         ({"terms": [{**term, "coeff": "2E" + "9" * 100}]},
+                          "exponent notation in scalar '2E9999999999...9999999999999'"),
                          ({"terms": [term]}, "cochain term missing field 'coeff'"),
                          ({"terms": [{"i": 1, "j": 2, "s": 1, "coeff": 1}]},
                           "cochain term missing field 'block'")]:

@@ -103,3 +103,25 @@ def test_filiform_check_fails_on_non_nilpotent():
     for dims, pair, vector in [((2, 0, 0), (0, 1), {1: 1}), ((2, 1, 0), (0, 2), {2: 1})]:
         law = ColorLieAlgebra(dims, {pair: vector})
         assert not filiform_check(DeformedLaw(base=law, phi=Cochain2(law), result=law))
+
+
+@pytest.mark.parametrize("nmp", [(4, 3, 3), (5, 2, 4), (6, 4, 5), (8, 6, 6)])
+def test_e_and_f_cocycles_integrate_and_a_b_c_cocycles_need_not(nmp):
+    # For a cocycle phi on a Lie base, mu0 + phi is a Lie law exactly when
+    # phi o phi vanishes, i.e. when phi alone satisfies Jacobi.  A D value
+    # lies in L2, an E value in L0 and an F value in L1, none a source
+    # degree of its own block, so phi(phi(x, y), z) = 0 by degree and every
+    # cocycle of D, E or F alone integrates.  A, B and C take values in a
+    # source degree of their own block, and some of their kernel vectors
+    # do not integrate.
+    alg = build_model(*nmp)
+    for block in BlockKind:
+        verdicts = []
+        for phi in assemble_Z2_system(alg, {block}).kernel_cochains():
+            integrable = is_integrable(deform(alg, phi))
+            alone = ColorLieAlgebra(alg.dims, phi.as_constant_additions())
+            assert integrable == (validate_jacobi(alone) == []), (block.name, nmp)
+            verdicts.append(integrable)
+        assert verdicts, (block.name, nmp)
+        assert all(verdicts) == (block in (BlockKind.D, BlockKind.E, BlockKind.F)), \
+            (block.name, nmp)

@@ -15,15 +15,16 @@ canonical kernel bases.
 
 `reference_assembly` is the plain walk over all C(dim, 3) basis
 triples; the production assembler generates only the terms a nonzero
-bracket holds and must produce exactly the same system.  The references
-read the bracket through `bracket_basis`, which reads the algebra's
-bracket index; `test_bracket_index_matches_canonical_constants` checks
-that index against the canonical constants, so a sign slip in it
-cannot hide behind the references.
-`reference_primitive_row` is the `Fraction` route to the primitive
-row form that `primitive_row` computes on numerators and denominators.
-`reference_block_dims` restricts the canonical joint rows to each block
-and ranks the joint matrix as a whole; `block_dims` ranks the raw row
+bracket holds and must produce the same nonzero row at every (triple,
+target), up to scale: the test puts both sides in primitive form with
+`reference_primitive_row`, its own `Fraction` route, and compares the
+two maps.  The references read the bracket through `bracket_basis`,
+which reads the algebra's bracket index;
+`test_bracket_index_matches_canonical_constants` checks that index
+against the canonical constants, so a sign slip in it cannot hide
+behind the references.
+`reference_block_dims` restricts the assembled joint rows to each block
+and ranks the joint matrix as a whole; `block_dims` ranks the same row
 sums of each block once and must give the same dimensions and the same
 `DecompositionMismatch`, also on laws with rational constants and on
 laws whose row sums cancel, while `checked_rank` sees only nonempty
@@ -54,7 +55,7 @@ from colorfil.cohomology import (ALL_BLOCKS, CONDITION_BY_SHAPE, BlockKind, Coch
                                  _term_sums, assemble_Z2_system, block_dims, cochain_columns,
                                  cocycle_defect, delta1, is_cocycle)
 from colorfil.deformation import deform
-from colorfil.linalg import SparseIntMatrix, kernel_basis, primitive_row, rank_certified
+from colorfil.linalg import SparseIntMatrix, kernel_basis, rank_certified
 
 
 def dense_rref(rows, n_cols):
@@ -220,13 +221,11 @@ def reference_primitive_row(row):
 
 
 def reference_assembly(alg, blocks, allow_x0_target=False):
-    """(rows, row labels, column keys) from a walk over every basis triple.
+    """({(triple, target): primitive row}, column keys) from a walk over every basis triple.
 
     Evaluates the six terms of the cocycle identity at each ascending
     triple straight from `alg.bracket_basis`, splits by target, and
-    keeps each primitive row the first time it appears.  Rows are
-    normalised by `primitive_row`, which is checked on its own against
-    `reference_primitive_row`.
+    keeps each nonzero row in the form of `reference_primitive_row`.
     """
     cols = cochain_columns(alg, blocks, allow_x0_target=allow_x0_target)
     psi_of: dict = {}  # ordered global pair -> [(col, target, sign)]
@@ -240,7 +239,7 @@ def reference_assembly(alg, blocks, allow_x0_target=False):
 
     bracket = {(x, y): alg.bracket_basis(x, y).items()
                for x, y in product(range(alg.dim), repeat=2)}
-    rows, labels, seen = [], [], set()
+    rows = {}
     for a, b, c in combinations(range(alg.dim), 3):
         acc: dict = {}  # target -> {col: coeff}
 
@@ -256,22 +255,28 @@ def reference_assembly(alg, blocks, allow_x0_target=False):
             for t, cb in bracket[(bx, by)]:
                 for col, tgt, s in psi_of.get((t, other) if first else (other, t), ()):
                     add(tgt, col, sign * cb * s)
-        cond = CONDITION_BY_SHAPE[tuple(alg.degree_of(i) for i in (a, b, c))]
-        for u in sorted(acc):
-            row = primitive_row(acc[u])
-            if row and row not in seen:
-                seen.add(row)
-                rows.append(row)
-                labels.append(RowLabel(cond, (alg.label(a), alg.label(b), alg.label(c)),
-                                       alg.label(u)))
-    return tuple(rows), tuple(labels), tuple(cols)
+        for u, row in acc.items():
+            row = reference_primitive_row(row)
+            if row:
+                rows[((a, b, c), u)] = row
+    return rows, tuple(cols)
+
+
+def reference_row_label(alg, triple, target):
+    cond = CONDITION_BY_SHAPE[tuple(alg.degree_of(i) for i in triple)]
+    return RowLabel(cond, tuple(alg.label(i) for i in triple), alg.label(target))
 
 
 def assert_assembly_matches_reference(alg, blocks, allow_x0_target=False):
+    """One production row per nonzero (triple, target), equal to the reference up to scale."""
     system = assemble_Z2_system(alg, blocks, allow_x0_target=allow_x0_target)
-    rows, labels, cols = reference_assembly(alg, blocks, allow_x0_target)
-    assert system.matrix.rows == rows
-    assert system.row_labels == labels
+    rows, cols = reference_assembly(alg, blocks, allow_x0_target)
+    produced = {origin: reference_primitive_row(dict(row))
+                for origin, row in zip(system.row_origins, system.matrix.rows)}
+    assert len(produced) == system.matrix.n_rows == len(system.row_origins)
+    assert produced == rows
+    assert system.row_labels == tuple(reference_row_label(alg, *origin)
+                                      for origin in system.row_origins)
     assert system.col_keys == cols
 
 
@@ -470,16 +475,6 @@ def test_block_dims_ranks_nonempty_rows_of_nonzero_ints(monkeypatch):
         assert any(not any(row.values()) for row in rows) != shift
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.dictionaries(
-    st.integers(0, 40),
-    st.one_of(st.integers(-(2**70), 2**70),
-              st.fractions(max_denominator=2**40).map(lambda v: v * 2**50)),
-    max_size=8))
-def test_primitive_row_matches_fraction_reference(row):
-    assert primitive_row(row) == reference_primitive_row(row)
-
-
 def _accumulate(acc, scale, vec):
     for u, c in vec.items():
         acc[u] = acc.get(u, 0) + scale * c
@@ -669,3 +664,12 @@ def test_descending_dims_match_dense_reference(n, m, p, data):
     for alg in (d_deformed(n, m, p, data), drawn_algebra(data)):
         assert descending_outcomes(_descending_dims, alg) == \
             descending_outcomes(reference_descending_dims, alg)
+
+
+def test_descending_dims_scale_rational_images_like_reference():
+    # [X0, X1] = X2/2 + X3 and [X0, X4] = X2 + 2 X3 span one line; ranking the
+    # numerators of the images instead of the images scaled by the law's
+    # denominator would count two
+    alg = ColorLieAlgebra((5, 0, 0), {(0, 1): {2: Fraction(1, 2), 3: 1}, (0, 4): {2: 1, 3: 2}})
+    assert descending_outcomes(_descending_dims, alg) == \
+        descending_outcomes(reference_descending_dims, alg) == [[5, 1, 0], [0], [0]]

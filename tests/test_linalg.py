@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorfil.linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
-                             primitive_row, rank_certified)
+from colorfil.linalg import KernelBasis, SparseIntMatrix, kernel_basis, nullity, rank_certified
 from test_independent_oracle import (cells_of, dense_kernel, dense_nullity, from_cells,
                                      sparse_matrices, to_dense)
 
@@ -168,12 +167,3 @@ def test_constructor_checks_tuple_rows():
             SparseIntMatrix(1, 3, [row])
     with pytest.raises(ValueError, match="expected 2 rows, got 1"):
         SparseIntMatrix(2, 3, [((0, 1),)])
-
-
-def test_primitive_row_normalization():
-    row = {3: Fraction(-2, 3), 5: Fraction(4, 3)}
-    # denominators cleared, content stripped, leading entry positive
-    assert primitive_row(row) == ((3, 1), (5, -2))
-    assert primitive_row({}) == ()
-    assert primitive_row({2: 6, 4: -9}) == ((2, 2), (4, -3))
-
