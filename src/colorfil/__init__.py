@@ -17,8 +17,8 @@ from .cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
                          cochain_to_json, cocycle_basis_json, delta1, delta2,
                          is_cocycle)
 from .deformation import (CharacteristicVectorViolation, DeformedLaw,
-                          NotACocycle, NotALieAlgebra, deform, filiform_check,
-                          is_integrable)
+                          IntegrabilityMismatch, NotACocycle, NotALieAlgebra,
+                          deform, filiform_check, is_integrable)
 from .formulas import (DimensionReport, IntegralityError, branch_labels,
                        main_theorem_total)
 from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,

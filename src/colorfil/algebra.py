@@ -5,7 +5,7 @@ Z_3-graded vector space with a bracket given by sparse structure
 constants.  Over the rationals the only commutation factor on Z_3 is
 the trivial one, so a Z_3 colour Lie algebra is an ordinary graded Lie
 algebra.  Brackets are stored for canonically ordered basis pairs and
-indexed once both ways round, [y, x] = -[x, y] (`both_ways`), so
+indexed once both ways round, [y, x] = -[x, y] (`bracket_index`), so
 skewness is structural rather than checked.
 
 The model algebra built by :func:`build_model` has basis
@@ -77,7 +77,7 @@ class ColorLieAlgebra:
     """
 
     def __init__(self, dims, constants: Mapping | None = None):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(as_int(d, "component dimension") for d in dims)
         if len(dims) != 3:
             raise ValueError(f"expected 3 graded components, got {len(dims)}")
         if any(d < 0 for d in dims):
@@ -97,14 +97,21 @@ class ColorLieAlgebra:
         self._index = {e.label: i for i, e in enumerate(self._elements)}
         self._constants: dict = {}
         for (a, b), vec in (constants or {}).items():
-            self._add_constant(int(a), int(b), vec)
-        self._brackets = both_ways(self._constants)
+            self._add_constant(as_int(a, "pair index"), as_int(b, "pair index"), vec)
+        # {x: {y: [e_x, e_y]}}: the mirrored entry (b, a) holds the negated vector
+        self._brackets: dict = {}
+        for (a, b), vec in self._constants.items():
+            self._brackets.setdefault(a, {})[b] = vec
+            self._brackets.setdefault(b, {})[a] = {t: -c for t, c in vec.items()}
 
     def _add_constant(self, a: int, b: int, vec) -> None:
         n = self.dim
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"basis index out of range in pair ({a}, {b})")
-        clean = {int(t): as_coeff(c) for t, c in vec.items() if as_coeff(c) != 0}
+        clean = {as_int(t, "target index"): as_coeff(c) for t, c in vec.items()}
+        if any(not 0 <= t < n for t in clean):
+            raise ValueError(f"target index out of range in the value of pair ({a}, {b})")
+        clean = {t: c for t, c in clean.items() if c}
         if not clean:
             return
         if a == b:
@@ -160,14 +167,13 @@ class ColorLieAlgebra:
         return self._offsets[g] + i - (0 if g == 0 else 1)
 
     def vector(self, source) -> Vector:
-        """Build a sparse vector from a label, an index, or a mapping."""
-        if isinstance(source, str):
-            return {self.index(source): 1}
-        if isinstance(source, int):
-            return {source: 1}
-        out = {}
-        for key, c in source.items():
-            add_into(out, self.index(key) if isinstance(key, str) else int(key), as_coeff(c))
+        """Build a sparse vector from a label, an index, or a mapping of them to scalars."""
+        out: Vector = {}
+        for key, c in (source.items() if isinstance(source, Mapping) else [(source, 1)]):
+            i = self.index(key) if isinstance(key, str) else as_int(key, "basis index")
+            if not 0 <= i < self.dim:
+                raise ValueError(f"basis index {i} out of range 0..{self.dim - 1}")
+            add_into(out, i, as_coeff(c))
         return out
 
     def format_vector(self, vec: Mapping) -> str:
@@ -319,60 +325,51 @@ def build_model(n: int, m: int, p: int) -> ColorLieAlgebra:
     return ColorLieAlgebra((n + 1, m, p), constants)
 
 
-def both_ways(table: Mapping) -> dict:
-    """{x: {y: value of (x, y)}} from a skew table {(a, b): vector}, a < b.
+def reached_triples(inner: ColorLieAlgebra, outer: ColorLieAlgebra) -> set:
+    """Ascending triples sorted(a, b, w) where outer(inner(a, b), w) can be nonzero.
 
-    The mirrored entry (b, a) holds the negated vector.  For a bracket
-    (or a cochain) this maps each basis element to the elements it
-    brackets nonzero with (or shares a nonzero value with).
+    `inner` and `outer` are laws (a bracket, or a cochain's values as
+    `Cochain2.law`).  A triple is reached when a component t of
+    inner(a, b) pairs nonzero with w in `outer` and w is neither a nor
+    b.  A term such as [[a, b], w] or psi([a, b], w) is zero at every
+    other triple.
     """
-    index: dict = {}
-    for (a, b), vec in table.items():
-        index.setdefault(a, {})[b] = vec
-        index.setdefault(b, {})[a] = {t: -c for t, c in vec.items()}
-    return index
-
-
-def reached_triples(values: Mapping, partners: Mapping) -> set:
-    """Ascending triples sorted(a, b, w) that a table of values reaches.
-
-    `values` maps basis pairs (a, b) to sparse vectors (a bracket or a
-    cochain); `partners` is `both_ways` of a second table.  A triple
-    is reached when a component t of values[(a, b)] pairs nonzero with
-    w in the second table and w is neither a nor b.  A term such as
-    [[a, b], w] or psi([a, b], w) is zero at every other triple.
-    """
+    partners = outer.bracket_index
     return {tuple(sorted((a, b, w)))
-            for (a, b), vec in values.items() for t in vec
+            for a, b, vec in inner.nonzero_constants() for t in vec
             for w in partners.get(t, ()) if w != a and w != b}
+
+
+def jacobiator(inner: ColorLieAlgebra, outer: ColorLieAlgebra, a: int, b: int, c: int) -> Vector:
+    """outer(inner(a,b),c) - outer(a,inner(b,c)) + outer(b,inner(a,c)) on basis elements.
+
+    J(mu, mu) is the Jacobiator of a law mu, and d2 psi = -(J(mu, psi) +
+    J(psi, mu)).  Both laws are skew: the terms are the cyclic sum of
+    outer(inner(x, y), z).
+    """
+    out: Vector = {}
+    inner_index, outer_index = inner.bracket_index, outer.bracket_index
+    for x, y, z, sign in ((a, b, c, 1), (b, c, a, 1), (a, c, b, -1)):
+        for t, v in inner_index.get(x, {}).get(y, {}).items():
+            for u, w in outer_index.get(t, {}).get(z, {}).items():
+                add_into(out, u, sign * v * w)
+    return out
 
 
 def validate_jacobi(alg: ColorLieAlgebra) -> list:
     """Violations of the Jacobi identity, in ascending basis-triple order.
 
     Skewness is structural (canonical storage), so only the Jacobi
-    identity J(x,y,z) = [[x,y],z] - [x,[y,z]] + [y,[x,z]] can fail.  The
-    Jacobiator is alternating, so ascending triples suffice.  Each of its
-    three terms is some [[u,v],w], so only the triples the bracket
-    reaches against itself (`reached_triples`) are evaluated; J is zero
-    at every other triple, and the list is the one a walk over all
-    C(dim, 3) triples would give.
+    identity J(x,y,z) = `jacobiator(alg, alg, x, y, z)` can fail.  The
+    Jacobiator is alternating, so ascending triples suffice, and only
+    the triples the bracket reaches against itself (`reached_triples`)
+    are evaluated: J is zero at every other triple, and the list is the
+    one a walk over all C(dim, 3) triples would give.
     """
-    constants = {(a, b): vec for a, b, vec in alg.nonzero_constants()}
-    triples = reached_triples(constants, alg.bracket_index)
-    violations = []
-    for a, b, c in sorted(triples):
-        res = alg.bracket(alg.bracket_basis(a, b), {c: 1})
-        for t, coeff in alg.bracket_basis(b, c).items():
-            for u, cu in alg.bracket_basis(a, t).items():
-                add_into(res, u, -coeff * cu)
-        for t, coeff in alg.bracket_basis(a, c).items():
-            for u, cu in alg.bracket_basis(b, t).items():
-                add_into(res, u, coeff * cu)
-        if res:
-            violations.append(JacobiViolation(
-                "J", (alg.label(a), alg.label(b), alg.label(c)), alg.format_vector(res)))
-    return violations
+    labels = alg.labels()
+    return [JacobiViolation("J", (labels[a], labels[b], labels[c]), alg.format_vector(res))
+            for a, b, c in sorted(reached_triples(alg, alg))
+            if (res := jacobiator(alg, alg, a, b, c))]
 
 
 # -- descending sequences ---------------------------------------------

@@ -21,8 +21,8 @@ from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from .algebra import AlgebraFormatError, build_model, from_json_dict
 from .cohomology import (ALL_BLOCKS, DecompositionMismatch, KernelMismatch,
                          block_dims, block_named, cochain_from_json, cocycle_basis_json)
-from .deformation import (CharacteristicVectorViolation, NotACocycle, NotALieAlgebra,
-                          deform, filiform_check, is_integrable)
+from .deformation import (CharacteristicVectorViolation, IntegrabilityMismatch, NotACocycle,
+                          NotALieAlgebra, deform, filiform_check, is_integrable)
 from .formulas import (METHOD_BRUTE, METHOD_CLOSED, METHOD_WEIGHTS,
                        DimensionReport, IntegralityError, main_theorem_total)
 from .weights import count_weight_dim
@@ -302,6 +302,9 @@ def cmd_deform(args) -> int:
     except (CharacteristicVectorViolation, NotALieAlgebra, NotACocycle) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID_OBJECT_ERROR
+    except IntegrabilityMismatch as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return MISMATCH_ERROR
     filiform = filiform_check(law) if integrable else False
     verdict = {"integrable": integrable, "filiform": filiform}
     algebra_doc = law.result.to_json_dict()

@@ -16,19 +16,22 @@ from the targets of the two L0-valued blocks A and E (pass
 `allow_x0_target=True` to readmit it there).  `_index_ranges` is the
 one statement of this X_0 rule.
 
-A `Cochain2` stores its values in the form of the law itself: sparse
-target vectors on canonical global basis pairs a < b, exactly as
-`ColorLieAlgebra` stores its structure constants, so the deformed law
-mu0 + phi is a sum of two such tables.  The block-wise basis maps
-phi^s_{i,j} (the matrix columns, `ColumnKey`) address it through
-`ColorLieAlgebra.global_index`.
+A degree-0 cochain has the shape of a law, so a `Cochain2` holds its
+values as one: `Cochain2.law` is the `ColorLieAlgebra` whose structure
+constants are psi's values, and the deformed law mu0 + phi is the sum
+of two such tables.  The block-wise basis maps phi^s_{i,j} (the matrix
+columns, `ColumnKey`) address it through `ColorLieAlgebra.global_index`.
 
-`assemble_Z2_system` turns the cocycle identity
+The cocycle identity is the mixed Jacobiator of mu and psi:
 
     (d2 psi)(A0,A1,A2) = [A0,psi(A1,A2)] - [A1,psi(A0,A2)] + [A2,psi(A0,A1)]
-                         - psi([A0,A1],A2) + psi([A0,A2],A1) + psi(A0,[A1,A2]) = 0
+                         - psi([A0,A1],A2) + psi([A0,A2],A1) + psi(A0,[A1,A2])
+                       = -(J(mu, psi) + J(psi, mu))(A0,A1,A2)
 
-into one sparse integer constraint matrix: one row per nonzero (basis
+with J(inner, outer) = `algebra.jacobiator`, the function that also
+checks the Jacobi identity.  `delta2` and `cocycle_defect` evaluate it
+that way; `assemble_Z2_system` turns d2 psi = 0 into one sparse integer
+constraint matrix: one row per nonzero (basis
 triple, target component) instance, one column per basis cochain.  The
 ten classical condition families are the ten degree shapes of the
 triple; the enumeration is generic, so the assembler validates cocycles
@@ -60,9 +63,9 @@ from enum import Enum
 from itertools import combinations, groupby, product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .algebra import ColorLieAlgebra, Vector, both_ways, law_denominator, reached_triples
+from .algebra import ColorLieAlgebra, Vector, jacobiator, law_denominator, reached_triples
 from .linalg import SparseIntMatrix, kernel_basis, nullity, rank_certified
-from .scalars import Coeff, add_into, as_coeff, as_int, coeff_to_json
+from .scalars import add_into, as_coeff, as_int, coeff_to_json
 
 
 class DecompositionMismatch(ArithmeticError):
@@ -150,15 +153,15 @@ def _index_ranges(nmp: tuple, allow_x0_target: bool) -> tuple:
 
 
 class Cochain2:
-    """A sparse degree-0 2-cochain on a model-shaped algebra.
+    """An immutable sparse degree-0 2-cochain on a model-shaped algebra.
 
-    Values are stored as the algebra stores its structure constants:
-    {(a, b): {t: coeff}} over global basis indices with a < b (the
-    swapped pair is the negative).  The block-wise interface addresses
-    the basis map phi^s_{i,j} of a block by family indices: same-family
-    source pairs with i < j, mixed pairs with the lower-degree family
-    first, in the ranges of `_index_ranges`.  A table written directly
-    (`delta1`) may take X_0 as a source: `has_x0_source` tells.
+    Its values are a law: `law` is the `ColorLieAlgebra` whose structure
+    constants are psi(e_a, e_b), so psi is evaluated like a bracket.  The
+    block-wise interface addresses the basis map phi^s_{i,j} of a block
+    by family indices: same-family source pairs with i < j, mixed pairs
+    with the lower-degree family first, in the ranges of `_index_ranges`.
+    A law set directly (`delta1`) may take X_0 as a source:
+    `has_x0_source` tells.
 
     `coeffs` (a mapping, or an iterable of (ColumnKey, coeff) pairs) may
     name each basis map once: a repeat, or the swapped pair of an
@@ -171,9 +174,9 @@ class Cochain2:
         self.nmp = model_shape(alg)
         self.allow_x0_target = allow_x0_target
         self._sources, self._targets = _index_ranges(self.nmp, allow_x0_target)
-        self._data: dict = {}  # (a, b), a < b -> {t: coeff}
         if isinstance(coeffs, Mapping):
             coeffs = coeffs.items()
+        table: dict = {}  # (a, b), a < b -> {t: coeff}
         named: set = set()  # named once, so each value is set, not summed
         for (block, i, j, s), c in coeffs or ():
             c = as_coeff(c)
@@ -183,7 +186,8 @@ class Cochain2:
                                  f"at i={i}, j={j}, s={s} twice")
             named.add((a, b, t))
             if c:
-                self._data.setdefault((a, b), {})[t] = sign * c
+                table.setdefault((a, b), {})[t] = sign * c
+        self.law = ColorLieAlgebra(alg.dims, table)
 
     def _locate(self, block: BlockKind, i: int, j: int, s: int) -> tuple:
         """Global (a, b, t) of phi^s_{i,j} with a < b, and the swap sign.
@@ -207,29 +211,11 @@ class Cochain2:
         glob = self.alg.global_index
         return glob(g1, i), glob(g2, j), glob(block.target_degree, s), sign
 
-    def add(self, block: BlockKind, i: int, j: int, s: int, coeff) -> None:
-        """Accumulate a coefficient onto the canonical basis map, located even for 0."""
-        coeff = as_coeff(coeff)
-        a, b, t, sign = self._locate(block, i, j, s)
-        if coeff == 0:
-            return
-        slot = self._data.setdefault((a, b), {})
-        add_into(slot, t, sign * coeff)
-        if not slot:
-            del self._data[(a, b)]
-
-    def get(self, block: BlockKind, i: int, j: int, s: int) -> Coeff:
-        try:
-            a, b, t, sign = self._locate(block, i, j, s)
-        except ValueError:  # no such basis map: the value is 0
-            return 0
-        return sign * self._data.get((a, b), {}).get(t, 0)
-
     def items(self) -> Iterator:
         """Canonical (ColumnKey, coeff) pairs, deterministic order."""
         elem = self.alg.element
         out = []
-        for (a, b), slot in self._data.items():
+        for a, b, slot in self.law.nonzero_constants():
             ea, eb = elem(a), elem(b)
             block = _BLOCK_BY_SOURCE[(ea.degree, eb.degree)]
             out.extend((ColumnKey(block, ea.index, eb.index, elem(t).index), c)
@@ -238,47 +224,15 @@ class Cochain2:
         return iter(out)
 
     def is_zero(self) -> bool:
-        return not self._data
+        return not self.law.bracket_index
 
     @property
     def has_x0_source(self) -> bool:
-        return any(a == 0 for a, _ in self._data)
-
-    def value_on_pair(self, x: int, y: int) -> Vector:
-        """psi(e_x, e_y) as a sparse global vector (skew in x, y)."""
-        if x <= y:
-            return dict(self._data.get((x, y), {}))
-        return {t: -c for t, c in self._data.get((y, x), {}).items()}
-
-    def evaluate(self, x: Mapping, y: Mapping) -> Vector:
-        """Bilinear extension of the cochain to sparse vectors."""
-        out: Vector = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                for t, c in self.value_on_pair(a, b).items():
-                    add_into(out, t, ca * cb * c)
-        return out
-
-    def scaled(self, factor) -> "Cochain2":
-        factor = as_coeff(factor)
-        out = Cochain2(self.alg, allow_x0_target=self.allow_x0_target)
-        if factor:
-            for key, c in self.items():
-                out.add(key.block, key.i, key.j, key.s, factor * c)
-        return out
-
-    def __add__(self, other: "Cochain2") -> "Cochain2":
-        if other.nmp != self.nmp:
-            raise ValueError("cochains live on different algebras")
-        out = Cochain2(self.alg, allow_x0_target=self.allow_x0_target or other.allow_x0_target)
-        for src in (self, other):
-            for key, c in src.items():
-                out.add(key.block, key.i, key.j, key.s, c)
-        return out
+        return 0 in self.law.bracket_index
 
     def as_constant_additions(self) -> dict:
         """Values keyed by canonical global pairs, for deforming a law."""
-        return {pair: dict(vec) for pair, vec in self._data.items()}
+        return {(a, b): vec for a, b, vec in self.law.nonzero_constants()}
 
 
 def _block_bases(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) -> list:
@@ -491,21 +445,24 @@ def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
 
 
 def delta2(alg: ColorLieAlgebra, psi: Cochain2, triple) -> Vector:
-    """(d2 psi) evaluated at three homogeneous basis elements."""
-    a, b, c = (next(iter(alg.vector(t))) for t in triple)
-    out: Vector = {}
+    """(d2 psi) at three basis elements, each a label or an index: -(J(mu, psi) + J(psi, mu)).
 
-    def accumulate(vec: Vector, sign: int):
-        for t, v in vec.items():
-            add_into(out, t, sign * v)
+    Any other entry (an out-of-range index, a bool, a vector) raises
+    ValueError naming it.
+    """
+    index = {i: i for i in range(alg.dim)} | {label: i for i, label in enumerate(alg.labels())}
+    for entry in triple:
+        if type(entry) not in (int, str) or entry not in index:
+            raise ValueError(f"delta2 takes basis labels or indices 0..{alg.dim - 1}, "
+                             f"got {reprlib.repr(entry)}")
+    return _delta2(alg, psi.law, *(index[entry] for entry in triple))
 
-    accumulate(alg.bracket({a: 1}, psi.value_on_pair(b, c)), 1)
-    accumulate(alg.bracket({b: 1}, psi.value_on_pair(a, c)), -1)
-    accumulate(alg.bracket({c: 1}, psi.value_on_pair(a, b)), 1)
-    accumulate(psi.evaluate(alg.bracket_basis(a, b), {c: 1}), -1)
-    accumulate(psi.evaluate(alg.bracket_basis(a, c), {b: 1}), 1)
-    accumulate(psi.evaluate({a: 1}, alg.bracket_basis(b, c)), 1)
-    return out
+
+def _delta2(alg: ColorLieAlgebra, law: ColorLieAlgebra, a: int, b: int, c: int) -> Vector:
+    out = jacobiator(alg, law, a, b, c)
+    for t, v in jacobiator(law, alg, a, b, c).items():
+        add_into(out, t, v)
+    return {t: -v for t, v in out.items()}
 
 
 def cocycle_defect(alg: ColorLieAlgebra, psi: Cochain2):
@@ -520,12 +477,9 @@ def cocycle_defect(alg: ColorLieAlgebra, psi: Cochain2):
     psi's values and the stored brackets only, not the matrix assembly,
     so this re-verifies kernel vectors by a separate route.
     """
-    values = psi.as_constant_additions()
-    constants = {(a, b): vec for a, b, vec in alg.nonzero_constants()}
-    triples = (reached_triples(values, alg.bracket_index)
-               | reached_triples(constants, both_ways(values)))
-    for triple in sorted(triples):
-        value = delta2(alg, psi, triple)
+    law = psi.law
+    for triple in sorted(reached_triples(law, alg) | reached_triples(alg, law)):
+        value = _delta2(alg, law, *triple)
         if value:
             return triple, value
     return None
@@ -544,34 +498,30 @@ def delta1(alg: ColorLieAlgebra, g_map: Mapping) -> Cochain2:
     """Coboundary of a degree-0 linear map g, X_0 sources and targets included.
 
     g is given as {basis index or label: sparse vector}; missing basis
-    elements map to zero.  The result satisfies d2(d1 g) = 0.  Its values
-    are written into the table directly, past the X_0 rule of `add`.
+    elements map to zero.  The result satisfies d2(d1 g) = 0.  Its law is
+    set directly, past the X_0 rule of the block-wise constructor.
     """
     gm: dict = {}
     for key, vec in g_map.items():
-        idx = alg.index(key) if isinstance(key, str) else int(key)
+        (idx,) = alg.vector(key)  # a label or an in-range index
         vec = alg.vector(vec)
         for t in vec:
             if alg.degree_of(t) != alg.degree_of(idx):
                 raise ValueError("delta1 requires a degree-0 (grading-preserving) map")
         gm[idx] = vec
 
-    def apply_g(vec: Mapping) -> Vector:
-        out: Vector = {}
-        for i, c in vec.items():
-            for t, v in gm.get(i, {}).items():
-                add_into(out, t, c * v)
-        return out
-
-    result = Cochain2(alg, allow_x0_target=True)
-    for a, b in combinations(range(alg.dim), 2):
+    table: dict = {}
+    for a, b in combinations(range(alg.dim), 2):  # [a, g b] + [g a, b] - g([a, b])
         vec = alg.bracket({a: 1}, gm.get(b, {}))
-        for t, v in alg.bracket({b: 1}, gm.get(a, {})).items():
-            add_into(vec, t, -v)
-        for t, v in apply_g(alg.bracket_basis(a, b)).items():
-            add_into(vec, t, -v)
+        for t, v in alg.bracket(gm.get(a, {}), {b: 1}).items():
+            add_into(vec, t, v)
+        for i, c in alg.bracket_index.get(a, {}).get(b, {}).items():
+            for t, v in gm.get(i, {}).items():
+                add_into(vec, t, -c * v)
         if vec:
-            result._data[(a, b)] = vec
+            table[(a, b)] = vec
+    result = Cochain2(alg, allow_x0_target=True)
+    result.law = ColorLieAlgebra(alg.dims, table)
     return result
 
 

@@ -2,12 +2,16 @@
 
 A cochain phi vanishing on the characteristic vector defines the
 candidate law mu0 + phi: the model's structure constants plus phi's
-values on each basis pair.  For a 2-cocycle phi the deformed bracket
-satisfies the Jacobi identity exactly when the quadratic obstruction
-phi o phi vanishes, so integrability is decided by re-validating Jacobi
-on the deformed algebra directly; this sidesteps any sign convention
-for the composition.  Both facts assume a Lie base, so the base law is
-validated first.  First order only: no higher deformation terms.
+values on each basis pair (`Cochain2.law`).  By bilinearity of the
+Jacobiator (`algebra.jacobiator`)
+
+    J(mu0 + phi) = J(mu0) + (J(mu0, phi) + J(phi, mu0)) + J(phi)
+                 = J(mu0) - d2 phi + J(phi),
+
+so on a Lie base and for a 2-cocycle phi, mu0 + phi satisfies Jacobi
+exactly when the law phi alone does: J(phi) is the quadratic
+obstruction.  `is_integrable` checks the base and the cocycle first,
+then takes both routes.  First order only: no higher deformation terms.
 
 The Jacobi and cocycle checks evaluate only the basis triples
 `algebra.reached_triples` names.
@@ -31,6 +35,10 @@ class NotACocycle(ValueError):
 
 class NotALieAlgebra(ValueError):
     """Integrability asked for on a base law that fails the Jacobi identity."""
+
+
+class IntegrabilityMismatch(ArithmeticError):
+    """Jacobi on mu0 + phi and Jacobi on phi alone disagree for a cocycle phi."""
 
 
 @dataclass(frozen=True)
@@ -57,10 +65,10 @@ def is_integrable(d: DeformedLaw) -> bool:
     Requires the base law mu0 to satisfy the Jacobi identity (raises
     NotALieAlgebra naming the first violation otherwise) and phi to be a
     2-cocycle on it (rechecked directly through the six-term identity;
-    raises NotACocycle naming the first failing triple otherwise).  For
-    a cocycle the Jacobi defect of the deformed bracket is exactly the
-    quadratic term phi o phi, so validating Jacobi on the deformed
-    algebra decides integrability.
+    raises NotACocycle naming the first failing triple otherwise).  Then
+    J(mu0 + phi) = J(phi) (module docstring): the two violation lists
+    must be equal, or IntegrabilityMismatch names the first triple where
+    they differ.
     """
     base_violations = validate_jacobi(d.base)
     if base_violations:
@@ -70,7 +78,15 @@ def is_integrable(d: DeformedLaw) -> bool:
         labels = ", ".join(d.base.label(i) for i in triple)
         raise NotACocycle("phi fails the 2-cocycle conditions on the base algebra: "
                           f"d2 phi({labels}) = {d.base.format_vector(value)} != 0")
-    return not validate_jacobi(d.result)
+    deformed, alone = ({v.elements: v.residual for v in validate_jacobi(law)}
+                       for law in (d.result, d.phi.law))
+    if deformed != alone:
+        triple = min((t for t, _ in deformed.items() ^ alone.items()),
+                     key=lambda t: [d.base.index(x) for x in t])
+        raise IntegrabilityMismatch(
+            f"J({', '.join(triple)}) is {deformed.get(triple, 0)} on mu0 + phi "
+            f"but {alone.get(triple, 0)} on phi alone")
+    return not deformed
 
 
 def filiform_check(d: DeformedLaw) -> bool:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from colorfil.algebra import (AlgebraFormatError, ColorLieAlgebra,
                               InvalidParams, NotNilpotent,
                               build_model, color_nilindex, from_json_dict,
-                              is_filiform_module, l0_is_filiform,
-                              both_ways, reached_triples, validate_jacobi)
+                              is_filiform_module, jacobiator, l0_is_filiform,
+                              reached_triples, validate_jacobi)
 
 
 def constants_by_label(alg):
@@ -120,16 +120,31 @@ def test_model_properties_sweep(n, m, p):
 
 def test_reached_triples():
     alg = build_model(3, 2, 1)  # [X0, X1] = X2, [X0, X2] = X3, [X0, Y1] = Y2
-    constants = {(a, b): vec for a, b, vec in alg.nonzero_constants()}
-    partners = both_ways(constants)
-    assert partners == alg.bracket_index
-    assert {x: set(row) for x, row in partners.items()} == {0: {1, 2, 4}, 1: {0}, 2: {0}, 4: {0}}
-    assert partners[0][1] == {2: 1} and partners[1][0] == {2: -1}
+    assert {x: set(row) for x, row in alg.bracket_index.items()} == \
+        {0: {1, 2, 4}, 1: {0}, 2: {0}, 4: {0}}
+    assert alg.bracket_index[0][1] == {2: 1} and alg.bracket_index[1][0] == {2: -1}
     # [[X0, X1], w] needs w = X0 again: the model's brackets reach no triple
-    assert reached_triples(constants, partners) == set()
-    # a value on (X2, Y2) reaches each partner of each of its components,
-    # except X2 and Y2 themselves, as ascending triples
-    assert reached_triples({(2, 5): {0: 1, 1: 1}}, partners) == {(1, 2, 5), (2, 4, 5), (0, 2, 5)}
+    assert reached_triples(alg, alg) == set()
+    # psi(X1, X2) = X0 and psi(X2, Y2) = Y1: each component of a value
+    # reaches its bracket partners other than the pair itself ...
+    values = ColorLieAlgebra(alg.dims, {(1, 2): {0: 1}, (2, 5): {4: 1}})
+    assert reached_triples(values, alg) == {(1, 2, 4), (0, 2, 5)}
+    # ... and each bracket component its partners in psi:
+    # psi([X0, X1], Y2) and psi([X0, Y1], X2)
+    assert reached_triples(alg, values) == {(0, 1, 5), (0, 2, 4)}
+
+
+def test_jacobiator_is_the_three_term_identity():
+    # [X1, X2] = X1 on the model: J(X0, X1, X2) = [[X0,X1],X2] - [X0,[X1,X2]] + [X1,[X0,X2]]
+    #                                            = [X2, X2] - [X0, X1] + [X1, X3] = -X2
+    base = build_model(3, 1, 1)
+    broken = base.with_added_constants({(1, 2): {1: 1}})
+    assert jacobiator(broken, broken, 0, 1, 2) == {2: -1}
+    assert jacobiator(base, base, 0, 1, 2) == {}
+    # mixed: outer(inner(a, b), c) with psi = [X1, X2] = X1 as either law
+    psi = ColorLieAlgebra(base.dims, {(1, 2): {1: 1}})
+    assert jacobiator(base, psi, 0, 1, 2) == {}       # psi(X2, X2) - psi(X0, 0) + psi(X1, X3)
+    assert jacobiator(psi, base, 0, 1, 2) == {2: -1}  # [0, X2] - [X0, X1] + [X1, 0]
 
 
 def test_not_nilpotent_detected():

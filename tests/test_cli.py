@@ -10,7 +10,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import colorfil
-from colorfil import cli, formulas
+from colorfil import cli, deformation, formulas
 from colorfil.algebra import build_model
 from colorfil.cli import main
 from colorfil.weights import count_weight_dim
@@ -431,6 +431,28 @@ def test_deform_non_cocycle_exits_3(capsys, tmp_path, deform_files):
     assert code == 3
     assert err == ("error: phi fails the 2-cocycle conditions on the base algebra: "
                    "d2 phi(X0, X1, X2) = 1*X2 != 0\n")
+
+
+def test_deform_route_disagreement_exits_1(capsys, monkeypatch, tmp_path):
+    # D + F at (1,2,2) is a cocycle that does not integrate; a Jacobi route
+    # that sees nothing wrong with phi alone must stop deform with exit 1
+    alg = build_model(1, 2, 2)
+    alg_path = tmp_path / "alg.json"
+    alg_path.write_text(json.dumps(alg.to_json_dict()))
+    coc = tmp_path / "df.json"
+    coc.write_text(json.dumps({"n": 1, "m": 2, "p": 2, "terms": [
+        {"block": "D", "i": 1, "j": 2, "s": 2, "coeff": "1"},
+        {"block": "F", "i": 1, "j": 2, "s": 2, "coeff": "1"}]}))
+    argv = ["deform", "--algebra", str(alg_path), "--cocycle", str(coc)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["integrable"] is False
+    real = deformation.validate_jacobi  # phi alone is the one law where X0 brackets nothing
+    monkeypatch.setattr(deformation, "validate_jacobi",
+                        lambda law: real(law) if 0 in law.bracket_index else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: IntegrabilityMismatch: J(Y1, Y2, Z1) is -1*Y2 on mu0 + phi "
+                   "but 0 on phi alone\n")
 
 
 def test_deform_non_lie_base_exits_3(capsys, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from colorfil.algebra import build_model, validate_jacobi
+from colorfil.algebra import ColorLieAlgebra, build_model, validate_jacobi
 from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
                                  assemble_Z2_system, block_dims, cochain_columns,
                                  cochain_from_json, cochain_to_json,
@@ -44,15 +44,25 @@ def test_delta2_zero_cochain():
 
 def test_delta2_non_cocycle_example():
     alg = build_model(2, 1, 1)
-    psi = Cochain2(alg)
-    psi.add(BlockKind.A, 1, 2, 1, 1)  # a(X1, X2) = X1
+    psi = Cochain2(alg, {ColumnKey(BlockKind.A, 1, 2, 1): 1})  # a(X1, X2) = X1
     assert vec_by_label(alg, delta2(alg, psi, ("X0", "X1", "X2"))) == {"X2": 1}
+    assert delta2(alg, psi, (0, "X1", 2)) == {alg.index("X2"): 1}
+
+
+def test_delta2_refuses_entries_that_are_not_basis_elements():
+    alg = build_model(4, 1, 1)  # dimension 7
+    psi = Cochain2(alg, {ColumnKey(BlockKind.A, 1, 2, 1): 1})
+    for triple, shown in [((0, 1, 999), "999"), ((0, 1, -1), "-1"), ((True, 1, 2), "True"),
+                          (({0: 5}, "X1", "X2"), "{0: 5}"), ((0, 1, 2.0), "2.0"),
+                          (("X0", "X1", "X9"), "'X9'"), (("X0", "X1", "x" * 500), "'xxxxxx")]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"delta2 takes basis labels or indices 0..6, got {shown}")):
+            delta2(alg, psi, triple)
 
 
 def test_delta2_cocycle_example():
     alg = build_model(2, 1, 1)
-    psi = Cochain2(alg)
-    psi.add(BlockKind.A, 1, 2, 2, 1)  # a(X1, X2) = X2
+    psi = Cochain2(alg, {ColumnKey(BlockKind.A, 1, 2, 2): 1})  # a(X1, X2) = X2
     assert delta2(alg, psi, ("X0", "X1", "X2")) == {}
     assert is_cocycle(alg, psi)
 
@@ -67,7 +77,7 @@ def test_delta1_of_identity_is_bracket():
     for a in range(alg.dim):
         for b in range(alg.dim):
             if a != b:
-                assert db.value_on_pair(a, b) == alg.bracket_basis(a, b)
+                assert db.law.bracket_basis(a, b) == alg.bracket_basis(a, b)
 
 
 def test_delta1_of_zero_is_zero():
@@ -78,8 +88,33 @@ def test_delta1_of_zero_is_zero():
 def test_delta1_single_entry_example():
     alg = build_model(3, 2, 2)
     db = delta1(alg, {"X1": "X2"})
-    got = db.value_on_pair(alg.index("X0"), alg.index("X1"))
+    got = db.law.bracket_basis(alg.index("X0"), alg.index("X1"))
     assert vec_by_label(alg, got) == {"X3": 1}
+
+
+def test_library_constructors_refuse_non_integer_indices():
+    # indices are refused, never truncated: int() reads 0.9, 1.2, 2.5 as [X0, X1] = X2
+    for dims, constants, message in [
+            ((3, 1, 1), {(0.9, 1.2): {2.5: 1}}, "pair index must be an integer, got 0.9"),
+            ((3, 1, 1), {(0, 1): {2.5: 1}}, "target index must be an integer, got 2.5"),
+            ((3, 1, 1), {(0, True): {2: 1}}, "pair index must be an integer, got True"),
+            (("3", 1, 1), {}, "component dimension must be an integer, got '3'"),
+            ((3.0, 1, 1), {}, "component dimension must be an integer, got 3.0"),
+            ((3, 1, 1), {(0, 1): {-1: 1}}, "target index out of range in the value of pair"),
+            ((3, 1, 1), {(0, 1): {5: 0}}, "target index out of range in the value of pair")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ColorLieAlgebra(dims, constants)
+    alg = build_model(2, 1, 1)
+    # delta1 refuses, never drops, a key outside the basis
+    for g_map, message in [({1.7: "X1"}, "basis index must be an integer, got 1.7"),
+                           ({True: "X1"}, "basis index must be an integer, got True"),
+                           ({1: {1.7: 1}}, "basis index must be an integer, got 1.7"),
+                           ({99: {}}, "basis index 99 out of range 0..4"),
+                           ({-4: "X1"}, "basis index -4 out of range 0..4"),
+                           ({1: 7}, "basis index 7 out of range 0..4")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            delta1(alg, g_map)
+    assert delta1(alg, {1: {1: 1}}).law.bracket_basis(0, 1) == {2: 1}
 
 
 def test_delta1_rejects_degree_mixing_map():
@@ -211,21 +246,21 @@ def test_row_labels_cover_expected_conditions():
 
 def test_cochain_skew_symmetry():
     alg = build_model(3, 2, 2)
-    psi = Cochain2(alg, allow_x0_target=True)
-    psi.add(BlockKind.A, 1, 2, 2, 3)
-    psi.add(BlockKind.A, 3, 1, 0, 5)  # swapped same-family pair, X0 target
-    psi.add(BlockKind.B, 1, 1, 2, Fraction(1, 2))
-    psi.add(BlockKind.C, 3, 2, 1, 4)
-    psi.add(BlockKind.D, 2, 1, 1, 1)
-    psi.add(BlockKind.E, 2, 1, 1, -2)
-    psi.add(BlockKind.F, 1, 2, 2, 7)
+    psi = Cochain2(alg, {ColumnKey(BlockKind.A, 1, 2, 2): 3,
+                         ColumnKey(BlockKind.A, 3, 1, 0): 5,  # swapped same-family pair, X0 target
+                         ColumnKey(BlockKind.B, 1, 1, 2): Fraction(1, 2),
+                         ColumnKey(BlockKind.C, 3, 2, 1): 4,
+                         ColumnKey(BlockKind.D, 2, 1, 1): 1,
+                         ColumnKey(BlockKind.E, 2, 1, 1): -2,
+                         ColumnKey(BlockKind.F, 1, 2, 2): 7}, allow_x0_target=True)
     for u in range(alg.dim):
         for v in range(alg.dim):
-            lhs = psi.value_on_pair(u, v)
-            rhs = {t: -c for t, c in psi.value_on_pair(v, u).items()}
+            lhs = psi.law.bracket_basis(u, v)
+            rhs = {t: -c for t, c in psi.law.bracket_basis(v, u).items()}
             assert lhs == rhs
+    assert psi.law.bracket_basis(1, 3) == {0: -5}
     # the values are the law-shaped additions deform puts on the model
-    values = {(a, b): psi.value_on_pair(a, b) for a, b in combinations(range(alg.dim), 2)}
+    values = {(a, b): psi.law.bracket_basis(a, b) for a, b in combinations(range(alg.dim), 2)}
     values = {pair: vec for pair, vec in values.items() if vec}
     assert len(values) == 7
     assert psi.as_constant_additions() == values
@@ -244,71 +279,41 @@ def test_cochain_skew_symmetry():
 def test_cochain_accepts_exactly_the_column_keys(allow_x0_target):
     alg = build_model(3, 2, 2)
     cols = cochain_columns(alg, ALL_BLOCKS, allow_x0_target)
-    psi = Cochain2(alg, allow_x0_target=allow_x0_target)
     coeff = {key: k + 1 for k, key in enumerate(cols)}
-    for key in cols:
-        psi.add(key.block, key.i, key.j, key.s, coeff[key])
+    psi = Cochain2(alg, coeff, allow_x0_target=allow_x0_target)
     assert list(psi.items()) == [(key, coeff[key]) for key in cols]
     accepted = set(cols)
     for block in ALL_BLOCKS:
         for i, j, s in product(range(-1, 6), repeat=3):
-            canonical = (block, *sorted((i, j)), s) if block.same_family else (block, i, j, s)
+            key = ColumnKey(block, i, j, s)
+            canonical = ColumnKey(block, *sorted((i, j)), s) if block.same_family else key
             if canonical in accepted:
-                sign = -1 if canonical[1] != i else 1
-                assert psi.get(block, i, j, s) == sign * coeff[canonical]
+                sign = -1 if canonical.i != i else 1
+                single = Cochain2(alg, {key: 1}, allow_x0_target=allow_x0_target)
+                assert list(single.items()) == [(canonical, sign)]
                 continue
-            # outside the family ranges get is 0, never a neighbour's value
-            assert psi.get(block, i, j, s) == 0
+            # outside the family ranges, never a neighbour's basis map
             with pytest.raises(ValueError):
-                psi.add(block, i, j, s, 1)
+                Cochain2(alg, {key: 1}, allow_x0_target=allow_x0_target)
 
 
 def test_cochain_canonicalization_and_validation():
     alg = build_model(3, 2, 2)
-    psi = Cochain2(alg)
-    psi.add(BlockKind.A, 2, 1, 2, 1)  # swapped pair stores the negative
-    assert psi.get(BlockKind.A, 1, 2, 2) == -1
-    psi.add(BlockKind.A, 1, 2, 2, 1)  # cancels exactly
-    assert psi.is_zero()
-    with pytest.raises(ValueError):
-        psi.add(BlockKind.D, 1, 1, 1, 1)  # diagonal in alternating block
-    with pytest.raises(ValueError):
-        psi.add(BlockKind.A, 0, 1, 1, 1)  # X0 source is forbidden
-    with pytest.raises(ValueError):
-        psi.add(BlockKind.E, 1, 1, 0, 1)  # X0 target excluded by default
-    with pytest.raises(ValueError):
-        psi.add(BlockKind.B, 1, 3, 1, 1)  # j exceeds m
+    psi = Cochain2(alg, {ColumnKey(BlockKind.A, 2, 1, 2): 1})  # swapped pair stores the negative
+    assert list(psi.items()) == [(ColumnKey(BlockKind.A, 1, 2, 2), -1)]
+    assert not psi.is_zero() and Cochain2(alg, {ColumnKey(BlockKind.A, 1, 2, 2): 0}).is_zero()
     # the messages and their order: diagonal, then i, j, s after the swap
-    for args, message in [((BlockKind.A, 2, 2, 9), "diagonal source pair (2,2)"),
+    for args, message in [((BlockKind.D, 1, 1, 1), "diagonal source pair (1,1)"),
+                          ((BlockKind.A, 0, 1, 1), "source index i=0"),  # X0 source
+                          ((BlockKind.E, 1, 1, 0), "target index s=0"),  # X0 target
+                          ((BlockKind.B, 1, 3, 1), "source index j=3"),  # j exceeds m
+                          ((BlockKind.A, 2, 2, 9), "diagonal source pair (2,2)"),
                           ((BlockKind.A, 9, 0, 9), "source index i=0"),
                           ((BlockKind.B, 0, 9, 9), "source index i=0"),
                           ((BlockKind.B, 1, 9, 9), "source index j=9"),
                           ((BlockKind.E, 1, 1, 4), "target index s=4")]:
         with pytest.raises(ValueError, match=re.escape(message)):
-            psi.add(*args, 1)
-    psi.add(BlockKind.B, 1, 1, 1, 2)  # b(X1, Y1) = 2 Y1
-    # out-of-range indices read 0, not an element of the next family:
-    # "X4" has the global index of Y1
-    assert psi.get(BlockKind.B, 1, 1, 1) == 2
-    assert psi.get(BlockKind.A, 1, 4, 4) == 0 and psi.get(BlockKind.A, 0, 1, 1) == 0
-
-
-def test_cochain_addition_linearity():
-    alg = build_model(3, 2, 2)
-    a = Cochain2(alg)
-    a.add(BlockKind.D, 1, 2, 2, 1)
-    b = Cochain2(alg)
-    b.add(BlockKind.D, 1, 2, 1, 2)
-    b.add(BlockKind.F, 1, 2, 1, 1)
-    combined = a + b
-    doubled = a.scaled(2)
-    assert list(doubled.items()) == [(key, 2 * c) for key, c in a.items()]
-    assert a.scaled(0).is_zero()
-    y1, y2 = alg.index("Y1"), alg.index("Y2")
-    expected = {t: a.value_on_pair(y1, y2).get(t, 0) + b.value_on_pair(y1, y2).get(t, 0)
-                for t in range(alg.dim)}
-    expected = {t: c for t, c in expected.items() if c}
-    assert combined.value_on_pair(y1, y2) == expected
+            Cochain2(alg, {ColumnKey(*args): 1})
 
 
 # -- serialization --------------------------------------------------------
@@ -322,9 +327,8 @@ def test_cocycle_basis_export_golden():
 
 def test_cochain_json_roundtrip():
     alg = build_model(3, 2, 2)
-    psi = Cochain2(alg)
-    psi.add(BlockKind.D, 1, 2, 2, Fraction(3, 2))
-    psi.add(BlockKind.B, 2, 1, 1, -1)
+    psi = Cochain2(alg, {ColumnKey(BlockKind.D, 1, 2, 2): Fraction(3, 2),
+                         ColumnKey(BlockKind.B, 2, 1, 1): -1})
     doc = cochain_to_json(psi)
     back = cochain_from_json(alg, doc)
     assert list(back.items()) == list(psi.items())
@@ -378,7 +382,7 @@ def test_cochain_from_json_refuses_repeated_and_outside_terms():
         with pytest.raises(ValueError, match="source index i=99 out of range for block D"):
             cochain_from_json(alg, {"terms": [{**outside, "coeff": coeff}]})
     with pytest.raises(ValueError, match="source index i=99 out of range"):
-        Cochain2(alg).add(BlockKind.D, 99, 100, 7, 0)
+        Cochain2(alg, {ColumnKey(BlockKind.D, 99, 100, 7): 0})
     # distinct basis maps still load as written
     b_term = {"block": "B", "i": 2, "j": 1, "s": 1, "coeff": "1"}
     assert len(list(cochain_from_json(alg, {"terms": [term, b_term]}).items())) == 2
@@ -403,9 +407,7 @@ def test_assembly_is_a_generic_validator():
     # the condition enumeration also applies to non-model algebras: the
     # blocks may couple there, but kernel vectors still verify directly
     base = build_model(3, 2, 1)
-    phi = Cochain2(base)
-    phi.add(BlockKind.D, 1, 2, 1, 1)
-    from colorfil.deformation import deform
+    phi = Cochain2(base, {ColumnKey(BlockKind.D, 1, 2, 1): 1})
     deformed = deform(base, phi).result
     system = assemble_Z2_system(deformed)
     assert system.nullity() >= 0
@@ -425,10 +427,11 @@ def test_kernel_round_trip_on_deformed_algebras(n, m, p, block, data):
     coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(d_vectors),
                                 max_size=len(d_vectors)))
     assume(any(coeffs))
-    phi = Cochain2(base)
+    total: dict = {}
     for c, psi in zip(coeffs, d_vectors):
-        phi = phi + psi.scaled(c)
-    alg = deform(base, phi).result
+        for key, v in psi.items():
+            total[key] = total.get(key, 0) + c * v
+    alg = deform(base, Cochain2(base, total)).result
     assert validate_jacobi(alg) == []
     assert list(alg.nonzero_constants()) != list(base.nonzero_constants())
     for psi in assemble_Z2_system(alg, {block}).kernel_cochains():
@@ -446,12 +449,11 @@ def test_matrix_and_direct_evaluation_agree_on_non_cocycles():
     for nmp in [(2, 1, 1), (3, 2, 2), (2, 3, 2)]:
         alg = build_model(*nmp)
         system = assemble_Z2_system(alg)
+        position = {key: idx for idx, key in enumerate(system.col_keys)}
         for _ in range(12):
-            psi = Cochain2(alg)
-            for key in rng.sample(system.col_keys, k=min(4, len(system.col_keys))):
-                psi.add(key.block, key.i, key.j, key.s, rng.randint(-2, 2))
-            coords = {idx: psi.get(*key)
-                      for idx, key in enumerate(system.col_keys) if psi.get(*key)}
+            keys = rng.sample(system.col_keys, k=min(4, len(system.col_keys)))
+            psi = Cochain2(alg, {key: rng.randint(-2, 2) for key in keys})
+            coords = {position[key]: c for key, c in psi.items()}
             in_kernel = not system.matrix.multiply_vector(coords)
             assert in_kernel == is_cocycle(alg, psi), nmp
 

@@ -3,9 +3,12 @@
 import pytest
 
 from colorfil.algebra import ColorLieAlgebra, build_model, validate_jacobi
-from colorfil.cohomology import BlockKind, Cochain2, assemble_Z2_system, delta1, delta2
-from colorfil.deformation import (CharacteristicVectorViolation, DeformedLaw, NotACocycle,
-                                  NotALieAlgebra, deform, filiform_check, is_integrable)
+import colorfil.deformation
+from colorfil.cohomology import (BlockKind, Cochain2, ColumnKey, assemble_Z2_system, delta1,
+                                 delta2)
+from colorfil.deformation import (CharacteristicVectorViolation, DeformedLaw,
+                                  IntegrabilityMismatch, NotACocycle, NotALieAlgebra, deform,
+                                  filiform_check, is_integrable)
 
 
 def test_zero_cochain_is_identity_deformation():
@@ -18,8 +21,8 @@ def test_zero_cochain_is_identity_deformation():
 
 def test_d_block_cocycle_deforms_integrably():
     alg = build_model(3, 2, 1)
-    phi = Cochain2(alg)
-    phi.add(BlockKind.D, 1, 2, 1, 1)  # [Y1, Y2] = Z1; closes since [X0, Z1] = 0
+    # [Y1, Y2] = Z1; closes since [X0, Z1] = 0
+    phi = Cochain2(alg, {ColumnKey(BlockKind.D, 1, 2, 1): 1})
     law = deform(alg, phi)
     y1, y2 = alg.index("Y1"), alg.index("Y2")
     assert law.result.bracket_basis(y1, y2) == {alg.index("Z1"): 1}
@@ -30,18 +33,17 @@ def test_d_block_cocycle_deforms_integrably():
 def test_x0_source_rejected():
     alg = build_model(2, 1, 1)
     phi = delta1(alg, {"X1": "X1"})  # d1 g (X0, X1) = [X0, g X1] - g([X0, X1]) = X2
-    assert phi.value_on_pair(alg.index("X0"), alg.index("X1")) == {alg.index("X2"): 1}
+    assert phi.law.bracket_basis(alg.index("X0"), alg.index("X1")) == {alg.index("X2"): 1}
     with pytest.raises(CharacteristicVectorViolation):
         deform(alg, phi)
     # the block-wise interface never takes X0 as a source
     with pytest.raises(ValueError, match="source index i=0 out of range"):
-        Cochain2(alg).add(BlockKind.A, 0, 1, 2, 1)
+        Cochain2(alg, {ColumnKey(BlockKind.A, 0, 1, 2): 1})
 
 
 def test_non_cocycle_raises():
     alg = build_model(2, 1, 1)
-    phi = Cochain2(alg)
-    phi.add(BlockKind.A, 1, 2, 1, 1)  # delta2 is X2 on (X0, X1, X2)
+    phi = Cochain2(alg, {ColumnKey(BlockKind.A, 1, 2, 1): 1})  # delta2 is X2 on (X0, X1, X2)
     law = deform(alg, phi)
     with pytest.raises(NotACocycle) as raised:
         is_integrable(law)
@@ -63,9 +65,7 @@ def test_d_plus_f_obstruction():
     # both summands are cocycles but the deformed Jacobi fails:
     # [[Y1,Y2],Z1] = [Z2,Z1] = -Y2 while the other two terms vanish
     alg = build_model(1, 2, 2)
-    phi = Cochain2(alg)
-    phi.add(BlockKind.D, 1, 2, 2, 1)
-    phi.add(BlockKind.F, 1, 2, 2, 1)
+    phi = Cochain2(alg, {ColumnKey(BlockKind.D, 1, 2, 2): 1, ColumnKey(BlockKind.F, 1, 2, 2): 1})
     law = deform(alg, phi)
     assert not is_integrable(law)
     violations = validate_jacobi(law.result)
@@ -74,11 +74,9 @@ def test_d_plus_f_obstruction():
 
 def test_deformation_linearity():
     alg = build_model(3, 2, 2)
-    phi1 = Cochain2(alg)
-    phi1.add(BlockKind.D, 1, 2, 2, 1)
-    phi2 = Cochain2(alg)
-    phi2.add(BlockKind.B, 1, 1, 2, 3)
-    once = deform(alg, phi1 + phi2).result
+    d_term, b_term = {ColumnKey(BlockKind.D, 1, 2, 2): 1}, {ColumnKey(BlockKind.B, 1, 1, 2): 3}
+    phi1, phi2 = Cochain2(alg, d_term), Cochain2(alg, b_term)
+    once = deform(alg, Cochain2(alg, {**d_term, **b_term})).result
     twice = deform(deform(alg, phi1).result, phi2).result
     assert list(once.nonzero_constants()) == list(twice.nonzero_constants())
 
@@ -119,9 +117,25 @@ def test_e_and_f_cocycles_integrate_and_a_b_c_cocycles_need_not(nmp):
         verdicts = []
         for phi in assemble_Z2_system(alg, {block}).kernel_cochains():
             integrable = is_integrable(deform(alg, phi))
-            alone = ColorLieAlgebra(alg.dims, phi.as_constant_additions())
-            assert integrable == (validate_jacobi(alone) == []), (block.name, nmp)
+            assert integrable == (validate_jacobi(phi.law) == []), (block.name, nmp)
             verdicts.append(integrable)
         assert verdicts, (block.name, nmp)
         assert all(verdicts) == (block in (BlockKind.D, BlockKind.E, BlockKind.F)), \
             (block.name, nmp)
+
+
+def test_integrability_routes_must_agree(monkeypatch):
+    # J(mu0 + phi) = J(phi) for a cocycle phi on a Lie base, so a route
+    # that misses the obstruction of D + F above is caught and named
+    alg = build_model(1, 2, 2)
+    phi = Cochain2(alg, {ColumnKey(BlockKind.D, 1, 2, 2): 1, ColumnKey(BlockKind.F, 1, 2, 2): 1})
+    law = deform(alg, phi)
+    assert [str(v) for v in validate_jacobi(phi.law)] == \
+        [str(v) for v in validate_jacobi(law.result)] == \
+        ["J(Y1, Y2, Z1) = -1*Y2 != 0", "J(Y1, Z1, Z2) = -1*Z2 != 0"]
+    real = validate_jacobi
+    monkeypatch.setattr(colorfil.deformation, "validate_jacobi",
+                        lambda a: [] if a is phi.law else real(a))
+    with pytest.raises(IntegrabilityMismatch) as raised:
+        is_integrable(law)
+    assert str(raised.value) == "J(Y1, Y2, Z1) is -1*Y2 on mu0 + phi but 0 on phi alone"

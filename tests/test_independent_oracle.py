@@ -306,10 +306,11 @@ def d_deformed(n, m, p, data):
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     coeffs = data.draw(st.lists(coeff, min_size=len(d_vectors), max_size=len(d_vectors)))
     assume(any(coeffs))
-    phi = Cochain2(base)
+    total: dict = {}
     for c, psi in zip(coeffs, d_vectors):
-        phi = phi + psi.scaled(c)
-    alg = deform(base, phi).result
+        for key, v in psi.items():
+            total[key] = total.get(key, 0) + c * v
+    alg = deform(base, Cochain2(base, total)).result
     assert validate_jacobi(alg) == []
     return alg
 
@@ -501,16 +502,21 @@ def reference_validate_jacobi(alg):
 
 
 def reference_d2(alg, psi, a, b, c):
-    """(d2 psi)(e_a, e_b, e_c) from the six-term identity, term by term."""
+    """(d2 psi)(e_a, e_b, e_c) from the six-term identity, term by term.
+
+    psi's values are read as the brackets of its law, through
+    `bracket_basis` like the algebra's own.
+    """
+    value = psi.law.bracket_basis
     out: dict = {}
     for sign, x, y, z in ((1, a, b, c), (-1, b, a, c), (1, c, a, b)):
-        for t, v in psi.value_on_pair(y, z).items():  # sign * [x, psi(y, z)]
+        for t, v in value(y, z).items():  # sign * [x, psi(y, z)]
             _accumulate(out, sign * v, alg.bracket_basis(x, t))
     for sign, x, y, z in ((-1, a, b, c), (1, a, c, b)):
         for t, v in alg.bracket_basis(x, y).items():  # sign * psi([x, y], z)
-            _accumulate(out, sign * v, psi.value_on_pair(t, z))
+            _accumulate(out, sign * v, value(t, z))
     for t, v in alg.bracket_basis(b, c).items():  # psi(a, [b, c])
-        _accumulate(out, v, psi.value_on_pair(a, t))
+        _accumulate(out, v, value(a, t))
     return out
 
 
@@ -556,17 +562,19 @@ def drawn_algebra(data):
 def drawn_cochain(data, alg):
     """A random cochain, X0 targets allowed or not, or a coboundary (a
     cocycle on a Lie algebra, X0 sources included) with random terms added."""
-    if data.draw(st.booleans()):
+    coboundary = data.draw(st.booleans())
+    allow_x0_target = coboundary or data.draw(st.booleans())
+    keys = cochain_columns(alg, ALL_BLOCKS, allow_x0_target=allow_x0_target)
+    terms = data.draw(st.dictionaries(st.sampled_from(keys),
+                                      st.sampled_from((1, -1, 2, Fraction(1, 2))),
+                                      max_size=3)) if keys else {}
+    psi = Cochain2(alg, terms, allow_x0_target=allow_x0_target)
+    if coboundary:
         u = data.draw(st.integers(0, alg.dim - 1))
         same = [t for t in range(alg.dim) if alg.degree_of(t) == alg.degree_of(u)]
-        psi = delta1(alg, {u: {data.draw(st.sampled_from(same)): 1}})
-    else:
-        psi = Cochain2(alg, allow_x0_target=data.draw(st.booleans()))
-    keys = cochain_columns(alg, ALL_BLOCKS, allow_x0_target=psi.allow_x0_target)
-    if keys:
-        for key in data.draw(st.lists(st.sampled_from(keys), max_size=3)):
-            psi.add(key.block, key.i, key.j, key.s,
-                    data.draw(st.sampled_from((1, -1, 2, Fraction(1, 2)))))
+        d1 = delta1(alg, {u: {data.draw(st.sampled_from(same)): 1}})
+        # the sum's law is set directly, as delta1 sets its own
+        psi.law = d1.law.with_added_constants(psi.as_constant_additions())
     return psi
 
 
