@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii
 
 from .algebra import AlgebraFormatError, build_model, from_json_dict
 from .cohomology import (ALL_BLOCKS, DecompositionMismatch, KernelMismatch,
@@ -110,6 +111,30 @@ def _write_output(path, write) -> int:
 def _write_json(doc, stream) -> None:
     json.dump(doc, stream, indent=2)
     stream.write("\n")
+
+
+_TERM = ('      {{\n        "i": {},\n        "j": {},\n        "s": {},\n'
+         '        "coeff": {}\n      }}')
+
+
+def _write_basis(doc, stream) -> None:
+    """The bytes of _write_json(doc, stream) for a cocycle_basis_json document.
+
+    json.dump with an indent runs the pure-Python encoder, one write per
+    token; here the scalar header fields come first and "basis" last, as
+    cocycle_basis_json orders them, and each vector is one template
+    string, written as soon as it is built.
+    """
+    header = "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n"
+                     for key, value in doc.items() if key != "basis")
+    stream.write("{\n" + header + '  "basis": [')
+    sep = "\n"
+    for vector in doc["basis"]:
+        terms = ",\n".join(_TERM.format(t["i"], t["j"], t["s"],
+                                        encode_basestring_ascii(t["coeff"])) for t in vector)
+        stream.write(f"{sep}    [\n{terms}\n    ]")
+        sep = ",\n"
+    stream.write("\n  ]\n}\n" if doc["basis"] else "]\n}\n")
 
 
 # -- dims ---------------------------------------------------------------
@@ -251,7 +276,7 @@ def cmd_cocycles(args) -> int:
     except KernelMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MISMATCH_ERROR
-    return _write_output(args.out, lambda stream: _write_json(doc, stream))
+    return _write_output(args.out, lambda stream: _write_basis(doc, stream))
 
 
 # -- deform -------------------------------------------------------------
@@ -375,8 +400,11 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-    except BrokenPipeError:
-        # the reader went away (`| head`); devnull keeps the flush at exit quiet
+    except OSError as exc:
+        # the reader went away (`| head`, silent) or stdout cannot be written;
+        # devnull keeps the flush at exit quiet
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return USAGE_ERROR
     return code

@@ -13,6 +13,7 @@ import colorfil
 from colorfil import cli, deformation, formulas
 from colorfil.algebra import build_model
 from colorfil.cli import main
+from colorfil.cohomology import ALL_BLOCKS, block_named, cocycle_basis_json
 from colorfil.weights import count_weight_dim
 
 
@@ -310,6 +311,28 @@ def test_cocycles_empty_block(capsys):
     assert doc["dim"] == 0 and doc["basis"] == []
 
 
+@pytest.mark.parametrize("point, allow_x0_target, blocks", [
+    ((8, 6, 6), False, ALL_BLOCKS), ((8, 6, 6), True, ALL_BLOCKS),
+    ((3, 2, 2), False, ALL_BLOCKS), ((3, 2, 2), True, ALL_BLOCKS),
+    ((1, 1, 1), False, (block_named("D"),)),  # the empty basis
+])
+def test_write_basis_is_json_dump_indent_2(point, allow_x0_target, blocks):
+    alg = build_model(*point)
+    for block in blocks:
+        doc = cocycle_basis_json(alg, block, allow_x0_target=allow_x0_target)
+        stream = io.StringIO()
+        cli._write_basis(doc, stream)
+        assert stream.getvalue() == json.dumps(doc, indent=2) + "\n", block.name
+
+
+def test_cocycles_out_file_bytes_equal_stdout(capsys, tmp_path):
+    out_path = tmp_path / "basis.json"
+    argv = ["cocycles", "--n", "3", "--m", "2", "--p", "2", "--block", "C"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, run_cli(capsys, *argv, "--out", str(out_path))) == (0, (0, "", ""))
+    assert out_path.read_bytes() == out.encode()
+
+
 def test_cocycles_unverified_kernel_exits_1(capsys, monkeypatch, tmp_path):
     # a basis vector outside the kernel is caught before anything is written
     from colorfil import cohomology
@@ -421,6 +444,23 @@ def test_closed_stdout_exits_2_without_traceback(capsys, monkeypatch, tmp_path, 
     finally:
         os.close(fd)
     assert (code, capsys.readouterr().err) == (2, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_2_without_traceback():
+    # a write to stdout that fails (ENOSPC) is an unwritable output: exit 2
+    # with one error line, not a traceback and the mismatch code 1
+    src = os.path.dirname(os.path.dirname(colorfil.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "colorfil.cli", "cocycles", "--n", "3", "--m", "2",
+             "--p", "2", "--block", "C"],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_deform_non_cocycle_exits_3(capsys, tmp_path, deform_files):

@@ -27,6 +27,12 @@ DIGESTS = [
      "7c7f9d6461c35ac684f7785288aca4dbc41b74d458cda26c7cc88757c61aceb0"),
     ("cocycles --n 8 --m 6 --p 6 --block F",
      "4ddb0ef2337bbfe61cb7d156c8e850b17e9d57b22d89a6f0a142041cb55c4e38"),
+    ("cocycles --n 2 --m 1 --p 1 --block A --allow-x0-target",
+     "dbfec7592c70c1f73e4291590a251b841191347f524734449aaafea4447ecf6f"),
+    ("cocycles --n 1 --m 2 --p 2 --block E --allow-x0-target",
+     "deedb41f267226a4fa89711a6f3b6908c2d0e136b702d291601fa90b3a046ac0"),
+    ("cocycles --n 1 --m 1 --p 1 --block D",
+     "5d2f09df13396ed49d7fa66baca58d1b96a869325b23f556539489ce5a73afa6"),
     ("dims --n 9 --m 7 --p 5 --method brute --method closed --method weights",
      "f3e3b6db323bb6edcf237633181c5df44cd3aea86198b67c0efb161fad31e2c6"),
 ]
