@@ -23,7 +23,6 @@ from .formulas import (DimensionReport, IntegralityError, branch_labels,
                        main_theorem_total)
 from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
                      rank_certified)
-from .weights import (IndexOutOfRange, cochain_weight, count_weight_dim,
-                      weight_sequence)
+from .weights import count_weight_dim
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ import sys
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
 
-from .algebra import AlgebraFormatError, build_model, from_json_dict
-from .cohomology import (ALL_BLOCKS, DecompositionMismatch, KernelMismatch,
+from .algebra import AlgebraFormatError, build_model, check_params, from_json_dict
+from .cohomology import (ALL_BLOCKS, BlockKind, DecompositionMismatch, KernelMismatch,
                          block_dims, block_named, cochain_from_json, cocycle_basis_json)
 from .deformation import (CharacteristicVectorViolation, IntegrabilityMismatch, NotACocycle,
                           NotALieAlgebra, deform, filiform_check, is_integrable)
@@ -174,10 +174,11 @@ def run_verify(points, methods, jobs: int = 1):
     whose computation fails contributes no rows and one mismatch
     {"n", "m", "p", "error"} naming the error.
 
-    On the degenerate models (m = 0 or p = 0) the closed forms may leave
-    their domain: a negative closed-form value there is printed but
-    takes no part in `agree`, and brute force and the weight oracle are
-    the arbiters.
+    The closed forms equal the summand sum of the weight oracle at every
+    point but one family (tests/test_formulas.py proves it): for block E
+    at p = 0, n = m + 2 the closed form reads -1 where the block is 0.
+    There a closed-form -1 is printed but takes no part in `agree`, and
+    brute force and the weight oracle are the arbiters.
     """
     tasks = [(n, m, p, methods) for (n, m, p) in points]
     jobs = min(jobs, os.cpu_count() or 1, len(tasks))
@@ -198,12 +199,13 @@ def run_verify(points, methods, jobs: int = 1):
         if isinstance(reports, str):
             mismatches.append({"n": n, "m": m, "p": p, "error": reports})
             continue
-        degenerate = m == 0 or p == 0
+        excused = p == 0 and n == m + 2
         for block in ALL_BLOCKS:
             values = {method: getattr(reports[method], block.name)
                       for method in methods}
             present = [v for method, v in values.items()
-                       if not (degenerate and method == METHOD_CLOSED and v < 0)]
+                       if not (excused and block is BlockKind.E
+                               and method == METHOD_CLOSED and v == -1)]
             agree = len(set(present)) <= 1
             row = {"n": n, "m": m, "p": p, "block": block.name}
             row.update({method: values[method] for method in methods})
@@ -231,11 +233,10 @@ def cmd_verify(args) -> int:
     if not points:
         print("error: empty parameter grid", file=sys.stderr)
         return USAGE_ERROR
-    if min(n for n, _, _ in points) < 1:
-        print("error: n must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
-    if min(args.m) < 0 or min(args.p) < 0:
-        print("error: m and p must be >= 0", file=sys.stderr)
+    try:
+        check_params(min(args.n), min(args.m), min(args.p))
+    except ValueError as exc:  # InvalidParams is one
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.jobs < 0:
         print(f"error: --jobs must be >= 0 (0: available cores), got {args.jobs}",

@@ -267,10 +267,11 @@ def test_verify_worker_failure_exits_1(capsys, monkeypatch):
 def test_verify_negative_m_or_p_exits_2(capsys, monkeypatch, methods):
     # rejected before any grid point is computed
     monkeypatch.setattr(cli, "run_verify", None)
-    for m, p in [("-1", "1"), ("0..2", "-1..1")]:
+    # in the words of `dims`, at the grid's least m and p
+    for m, p, least in [("-1", "1", "m=-1, p=1"), ("0..2", "-1..1", "m=0, p=-1")]:
         code, out, err = run_cli(capsys, "verify", "--n", "1..2", f"--m={m}", f"--p={p}",
                                  "--methods", methods, "--jobs", "1")
-        assert (code, out, err) == (2, "", "error: m and p must be >= 0\n")
+        assert (code, out, err) == (2, "", f"error: m and p must be >= 0, got {least}\n")
 
 
 def test_verify_negative_jobs_exits_2(capsys):

@@ -6,25 +6,16 @@ import pytest
 
 from colorfil.algebra import InvalidParams
 from colorfil.cohomology import ALL_BLOCKS, BlockKind
-from colorfil.weights import (IndexOutOfRange, cochain_weight, count_weight_dim,
-                              weight_sequence)
+from colorfil.weights import count_weight_dim
 
 
-def test_weight_sequence_shape():
-    assert weight_sequence(5) == [-4, -2, 0, 2, 4]
-    assert weight_sequence(4) == [-3, -1, 1, 3]
-    assert weight_sequence(0) == []
-    for d in range(1, 12):
-        seq = weight_sequence(d)
-        assert seq == sorted(seq)
-        assert all(b - a == 2 for a, b in zip(seq, seq[1:]))
-        assert seq == [-w for w in reversed(seq)]  # symmetric about 0
+def _map_weight(block, i, j, s, nmp):
+    """Weight of phi^s_{i,j}: lambda(target_s) - lambda(source_i) - lambda(source_j).
 
-
-def test_cochain_weight_examples():
-    assert cochain_weight(BlockKind.A, 1, 2, 2, (2, 1, 1)) == 1
-    assert cochain_weight(BlockKind.B, 1, 1, 1, (1, 1, 1)) == 0
-    assert cochain_weight(BlockKind.A, 1, 2, 3, (3, 1, 1)) == 4
+    The t-th element of a chain of length d has weight -d + 2t - 1.
+    """
+    (g1, g2), g = block.source_degrees, block.target_degree
+    return (-nmp[g] + 2 * s - 1) - (-nmp[g1] + 2 * i - 1) - (-nmp[g2] + 2 * j - 1)
 
 
 def test_cochain_weight_closed_form():
@@ -33,11 +24,11 @@ def test_cochain_weight_closed_form():
         nmp = (n, m, 2)
         for i, j in combinations(range(1, n + 1), 2):
             for s in range(1, n + 1):
-                assert cochain_weight(BlockKind.A, i, j, s, nmp) == n + 2 * (s - i - j) + 1
+                assert _map_weight(BlockKind.A, i, j, s, nmp) == n + 2 * (s - i - j) + 1
         for i in range(1, n + 1):
             for j in range(1, m + 1):
                 for s in range(1, m + 1):
-                    assert cochain_weight(BlockKind.B, i, j, s, nmp) == n + 2 * (s - i - j) + 1
+                    assert _map_weight(BlockKind.B, i, j, s, nmp) == n + 2 * (s - i - j) + 1
 
 
 def test_count_examples():
@@ -60,12 +51,12 @@ def _basis_maps(block, n, m, p):
 
 
 def test_count_equals_weight_0_or_1_basis_maps():
-    # the count reads the weight sequences directly; cochain_weight,
-    # map by map, must select the same number of basis maps
+    # each sl_2 summand holds exactly one basis map of weight 0 or 1, so
+    # the summand sum must select as many maps as the weights, map by map
     for n, m, p in product(range(1, 7), range(0, 5), range(0, 5)):
         nmp = (n, m, p)
         for block in ALL_BLOCKS:
-            want = sum(cochain_weight(block, i, j, s, nmp) in (0, 1)
+            want = sum(_map_weight(block, i, j, s, nmp) in (0, 1)
                        for i, j, s in _basis_maps(block, n, m, p))
             assert count_weight_dim(block, n, m, p) == want, (block, n, m, p)
 
@@ -94,14 +85,14 @@ def test_weight_parity_matches_n():
         want = (n + 1) % 2
         for i, j in combinations(range(1, n + 1), 2):
             for s in range(1, n + 1):
-                assert cochain_weight(BlockKind.A, i, j, s, nmp) % 2 == want
+                assert _map_weight(BlockKind.A, i, j, s, nmp) % 2 == want
         for i in range(1, n + 1):
             for j in range(1, m + 1):
                 for s in range(1, m + 1):
-                    assert cochain_weight(BlockKind.B, i, j, s, nmp) % 2 == want
+                    assert _map_weight(BlockKind.B, i, j, s, nmp) % 2 == want
             for j in range(1, p + 1):
                 for s in range(1, p + 1):
-                    assert cochain_weight(BlockKind.C, i, j, s, nmp) % 2 == want
+                    assert _map_weight(BlockKind.C, i, j, s, nmp) % 2 == want
 
 
 def test_b_c_symmetry():
@@ -111,26 +102,3 @@ def test_b_c_symmetry():
         for block in ALL_BLOCKS:
             assert count_weight_dim(block, n, m, p) == \
                 count_weight_dim(BlockKind[mirror[block.name]], n, p, m), (block, n, m, p)
-
-
-def test_index_validation():
-    nmp = (3, 2, 1)
-    with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.A, 1, 4, 1, nmp)
-    with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.B, 1, 3, 1, nmp)
-    with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.A, 1, 2, 0, nmp)
-    # D: L1 x L1 -> L2, E: L1 x L2 -> L0, F: L2 x L2 -> L1 at (m, p) = (2, 1)
-    with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.D, 1, 2, 2, nmp)
-    with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.E, 1, 2, 1, nmp)
-    with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.E, 1, 1, 4, nmp)
-    with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.F, 1, 1, 3, nmp)
-    with pytest.raises(IndexOutOfRange):
-        cochain_weight(BlockKind.F, 0, 1, 1, nmp)
-    assert cochain_weight(BlockKind.D, 1, 2, 1, nmp) == 0
-    assert cochain_weight(BlockKind.E, 2, 1, 3, nmp) == 1
