@@ -366,7 +366,8 @@ def _integral_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool
     """
     ranges, sums = _term_sums(alg, blocks, allow_x0_target)
     denom = law_denominator(alg)
-    # the model's sums are integral with no 0; rebuilding them costs grid-verify ~9%
+    # the model's sums are integral with no 0; rebuilding them would add ~18% to a
+    # grid-verify pass
     if denom != 1 or any(0 in row.values() for acc in sums.values() for row in acc.values()):
         for triple, acc in sums.items():
             scaled = ((u, {c: (v * denom).numerator for c, v in row.items() if v})

@@ -2,9 +2,13 @@
 
 Rank, nullity and kernel bases of sparse integer matrices, computed
 exactly by one engine, `_eliminate_int`: fraction-free elimination over
-Z (Bareiss-style), with gcd-scaled cross-multiplication updates
-(beta*row_j - alpha*row_piv) followed by content removal, so no
-fractions ever appear.
+Z (Bareiss-style) by inserting the rows one at a time into a table of
+pivot rows.  A row is reduced by the pivot row of its lowest column
+until that column is free; at a unit pivot the update is a plain
+subtraction, at any other a gcd-scaled cross-multiplication followed by
+content removal, so no fractions ever appear.  The lowest columns of
+the pivot rows are the row space's leftmost-pivot set, whatever the
+insertion order.
 
 * `rank_certified` -- the number of pivots; exact by construction.
 * `kernel_basis` -- sparse back-substitution over the integer echelon
@@ -124,64 +128,51 @@ def _eliminate_int(rows: Iterable) -> dict:
 
     `rows` is a sequence of sparse integer rows ({col: value} dicts or
     tuples of (col, value) pairs); the elimination works on its own copies.
-    Columns are visited in ascending order, so the pivot columns are the
-    leftmost-pivot set, and the echelon maps each pivot column to the
-    integer row that became its pivot: its lowest column is col, and the
-    elimination never touches it again.  The rows form a basis of the
-    row space.  Row updates use the gcd-scaled cross-multiplication
-    new = (a/g)*row_j - (b/g)*row_piv with g = gcd(a, b), followed by
-    removal of the integer content, so every intermediate entry is an
-    exact integer and growth stays modest.
+    The nonempty rows are inserted one at a time, highest lowest column
+    first.  A row whose lowest column c already has a pivot row is reduced
+    by it until its lowest column is free, where it becomes the pivot row,
+    or until it vanishes; the echelon rows are never touched again.  At a
+    unit pivot a = +-1 the update is row -= (b*a)*pivot, with b the row's
+    entry at c; at any other pivot it is the gcd-scaled
+    cross-multiplication (a/g)*row - (b/g)*pivot, g = gcd(a, b), followed
+    by removal of the integer content.  Every intermediate entry is an
+    exact integer.  The rows form a basis of the row space, and the
+    lowest columns of any echelon basis are the pivot columns of the row
+    space's reduced row echelon form: the leftmost-pivot set, whatever
+    the insertion order.
     """
-    rows = {i: dict(row) for i, row in enumerate(rows) if row}
-    col_rows: dict = {}
-    for i, row in rows.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(i)
-    echelon = {}
-    # fill-in only reaches columns some row already holds, so these are
-    # all the pivot candidates, and the cost follows the rows, not n_cols
-    for c in sorted(col_rows):
-        holders = col_rows[c]
-        if not holders:
-            continue
-        pid = min(holders, key=lambda i: (len(rows[i]), i))
-        prow = rows[pid]
-        a = prow[c]
-        for j in list(holders):
-            if j == pid:
-                continue
-            rj = rows[j]
-            b = rj[c]
-            g = gcd(a, b)
-            scale_j = a // g
-            scale_p = b // g
-            del rj[c]
-            if scale_j != 1:
-                for k in rj:
-                    rj[k] *= scale_j
+    echelon: dict = {}
+    for row in sorted((dict(row) for row in rows if row), key=min, reverse=True):
+        c = min(row)
+        while c in echelon:
+            prow = echelon[c]
+            a, b = prow[c], row[c]
+            unit = a == 1 or a == -1
+            if unit:
+                f = b * a
+            else:
+                g = gcd(a, b)
+                f, scale = b // g, a // g
+                if scale != 1:
+                    for k in row:
+                        row[k] *= scale
+            # the pivot's own entry cancels to 0 here too
             for k, v in prow.items():
-                if k == c:
-                    continue
-                nv = rj.get(k, 0) - scale_p * v
+                nv = row.get(k, 0) - f * v
                 if nv:
-                    if k not in rj:
-                        col_rows.setdefault(k, set()).add(j)
-                    rj[k] = nv
-                elif k in rj:
-                    del rj[k]
-                    col_rows[k].discard(j)
-            if not rj:
-                del rows[j]
-                continue
-            content = gcd(*rj.values())
-            if content > 1:
-                for k in rj:
-                    rj[k] //= content
-        for k in prow:
-            col_rows[k].discard(pid)
-        del rows[pid]
-        echelon[c] = prow
+                    row[k] = nv
+                else:
+                    del row[k]
+            if not row:
+                break
+            if not unit:
+                content = gcd(*row.values())
+                if content > 1:
+                    for k in row:
+                        row[k] //= content
+            c = min(row)
+        else:
+            echelon[c] = row
     return echelon
 
 
@@ -204,9 +195,11 @@ def kernel_basis(matrix: SparseIntMatrix) -> KernelBasis:
     """Exact rational basis of the kernel, in canonical form.
 
     Back-substitution over the integer echelon rows of `_eliminate_int`.
-    Its pivot columns are the leftmost-pivot set, so each free column f
-    has exactly one kernel vector with x_f = 1 and every other free
-    coordinate 0; that vector is the output, independent of row order.
+    Their lowest columns are the leftmost-pivot set of the row space, in
+    whatever order the rows were inserted, so each free column f has
+    exactly one kernel vector with x_f = 1 and every other free
+    coordinate 0; that vector is the output, independent of row order
+    and row scale.
     Only the pivots reachable from f through the echelon rows are
     visited, largest column first, so every x_k a row needs is final
     when the row is solved.  The solution is kept as integers over one

@@ -1,5 +1,6 @@
 """Exact rank, nullity and kernel computations."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorfil.linalg import KernelBasis, SparseIntMatrix, kernel_basis, nullity, rank_certified
+from colorfil.linalg import (KernelBasis, SparseIntMatrix, _eliminate_int, kernel_basis, nullity,
+                             rank_certified)
 from test_independent_oracle import (cells_of, dense_kernel, dense_nullity, from_cells,
                                      sparse_matrices, to_dense)
 
@@ -141,6 +143,55 @@ def test_elimination_does_not_mutate_matrix():
     rank_certified(m)
     kernel_basis(m)
     assert m.rows == before
+    # {col: value} rows, the form block_dims passes: a unit pivot at column 0
+    # and a non-unit one (2) at column 2.  A spanning block_dims ranks the
+    # same dicts twice, in the block pieces and in the joint rows.
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4, 2: 1}, {2: 2, 3: 3}, {2: 3, 3: 1}]
+    before = copy.deepcopy(rows)
+    ranks = [rank_certified(rows[:2]), rank_certified(rows[2:]), rank_certified(rows)]
+    assert rows == before
+    assert ranks == [2, 2, 3]
+    assert rank_certified(rows) == 3
+    assert rows == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_kernel_canonical_under_row_order_and_scale(rnd):
+    # rows are inserted in an order that follows the input; the canonical
+    # kernel must not
+    m = random_sparse(rnd, rnd.randint(1, 14), rnd.randint(1, 14), (-2, -1, 1, 3))
+    order = list(range(m.n_rows))
+    rnd.shuffle(order)
+    scales = [rnd.choice((-3, -2, -1, 1, 2, 5)) for _ in order]
+    moved = SparseIntMatrix(m.n_rows, m.n_cols,
+                            [{c: s * v for c, v in m.rows[r]} for r, s in zip(order, scales)])
+    assert kernel_basis(moved).vectors == kernel_basis(m).vectors
+
+
+P61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("rows, n_cols, path_taken", [
+    # a -1 pivot at column 0 reduces the two rows after it
+    ([{0: -1, 2: 3}, {0: 2, 1: 1, 3: 1}, {0: 3, 1: -1, 2: 1}, {1: 1, 2: -1, 3: 2}], 5,
+     lambda e: e[0][0] == -1),
+    # +-1 and 2**61 - 1 entries: two rows reduce against the unit pivot at
+    # column 0, one against the pivot 2**61 - 1 at column 1
+    ([{0: 1, 1: P61, 3: -1}, {0: -1, 1: 1, 2: P61}, {1: P61, 2: -1, 3: 1},
+      {0: P61, 2: 1, 3: P61}, {1: -1, 3: P61, 4: 1}], 6,
+     lambda e: e[0][0] == 1 and e[1][1] == P61),
+    # row 2 minus row 1 is {1: 2, 2: -2}: the unit update leaves its content 2
+    # in place, and it then serves as a non-unit pivot for row 3
+    ([{0: 1, 1: 1, 2: 1}, {0: 1, 1: 3, 2: -1}, {0: 2, 1: 3, 2: 1, 3: 1}], 5,
+     lambda e: e[1] == {1: 2, 2: -2} and e[3] == {3: 1}),
+])
+def test_unit_and_non_unit_pivots_match_dense_oracle(rows, n_cols, path_taken):
+    assert path_taken(_eliminate_int(rows))
+    m = SparseIntMatrix(len(rows), n_cols, rows)
+    dense = to_dense(m)
+    assert nullity(m) == dense_nullity(dense, n_cols)
+    assert list(kernel_basis(m).vectors) == dense_kernel(dense, n_cols)
 
 
 def test_constructor_rejects_stored_zero_and_non_int():
