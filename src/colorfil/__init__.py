@@ -9,13 +9,12 @@ independent routes: brute-force kernel computation and weight counting.
 
 from .algebra import (BasisElement, ColorLieAlgebra, InvalidParams,
                       JacobiViolation, NotNilpotent, build_model, check_params,
-                      color_nilindex, from_json_dict, is_filiform_module,
-                      l0_is_filiform, validate_jacobi)
+                      from_json_dict, is_filiform_module, l0_is_filiform,
+                      validate_jacobi)
 from .cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
                          ConstraintSystem, DecompositionMismatch, KernelMismatch,
                          assemble_Z2_system, block_dims, cochain_from_json,
-                         cochain_to_json, cocycle_basis_json, delta1, delta2,
-                         is_cocycle)
+                         cocycle_basis_json, delta1, delta2, is_cocycle)
 from .deformation import (CharacteristicVectorViolation, DeformedLaw,
                           IntegrabilityMismatch, NotACocycle, NotALieAlgebra,
                           deform, filiform_check, is_integrable)

@@ -4,9 +4,9 @@ The central object is :class:`ColorLieAlgebra`: a finite-dimensional
 Z_3-graded vector space with a bracket given by sparse structure
 constants.  Over the rationals the only commutation factor on Z_3 is
 the trivial one, so a Z_3 colour Lie algebra is an ordinary graded Lie
-algebra.  Brackets are stored for canonically ordered basis pairs and
-indexed once both ways round, [y, x] = -[x, y] (`bracket_index`), so
-skewness is structural rather than checked.
+algebra.  The law is stored once, in an index that holds each bracket
+both ways round, [x, y] under x and [y, x] = -[x, y] under y
+(`bracket_index`), so skewness is structural rather than checked.
 
 The model algebra built by :func:`build_model` has basis
 X_0..X_n (degree 0), Y_1..Y_m (degree 1), Z_1..Z_p (degree 2) and the
@@ -57,13 +57,12 @@ class BasisElement(NamedTuple):
 
 @dataclass(frozen=True)
 class JacobiViolation:
-    identity: str
     elements: tuple
     residual: str
 
     def __str__(self):
         args = ", ".join(self.elements)
-        return f"{self.identity}({args}) = {self.residual} != 0"
+        return f"J({args}) = {self.residual} != 0"
 
 
 class ColorLieAlgebra:
@@ -71,7 +70,7 @@ class ColorLieAlgebra:
 
     `dims[g]` is the dimension of the degree-g component.  `constants`
     maps basis pairs (any orientation, global indices) to sparse target
-    vectors; pairs are canonicalized to ascending order on construction.
+    vectors; each is stored once, in the both-ways index `bracket_index`.
     Values are immutable by convention: no method mutates an algebra
     after `__init__`, so instances are safe to share between tasks.
     """
@@ -84,25 +83,17 @@ class ColorLieAlgebra:
             raise ValueError("component dimensions must be nonnegative")
         self._dims = dims
         self._elements: list[BasisElement] = []
-        self._degrees: list[int] = []
-        offset = 0
         self._offsets = []
         for g, d in enumerate(dims):
-            self._offsets.append(offset)
+            self._offsets.append(len(self._elements))
             start = 0 if g == 0 else 1
-            for i in range(start, start + d):
-                self._elements.append(BasisElement(FAMILY_LETTERS[g], i, g))
-                self._degrees.append(g)
-            offset += d
+            self._elements.extend(BasisElement(FAMILY_LETTERS[g], i, g)
+                                  for i in range(start, start + d))
         self._index = {e.label: i for i, e in enumerate(self._elements)}
-        self._constants: dict = {}
-        for (a, b), vec in (constants or {}).items():
-            self._add_constant(as_int(a, "pair index"), as_int(b, "pair index"), vec)
         # {x: {y: [e_x, e_y]}}: the mirrored entry (b, a) holds the negated vector
         self._brackets: dict = {}
-        for (a, b), vec in self._constants.items():
-            self._brackets.setdefault(a, {})[b] = vec
-            self._brackets.setdefault(b, {})[a] = {t: -c for t, c in vec.items()}
+        for (a, b), vec in (constants or {}).items():
+            self._add_constant(as_int(a, "pair index"), as_int(b, "pair index"), vec)
 
     def _add_constant(self, a: int, b: int, vec) -> None:
         n = self.dim
@@ -119,16 +110,17 @@ class ColorLieAlgebra:
         if a > b:
             a, b = b, a
             clean = {t: -c for t, c in clean.items()}
-        target_degree = (self._degrees[a] + self._degrees[b]) % 3
+        target_degree = (self.degree_of(a) + self.degree_of(b)) % 3
         for t in clean:
-            if self._degrees[t] != target_degree:
+            if self.degree_of(t) != target_degree:
                 raise ValueError(
                     f"bracket [{self.label(a)}, {self.label(b)}] must land in degree "
                     f"{target_degree}, got component {self.label(t)}"
                 )
-        if (a, b) in self._constants:
+        if b in self._brackets.get(a, ()):
             raise ValueError(f"duplicate structure constant for pair ({a}, {b})")
-        self._constants[(a, b)] = clean
+        self._brackets.setdefault(a, {})[b] = clean
+        self._brackets.setdefault(b, {})[a] = {t: -c for t, c in clean.items()}
 
     # -- basic queries ------------------------------------------------
 
@@ -150,7 +142,7 @@ class ColorLieAlgebra:
         return [e.label for e in self._elements]
 
     def degree_of(self, i: int) -> int:
-        return self._degrees[i]
+        return self._elements[i].degree
 
     def index(self, label: str) -> int:
         try:
@@ -212,20 +204,21 @@ class ColorLieAlgebra:
         return out
 
     def nonzero_constants(self) -> Iterator:
-        """Canonical (a, b, vector) triples, ascending."""
-        for (a, b) in sorted(self._constants):
-            yield a, b, dict(self._constants[(a, b)])
+        """Canonical (a, b, vector) triples, a < b, ascending."""
+        for a in sorted(self._brackets):
+            partners = self._brackets[a]
+            for b in sorted(b for b in partners if b > a):
+                yield a, b, dict(partners[b])
 
     def with_added_constants(self, additions: Mapping) -> "ColorLieAlgebra":
         """New algebra whose constants are the sum of ours and `additions`."""
-        merged: dict = {pair: dict(vec) for pair, vec in self._constants.items()}
+        merged = {(a, b): vec for a, b, vec in self.nonzero_constants()}
         for (a, b), vec in additions.items():
             if a > b:
                 raise ValueError("additions must use canonically ordered pairs")
             tgt = merged.setdefault((a, b), {})
             for t, c in vec.items():
                 add_into(tgt, t, as_coeff(c))
-        merged = {pair: vec for pair, vec in merged.items() if vec}
         return ColorLieAlgebra(self._dims, merged)
 
     # -- serialization ------------------------------------------------
@@ -359,7 +352,7 @@ def jacobiator(inner: ColorLieAlgebra, outer: ColorLieAlgebra, a: int, b: int, c
 def validate_jacobi(alg: ColorLieAlgebra) -> list:
     """Violations of the Jacobi identity, in ascending basis-triple order.
 
-    Skewness is structural (canonical storage), so only the Jacobi
+    Skewness is structural (the both-ways index), so only the Jacobi
     identity J(x,y,z) = `jacobiator(alg, alg, x, y, z)` can fail.  The
     Jacobiator is alternating, so ascending triples suffice, and only
     the triples the bracket reaches against itself (`reached_triples`)
@@ -367,7 +360,7 @@ def validate_jacobi(alg: ColorLieAlgebra) -> list:
     one a walk over all C(dim, 3) triples would give.
     """
     labels = alg.labels()
-    return [JacobiViolation("J", (labels[a], labels[b], labels[c]), alg.format_vector(res))
+    return [JacobiViolation((labels[a], labels[b], labels[c]), alg.format_vector(res))
             for a, b, c in sorted(reached_triples(alg, alg))
             if (res := jacobiator(alg, alg, a, b, c))]
 
@@ -397,15 +390,6 @@ def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
         current = list(echelon.values())
         dims.append(len(current))
     return dims
-
-
-def color_nilindex(alg: ColorLieAlgebra) -> tuple:
-    """Per-degree lengths (p_0, p_1, p_2) of the descending sequences.
-
-    p_g is the first exponent with C^{p_g}(L_g) = 0; a component that is
-    zero to begin with has p_g = 0.
-    """
-    return tuple(len(_descending_dims(alg, g)) - 1 for g in range(3))
 
 
 def is_filiform_module(alg: ColorLieAlgebra, g: int) -> bool:

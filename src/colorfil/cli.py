@@ -406,7 +406,8 @@ def main(argv=None) -> int:
         # devnull keeps the flush at exit quiet
         if not isinstance(exc, BrokenPipeError):
             print(f"error: {exc}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return USAGE_ERROR
     return code
 

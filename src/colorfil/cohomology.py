@@ -65,7 +65,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import ColorLieAlgebra, Vector, jacobiator, law_denominator, reached_triples
 from .linalg import SparseIntMatrix, kernel_basis, nullity, rank_certified
-from .scalars import add_into, as_coeff, as_int, coeff_to_json
+from .scalars import add_into, as_coeff, as_int
 
 
 class DecompositionMismatch(ArithmeticError):
@@ -171,9 +171,7 @@ class Cochain2:
     def __init__(self, alg: ColorLieAlgebra, coeffs: Mapping | Iterable | None = None,
                  allow_x0_target: bool = False):
         self.alg = alg
-        self.nmp = model_shape(alg)
-        self.allow_x0_target = allow_x0_target
-        self._sources, self._targets = _index_ranges(self.nmp, allow_x0_target)
+        self._sources, self._targets = _index_ranges(model_shape(alg), allow_x0_target)
         if isinstance(coeffs, Mapping):
             coeffs = coeffs.items()
         table: dict = {}  # (a, b), a < b -> {t: coeff}
@@ -222,9 +220,6 @@ class Cochain2:
                        for t, c in slot.items())
         out.sort(key=lambda kc: (kc[0].block.name, kc[0][1:]))
         return iter(out)
-
-    def is_zero(self) -> bool:
-        return not self.law.bracket_index
 
     @property
     def has_x0_source(self) -> bool:
@@ -546,18 +541,11 @@ def cocycle_basis_json(alg: ColorLieAlgebra, block: BlockKind,
     for vec in basis.vectors:
         vectors.append([
             {"i": system.col_keys[c].i, "j": system.col_keys[c].j,
-             "s": system.col_keys[c].s, "coeff": str(coeff_to_json(v))}
+             "s": system.col_keys[c].s, "coeff": str(v)}
             for c, v in vec.items()
         ])
     return {"block": block.name, "n": n, "m": m, "p": p,
             "dim": basis.dim, "basis": vectors}
-
-
-def cochain_to_json(psi: Cochain2) -> dict:
-    n, m, p = psi.nmp
-    terms = [{"block": key.block.name, "i": key.i, "j": key.j, "s": key.s,
-              "coeff": str(coeff_to_json(c))} for key, c in psi.items()]
-    return {"n": n, "m": m, "p": p, "terms": terms}
 
 
 def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,

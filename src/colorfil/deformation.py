@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import ColorLieAlgebra, is_filiform_module, l0_is_filiform, validate_jacobi
+# is_cocycle is not called here; it stays importable because bench/spans.py rebinds it
 from .cohomology import Cochain2, cocycle_defect, is_cocycle
 
 
@@ -73,8 +74,9 @@ def is_integrable(d: DeformedLaw) -> bool:
     base_violations = validate_jacobi(d.base)
     if base_violations:
         raise NotALieAlgebra(f"base algebra fails the Jacobi identity: {base_violations[0]}")
-    if not is_cocycle(d.base, d.phi):
-        triple, value = cocycle_defect(d.base, d.phi)
+    defect = cocycle_defect(d.base, d.phi)
+    if defect is not None:
+        triple, value = defect
         labels = ", ".join(d.base.label(i) for i in triple)
         raise NotACocycle("phi fails the 2-cocycle conditions on the base algebra: "
                           f"d2 phi({labels}) = {d.base.format_vector(value)} != 0")

@@ -97,7 +97,6 @@ class KernelBasis:
     """
 
     dim: int
-    n_cols: int
     vectors: tuple
 
     def verify(self, matrix: SparseIntMatrix) -> bool:
@@ -242,4 +241,4 @@ def kernel_basis(matrix: SparseIntMatrix) -> KernelBasis:
             denom = -denom
         vectors.append({k: Fraction(vec[k], denom) for k in sorted(vec)})
     vectors.sort(key=lambda v: min(v))
-    return KernelBasis(dim=len(vectors), n_cols=matrix.n_cols, vectors=tuple(vectors))
+    return KernelBasis(dim=len(vectors), vectors=tuple(vectors))

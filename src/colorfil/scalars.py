@@ -19,7 +19,7 @@ def as_coeff(value) -> Coeff:
     Accepts ints, Fractions and strings ("7", "-3/4", "0.5"); integral
     Fractions are collapsed back to int.  Exponent notation is refused:
     `Fraction` would expand the 11 bytes "1e10000000" into a
-    33-million-bit integer.
+    33-million-bit integer.  So is "_", which 3.11's `Fraction` reads.
     """
     if isinstance(value, bool):
         raise TypeError("booleans are not scalars")
@@ -30,6 +30,8 @@ def as_coeff(value) -> Coeff:
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise ValueError(f"exponent notation in scalar {reprlib.repr(value)}")
+        if "_" in value:
+            raise ValueError(f"digit separator in scalar {reprlib.repr(value)}")
         try:
             return as_coeff(Fraction(value))
         except ZeroDivisionError:

@@ -340,7 +340,7 @@ def test_cocycles_unverified_kernel_exits_1(capsys, monkeypatch, tmp_path):
     from colorfil.linalg import KernelBasis
 
     def wrong(matrix):
-        return KernelBasis(1, matrix.n_cols, ({c: 1 for c in range(matrix.n_cols)},))
+        return KernelBasis(1, ({c: 1 for c in range(matrix.n_cols)},))
 
     monkeypatch.setattr(cohomology, "kernel_basis", wrong)
     out_path = tmp_path / "basis.json"
@@ -438,10 +438,14 @@ def test_closed_stdout_exits_2_without_traceback(capsys, monkeypatch, tmp_path, 
                    "--cocycle", str(cochain_file("zero.json", [])), "--out", "-"],
     }[command]
     fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    fds = "/proc/self/fd"
+    before = len(os.listdir(fds)) if os.path.isdir(fds) else None
     try:
         monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
         code = main(argv)
         assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        if before is not None:  # the devnull descriptor is closed, not leaked
+            assert len(os.listdir(fds)) == before
     finally:
         os.close(fd)
     assert (code, capsys.readouterr().err) == (2, "")
@@ -537,13 +541,16 @@ def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):
         assert code == 2, name
         assert "must be an integer" in err
     # float, null, zero-denominator and exponent-notation coefficients
-    # (Fraction would expand "1e10000000" for seconds), non-list terms and
+    # (Fraction would expand "1e10000000" for seconds), digit separators
+    # (read as 10 and 1/20 from Python 3.11 on only), non-list terms and
     # terms that are not objects: a message and exit 2, no traceback
     term = {"block": "D", "i": 1, "j": 2, "s": 1}
     for name, terms in [("fcoeff.json", [{**term, "coeff": 0.5}]),
                         ("ncoeff.json", [{**term, "coeff": None}]),
                         ("zcoeff.json", [{**term, "coeff": "1/0"}]),
                         ("ecoeff.json", [{**term, "coeff": "1e10000000"}]),
+                        ("ucoeff.json", [{**term, "coeff": "1_0"}]),
+                        ("uqcoeff.json", [{**term, "coeff": "1/2_0"}]),
                         ("dterms.json", {}), ("iterms.json", 7),
                         ("iterm.json", [7]), ("lterm.json", [["D", 1, 2, 1, 1]])]:
         code, out, err = run_cli(capsys, "deform", "--algebra", str(alg_path),

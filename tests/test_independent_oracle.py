@@ -497,7 +497,7 @@ def reference_validate_jacobi(alg):
             _accumulate(res, v, alg.bracket_basis(b, t))
         if res:
             violations.append(JacobiViolation(
-                "J", (alg.label(a), alg.label(b), alg.label(c)), alg.format_vector(res)))
+                (alg.label(a), alg.label(b), alg.label(c)), alg.format_vector(res)))
     return violations
 
 

@@ -46,7 +46,7 @@ def test_kernel_examples():
     # verify rejects a vector outside the kernel, even beside a good one
     m = matrix_from_dense([[1, 2], [2, 4]])
     assert kb.verify(m)
-    assert not KernelBasis(2, 2, (vec, {0: Fraction(1)})).verify(m)
+    assert not KernelBasis(2, (vec, {0: Fraction(1)})).verify(m)
 
 
 def test_kernel_canonical_form():

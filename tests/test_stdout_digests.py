@@ -7,9 +7,12 @@ deliberate output change updates the digest and says why.
 """
 
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
+from colorfil import build_model
 from colorfil.cli import main
 
 DIGESTS = [
@@ -41,6 +44,35 @@ DIGESTS = [
 @pytest.mark.parametrize("command, digest", DIGESTS, ids=[c for c, _ in DIGESTS])
 def test_stdout_is_byte_identical(capsys, command, digest):
     code = main(command.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# deform writes the deformed law's constants in the order the algebra
+# yields them; the inputs are the model and one block-D vector of its
+# export, scaled by `scale` and written as a "terms" document
+DEFORM_DIGESTS = [
+    ((3, 2, 2), 1, "d4c4472d9a7396e3baae6a5fa5ca5b0c35e378da6e015e0706c072d9c86d24f6"),
+    ((8, 6, 6), Fraction(1, 3), "1499b3c3da49c371c15969c4dbdf49f8280a74db99fae8667916b67d6d59921a"),
+]
+
+
+@pytest.mark.parametrize("point, scale, digest", DEFORM_DIGESTS,
+                         ids=[f"deform {p} scale {s}" for p, s, _ in DEFORM_DIGESTS])
+def test_deform_stdout_is_byte_identical(capsys, tmp_path, point, scale, digest):
+    n, m, p = point
+    algebra, export = tmp_path / "algebra.json", tmp_path / "d.json"
+    algebra.write_text(json.dumps(build_model(n, m, p).to_json_dict()))
+    assert main(["cocycles", "--n", str(n), "--m", str(m), "--p", str(p), "--block", "D",
+                 "--out", str(export)]) == 0
+    vector = json.loads(export.read_text())["basis"][0]
+    terms = [{"block": "D", **term, "coeff": str(Fraction(term["coeff"]) * scale)}
+             for term in vector]
+    cocycle = tmp_path / "phi.json"
+    cocycle.write_text(json.dumps({"n": n, "m": m, "p": p, "terms": terms}))
+    capsys.readouterr()
+    code = main(["deform", "--algebra", str(algebra), "--cocycle", str(cocycle)])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
