@@ -65,7 +65,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import ColorLieAlgebra, Vector, jacobiator, law_denominator, reached_triples
 from .linalg import SparseIntMatrix, kernel_basis, nullity, rank_certified
-from .scalars import add_into, as_coeff, as_int
+from .scalars import add_into, as_coeff, as_int, ratio_str
 
 
 class DecompositionMismatch(ArithmeticError):
@@ -320,16 +320,22 @@ def _term_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) ->
                 if x == a or x == b:
                     continue
                 if x < a:
-                    acc, sign = sums.setdefault((x, a, b), {}), 1
+                    triple, sign = (x, a, b), 1
                 elif x < b:
-                    acc, sign = sums.setdefault((a, x, b), {}), -1
+                    triple, sign = (a, x, b), -1
                 else:
-                    acc, sign = sums.setdefault((a, b, x), {}), 1
+                    triple, sign = (a, b, x), 1
+                acc = sums.get(triple)  # get-or-create: setdefault would build a dict per call
+                if acc is None:
+                    acc = sums[triple] = {}
                 for k, items in reach:
                     col = first + k
                     for u, cb in items:
-                        row = acc.setdefault(u, {})
-                        row[col] = row.get(col, 0) + sign * cb
+                        row = acc.get(u)
+                        if row is None:
+                            acc[u] = {col: sign * cb}
+                        else:
+                            row[col] = row.get(col, 0) + sign * cb
             first += count
         ranges.append((block, range(start, first)))
     # psi([x, y], z) with sign +1 exactly when x < z < y; psi(z, t)
@@ -340,14 +346,20 @@ def _term_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) ->
                 if z == x or z == y:
                     continue
                 if z < x:
-                    acc, value = sums.setdefault((z, x, y), {}), -cb * s
+                    triple, value = (z, x, y), -cb * s
                 elif z < y:
-                    acc, value = sums.setdefault((x, z, y), {}), cb * s
+                    triple, value = (x, z, y), cb * s
                 else:
-                    acc, value = sums.setdefault((x, y, z), {}), -cb * s
+                    triple, value = (x, y, z), -cb * s
+                acc = sums.get(triple)
+                if acc is None:
+                    acc = sums[triple] = {}
                 for u in range(lowest, lowest + count):
-                    row = acc.setdefault(u, {})
-                    row[col] = row.get(col, 0) + value
+                    row = acc.get(u)
+                    if row is None:
+                        acc[u] = {col: value}
+                    else:
+                        row[col] = row.get(col, 0) + value
                     col += 1
     return ranges, sums
 
@@ -529,7 +541,9 @@ def cocycle_basis_json(alg: ColorLieAlgebra, block: BlockKind,
     """Kernel basis of one block in the export JSON schema.
 
     Every vector is checked against the block matrix (M v = 0) before
-    the document is built; a failure raises KernelMismatch.
+    the document is built; a failure raises KernelMismatch.  Each
+    coefficient is written from the stored numerator and denominator
+    (`ratio_str`), as `str` of the `Fraction` would write it.
     """
     n, m, p = model_shape(alg)
     system = assemble_Z2_system(alg, {block}, allow_x0_target=allow_x0_target)
@@ -537,13 +551,10 @@ def cocycle_basis_json(alg: ColorLieAlgebra, block: BlockKind,
     if not basis.verify(system.matrix):
         raise KernelMismatch(
             f"block {block.name} kernel basis fails M v = 0 at (n, m, p) = {(n, m, p)}")
-    vectors = []
-    for vec in basis.vectors:
-        vectors.append([
-            {"i": system.col_keys[c].i, "j": system.col_keys[c].j,
-             "s": system.col_keys[c].s, "coeff": str(v)}
-            for c, v in vec.items()
-        ])
+    keys = system.col_keys
+    vectors = [[{"i": keys[c].i, "j": keys[c].j, "s": keys[c].s, "coeff": ratio_str(v, d)}
+                for c, v in w.items()]
+               for w, d in basis.integral]
     return {"block": block.name, "n": n, "m": m, "p": p,
             "dim": basis.dim, "basis": vectors}
 

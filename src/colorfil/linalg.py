@@ -13,8 +13,11 @@ insertion order.
 * `rank_certified` -- the number of pivots; exact by construction.
 * `kernel_basis` -- sparse back-substitution over the integer echelon
   rows the elimination leaves, one free column at a time, giving the
-  canonical rational kernel basis; `Fraction` appears only when the
-  output vectors are formed.
+  canonical kernel basis.  Each vector stays integral: integer
+  numerators over one denominator, which is the form `KernelBasis`
+  stores; `Fraction` appears only in its `vectors` view.
+* `KernelBasis.verify` -- M w = 0 for each vector's numerators w,
+  summed row by row through a column index of M.
 
 Matrices are immutable after construction; the elimination routines
 work on private row copies, so concurrent use on shared matrices is
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Mapping
 
 
@@ -89,32 +92,44 @@ class SparseIntMatrix:
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """An exact rational basis of a nullspace.
+    """An exact rational basis of a nullspace, stored integral.
 
-    Vectors are sparse {col: Fraction} maps in canonical form: leading
-    (lowest-column) entry positive, entries in lowest terms, vectors
-    ordered by leading column.
+    `integral` holds each vector as a pair (numerators, d): sparse
+    {col: int} numerators in ascending column over one denominator
+    d > 0, so the vector is numerators / d.  The form is canonical:
+    gcd(d, numerators) = 1, the leading (lowest-column) numerator is
+    positive, and the vectors are ordered by leading column.
     """
 
-    dim: int
-    vectors: tuple
+    integral: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.integral)
+
+    @property
+    def vectors(self) -> tuple:
+        """The same vectors as sparse {col: Fraction} maps, built when read."""
+        return tuple({c: Fraction(v, d) for c, v in w.items()} for w, d in self.integral)
 
     def verify(self, matrix: SparseIntMatrix) -> bool:
-        """Whether M v = 0 for every vector.
+        """Whether M w = 0 for every vector's numerators w.
 
-        Indexes the columns once and evaluates only the rows that touch
-        a vector's support, so the cost follows the vectors' supports,
-        not dim x nnz.  Each vector is scaled to integers first.
+        Indexes the columns of M once (col -> [(row, value)]) and sums
+        each vector's products into the rows its support reaches, so the
+        cost follows the vectors' supports, not dim x nnz.  Integral and
+        exact: the check of every vector, not a sample.
         """
-        col_rows: dict = {}
+        columns: list = [[] for _ in range(matrix.n_cols)]
         for r, row in enumerate(matrix.rows):
-            for c, _ in row:
-                col_rows.setdefault(c, []).append(r)
-        for v in self.vectors:
-            denom = lcm(*(x.denominator for x in v.values()))
-            w = {c: x.numerator * (denom // x.denominator) for c, x in v.items()}
-            touched = {r for c in w for r in col_rows.get(c, ())}
-            if any(sum(val * w[c] for c, val in matrix.rows[r] if c in w) for r in touched):
+            for c, v in row:
+                columns[c].append((r, v))
+        for w, _ in self.integral:
+            sums: dict = {}
+            for c, x in w.items():
+                for r, v in columns[c]:
+                    sums[r] = sums.get(r, 0) + v * x
+            if any(sums.values()):
                 return False
         return True
 
@@ -191,7 +206,7 @@ def nullity(matrix: SparseIntMatrix) -> int:
 
 
 def kernel_basis(matrix: SparseIntMatrix) -> KernelBasis:
-    """Exact rational basis of the kernel, in canonical form.
+    """Exact basis of the kernel, integral and in canonical form.
 
     Back-substitution over the integer echelon rows of `_eliminate_int`.
     Their lowest columns are the leftmost-pivot set of the row space, in
@@ -202,7 +217,9 @@ def kernel_basis(matrix: SparseIntMatrix) -> KernelBasis:
     Only the pivots reachable from f through the echelon rows are
     visited, largest column first, so every x_k a row needs is final
     when the row is solved.  The solution is kept as integers over one
-    common denominator and becomes `Fraction` entries only at output.
+    common denominator and stored that way.  Each step scales by the
+    least factor that keeps the new entry integral, so the denominator is
+    the lcm of the entries' reduced denominators: gcd(d, numerators) = 1.
     """
     echelon = _eliminate_int(matrix.rows)
     users: dict = {}  # col k -> pivot cols whose echelon row holds k
@@ -237,8 +254,7 @@ def kernel_basis(matrix: SparseIntMatrix) -> KernelBasis:
                 if u not in queued:
                     queued.add(u)
                     heappush(heap, -u)
-        if vec[min(vec)] < 0:
-            denom = -denom
-        vectors.append({k: Fraction(vec[k], denom) for k in sorted(vec)})
-    vectors.sort(key=lambda v: min(v))
-    return KernelBasis(dim=len(vectors), vectors=tuple(vectors))
+        sign = -1 if vec[min(vec)] < 0 else 1
+        vectors.append(({k: sign * vec[k] for k in sorted(vec)}, denom))
+    vectors.sort(key=lambda wd: min(wd[0]))
+    return KernelBasis(tuple(vectors))

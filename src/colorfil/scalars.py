@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import reprlib
 from fractions import Fraction
+from math import gcd
 
 Coeff = int | Fraction
 
@@ -52,6 +53,12 @@ def coeff_to_json(value: Coeff):
     """Encode a scalar for JSON: int when integral, else a "p/q" string."""
     value = as_coeff(value)
     return value if isinstance(value, int) else f"{value.numerator}/{value.denominator}"
+
+
+def ratio_str(v: int, d: int) -> str:
+    """str(Fraction(v, d)) for integers v and d > 0, without the Fraction."""
+    g = gcd(v, d)
+    return str(v // g) if g == d else f"{v // g}/{d // g}"
 
 
 def add_into(acc: dict, key, value: Coeff) -> None:

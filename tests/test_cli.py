@@ -340,7 +340,7 @@ def test_cocycles_unverified_kernel_exits_1(capsys, monkeypatch, tmp_path):
     from colorfil.linalg import KernelBasis
 
     def wrong(matrix):
-        return KernelBasis(1, ({c: 1 for c in range(matrix.n_cols)},))
+        return KernelBasis((({c: 1 for c in range(matrix.n_cols)}, 1),))
 
     monkeypatch.setattr(cohomology, "kernel_basis", wrong)
     out_path = tmp_path / "basis.json"

@@ -471,3 +471,45 @@ def test_brute_matches_closed_forms_at_asymmetric_points():
         dims = block_dims(build_model(*nmp))
         assert {b.name: d for b, d in dims.items()} == \
             main_theorem_total(*nmp).blocks(), nmp
+
+
+def _random_law(seed, dims):
+    # a graded law with fractional and cancelling constants (seed 5 has [Y, Y] != 0);
+    # the row sums need no Jacobi identity
+    rng = random.Random(seed)
+    alg = ColorLieAlgebra(dims)
+    table = {}
+    for a, b in combinations(range(alg.dim), 2):
+        targets = list(alg.component_indices((alg.degree_of(a) + alg.degree_of(b)) % 3))
+        if targets and rng.random() < 0.4:
+            table[(a, b)] = {t: rng.choice([-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 4)])
+                             for t in rng.sample(targets, min(2, len(targets)))}
+    return ColorLieAlgebra(dims, table)
+
+
+# SHA-256 of the raw row sums, every key order and entry type included,
+# taken before their accumulation changed from setdefault to get-or-create
+TERM_SUMS_DIGESTS = [
+    ("model (8,6,6)", lambda: build_model(8, 6, 6), False,
+     "71af93c559b0656350675221c43ea6ff0349b636392573e5f949ab7baf057f9e"),
+    ("model (3,2,2), X0 targets", lambda: build_model(3, 2, 2), True,
+     "6329622bf6424fe10b3aefd470b74b3b9349e36a9f89c767582c46d938a129ce"),
+    ("random law (3,3,3)", lambda: _random_law(5, (4, 3, 3)), False,
+     "b7440a87ada434973070fd1ea4f32c47af8b34c6655d9f2da349d516ed89c828"),
+    ("random law (4,2,3), X0 targets", lambda: _random_law(9, (5, 2, 3)), True,
+     "1fe6cfe55f314fbcc7cc8abd59079a00f899dde4f5d7cc6a0319c5e2b969c147"),
+]
+
+
+@pytest.mark.parametrize("name, make, allow_x0_target, digest", TERM_SUMS_DIGESTS,
+                         ids=[name for name, *_ in TERM_SUMS_DIGESTS])
+def test_term_sums_are_unchanged(name, make, allow_x0_target, digest):
+    import hashlib
+
+    from colorfil.cohomology import _term_sums
+
+    ranges, sums = _term_sums(make(), ALL_BLOCKS, allow_x0_target)
+    dump = repr(([(block.name, cols) for block, cols in ranges],
+                 [(triple, [(u, list(row.items())) for u, row in acc.items()])
+                  for triple, acc in sums.items()]))
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest

@@ -3,13 +3,15 @@
 import copy
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colorfil.linalg import (KernelBasis, SparseIntMatrix, _eliminate_int, kernel_basis, nullity,
                              rank_certified)
+from colorfil.scalars import ratio_str
 from test_independent_oracle import (cells_of, dense_kernel, dense_nullity, from_cells,
                                      sparse_matrices, to_dense)
 
@@ -46,7 +48,7 @@ def test_kernel_examples():
     # verify rejects a vector outside the kernel, even beside a good one
     m = matrix_from_dense([[1, 2], [2, 4]])
     assert kb.verify(m)
-    assert not KernelBasis(2, (vec, {0: Fraction(1)})).verify(m)
+    assert not KernelBasis((kb.integral[0], ({0: 1}, 1))).verify(m)
 
 
 def test_kernel_canonical_form():
@@ -61,6 +63,38 @@ def test_kernel_canonical_form():
             assert v[min(v)] > 0
         # canonical: recomputing yields the identical basis
         assert kernel_basis(m).vectors == kb.vectors
+
+
+@st.composite
+def non_unit_matrices(draw):
+    """Small sparse integer matrices whose echelon holds a pivot other than +-1."""
+    n_rows, n_cols = draw(st.integers(1, 10)), draw(st.integers(1, 12))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+        st.sampled_from([1, -1, 2, -3, 4, 6, -9, 35]), min_size=1, max_size=3 * n_cols))
+    matrix = from_cells(n_rows, n_cols, cells)
+    assume(any(abs(row[c]) != 1 for c, row in _eliminate_int(matrix.rows).items()))
+    return matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(non_unit_matrices(), st.data())
+def test_stored_kernel_form(matrix, data):
+    basis = kernel_basis(matrix)
+    assert list(basis.vectors) == dense_kernel(to_dense(matrix), matrix.n_cols)
+    assert basis.dim == len(basis.vectors)
+    for w, d in basis.integral:
+        # canonical: d > 0, no common factor, positive leading numerator
+        assert d > 0 and gcd(d, *w.values()) == 1
+        assert list(w) == sorted(w) and w[min(w)] > 0
+        assert all(ratio_str(v, d) == str(Fraction(v, d)) for v in w.values())
+    assert basis.verify(matrix)
+    # a unit vector on a nonzero column lies outside the kernel; verify
+    # rejects it at any position among the good vectors
+    col = data.draw(st.sampled_from(sorted({c for row in matrix.rows for c, _ in row})))
+    at = data.draw(st.integers(0, basis.dim))
+    bad = basis.integral[:at] + (({col: 1}, 1),) + basis.integral[at:]
+    assert not KernelBasis(bad).verify(matrix)
 
 
 def test_rank_certified_identity():

@@ -30,6 +30,19 @@ DIGESTS = [
      "7c7f9d6461c35ac684f7785288aca4dbc41b74d458cda26c7cc88757c61aceb0"),
     ("cocycles --n 8 --m 6 --p 6 --block F",
      "4ddb0ef2337bbfe61cb7d156c8e850b17e9d57b22d89a6f0a142041cb55c4e38"),
+    # the cocycle-export benchmark point: denominators up to 1470
+    ("cocycles --n 14 --m 10 --p 12 --block A",
+     "3188aa36cb76a27fb2ea277bf650c067ff83a2f7aa90b8443e17ee8becfd8193"),
+    ("cocycles --n 14 --m 10 --p 12 --block B",
+     "1998efa14a2620e9201668dee71f07c6e405675dbd409672be7fdfa8f6c309aa"),
+    ("cocycles --n 14 --m 10 --p 12 --block C",
+     "179d878680aac74d00a87e94dd31148a6b5300f6340d655e194107827245d1b7"),
+    ("cocycles --n 14 --m 10 --p 12 --block D",
+     "5b8a79f25da149ff06dcd15008cde4fecb329e33b7953a746336d90a752d3fe0"),
+    ("cocycles --n 14 --m 10 --p 12 --block E",
+     "8324a70acb0049ab8a9e1fbd9580ba3e297fa35aefc65f11c1b6063f69397d41"),
+    ("cocycles --n 14 --m 10 --p 12 --block F",
+     "36b30ecefed1869242dc1ad636da260098257fa3104a0cf3fc532dfb33bf09fd"),
     ("cocycles --n 2 --m 1 --p 1 --block A --allow-x0-target",
      "dbfec7592c70c1f73e4291590a251b841191347f524734449aaafea4447ecf6f"),
     ("cocycles --n 1 --m 2 --p 2 --block E --allow-x0-target",
