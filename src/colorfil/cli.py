@@ -113,8 +113,7 @@ def _write_json(doc, stream) -> None:
     stream.write("\n")
 
 
-_TERM = ('      {{\n        "i": {},\n        "j": {},\n        "s": {},\n'
-         '        "coeff": {}\n      }}')
+_TERM_HEAD = '      {{\n        "i": {},\n        "j": {},\n        "s": {},\n        "coeff": '
 
 
 def _write_basis(doc, stream) -> None:
@@ -122,17 +121,26 @@ def _write_basis(doc, stream) -> None:
 
     json.dump with an indent runs the pure-Python encoder, one write per
     token; here the scalar header fields come first and "basis" last, as
-    cocycle_basis_json orders them, and each vector is one template
-    string, written as soon as it is built.
+    cocycle_basis_json orders them, and each vector is one string,
+    written as soon as it is built.  A term's text up to its coefficient
+    depends on (i, j, s) alone, so it is formatted once per column of
+    the document and reused by every vector that holds that column.
     """
     header = "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n"
                      for key, value in doc.items() if key != "basis")
     stream.write("{\n" + header + '  "basis": [')
+    heads: dict = {}
     sep = "\n"
     for vector in doc["basis"]:
-        terms = ",\n".join(_TERM.format(t["i"], t["j"], t["s"],
-                                        encode_basestring_ascii(t["coeff"])) for t in vector)
-        stream.write(f"{sep}    [\n{terms}\n    ]")
+        parts = []
+        for t in vector:
+            key = t["i"], t["j"], t["s"]
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = _TERM_HEAD.format(*key)
+            parts.append(head + encode_basestring_ascii(t["coeff"]))
+        terms = "\n      },\n".join(parts)
+        stream.write(f"{sep}    [\n{terms}\n      }}\n    ]")
         sep = ",\n"
     stream.write("\n  ]\n}\n" if doc["basis"] else "]\n}\n")
 
@@ -395,9 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # build_parser(), built by the first main call of the process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

@@ -45,10 +45,14 @@ the model, where only X_0 acts, the reached triples are O(dim^2).
 
 `_integral_sums` is the one row source: it scales those sums by the
 law's denominator and drops what cancels.  `assemble_Z2_system` builds
-its matrix from these rows, and `block_dims` ranks the same rows
-directly: the columns come grouped by block, so a row whose lowest and
-highest columns share a block lies inside it.  Each block's rows are
-ranked once; a block's dimension is its column count minus that rank.
+the library's matrix (`ConstraintSystem`) from these rows.  The brute
+force and the export take the same rows directly, with no matrix:
+`cocycle_basis_json` solves one block's rows with `kernel_basis` and
+checks every vector against them (`cocycles_per_s` 3842 -> 4821 on the
+cocycle-export benchmark, BENCH_23.json), and `block_dims` ranks them.
+The columns come grouped by block, so a row whose lowest and highest
+columns share a block lies inside it.  Each block's rows are ranked
+once; a block's dimension is its column count minus that rank.
 In the model no row spans two blocks, so the six-block decomposition
 holds by structure.  When a row does (a law with [Y, Y] != 0 couples
 blocks B and C), every row is restricted to each block, the joint rows
@@ -281,7 +285,7 @@ class ConstraintSystem:
     def kernel_cochains(self) -> list:
         """Kernel basis vectors converted to Cochain2 values."""
         out = []
-        for vec in kernel_basis(self.matrix).vectors:
+        for vec in kernel_basis(self.matrix, self.matrix.n_cols).vectors:
             coeffs = {self.col_keys[c]: v for c, v in vec.items()}
             out.append(Cochain2(self.alg, coeffs, allow_x0_target=self.allow_x0_target))
         return out
@@ -540,19 +544,26 @@ def cocycle_basis_json(alg: ColorLieAlgebra, block: BlockKind,
                        allow_x0_target: bool = False) -> dict:
     """Kernel basis of one block in the export JSON schema.
 
-    Every vector is checked against the block matrix (M v = 0) before
-    the document is built; a failure raises KernelMismatch.  Each
-    coefficient is written from the stored numerator and denominator
-    (`ratio_str`), as `str` of the `Fraction` would write it.
+    Solves the block's rows of `_integral_sums` as they are, the rows
+    `block_dims` ranks, with no `ConstraintSystem` or `SparseIntMatrix`
+    between (that round trip was about 10 of the 77 ms of the six
+    blocks at (14,10,12), BENCH_23.json); the columns are the (i, j, s)
+    maps of `_block_bases`, in `cochain_columns` order.  Every vector
+    is checked against those same rows (M v = 0) before the document is
+    built; a failure raises KernelMismatch.  Each coefficient is written
+    from the stored numerator and denominator (`ratio_str`), as `str` of
+    the `Fraction` would write it.
     """
     n, m, p = model_shape(alg)
-    system = assemble_Z2_system(alg, {block}, allow_x0_target=allow_x0_target)
-    basis = kernel_basis(system.matrix)
-    if not basis.verify(system.matrix):
+    _, sums = _integral_sums(alg, {block}, allow_x0_target)
+    rows = [row for acc in sums.values() for row in acc.values()]
+    ((_, pairs, targets),) = _block_bases(alg, {block}, allow_x0_target)
+    keys = [(i, j, s) for i, j in pairs for s in targets]
+    basis = kernel_basis(rows, len(keys))
+    if not basis.verify(rows):
         raise KernelMismatch(
             f"block {block.name} kernel basis fails M v = 0 at (n, m, p) = {(n, m, p)}")
-    keys = system.col_keys
-    vectors = [[{"i": keys[c].i, "j": keys[c].j, "s": keys[c].s, "coeff": ratio_str(v, d)}
+    vectors = [[{"i": keys[c][0], "j": keys[c][1], "s": keys[c][2], "coeff": ratio_str(v, d)}
                 for c, v in w.items()]
                for w, d in basis.integral]
     return {"block": block.name, "n": n, "m": m, "p": p,

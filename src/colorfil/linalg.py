@@ -11,13 +11,19 @@ the pivot rows are the row space's leftmost-pivot set, whatever the
 insertion order.
 
 * `rank_certified` -- the number of pivots; exact by construction.
-* `kernel_basis` -- sparse back-substitution over the integer echelon
-  rows the elimination leaves, one free column at a time, giving the
-  canonical kernel basis.  Each vector stays integral: integer
-  numerators over one denominator, which is the form `KernelBasis`
-  stores; `Fraction` appears only in its `vectors` view.
-* `KernelBasis.verify` -- M w = 0 for each vector's numerators w,
-  summed row by row through a column index of M.
+* `kernel_basis(rows, n_cols)` -- sparse back-substitution over the
+  integer echelon rows the elimination leaves, one free column at a
+  time, giving the canonical kernel basis.  Each vector stays integral:
+  integer numerators over one denominator, which is the form
+  `KernelBasis` stores; `Fraction` appears only in its `vectors` view.
+* `KernelBasis.verify(rows)` -- M w = 0 for each vector's numerators w,
+  summed row by row through a dict column index of M, so it needs no
+  width.
+
+All three take the rows in either form: a `SparseIntMatrix`, or
+{col: value} dicts as `cohomology._integral_sums` yields them, so the
+cocycle export solves and checks its row sums without building a
+matrix.
 
 Matrices are immutable after construction; the elimination routines
 work on private row copies, so concurrent use on shared matrices is
@@ -112,22 +118,24 @@ class KernelBasis:
         """The same vectors as sparse {col: Fraction} maps, built when read."""
         return tuple({c: Fraction(v, d) for c, v in w.items()} for w, d in self.integral)
 
-    def verify(self, matrix: SparseIntMatrix) -> bool:
+    def verify(self, rows: Iterable) -> bool:
         """Whether M w = 0 for every vector's numerators w.
 
-        Indexes the columns of M once (col -> [(row, value)]) and sums
-        each vector's products into the rows its support reaches, so the
-        cost follows the vectors' supports, not dim x nnz.  Integral and
-        exact: the check of every vector, not a sample.
+        `rows` are the rows of M in either form `kernel_basis` takes.
+        Indexes the columns of M once in a dict (col -> [(row, value)]),
+        so no width is needed, and sums each vector's products into the
+        rows its support reaches, so the cost follows the vectors'
+        supports, not dim x nnz.  Integral and exact: the check of every
+        vector, not a sample.
         """
-        columns: list = [[] for _ in range(matrix.n_cols)]
-        for r, row in enumerate(matrix.rows):
-            for c, v in row:
-                columns[c].append((r, v))
+        columns: dict = {}
+        for r, row in enumerate(rows):
+            for c, v in (row.items() if isinstance(row, dict) else row):
+                columns.setdefault(c, []).append((r, v))
         for w, _ in self.integral:
             sums: dict = {}
             for c, x in w.items():
-                for r, v in columns[c]:
+                for r, v in columns.get(c, ()):
                     sums[r] = sums.get(r, 0) + v * x
             if any(sums.values()):
                 return False
@@ -205,8 +213,12 @@ def nullity(matrix: SparseIntMatrix) -> int:
     return matrix.n_cols - rank_certified(matrix)
 
 
-def kernel_basis(matrix: SparseIntMatrix) -> KernelBasis:
-    """Exact basis of the kernel, integral and in canonical form.
+def kernel_basis(rows: Iterable, n_cols: int) -> KernelBasis:
+    """Exact basis of the kernel of `n_cols`-wide rows, integral and canonical.
+
+    `rows` is any sequence of sparse integer rows with nonzero entries,
+    as `rank_certified` takes them: a `SparseIntMatrix`, or {col: value}
+    dicts.
 
     Back-substitution over the integer echelon rows of `_eliminate_int`.
     Their lowest columns are the leftmost-pivot set of the row space, in
@@ -221,14 +233,14 @@ def kernel_basis(matrix: SparseIntMatrix) -> KernelBasis:
     least factor that keeps the new entry integral, so the denominator is
     the lcm of the entries' reduced denominators: gcd(d, numerators) = 1.
     """
-    echelon = _eliminate_int(matrix.rows)
+    echelon = _eliminate_int(rows)
     users: dict = {}  # col k -> pivot cols whose echelon row holds k
     for c, row in echelon.items():
         for k in row:
             if k != c:
                 users.setdefault(k, []).append(c)
     vectors = []
-    for f in range(matrix.n_cols):
+    for f in range(n_cols):
         if f in echelon:
             continue
         vec = {f: 1}  # the solution is vec / denom, kept integral

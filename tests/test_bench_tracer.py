@@ -12,9 +12,9 @@ from pathlib import Path
 import colorfil.cli
 import colorfil.cohomology
 from colorfil.algebra import build_model
-from colorfil.cohomology import ALL_BLOCKS, assemble_Z2_system
+from colorfil.cohomology import ALL_BLOCKS, assemble_Z2_system, cochain_columns
 from colorfil.formulas import METHOD_WEIGHTS
-from colorfil.linalg import rank_certified
+from colorfil.linalg import kernel_basis, rank_certified
 from colorfil.weights import count_weight_dim
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -52,6 +52,29 @@ def test_block_dims_ranks_each_block_once(monkeypatch):
     assert len(ranks) == len(ALL_BLOCKS)
     assert sum(ranks) == rank_certified(joint.matrix)
     assert sum(dims.values()) == joint.matrix.n_cols - sum(ranks)
+
+
+def test_cocycle_export_solves_once_through_the_traced_name(monkeypatch):
+    # the tracer times the kernel layer through colorfil.cohomology.kernel_basis;
+    # cocycle_basis_json solves its block through that name, once, straight
+    # from the row sums, with no assembled ConstraintSystem in between
+    alg = build_model(8, 6, 6)
+    calls = []
+
+    def counting(rows, n_cols):
+        calls.append(n_cols)
+        return kernel_basis(rows, n_cols)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cocycle_basis_json assembled a ConstraintSystem")
+
+    monkeypatch.setattr(colorfil.cohomology, "kernel_basis", counting)
+    monkeypatch.setattr(colorfil.cohomology, "assemble_Z2_system", forbidden)
+    for block in ALL_BLOCKS:
+        calls.clear()
+        doc = colorfil.cohomology.cocycle_basis_json(alg, block)
+        assert calls == [len(cochain_columns(alg, {block}))], block.name
+        assert doc["dim"] == len(doc["basis"])
 
 
 def test_weight_report_counts_through_the_traced_name(monkeypatch):

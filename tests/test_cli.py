@@ -339,8 +339,8 @@ def test_cocycles_unverified_kernel_exits_1(capsys, monkeypatch, tmp_path):
     from colorfil import cohomology
     from colorfil.linalg import KernelBasis
 
-    def wrong(matrix):
-        return KernelBasis((({c: 1 for c in range(matrix.n_cols)}, 1),))
+    def wrong(rows, n_cols):
+        return KernelBasis((({c: 1 for c in range(n_cols)}, 1),))
 
     monkeypatch.setattr(cohomology, "kernel_basis", wrong)
     out_path = tmp_path / "basis.json"
@@ -697,3 +697,24 @@ def test_console_script_entry_point():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["total"] == 3
+
+
+def test_main_calls_in_sequence_share_no_state(capsys):
+    # main builds its parser once per process; each call in a sequence must
+    # parse and print what it would as the first call of a fresh process
+    src = os.path.dirname(os.path.dirname(colorfil.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    sequence = [
+        ["dims", "--n", "3", "--m", "2", "--p", "1", "--method", "brute"],
+        ["dims", "--n", "3", "--m", "2", "--p", "1", "--method", "brute"],
+        ["dims", "--n", "3", "--m", "2", "--p", "1"],
+        ["verify", "--n", "1..2", "--m", "0..1", "--p", "1", "--methods", "closed",
+         "--format", "csv", "--jobs", "1"],
+    ]
+    for argv in sequence:
+        code, out, err = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "colorfil.cli", *argv],
+                               capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": path})
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert vars(cli._PARSER.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))

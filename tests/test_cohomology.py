@@ -153,7 +153,7 @@ def test_block_A_system_2_1_1():
     system = assemble_Z2_system(build_model(2, 1, 1), {BlockKind.A})
     assert system.matrix.n_cols == 2
     assert system.nullity() == 1
-    (vec,) = kernel_basis(system.matrix).vectors
+    (vec,) = kernel_basis(system.matrix, system.matrix.n_cols).vectors
     keys = {system.col_keys[c]: v for c, v in vec.items()}
     # the X1-target coefficient is forced to zero; phi^2_{1,2} survives
     assert keys == {(BlockKind.A, 1, 2, 2): Fraction(1)}
@@ -324,6 +324,31 @@ def test_cocycle_basis_export_golden():
     doc = cocycle_basis_json(build_model(2, 1, 1), BlockKind.A)
     assert doc == {"block": "A", "n": 2, "m": 1, "p": 1, "dim": 1,
                    "basis": [[{"i": 1, "j": 2, "s": 2, "coeff": "1"}]]}
+
+
+def _library_basis_json(alg, block, allow_x0_target):
+    # the export document by the library route: the assembled block
+    # matrix, its kernel basis and its column keys
+    system = assemble_Z2_system(alg, {block}, allow_x0_target=allow_x0_target)
+    basis = kernel_basis(system.matrix, system.matrix.n_cols)
+    keys = system.col_keys
+    n, m, p = alg.dims[0] - 1, alg.dims[1], alg.dims[2]
+    return {"block": block.name, "n": n, "m": m, "p": p, "dim": basis.dim,
+            "basis": [[{"i": keys[c].i, "j": keys[c].j, "s": keys[c].s, "coeff": str(v)}
+                       for c, v in vec.items()] for vec in basis.vectors]}
+
+
+@pytest.mark.parametrize("nmp", [(8, 6, 6), (3, 2, 2), (1, 0, 0), (4, 2, 0), (3, 0, 2)])
+@pytest.mark.parametrize("allow_x0_target", [False, True])
+def test_export_route_equals_library_route(nmp, allow_x0_target):
+    # cocycle_basis_json solves the row sums without a matrix; it must give
+    # the library's ConstraintSystem kernel, vector for vector
+    alg = build_model(*nmp)
+    for block in ALL_BLOCKS:
+        expected = _library_basis_json(alg, block, allow_x0_target)
+        doc = cocycle_basis_json(alg, block, allow_x0_target=allow_x0_target)
+        assert doc == expected, (nmp, block.name)
+        assert doc["dim"] == len(doc["basis"])
 
 
 def test_cochain_json_roundtrip():

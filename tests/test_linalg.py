@@ -36,13 +36,13 @@ def test_nullity_examples():
 
 
 def test_kernel_examples():
-    assert kernel_basis(matrix_from_dense([[1, 0], [0, 1]])).dim == 0
-    kb = kernel_basis(matrix_from_dense([[1, 2], [2, 4]]))
+    assert kernel_basis(matrix_from_dense([[1, 0], [0, 1]]), 2).dim == 0
+    kb = kernel_basis(matrix_from_dense([[1, 2], [2, 4]]), 2)
     assert kb.dim == 1
     (vec,) = kb.vectors
     # spans the line through (-2, 1); canonical form has positive lead
     assert vec == {0: Fraction(2), 1: Fraction(-1)}
-    kb3 = kernel_basis(SparseIntMatrix(1, 3, [{}]))
+    kb3 = kernel_basis(SparseIntMatrix(1, 3, [{}]), 3)
     assert kb3.dim == 3
     assert list(kb3.vectors) == [{0: 1}, {1: 1}, {2: 1}]
     # verify rejects a vector outside the kernel, even beside a good one
@@ -55,14 +55,32 @@ def test_kernel_canonical_form():
     rng = random.Random(11)
     for _ in range(50):
         m = random_sparse(rng, rng.randint(1, 15), rng.randint(1, 15), (-3, -1, 1, 2))
-        kb = kernel_basis(m)
+        kb = kernel_basis(m, m.n_cols)
         assert kb.verify(m)
         leads = [min(v) for v in kb.vectors]
         assert leads == sorted(leads)
         for v in kb.vectors:
             assert v[min(v)] > 0
         # canonical: recomputing yields the identical basis
-        assert kernel_basis(m).vectors == kb.vectors
+        assert kernel_basis(m, m.n_cols).vectors == kb.vectors
+
+
+def test_kernel_and_verify_take_tuple_or_dict_rows():
+    # the rows of a SparseIntMatrix, or the {col: value} dicts the cocycle
+    # export passes: the same basis, accepted, and rejected with one entry changed
+    dict_rows = [{0: 1, 1: 2, 3: -1}, {1: 3, 2: -6}, {0: 2, 4: 5}]
+    matrix = SparseIntMatrix(len(dict_rows), 6, dict_rows)
+    basis = kernel_basis(matrix, matrix.n_cols)
+    assert kernel_basis(dict_rows, 6) == basis
+    assert basis.dim == 3
+    for rows in (matrix, matrix.rows, dict_rows):
+        assert basis.verify(rows)
+        for k, (w, d) in enumerate(basis.integral):
+            for c in w:
+                changed = {**w, c: w[c] + 1}
+                bad = basis.integral[:k] + ((changed, d),) + basis.integral[k + 1:]
+                # column 5 is in no row, so only its entry may change freely
+                assert KernelBasis(bad).verify(rows) is (c == 5)
 
 
 @st.composite
@@ -80,7 +98,7 @@ def non_unit_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(non_unit_matrices(), st.data())
 def test_stored_kernel_form(matrix, data):
-    basis = kernel_basis(matrix)
+    basis = kernel_basis(matrix, matrix.n_cols)
     assert list(basis.vectors) == dense_kernel(to_dense(matrix), matrix.n_cols)
     assert basis.dim == len(basis.vectors)
     for w, d in basis.integral:
@@ -168,14 +186,14 @@ def test_rank_and_kernel_on_mostly_empty_columns(matrix, extra, rnd):
     dense = to_dense(wide)
     assert rank_certified(wide) == rank_certified(matrix) == width - dense_nullity(dense, width)
     assert rank_certified([dict(row) for row in wide]) == rank_certified(wide)
-    assert list(kernel_basis(wide).vectors) == dense_kernel(dense, width)
+    assert list(kernel_basis(wide, wide.n_cols).vectors) == dense_kernel(dense, width)
 
 
 def test_elimination_does_not_mutate_matrix():
     m = matrix_from_dense([[1, 2], [2, 4]])
     before = m.rows
     rank_certified(m)
-    kernel_basis(m)
+    kernel_basis(m, m.n_cols)
     assert m.rows == before
     # {col: value} rows, the form block_dims passes: a unit pivot at column 0
     # and a non-unit one (2) at column 2.  A spanning block_dims ranks the
@@ -200,7 +218,7 @@ def test_kernel_canonical_under_row_order_and_scale(rnd):
     scales = [rnd.choice((-3, -2, -1, 1, 2, 5)) for _ in order]
     moved = SparseIntMatrix(m.n_rows, m.n_cols,
                             [{c: s * v for c, v in m.rows[r]} for r, s in zip(order, scales)])
-    assert kernel_basis(moved).vectors == kernel_basis(m).vectors
+    assert kernel_basis(moved, moved.n_cols).vectors == kernel_basis(m, m.n_cols).vectors
 
 
 P61 = 2**61 - 1
@@ -225,7 +243,7 @@ def test_unit_and_non_unit_pivots_match_dense_oracle(rows, n_cols, path_taken):
     m = SparseIntMatrix(len(rows), n_cols, rows)
     dense = to_dense(m)
     assert nullity(m) == dense_nullity(dense, n_cols)
-    assert list(kernel_basis(m).vectors) == dense_kernel(dense, n_cols)
+    assert list(kernel_basis(m, m.n_cols).vectors) == dense_kernel(dense, n_cols)
 
 
 def test_constructor_rejects_stored_zero_and_non_int():
