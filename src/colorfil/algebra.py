@@ -292,15 +292,20 @@ def check_params(n: int, m: int, p: int) -> None:
         raise InvalidParams(f"m and p must be >= 0, got m={m}, p={p}")
 
 
-def law_denominator(alg: ColorLieAlgebra) -> int:
-    """The lcm of the denominators of the law's structure constants.
+def integral_law(alg: ColorLieAlgebra) -> ColorLieAlgebra:
+    """The law with integer structure constants: the package's one integrality rule.
 
-    The package's one integrality rule: a bracket image of an integer
-    vector, or a term of d2 psi, holds one structure constant per term,
-    so scaling it by this number makes it integral without changing the
-    span or the kernel it stands for.
+    `alg` itself when every constant is an integer; otherwise the law
+    with every constant multiplied by the lcm of their denominators.  A
+    bracket image of an integer vector, or a term of d2 psi, holds one
+    structure constant, so the scaled law makes it integral without
+    changing the span or the kernel it stands for.
     """
-    return lcm(*(c.denominator for _, _, vec in alg.nonzero_constants() for c in vec.values()))
+    denom = lcm(*(c.denominator for _, _, vec in alg.nonzero_constants() for c in vec.values()))
+    if denom == 1:
+        return alg
+    return ColorLieAlgebra(alg.dims, {(a, b): {t: c * denom for t, c in vec.items()}
+                                      for a, b, vec in alg.nonzero_constants()})
 
 
 def build_model(n: int, m: int, p: int) -> ColorLieAlgebra:
@@ -371,18 +376,17 @@ def validate_jacobi(alg: ColorLieAlgebra) -> list:
 def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
     """Dimensions of C^0(L_g), C^1(L_g), ... down to zero.
 
-    C^{k+1}(L_g) = [L_0, C^k(L_g)]; the integer echelon rows of each term
-    are the basis the next one is bracketed from, and `law_denominator`
-    keeps the bracket images integral.  Each term lies in the one before,
-    so a step that keeps the dimension raises NotNilpotent.
+    C^{k+1}(L_g) = [L_0, C^k(L_g)]; each term is bracketed from the
+    integer echelon rows of the one before, in `integral_law(alg)`, so
+    the images are integral.  Each term lies in the one before, so a
+    step that keeps the dimension raises NotNilpotent.
     """
+    law = integral_law(alg)
     l0 = list(alg.component_indices(0))
-    denom = law_denominator(alg)
     current = [{i: 1} for i in alg.component_indices(g)]
     dims = [len(current)]
     while dims[-1]:
-        brackets = (alg.bracket({a: 1}, v) for a in l0 for v in current)
-        images = [{t: (c * denom).numerator for t, c in w.items()} for w in brackets if w]
+        images = [w for a in l0 for v in current if (w := law.bracket({a: 1}, v))]
         echelon = _eliminate_int(images)
         if len(echelon) == dims[-1]:
             raise NotNilpotent(

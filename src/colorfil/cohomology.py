@@ -43,13 +43,13 @@ it holds (the algebra's `bracket_index`) and sums it into its triple:
 forms a source pair with z.  Every other triple has only zero rows; in
 the model, where only X_0 acts, the reached triples are O(dim^2).
 
-`_integral_sums` is the one row source: it scales those sums by the
-law's denominator and drops what cancels.  `assemble_Z2_system` builds
-the library's matrix (`ConstraintSystem`) from these rows.  The brute
-force and the export take the same rows directly, with no matrix:
-`cocycle_basis_json` solves one block's rows with `kernel_basis` and
-checks every vector against them (`cocycles_per_s` 3842 -> 4821 on the
-cocycle-export benchmark, BENCH_23.json), and `block_dims` ranks them.
+`_term_sums` is the one row source.  It reads the terms from
+`algebra.integral_law`, so its rows are integral as made, and drops
+what cancels.  `assemble_Z2_system` builds the library's matrix
+(`ConstraintSystem`) from these rows.  The brute force and the export
+take the same rows directly, with no matrix: `cocycle_basis_json`
+solves one block's rows with `kernel_basis` and checks every vector
+against them, and `block_dims` ranks them.
 The columns come grouped by block, so a row whose lowest and highest
 columns share a block lies inside it.  Each block's rows are ranked
 once; a block's dimension is its column count minus that rank.
@@ -67,7 +67,7 @@ from enum import Enum
 from itertools import combinations, groupby, product
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .algebra import ColorLieAlgebra, Vector, jacobiator, law_denominator, reached_triples
+from .algebra import ColorLieAlgebra, Vector, integral_law, jacobiator, reached_triples
 from .linalg import SparseIntMatrix, kernel_basis, nullity, rank_certified
 from .scalars import add_into, as_coeff, as_int, ratio_str
 
@@ -292,12 +292,15 @@ class ConstraintSystem:
 
 
 def _term_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) -> tuple:
-    """([(block, column range)], {ascending triple: {target: {col: coeff}}}).
+    """([(block, column range)], {ascending triple: {target: {col: int}}}): the row source.
 
     Each term of d2 psi is generated from the nonzero bracket it holds
-    (see the module docstring) and summed into its triple.  The sums are
-    raw: an entry may cancel to 0 or be a Fraction.
+    (see the module docstring) in `integral_law(alg)`, so every entry is
+    an int, and summed into its triple.  Entries that cancel to 0, and
+    rows that cancel whole, are dropped.
     """
+    alg = integral_law(alg)
+    cancelled = False  # no model sum cancels, so the model's rows are final as made
     ranges: list = []
     # psi lookup: element -> partner -> (first column, lowest target,
     # target count, sign).  A block's targets are consecutive global
@@ -332,6 +335,8 @@ def _term_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) ->
                 acc = sums.get(triple)  # get-or-create: setdefault would build a dict per call
                 if acc is None:
                     acc = sums[triple] = {}
+                # each (triple, target, column) meets one term in this loop (the
+                # column names the pair and t, the triple then x): stored, not summed
                 for k, items in reach:
                     col = first + k
                     for u, cb in items:
@@ -339,7 +344,7 @@ def _term_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) ->
                         if row is None:
                             acc[u] = {col: sign * cb}
                         else:
-                            row[col] = row.get(col, 0) + sign * cb
+                            row[col] = sign * cb
             first += count
         ranges.append((block, range(start, first)))
     # psi([x, y], z) with sign +1 exactly when x < z < y; psi(z, t)
@@ -363,27 +368,14 @@ def _term_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) ->
                     if row is None:
                         acc[u] = {col: value}
                     else:
-                        row[col] = row.get(col, 0) + value
+                        row[col] = total = row.get(col, 0) + value
+                        if not total:  # only a sum can cancel, and only this loop sums
+                            cancelled = True
                     col += 1
-    return ranges, sums
-
-
-def _integral_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) -> tuple:
-    """`_term_sums` with every row integral and nonempty: the one row source.
-
-    Every term of d2 psi holds one structure constant, so the law's
-    denominator (`law_denominator`) makes every row integral.  Entries
-    that cancel to 0 are dropped, and so are rows that cancel whole.
-    """
-    ranges, sums = _term_sums(alg, blocks, allow_x0_target)
-    denom = law_denominator(alg)
-    # the model's sums are integral with no 0; rebuilding them would add ~18% to a
-    # grid-verify pass
-    if denom != 1 or any(0 in row.values() for acc in sums.values() for row in acc.values()):
+    if cancelled:
         for triple, acc in sums.items():
-            scaled = ((u, {c: (v * denom).numerator for c, v in row.items() if v})
-                      for u, row in acc.items())
-            sums[triple] = {u: row for u, row in scaled if row}
+            rows = ((u, {c: v for c, v in row.items() if v}) for u, row in acc.items())
+            sums[triple] = {u: row for u, row in rows if row}
     return ranges, sums
 
 
@@ -391,14 +383,14 @@ def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
                        allow_x0_target: bool = False) -> ConstraintSystem:
     """Constraint matrix whose kernel is the cocycle space of the blocks.
 
-    One row per nonzero (basis triple, target) sum of `_integral_sums`,
+    One row per nonzero (basis triple, target) sum of `_term_sums`,
     in the order the sums are generated; `row_origins` names the
     ascending triple and the target of each.  A triple no term reaches
     has only zero rows, so the rows are those of a walk over all
     C(dim, 3) triples, up to order and scaling, which leave the kernel
     and its canonical basis untouched.
     """
-    _, sums = _integral_sums(alg, blocks, allow_x0_target)
+    _, sums = _term_sums(alg, blocks, allow_x0_target)
     rows = [row for acc in sums.values() for row in acc.values()]
     origins = tuple((triple, u) for triple, acc in sums.items() for u in acc)
     cols = cochain_columns(alg, blocks, allow_x0_target=allow_x0_target)
@@ -425,12 +417,12 @@ def _restrict_to_block(system: ConstraintSystem, block: BlockKind) -> SparseIntM
 
 
 def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
-    """Per-block cocycle dimensions, ranked straight from `_integral_sums`.
+    """Per-block cocycle dimensions, ranked straight from `_term_sums`.
 
     The same rows as `assemble_Z2_system`, without a matrix or a column
     key; the block and spanning rules are the module docstring's.
     """
-    ranges, sums = _integral_sums(alg, ALL_BLOCKS, allow_x0_target)
+    ranges, sums = _term_sums(alg, ALL_BLOCKS, allow_x0_target)
     ranges = [(block, cols) for block, cols in ranges if cols]
     position = [k for k, (_, cols) in enumerate(ranges) for _ in cols]
     joint = [row for acc in sums.values() for row in acc.values()]
@@ -456,12 +448,20 @@ def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
     return dims
 
 
+def _check_cochain_of(alg: ColorLieAlgebra, psi: Cochain2) -> None:
+    """ValueError unless psi was built on an algebra of `alg`'s dims."""
+    if psi.alg.dims != alg.dims:
+        raise ValueError(f"cochain built on dims {psi.alg.dims} given for an algebra "
+                         f"of dims {alg.dims}")
+
+
 def delta2(alg: ColorLieAlgebra, psi: Cochain2, triple) -> Vector:
     """(d2 psi) at three basis elements, each a label or an index: -(J(mu, psi) + J(psi, mu)).
 
-    Any other entry (an out-of-range index, a bool, a vector) raises
-    ValueError naming it.
+    Any other entry (an out-of-range index, a bool, a vector), or a psi
+    built on an algebra of other dims, raises ValueError naming it.
     """
+    _check_cochain_of(alg, psi)
     index = {i: i for i in range(alg.dim)} | {label: i for i, label in enumerate(alg.labels())}
     for entry in triple:
         if type(entry) not in (int, str) or entry not in index:
@@ -487,8 +487,10 @@ def cocycle_defect(alg: ColorLieAlgebra, psi: Cochain2):
     order: d2 psi is zero at every other triple, so the answer is the
     one a walk over all C(dim, 3) triples would give.  The rule reads
     psi's values and the stored brackets only, not the matrix assembly,
-    so this re-verifies kernel vectors by a separate route.
+    so this re-verifies kernel vectors by a separate route.  A psi built
+    on an algebra of other dims raises ValueError.
     """
+    _check_cochain_of(alg, psi)
     law = psi.law
     for triple in sorted(reached_triples(law, alg) | reached_triples(alg, law)):
         value = _delta2(alg, law, *triple)
@@ -544,18 +546,17 @@ def cocycle_basis_json(alg: ColorLieAlgebra, block: BlockKind,
                        allow_x0_target: bool = False) -> dict:
     """Kernel basis of one block in the export JSON schema.
 
-    Solves the block's rows of `_integral_sums` as they are, the rows
+    Solves the block's rows of `_term_sums` as they are, the rows
     `block_dims` ranks, with no `ConstraintSystem` or `SparseIntMatrix`
-    between (that round trip was about 10 of the 77 ms of the six
-    blocks at (14,10,12), BENCH_23.json); the columns are the (i, j, s)
-    maps of `_block_bases`, in `cochain_columns` order.  Every vector
-    is checked against those same rows (M v = 0) before the document is
-    built; a failure raises KernelMismatch.  Each coefficient is written
-    from the stored numerator and denominator (`ratio_str`), as `str` of
-    the `Fraction` would write it.
+    between; the columns are the (i, j, s) maps of `_block_bases`, in
+    `cochain_columns` order.  Every vector is checked against those same
+    rows (M v = 0) before the document is built; a failure raises
+    KernelMismatch.  Each coefficient is written from the stored
+    numerator and denominator (`ratio_str`), as `str` of the `Fraction`
+    would write it.
     """
     n, m, p = model_shape(alg)
-    _, sums = _integral_sums(alg, {block}, allow_x0_target)
+    _, sums = _term_sums(alg, {block}, allow_x0_target)
     rows = [row for acc in sums.values() for row in acc.values()]
     ((_, pairs, targets),) = _block_bases(alg, {block}, allow_x0_target)
     keys = [(i, j, s) for i, j in pairs for s in targets]

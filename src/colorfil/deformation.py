@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import ColorLieAlgebra, is_filiform_module, l0_is_filiform, validate_jacobi
 # is_cocycle is not called here; it stays importable because bench/spans.py rebinds it
-from .cohomology import Cochain2, cocycle_defect, is_cocycle
+from .cohomology import Cochain2, _check_cochain_of, cocycle_defect, is_cocycle
 
 
 class CharacteristicVectorViolation(ValueError):
@@ -52,7 +52,11 @@ class DeformedLaw:
 
 
 def deform(alg: ColorLieAlgebra, phi: Cochain2) -> DeformedLaw:
-    """Structure constants of mu0 + phi; no validity claim is made yet."""
+    """Structure constants of mu0 + phi; no validity claim is made yet.
+
+    A phi built on an algebra of other dims raises ValueError.
+    """
+    _check_cochain_of(alg, phi)
     if phi.has_x0_source:
         raise CharacteristicVectorViolation(
             "deformation cochains must vanish on the characteristic vector X0")

@@ -21,7 +21,7 @@ insertion order.
   width.
 
 All three take the rows in either form: a `SparseIntMatrix`, or
-{col: value} dicts as `cohomology._integral_sums` yields them, so the
+{col: value} dicts as `cohomology._term_sums` yields them, so the
 cocycle export solves and checks its row sums without building a
 matrix.
 
@@ -218,7 +218,7 @@ def kernel_basis(rows: Iterable, n_cols: int) -> KernelBasis:
 
     `rows` is any sequence of sparse integer rows with nonzero entries,
     as `rank_certified` takes them: a `SparseIntMatrix`, or {col: value}
-    dicts.
+    dicts.  A column outside range(n_cols) raises ValueError naming it.
 
     Back-substitution over the integer echelon rows of `_eliminate_int`.
     Their lowest columns are the leftmost-pivot set of the row space, in
@@ -236,7 +236,9 @@ def kernel_basis(rows: Iterable, n_cols: int) -> KernelBasis:
     echelon = _eliminate_int(rows)
     users: dict = {}  # col k -> pivot cols whose echelon row holds k
     for c, row in echelon.items():
-        for k in row:
+        for k in row:  # the echelon rows span the input rows: checking them checks all
+            if not 0 <= k < n_cols:
+                raise ValueError(f"column {k} outside the {n_cols} kernel columns")
             if k != c:
                 users.setdefault(k, []).append(c)
     vectors = []

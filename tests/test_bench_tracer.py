@@ -7,6 +7,7 @@ of the per-layer timings.
 """
 
 import importlib
+from itertools import product
 from pathlib import Path
 
 import colorfil.cli
@@ -30,15 +31,16 @@ def test_traced_names_resolve(monkeypatch):
 
 def test_block_dims_ranks_each_block_once(monkeypatch):
     # the tracer times the rank layer through colorfil.cohomology.rank_certified;
-    # block_dims ranks the rows of every block through that name, once, and
-    # neither restricts to blocks nor ranks the joint matrix
-    alg = build_model(8, 6, 6)
-    joint = assemble_Z2_system(alg)
-    ranks = []
+    # block_dims ranks the rows of every block that has columns through that
+    # name, once, and neither restricts to blocks nor ranks the joint matrix.
+    # No model row spans two blocks, so the joint rank, and with it
+    # DecompositionMismatch, is never reached on the model
+    ranked = []
 
-    def counting(matrix):
-        ranks.append(rank_certified(matrix))
-        return ranks[-1]
+    def counting(rows):
+        rows = list(rows)
+        ranked.append(({block_of[c] for row in rows for c in row}, rank_certified(rows)))
+        return ranked[-1][1]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("block_dims called a whole-matrix pass")
@@ -46,12 +48,27 @@ def test_block_dims_ranks_each_block_once(monkeypatch):
     monkeypatch.setattr(colorfil.cohomology, "rank_certified", counting)
     monkeypatch.setattr(colorfil.cohomology, "_restrict_to_block", forbidden)
     monkeypatch.setattr(colorfil.cohomology, "nullity", forbidden)
-    dims = colorfil.cohomology.block_dims(alg)
-    # every block holds columns and rows at this point
+    for nmp in product(range(1, 9), range(7), range(7)):
+        alg = build_model(*nmp)
+        for allow_x0_target in (False, True):
+            block_of = [key.block for key in cochain_columns(alg, ALL_BLOCKS, allow_x0_target)]
+            ranked.clear()
+            dims = colorfil.cohomology.block_dims(alg, allow_x0_target)
+            point = (nmp, allow_x0_target)
+            assert len(ranked) == len(set(block_of)), point
+            touched = [blocks for blocks, _ in ranked if blocks]
+            assert all(len(blocks) == 1 for blocks in touched), point
+            assert len(set().union(*touched)) == len(touched), point
+            assert sum(dims.values()) == len(block_of) - sum(rank for _, rank in ranked), point
+    # every block holds columns and rows at (8,6,6), and the block ranks sum
+    # to the joint rank
+    alg = build_model(8, 6, 6)
+    joint = assemble_Z2_system(alg)
+    ranked.clear()
+    colorfil.cohomology.block_dims(alg)
     assert {joint.col_keys[row[0][0]].block for row in joint.matrix.rows} == set(ALL_BLOCKS)
-    assert len(ranks) == len(ALL_BLOCKS)
-    assert sum(ranks) == rank_certified(joint.matrix)
-    assert sum(dims.values()) == joint.matrix.n_cols - sum(ranks)
+    assert len(ranked) == len(ALL_BLOCKS)
+    assert sum(rank for _, rank in ranked) == rank_certified(joint.matrix)
 
 
 def test_cocycle_export_solves_once_through_the_traced_name(monkeypatch):

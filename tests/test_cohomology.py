@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from colorfil.algebra import ColorLieAlgebra, build_model, validate_jacobi
 from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
                                  assemble_Z2_system, block_dims, cochain_columns,
-                                 cochain_from_json, cocycle_basis_json, delta1, delta2,
-                                 is_cocycle)
+                                 cochain_from_json, cocycle_basis_json, cocycle_defect,
+                                 delta1, delta2, is_cocycle)
 from colorfil.deformation import deform
 from colorfil.formulas import main_theorem_total
 from colorfil.linalg import kernel_basis
@@ -58,6 +58,19 @@ def test_delta2_refuses_entries_that_are_not_basis_elements():
         with pytest.raises(ValueError, match=re.escape(
                 f"delta2 takes basis labels or indices 0..6, got {shown}")):
             delta2(alg, psi, triple)
+
+
+def test_delta2_refuses_a_cochain_of_other_dims():
+    phi = Cochain2(build_model(3, 2, 2), {ColumnKey(BlockKind.D, 1, 2, 2): 1})
+    with pytest.raises(ValueError, match=r"cochain built on dims \(4, 2, 2\)"):
+        delta2(build_model(3, 3, 1), phi, ("X0", "Y1", "Y2"))
+
+
+def test_cocycle_defect_refuses_a_cochain_of_other_dims():
+    # is_cocycle and is_integrable read psi through cocycle_defect
+    phi = Cochain2(build_model(3, 2, 2), {ColumnKey(BlockKind.D, 1, 2, 2): 1})
+    with pytest.raises(ValueError, match=r"cochain built on dims \(4, 2, 2\)"):
+        cocycle_defect(build_model(3, 3, 1), phi)
 
 
 def test_delta2_cocycle_example():
@@ -512,17 +525,18 @@ def _random_law(seed, dims):
     return ColorLieAlgebra(dims, table)
 
 
-# SHA-256 of the raw row sums, every key order and entry type included,
-# taken before their accumulation changed from setdefault to get-or-create
+# SHA-256 of the row sums, every key order and entry type included, taken
+# while the sums were made with the law's own (rational) constants and then
+# scaled by its denominator and cleared of cancelled entries and rows
 TERM_SUMS_DIGESTS = [
     ("model (8,6,6)", lambda: build_model(8, 6, 6), False,
      "71af93c559b0656350675221c43ea6ff0349b636392573e5f949ab7baf057f9e"),
     ("model (3,2,2), X0 targets", lambda: build_model(3, 2, 2), True,
      "6329622bf6424fe10b3aefd470b74b3b9349e36a9f89c767582c46d938a129ce"),
     ("random law (3,3,3)", lambda: _random_law(5, (4, 3, 3)), False,
-     "b7440a87ada434973070fd1ea4f32c47af8b34c6655d9f2da349d516ed89c828"),
+     "34a8f8b3037d2489b4c0f71b79e6d7f6281d90832fe53a505970c1bbd9999226"),
     ("random law (4,2,3), X0 targets", lambda: _random_law(9, (5, 2, 3)), True,
-     "1fe6cfe55f314fbcc7cc8abd59079a00f899dde4f5d7cc6a0319c5e2b969c147"),
+     "eab1fb5eb036f887a614bf7ec0ece9ff1b0bfbcfbe51c84b8aff872f6d57c7f6"),
 ]
 
 

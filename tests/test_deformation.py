@@ -41,6 +41,14 @@ def test_x0_source_rejected():
         Cochain2(alg, {ColumnKey(BlockKind.A, 0, 1, 2): 1})
 
 
+def test_deform_refuses_a_cochain_of_other_dims():
+    # phi(Y1, Y2) = Z2 on L^{3,2,2}: read on L^{3,3,1}'s indices it would be [Y1, Y2] = Z1
+    phi = Cochain2(build_model(3, 2, 2), {ColumnKey(BlockKind.D, 1, 2, 2): 1})
+    with pytest.raises(ValueError, match=r"cochain built on dims \(4, 2, 2\) given for an "
+                                         r"algebra of dims \(4, 3, 1\)"):
+        deform(build_model(3, 3, 1), phi)
+
+
 def test_non_cocycle_raises():
     alg = build_model(2, 1, 1)
     phi = Cochain2(alg, {ColumnKey(BlockKind.A, 1, 2, 1): 1})  # delta2 is X2 on (X0, X1, X2)

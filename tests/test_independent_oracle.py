@@ -13,8 +13,9 @@ assembler or the elimination engine, then compares dimensions.  The
 same dense elimination gives `dense_kernel`, the second route to the
 canonical kernel bases.
 
-`reference_assembly` is the plain walk over all C(dim, 3) basis
-triples; the production assembler generates only the terms a nonzero
+`reference_term_walk` is the plain walk over all C(dim, 3) basis
+triples, and `reference_assembly` keeps its nonzero rows; the
+production assembler generates only the terms a nonzero
 bracket holds and must produce the same nonzero row at every (triple,
 target), up to scale: the test puts both sides in primitive form with
 `reference_primitive_row`, its own `Fraction` route, and compares the
@@ -28,7 +29,8 @@ and ranks the joint matrix as a whole; `block_dims` ranks the same row
 sums of each block once and must give the same dimensions and the same
 `DecompositionMismatch`, also on laws with rational constants and on
 laws whose row sums cancel, while `checked_rank` sees only nonempty
-rows of nonzero ints.
+rows of nonzero ints.  On cancelling laws the row source must hold the
+walk's sums with only the cancelled entries and rows dropped.
 `reference_is_cocycle` and `reference_validate_jacobi` walk every
 ascending basis triple as well; `is_cocycle` and `validate_jacobi`
 evaluate only the triples a bracket or a cochain value reaches and must
@@ -220,12 +222,13 @@ def reference_primitive_row(row):
     return tuple((c, v // content) for c, v in ints)
 
 
-def reference_assembly(alg, blocks, allow_x0_target=False):
-    """({(triple, target): primitive row}, column keys) from a walk over every basis triple.
+def reference_term_walk(alg, blocks, allow_x0_target=False):
+    """({(triple, target): raw row sum}, column keys) from a walk over every basis triple.
 
     Evaluates the six terms of the cocycle identity at each ascending
-    triple straight from `alg.bracket_basis`, splits by target, and
-    keeps each nonzero row in the form of `reference_primitive_row`.
+    triple straight from `alg.bracket_basis` and splits them by target.
+    Each (triple, target) some term reaches gets a row, and each column
+    a term reaches gets an entry, even where the terms cancel to 0.
     """
     cols = cochain_columns(alg, blocks, allow_x0_target=allow_x0_target)
     psi_of: dict = {}  # ordered global pair -> [(col, target, sign)]
@@ -256,10 +259,16 @@ def reference_assembly(alg, blocks, allow_x0_target=False):
                 for col, tgt, s in psi_of.get((t, other) if first else (other, t), ()):
                     add(tgt, col, sign * cb * s)
         for u, row in acc.items():
-            row = reference_primitive_row(row)
-            if row:
-                rows[((a, b, c), u)] = row
+            rows[((a, b, c), u)] = row
     return rows, tuple(cols)
+
+
+def reference_assembly(alg, blocks, allow_x0_target=False):
+    """({(triple, target): primitive row}, column keys): the nonzero rows of the
+    term walk, each in the form of `reference_primitive_row`."""
+    walked, cols = reference_term_walk(alg, blocks, allow_x0_target)
+    rows = {origin: reference_primitive_row(row) for origin, row in walked.items()}
+    return {origin: row for origin, row in rows.items() if row}, cols
 
 
 def reference_row_label(alg, triple, target):
@@ -469,11 +478,20 @@ def test_block_dims_ranks_nonempty_rows_of_nonzero_ints(monkeypatch):
                 assert dims == dims_or_mismatch(block_dims, law, allow_x0_target)
     assert dims_or_mismatch(block_dims, pairs[5][0], False) == \
         "DecompositionMismatch: joint kernel dimension 4 != block sum 3 at dims (2, 2, 1)"
+    # the weighted laws' terms cancel: in the full walk, entries cancel to 0
+    # with the shift and whole rows without it.  The row source keeps no 0
+    # entry and no empty row, and otherwise the walk's sums as they are
     for shift in (False, True):
-        _, sums = _term_sums(weighted_law(4, 3, 2, shift), ALL_BLOCKS, False)
-        rows = [row for acc in sums.values() for row in acc.values()]
-        assert any(0 in row.values() and any(row.values()) for row in rows) == shift
-        assert any(not any(row.values()) for row in rows) != shift
+        law = weighted_law(4, 3, 2, shift)
+        _, sums = _term_sums(law, ALL_BLOCKS, False)
+        rows = {(triple, u): row for triple, acc in sums.items() for u, row in acc.items()}
+        assert all(row and 0 not in row.values() for row in rows.values())
+        walked, _ = reference_term_walk(law, ALL_BLOCKS)
+        assert any(0 in row.values() and any(row.values()) for row in walked.values()) == shift
+        assert any(not any(row.values()) for row in walked.values()) != shift
+        assert rows == {origin: {c: v for c, v in row.items() if v}
+                        for origin, row in walked.items() if any(row.values())}
+        assert sum(map(len, rows.values())) < sum(map(len, walked.values()))
 
 
 def _accumulate(acc, scale, vec):

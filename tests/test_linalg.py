@@ -270,3 +270,13 @@ def test_constructor_checks_tuple_rows():
             SparseIntMatrix(1, 3, [row])
     with pytest.raises(ValueError, match="expected 2 rows, got 1"):
         SparseIntMatrix(2, 3, [((0, 1),)])
+
+
+def test_kernel_basis_rejects_columns_outside_its_width():
+    # a vector keyed outside range(n_cols) would name no basis map (the export
+    # would write column -1 as the block's last (i, j, s)), so it is refused
+    wide = SparseIntMatrix(1, 6, [{0: 1, 5: 1}])
+    for rows, col in [([{0: 1, 5: 1}], 5), ([((-1, 1), (0, 2))], -1), (wide, 5)]:
+        with pytest.raises(ValueError, match=f"column {col} outside the 3 kernel columns"):
+            kernel_basis(rows, 3)
+    assert kernel_basis(wide, 6).dim == 5
