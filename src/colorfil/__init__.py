@@ -9,8 +9,7 @@ independent routes: brute-force kernel computation and weight counting.
 
 from .algebra import (BasisElement, ColorLieAlgebra, InvalidParams,
                       JacobiViolation, NotNilpotent, build_model, check_params,
-                      from_json_dict, is_filiform_module, l0_is_filiform,
-                      validate_jacobi)
+                      from_json_dict, validate_jacobi)
 from .cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
                          ConstraintSystem, DecompositionMismatch, KernelMismatch,
                          assemble_Z2_system, block_dims, cochain_from_json,

@@ -94,6 +94,9 @@ class ColorLieAlgebra:
         self._brackets: dict = {}
         for (a, b), vec in (constants or {}).items():
             self._add_constant(as_int(a, "pair index"), as_int(b, "pair index"), vec)
+        # ascending x, y, target: the index depends on the law, not on the order it was given in
+        self._brackets = {x: {y: dict(sorted(vec.items())) for y, vec in sorted(row.items())}
+                          for x, row in sorted(self._brackets.items())}
 
     def _add_constant(self, a: int, b: int, vec) -> None:
         n = self.dim
@@ -180,8 +183,10 @@ class ColorLieAlgebra:
     def bracket_index(self) -> Mapping:
         """{x: {y: [e_x, e_y]}} over the nonzero brackets, both orientations.
 
-        `bracket_index[x]` lists the partners of x.  Shared, not copied:
-        callers must not mutate it.
+        `bracket_index[x]` lists the partners of x.  Ascending throughout:
+        x, then each partner y, then the targets of [e_x, e_y], whatever
+        order the constants were given in.  Shared, not copied: callers
+        must not mutate it.
         """
         return self._brackets
 
@@ -204,11 +209,11 @@ class ColorLieAlgebra:
         return out
 
     def nonzero_constants(self) -> Iterator:
-        """Canonical (a, b, vector) triples, a < b, ascending."""
-        for a in sorted(self._brackets):
-            partners = self._brackets[a]
-            for b in sorted(b for b in partners if b > a):
-                yield a, b, dict(partners[b])
+        """Canonical (a, b, vector) triples, a < b, in the index's ascending order."""
+        for a, partners in self._brackets.items():
+            for b, vec in partners.items():
+                if b > a:
+                    yield a, b, dict(vec)
 
     def with_added_constants(self, additions: Mapping) -> "ColorLieAlgebra":
         """New algebra whose constants are the sum of ours and `additions`."""
@@ -230,7 +235,7 @@ class ColorLieAlgebra:
                 "lhs": self.label(a),
                 "rhs": self.label(b),
                 "value": [{"basis": self.label(t), "coeff": coeff_to_json(c)}
-                          for t, c in sorted(vec.items())],
+                          for t, c in vec.items()],
             })
         return {
             "k": 3,
@@ -394,36 +399,3 @@ def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
         current = list(echelon.values())
         dims.append(len(current))
     return dims
-
-
-def is_filiform_module(alg: ColorLieAlgebra, g: int) -> bool:
-    """Whether L_g carries the full flag dropped one step at a time by L_0.
-
-    Equivalent to the descending sequence C^k(L_g) having dimensions
-    d, d-1, ..., 1, 0.  Vacuously true for d = 0; g must be 1 or 2.
-    """
-    if g not in (1, 2):
-        raise ValueError(f"filiform-module check applies to degrees 1 and 2, got {g}")
-    d = alg.dims[g]
-    try:
-        dims = _descending_dims(alg, g)
-    except NotNilpotent:
-        return False
-    return dims == list(range(d, -1, -1))
-
-
-def l0_is_filiform(alg: ColorLieAlgebra) -> bool:
-    """Whether the degree-0 component is a filiform Lie algebra.
-
-    For dim L_0 = n+1 >= 2 the descending central sequence must have
-    dimensions n+1, n-1, n-2, ..., 1, 0; a 1-dimensional (abelian)
-    component is accepted as trivially filiform.
-    """
-    d0 = alg.dims[0]
-    if d0 <= 1:
-        return True
-    try:
-        dims = _descending_dims(alg, 0)
-    except NotNilpotent:
-        return False
-    return dims == [d0] + list(range(d0 - 2, -1, -1))

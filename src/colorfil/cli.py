@@ -339,7 +339,7 @@ def cmd_deform(args) -> int:
     except IntegrabilityMismatch as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return MISMATCH_ERROR
-    filiform = filiform_check(law) if integrable else False
+    filiform = filiform_check(law.result) if integrable else False
     verdict = {"integrable": integrable, "filiform": filiform}
     algebra_doc = law.result.to_json_dict()
     if args.out in (None, "-"):  # stdout carries one document: the verdict with the algebra

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ColorLieAlgebra, is_filiform_module, l0_is_filiform, validate_jacobi
+from .algebra import (ColorLieAlgebra, NotNilpotent, _descending_dims, integral_law,
+                      validate_jacobi)
 # is_cocycle is not called here; it stays importable because bench/spans.py rebinds it
 from .cohomology import Cochain2, _check_cochain_of, cocycle_defect, is_cocycle
 
@@ -95,12 +96,23 @@ def is_integrable(d: DeformedLaw) -> bool:
     return not deformed
 
 
-def filiform_check(d: DeformedLaw) -> bool:
-    """Whether the deformed algebra is still graded filiform.
+def filiform_check(alg: ColorLieAlgebra) -> bool:
+    """Whether `alg` is graded filiform: the one rule, stated here only.
 
-    The degree-0 part must be a filiform Lie algebra and every nonzero
-    degree must be a filiform module under it; a non-nilpotent result
-    fails outright.
+    For each degree g with d = dims[g], the descending sequence C^0(L_g)
+    = L_g, C^{k+1}(L_g) = [L_0, C^k(L_g)] must have dimensions d, d-1,
+    ..., 1, 0.  The one exception is L_0 with d >= 2, a filiform Lie
+    algebra, whose sequence skips d-1.  A sequence that stabilizes at a
+    nonzero subspace (NotNilpotent) fails.
     """
-    alg = d.result
-    return l0_is_filiform(alg) and all(is_filiform_module(alg, g) for g in (1, 2))
+    law = integral_law(alg)
+    try:
+        for g, d in enumerate(alg.dims):
+            expected = list(range(d, -1, -1))
+            if g == 0 and d >= 2:
+                del expected[1]
+            if _descending_dims(law, g) != expected:
+                return False
+    except NotNilpotent:
+        return False
+    return True

@@ -78,7 +78,7 @@ def _integrability_point(nmp):
     ok = True
     for psi in cochains:
         law = deform(alg, psi)
-        ok = ok and is_integrable(law) and filiform_check(law)
+        ok = ok and is_integrable(law) and filiform_check(law.result)
     return nmp, len(cochains), ok
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from colorfil.algebra import (AlgebraFormatError, ColorLieAlgebra,
                               InvalidParams, NotNilpotent,
                               _descending_dims, build_model, from_json_dict,
-                              is_filiform_module, jacobiator, l0_is_filiform,
-                              reached_triples, validate_jacobi)
+                              jacobiator, reached_triples, validate_jacobi)
+from colorfil.deformation import filiform_check
 
 
 def constants_by_label(alg):
@@ -108,10 +108,7 @@ def test_model_properties_sweep(n, m, p):
     assert validate_jacobi(alg) == []
     # each descending sequence drops to zero in n, m and p steps
     assert [len(_descending_dims(alg, g)) - 1 for g in range(3)] == [n, m, p]
-    assert l0_is_filiform(alg)
-    for g in (1, 2):
-        if alg.dims[g] >= 1:
-            assert is_filiform_module(alg, g)
+    assert filiform_check(alg)
 
 
 def test_reached_triples():
@@ -151,33 +148,26 @@ def test_not_nilpotent_detected():
 
 def test_filiform_module_examples():
     alg = build_model(3, 2, 2)
-    assert is_filiform_module(alg, 1)
-    assert is_filiform_module(alg, 2)
-    # drop [X0, Y1]: the degree-1 flag no longer descends one step at a time
-    constants = {(a, b): vec for a, b, vec in alg.nonzero_constants()
-                 if (alg.label(a), alg.label(b)) != ("X0", "Y1")}
-    maimed = ColorLieAlgebra(alg.dims, constants)
-    assert not is_filiform_module(maimed, 1)
-    assert is_filiform_module(maimed, 2)
+    assert filiform_check(alg)
+    # drop [X0, Y1] or [X0, Z1]: that degree's flag no longer descends one step at a time
+    for dropped in [("X0", "Y1"), ("X0", "Z1")]:
+        constants = {(a, b): vec for a, b, vec in alg.nonzero_constants()
+                     if (alg.label(a), alg.label(b)) != dropped}
+        assert not filiform_check(ColorLieAlgebra(alg.dims, constants)), dropped
 
 
 def test_filiform_module_empty_component_vacuous():
-    assert is_filiform_module(build_model(2, 0, 1), 1)
-
-
-def test_filiform_module_rejects_degree_zero():
-    # only the nonzero degrees 1 and 2 of Z_3 carry a module; no index wraps
-    for g in (0, 3, 4, -1):
-        with pytest.raises(ValueError):
-            is_filiform_module(build_model(2, 1, 1), g)
+    assert filiform_check(build_model(2, 0, 1))
+    assert filiform_check(build_model(2, 1, 0))
 
 
 def test_l0_filiform():
-    assert l0_is_filiform(build_model(4, 1, 1))
-    assert l0_is_filiform(build_model(1, 1, 1))  # 2-dim abelian: trivially filiform
-    assert l0_is_filiform(ColorLieAlgebra((1, 0, 0)))  # X0 alone: the d0 <= 1 branch
+    assert filiform_check(build_model(4, 1, 1))
+    assert filiform_check(build_model(1, 1, 1))  # 2-dim abelian: trivially filiform
+    assert filiform_check(ColorLieAlgebra((1, 0, 0)))  # X0 alone: d0 = 1 skips nothing
+    assert filiform_check(ColorLieAlgebra((0, 0, 0)))
     fat_abelian = ColorLieAlgebra((3, 0, 0))
-    assert not l0_is_filiform(fat_abelian)
+    assert not filiform_check(fat_abelian)
 
 
 def test_json_roundtrip():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from colorfil.algebra import ColorLieAlgebra, build_model, validate_jacobi
+from colorfil.algebra import ColorLieAlgebra, build_model, from_json_dict, validate_jacobi
 from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
                                  assemble_Z2_system, block_dims, cochain_columns,
                                  cochain_from_json, cocycle_basis_json, cocycle_defect,
@@ -527,16 +527,18 @@ def _random_law(seed, dims):
 
 # SHA-256 of the row sums, every key order and entry type included, taken
 # while the sums were made with the law's own (rational) constants and then
-# scaled by its denominator and cleared of cancelled entries and rows
+# scaled by its denominator and cleared of cancelled entries and rows.  The
+# random laws give their targets out of order; their digests are those of the
+# ascending bracket index, with the same sorted rows and column ranges
 TERM_SUMS_DIGESTS = [
     ("model (8,6,6)", lambda: build_model(8, 6, 6), False,
      "71af93c559b0656350675221c43ea6ff0349b636392573e5f949ab7baf057f9e"),
     ("model (3,2,2), X0 targets", lambda: build_model(3, 2, 2), True,
      "6329622bf6424fe10b3aefd470b74b3b9349e36a9f89c767582c46d938a129ce"),
     ("random law (3,3,3)", lambda: _random_law(5, (4, 3, 3)), False,
-     "34a8f8b3037d2489b4c0f71b79e6d7f6281d90832fe53a505970c1bbd9999226"),
+     "f333bcf4c3794d75724d30f94a2185c5768f86780bb664e9815081f73534b27e"),
     ("random law (4,2,3), X0 targets", lambda: _random_law(9, (5, 2, 3)), True,
-     "eab1fb5eb036f887a614bf7ec0ece9ff1b0bfbcfbe51c84b8aff872f6d57c7f6"),
+     "57c7e8bb690cb8bd11059c5b51aa464a64e4fcd1d4ab1a165ad42189aacce261"),
 ]
 
 
@@ -552,3 +554,57 @@ def test_term_sums_are_unchanged(name, make, allow_x0_target, digest):
                  [(triple, [(u, list(row.items())) for u, row in acc.items()])
                   for triple, acc in sums.items()]))
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
+
+
+def _order_views(alg, allow_x0_target):
+    """Everything whose order a law fixes: its index, row sums, row origins and JSON."""
+    from colorfil.cohomology import _term_sums
+
+    return (repr([(x, list(row.items())) for x, row in alg.bracket_index.items()]),
+            repr(_term_sums(alg, ALL_BLOCKS, allow_x0_target)),
+            assemble_Z2_system(alg, allow_x0_target=allow_x0_target).row_origins,
+            alg.to_json_dict())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.booleans(), st.randoms(use_true_random=False), st.data())
+def test_law_order_depends_on_the_law_alone(deformed, allow_x0_target, rng, data):
+    if deformed:
+        # a D-deformed model, read back from JSON with its constants and each value shuffled
+        base = build_model(*data.draw(st.tuples(st.integers(1, 4), st.integers(2, 4),
+                                                st.integers(1, 4))))
+        d_vectors = assemble_Z2_system(base, {BlockKind.D}).kernel_cochains()
+        coeffs = [rng.choice([-1, 1, 2, Fraction(3, 7)]) for _ in d_vectors]
+        total: dict = {}
+        for c, psi in zip(coeffs, d_vectors):
+            for key, v in psi.items():
+                total[key] = total.get(key, 0) + c * v
+        law = deform(base, Cochain2(base, total)).result
+        table = {(a, b): vec for a, b, vec in law.nonzero_constants()}
+        doc = law.to_json_dict()
+        rng.shuffle(doc["constants"])
+        for entry in doc["constants"]:
+            rng.shuffle(entry["value"])
+        given_law = from_json_dict(doc)
+    else:
+        # a random graded law, each pair given in either orientation, pairs and targets shuffled
+        dims = data.draw(st.tuples(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3)))
+        alg = ColorLieAlgebra(dims)
+        table = {}
+        for a, b in combinations(range(alg.dim), 2):
+            targets = list(alg.component_indices((alg.degree_of(a) + alg.degree_of(b)) % 3))
+            if targets and rng.random() < 0.5:
+                table[(a, b)] = {t: rng.choice([-2, 1, Fraction(1, 2)])
+                                 for t in rng.sample(targets, min(3, len(targets)))}
+        shuffled = {}
+        for (a, b), vec in rng.sample(sorted(table.items()), len(table)):
+            items = rng.sample(sorted(vec.items()), len(vec))
+            if rng.random() < 0.5:
+                shuffled[(a, b)] = dict(items)
+            else:
+                shuffled[(b, a)] = {t: -c for t, c in items}
+        given_law = ColorLieAlgebra(dims, shuffled)
+    ascending = ColorLieAlgebra(given_law.dims, {pair: dict(sorted(vec.items()))
+                                                 for pair, vec in sorted(table.items())})
+    assert _order_views(given_law, allow_x0_target) == _order_views(ascending, allow_x0_target)
+

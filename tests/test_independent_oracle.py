@@ -38,7 +38,8 @@ give the same verdicts and the same violation lists, in order.
 `reference_descending_dims` spans each term of a descending sequence by
 `dense_rref`; `_descending_dims` brackets the next term from the sparse
 echelon rows and must give the same dimensions and the same
-`NotNilpotent` verdicts.
+`NotNilpotent` verdicts; `filiform_check` must give the graded-filiform
+verdict `reference_graded_filiform` reads off the reference sequences.
 """
 
 from fractions import Fraction
@@ -56,7 +57,7 @@ from colorfil.cohomology import (ALL_BLOCKS, CONDITION_BY_SHAPE, BlockKind, Coch
                                  DecompositionMismatch, RowLabel, _restrict_to_block,
                                  _term_sums, assemble_Z2_system, block_dims, cochain_columns,
                                  cocycle_defect, delta1, is_cocycle)
-from colorfil.deformation import deform
+from colorfil.deformation import deform, filiform_check
 from colorfil.linalg import SparseIntMatrix, kernel_basis, rank_certified
 
 
@@ -699,3 +700,43 @@ def test_descending_dims_scale_rational_images_like_reference():
     alg = ColorLieAlgebra((5, 0, 0), {(0, 1): {2: Fraction(1, 2), 3: 1}, (0, 4): {2: 1, 3: 2}})
     assert descending_outcomes(_descending_dims, alg) == \
         descending_outcomes(reference_descending_dims, alg) == [[5, 1, 0], [0], [0]]
+
+
+def reference_graded_filiform(alg):
+    """The graded-filiform verdict read from `reference_descending_dims`.
+
+    Each sequence must reach zero dropping one dimension a step, except
+    that the first step of L_0 drops two when dim L_0 >= 2.
+    """
+    for g in range(3):
+        try:
+            dims = reference_descending_dims(alg, g)
+        except NotNilpotent:
+            return False
+        drops = [a - b for a, b in zip(dims, dims[1:])]
+        if drops and drops[0] != (2 if g == 0 and dims[0] >= 2 else 1):
+            return False
+        if any(drop != 1 for drop in drops[1:]):
+            return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_filiform_check_matches_dense_reference(data):
+    # models, D-deformed and perturbed models, or a random graded law with
+    # dim L_0 in {0, 1, 2}: random brackets often leave a sequence stuck
+    if data.draw(st.booleans()):
+        alg = drawn_algebra(data)
+    else:
+        dims = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3)))
+        degree = ColorLieAlgebra(dims).degree_of
+        table = {}
+        for a, b in combinations(range(sum(dims)), 2):
+            targets = [t for t in range(sum(dims)) if degree(t) == (degree(a) + degree(b)) % 3]
+            if targets and data.draw(st.booleans()):
+                table[(a, b)] = {data.draw(st.sampled_from(targets)):
+                                 data.draw(st.sampled_from((1, -1, Fraction(1, 2))))}
+        alg = ColorLieAlgebra(dims, table)
+    assert filiform_check(alg) == reference_graded_filiform(alg)
+
