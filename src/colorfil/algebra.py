@@ -21,7 +21,6 @@ adjoint action shifts each chain one step.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from math import lcm
 from typing import Iterator, Mapping, NamedTuple
 
@@ -55,8 +54,7 @@ class BasisElement(NamedTuple):
         return f"{self.family}{self.index}"
 
 
-@dataclass(frozen=True)
-class JacobiViolation:
+class JacobiViolation(NamedTuple):
     elements: tuple
     residual: str
 

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
 
 from .algebra import AlgebraFormatError, build_model, check_params, from_json_dict
@@ -178,7 +177,9 @@ def run_verify(points, methods, jobs: int = 1):
     Rows are per (point, block) comparison dicts in deterministic
     (n, m, p, block) order; grid points are independent, so they can be
     computed concurrently and merged afterwards.  The worker count is
-    bounded by the available cores and the number of points.  A point
+    bounded by the available cores and the number of points.  Where
+    worker processes cannot start, or one is killed, the grid is computed
+    serially with the same result.  A point
     whose computation fails contributes no rows and one mismatch
     {"n", "m", "p", "error"} naming the error.
 
@@ -190,13 +191,18 @@ def run_verify(points, methods, jobs: int = 1):
     """
     tasks = [(n, m, p, methods) for (n, m, p) in points]
     jobs = min(jobs, os.cpu_count() or 1, len(tasks))
+    results = None
     if jobs > 1:
         try:
+            # imported here, so a serial run never loads multiprocessing
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = dict(pool.map(_grid_point, tasks, chunksize=4))
-        except (OSError, BrokenProcessPool):  # no subprocess support, or a killed worker
-            results = dict(map(_grid_point, tasks))
-    else:
+        except ImportError:  # a Python built without multiprocessing
+            pass
+        except (OSError, NotImplementedError, BrokenProcessPool):
+            pass  # no subprocess support, no named semaphores, or a killed worker
+    if results is None:
         results = dict(map(_grid_point, tasks))
 
     rows = []

@@ -62,7 +62,6 @@ are ranked once as well, and a difference raises DecompositionMismatch.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, groupby, product
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -256,8 +255,7 @@ def cochain_columns(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
             for i, j in pairs for s in tgts]
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(NamedTuple):
     """Sparse encoding of the cocycle conditions for a set of blocks.
 
     The kernel of `matrix` (columns labelled by `col_keys`) is the

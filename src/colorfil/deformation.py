@@ -19,7 +19,7 @@ The Jacobi and cocycle checks evaluate only the basis triples
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (ColorLieAlgebra, NotNilpotent, _descending_dims, integral_law,
                       validate_jacobi)
@@ -43,8 +43,7 @@ class IntegrabilityMismatch(ArithmeticError):
     """Jacobi on mu0 + phi and Jacobi on phi alone disagree for a cocycle phi."""
 
 
-@dataclass(frozen=True)
-class DeformedLaw:
+class DeformedLaw(NamedTuple):
     """A model law, a cochain, and their sum."""
 
     base: ColorLieAlgebra

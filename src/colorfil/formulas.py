@@ -10,7 +10,7 @@ point, which lets the test grid prove it exercises every case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import check_params
 
@@ -93,8 +93,7 @@ METHOD_BRUTE = "brute_force"
 METHOD_WEIGHTS = "weight_oracle"
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     """Per-block dimensions at one parameter point, from one method.
 
     Every method reports all six blocks; total = A+B+C+D+E+F.

@@ -32,11 +32,10 @@ safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 class SparseIntMatrix:
@@ -96,8 +95,7 @@ class SparseIntMatrix:
         return f"SparseIntMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(NamedTuple):
     """An exact rational basis of a nullspace, stored integral.
 
     `integral` holds each vector as a pair (numerators, d): sparse

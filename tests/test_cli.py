@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
+from concurrent.futures import process
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -157,7 +159,7 @@ def test_verify_jobs_bounded_by_cores_and_points(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     methods = [formulas.METHOD_CLOSED]
     points = [(n, 1, 1) for n in range(1, 7)]
@@ -188,7 +190,7 @@ def test_verify_falls_back_to_serial_when_a_worker_is_killed(capsys, monkeypatch
 
     argv = ["verify", "--n", "1..4", "--m", "0..1", "--p", "1", "--format", "csv"]
     serial = run_cli(capsys, *argv, "--jobs", "1")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", KilledPool)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", KilledPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     points = [(n, m, 1) for n in range(1, 5) for m in range(2)]
     methods = [formulas.METHOD_BRUTE, formulas.METHOD_CLOSED, formulas.METHOD_WEIGHTS]
@@ -196,6 +198,45 @@ def test_verify_falls_back_to_serial_when_a_worker_is_killed(capsys, monkeypatch
     assert (rows, mismatches) == cli.run_verify(points, methods, jobs=1)
     assert run_cli(capsys, *argv, "--jobs", "4") == serial
     assert serial[0] == 0
+
+
+def test_verify_falls_back_to_serial_without_named_semaphores(capsys, monkeypatch):
+    # ProcessPoolExecutor() raises NotImplementedError where the platform
+    # lacks named semaphores; verify then computes the grid serially
+    class UnsupportedPool:
+        def __init__(self, max_workers):
+            raise NotImplementedError("This Python build lacks multiprocessing.synchronize")
+
+    argv = ["verify", "--n", "1..4", "--m", "0..1", "--p", "1", "--format", "csv"]
+    serial = run_cli(capsys, *argv, "--jobs", "1")
+    monkeypatch.setattr(process, "ProcessPoolExecutor", UnsupportedPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    points = [(n, m, 1) for n in range(1, 5) for m in range(2)]
+    methods = [formulas.METHOD_BRUTE, formulas.METHOD_CLOSED, formulas.METHOD_WEIGHTS]
+    assert cli.run_verify(points, methods, jobs=4) == cli.run_verify(points, methods, jobs=1)
+    assert run_cli(capsys, *argv, "--jobs", "4") == serial
+    assert serial[0] == 0
+
+
+@pytest.mark.parametrize("module", ["colorfil", "colorfil.cli"])
+def test_import_loads_no_process_pool_or_dataclasses(module):
+    # cold start: importing colorfil, or its command line, loads neither the
+    # process pool (run_verify imports it for --jobs > 1 only) nor dataclasses;
+    # modules already loaded before the import (by a site .pth) do not count
+    src = os.path.dirname(os.path.dirname(colorfil.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = textwrap.dedent(f"""
+        import sys
+        before = set(sys.modules)
+        import {module}
+        print(*sorted(set(sys.modules) - before))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    loaded = proc.stdout.split()
+    assert module in loaded
+    heavy = ("multiprocessing", "concurrent", "dataclasses", "inspect")
+    assert [name for name in loaded if name.split(".")[0] in heavy] == []
 
 
 def test_verify_detects_corrupted_formula(capsys, monkeypatch):
