@@ -13,12 +13,12 @@ from .algebra import (BasisElement, ColorLieAlgebra, InvalidParams,
 from .cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
                          ConstraintSystem, DecompositionMismatch, KernelMismatch,
                          assemble_Z2_system, block_dims, cochain_from_json,
-                         cocycle_basis_json, delta1, delta2, is_cocycle)
+                         cocycle_basis_json, delta1, delta2, is_cocycle, write_cocycle_basis)
 from .deformation import (CharacteristicVectorViolation, DeformedLaw,
                           IntegrabilityMismatch, NotACocycle, NotALieAlgebra,
                           deform, filiform_check, is_integrable)
 from .formulas import (DimensionReport, IntegralityError, branch_labels,
-                       main_theorem_total)
+                       closed_form_exceptions, main_theorem_total)
 from .linalg import (KernelBasis, SparseIntMatrix, kernel_basis, nullity,
                      rank_certified)
 from .weights import count_weight_dim

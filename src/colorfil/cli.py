@@ -16,15 +16,15 @@ import argparse
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .algebra import AlgebraFormatError, build_model, check_params, from_json_dict
-from .cohomology import (ALL_BLOCKS, BlockKind, DecompositionMismatch, KernelMismatch,
-                         block_dims, block_named, cochain_from_json, cocycle_basis_json)
+from .cohomology import (ALL_BLOCKS, DecompositionMismatch, KernelMismatch, block_dims,
+                         block_named, cochain_from_json, cocycle_basis_json,
+                         write_cocycle_basis)
 from .deformation import (CharacteristicVectorViolation, IntegrabilityMismatch, NotACocycle,
                           NotALieAlgebra, deform, filiform_check, is_integrable)
-from .formulas import (METHOD_BRUTE, METHOD_CLOSED, METHOD_WEIGHTS,
-                       DimensionReport, IntegralityError, main_theorem_total)
+from .formulas import (METHOD_BRUTE, METHOD_CLOSED, METHOD_WEIGHTS, DimensionReport,
+                       IntegralityError, closed_form_exceptions, main_theorem_total)
 from .weights import count_weight_dim
 
 METHOD_ALIASES = {
@@ -112,38 +112,6 @@ def _write_json(doc, stream) -> None:
     stream.write("\n")
 
 
-_TERM_HEAD = '      {{\n        "i": {},\n        "j": {},\n        "s": {},\n        "coeff": '
-
-
-def _write_basis(doc, stream) -> None:
-    """The bytes of _write_json(doc, stream) for a cocycle_basis_json document.
-
-    json.dump with an indent runs the pure-Python encoder, one write per
-    token; here the scalar header fields come first and "basis" last, as
-    cocycle_basis_json orders them, and each vector is one string,
-    written as soon as it is built.  A term's text up to its coefficient
-    depends on (i, j, s) alone, so it is formatted once per column of
-    the document and reused by every vector that holds that column.
-    """
-    header = "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n"
-                     for key, value in doc.items() if key != "basis")
-    stream.write("{\n" + header + '  "basis": [')
-    heads: dict = {}
-    sep = "\n"
-    for vector in doc["basis"]:
-        parts = []
-        for t in vector:
-            key = t["i"], t["j"], t["s"]
-            head = heads.get(key)
-            if head is None:
-                head = heads[key] = _TERM_HEAD.format(*key)
-            parts.append(head + encode_basestring_ascii(t["coeff"]))
-        terms = "\n      },\n".join(parts)
-        stream.write(f"{sep}    [\n{terms}\n      }}\n    ]")
-        sep = ",\n"
-    stream.write("\n  ]\n}\n" if doc["basis"] else "]\n}\n")
-
-
 # -- dims ---------------------------------------------------------------
 
 
@@ -179,15 +147,12 @@ def run_verify(points, methods, jobs: int = 1):
     computed concurrently and merged afterwards.  The worker count is
     bounded by the available cores and the number of points.  Where
     worker processes cannot start, or one is killed, the grid is computed
-    serially with the same result.  A point
-    whose computation fails contributes no rows and one mismatch
-    {"n", "m", "p", "error"} naming the error.
+    serially with the same result.  A point whose computation fails
+    contributes no rows and one mismatch {"n", "m", "p", "error"} naming it.
 
-    The closed forms equal the summand sum of the weight oracle at every
-    point but one family (tests/test_formulas.py proves it): for block E
-    at p = 0, n = m + 2 the closed form reads -1 where the block is 0.
-    There a closed-form -1 is printed but takes no part in `agree`, and
-    brute force and the weight oracle are the arbiters.
+    Where `formulas.closed_form_exceptions` names a block's closed form
+    as outside its domain, that value is printed but takes no part in
+    `agree`, and brute force and the weight oracle are the arbiters.
     """
     tasks = [(n, m, p, methods) for (n, m, p) in points]
     jobs = min(jobs, os.cpu_count() or 1, len(tasks))
@@ -213,13 +178,12 @@ def run_verify(points, methods, jobs: int = 1):
         if isinstance(reports, str):
             mismatches.append({"n": n, "m": m, "p": p, "error": reports})
             continue
-        excused = p == 0 and n == m + 2
+        excused = closed_form_exceptions(n, m, p)
         for block in ALL_BLOCKS:
             values = {method: getattr(reports[method], block.name)
                       for method in methods}
             present = [v for method, v in values.items()
-                       if not (excused and block is BlockKind.E
-                               and method == METHOD_CLOSED and v == -1)]
+                       if not (method == METHOD_CLOSED and excused.get(block.name) == v)]
             agree = len(set(present)) <= 1
             row = {"n": n, "m": m, "p": p, "block": block.name}
             row.update({method: values[method] for method in methods})
@@ -291,7 +255,7 @@ def cmd_cocycles(args) -> int:
     except KernelMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MISMATCH_ERROR
-    return _write_output(args.out, lambda stream: _write_basis(doc, stream))
+    return _write_output(args.out, lambda stream: write_cocycle_basis(doc, stream))
 
 
 # -- deform -------------------------------------------------------------
@@ -305,34 +269,10 @@ def _load_json(path: str):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _cochain_from_document(alg, doc):
-    """Accept a single-cochain document or a one-vector basis export."""
-    if isinstance(doc, dict) and "terms" in doc:
-        return cochain_from_json(alg, doc)
-    if isinstance(doc, dict) and "basis" in doc:
-        for field in ("block", "n", "m", "p"):
-            if field not in doc:
-                raise ValueError(f"basis export missing field {field!r}")
-        block = block_named(doc["block"])
-        vectors = doc["basis"]
-        if not (isinstance(vectors, list) and all(isinstance(v, list) for v in vectors)):
-            raise ValueError("'basis' must be a list of vectors, each a list of terms")
-        if len(vectors) != 1:
-            raise ValueError(
-                f"basis export holds {len(vectors)} vectors; deform needs exactly one "
-                "(re-export or convert to a 'terms' document)")
-        if not all(isinstance(item, dict) for item in vectors[0]):
-            raise ValueError("each basis term must be an object")
-        terms = [{"block": block.name, **item} for item in vectors[0]]
-        return cochain_from_json(alg, {"n": doc["n"], "m": doc["m"], "p": doc["p"],
-                                       "terms": terms})
-    raise ValueError("cochain document must carry 'terms' or 'basis'")
-
-
 def cmd_deform(args) -> int:
     try:
         alg = from_json_dict(_load_json(args.algebra))
-        phi = _cochain_from_document(alg, _load_json(args.cocycle))
+        phi = cochain_from_json(alg, _load_json(args.cocycle))
     except (OSError, json.JSONDecodeError, AlgebraFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -367,10 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deformation dimensions of graded filiform Lie algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_point(command, **kind):  # the required --n, --m and --p
+        for name in ("--n", "--m", "--p"):
+            command.add_argument(name, required=True, **kind)
+
     dims = sub.add_parser("dims", help="block dimensions at one parameter point")
-    dims.add_argument("--n", type=int, required=True)
-    dims.add_argument("--m", type=int, required=True)
-    dims.add_argument("--p", type=int, required=True)
+    add_point(dims, type=int)
     dims.add_argument("--method", action="append",
                       choices=sorted(METHOD_ALIASES), default=None,
                       help="closed | brute | weights (repeatable; default closed)")
@@ -379,9 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     dims.set_defaults(func=cmd_dims)
 
     verify = sub.add_parser("verify", help="cross-check all methods over a grid")
-    verify.add_argument("--n", type=_parse_range, required=True, metavar="LO..HI")
-    verify.add_argument("--m", type=_parse_range, required=True, metavar="LO..HI")
-    verify.add_argument("--p", type=_parse_range, required=True, metavar="LO..HI")
+    add_point(verify, type=_parse_range, metavar="LO..HI")
     verify.add_argument("--methods", type=_parse_methods,
                         default=[METHOD_BRUTE, METHOD_CLOSED, METHOD_WEIGHTS],
                         help="comma list: brute,closed,weights (default all)")
@@ -392,9 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     cocycles = sub.add_parser("cocycles", help="export a kernel basis of one block")
-    cocycles.add_argument("--n", type=int, required=True)
-    cocycles.add_argument("--m", type=int, required=True)
-    cocycles.add_argument("--p", type=int, required=True)
+    add_point(cocycles, type=int)
     cocycles.add_argument("--block", required=True, metavar="A..F")
     cocycles.add_argument("--out", default=None, help="output path (default stdout)")
     cocycles.add_argument("--allow-x0-target", action="store_true")

@@ -61,9 +61,11 @@ are ranked once as well, and a difference raises DecompositionMismatch.
 
 from __future__ import annotations
 
+import json
 import reprlib
 from enum import Enum
 from itertools import combinations, groupby, product
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import ColorLieAlgebra, Vector, integral_law, jacobiator, reached_triples
@@ -569,33 +571,85 @@ def cocycle_basis_json(alg: ColorLieAlgebra, block: BlockKind,
             "dim": basis.dim, "basis": vectors}
 
 
+_TERM_HEAD = '      {{\n        "i": {},\n        "j": {},\n        "s": {},\n        "coeff": '
+
+
+def write_cocycle_basis(doc: Mapping, stream) -> None:
+    """json.dump(doc, stream, indent=2) and a newline, for a `cocycle_basis_json` doc.
+
+    An indented json.dump runs the pure-Python encoder, one write per
+    token.  Here the header comes first and "basis" last, as
+    `cocycle_basis_json` orders them; each vector is one string, written
+    once built, and a term's text up to its coefficient is formatted once
+    per (i, j, s) column and reused by every vector that holds it.
+    """
+    header = "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n"
+                     for key, value in doc.items() if key != "basis")
+    stream.write("{\n" + header + '  "basis": [')
+    heads: dict = {}
+    sep = "\n"
+    for vector in doc["basis"]:
+        parts = []
+        for t in vector:
+            key = t["i"], t["j"], t["s"]
+            head = heads.get(key)
+            if head is None:
+                head = heads[key] = _TERM_HEAD.format(*key)
+            parts.append(head + encode_basestring_ascii(t["coeff"]))
+        terms = "\n      },\n".join(parts)
+        stream.write(f"{sep}    [\n{terms}\n      }}\n    ]")
+        sep = ",\n"
+    stream.write("\n  ]\n}\n" if doc["basis"] else "]\n}\n")
+
+
 def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
                       allow_x0_target: bool = False) -> Cochain2:
-    """Parse a single-cochain document ({"terms": [...]}) onto an algebra.
-
-    Each basis map may be named once (the `Cochain2` rule): a repeated
-    term, or the swapped pair of an alternating block, raises ValueError
+    """Parse a cochain document onto an algebra: {"terms": [...]}, each
+    term naming its block, or a `cocycle_basis_json` export of one vector,
+    whose terms take the document's block and may not name one.  Each
+    basis map may be named once (the `Cochain2` rule): a repeated term,
+    or the swapped pair of an alternating block, raises ValueError
     instead of summing.
     """
     n, m, p = model_shape(alg)
-    if not isinstance(data, Mapping) or "terms" not in data:
-        raise ValueError("cochain document must be an object with a 'terms' list")
+    if isinstance(data, Mapping) and "terms" in data:
+        block, items = None, data["terms"]  # each term names its own block
+    elif isinstance(data, Mapping) and "basis" in data:
+        for field in ("block", "n", "m", "p"):
+            if field not in data:
+                raise ValueError(f"basis export missing field {field!r}")
+        block, vectors = block_named(data["block"]), data["basis"]
+        if not (isinstance(vectors, list) and all(isinstance(v, list) for v in vectors)):
+            raise ValueError("'basis' must be a list of vectors, each a list of terms")
+        if len(vectors) != 1:
+            raise ValueError(f"basis export holds {len(vectors)} vectors; deform needs exactly "
+                             "one (re-export or convert to a 'terms' document)")
+        items = vectors[0]
+        if not all(isinstance(item, Mapping) for item in items):
+            raise ValueError("each basis term must be an object")
+    else:
+        raise ValueError("cochain document must carry 'terms' or 'basis'")
     if tuple(as_int(data.get(k, v), k) for k, v in (("n", n), ("m", m), ("p", p))) != (n, m, p):
         raise ValueError("cochain parameters disagree with the algebra's (n, m, p)")
-    if not isinstance(data["terms"], list):
+    if not isinstance(items, list):
         raise ValueError("cochain 'terms' must be a list")
+    fields = ("block", "i", "j", "s", "coeff") if block is None else ("i", "j", "s", "coeff")
 
     def terms() -> Iterator:  # parsed one at a time, so the first bad term is named
-        for k, term in enumerate(data["terms"]):
+        for k, term in enumerate(items):
             if not isinstance(term, Mapping):
                 raise ValueError(f"cochain terms[{k}] must be an object, "
                                  f"got {type(term).__name__} {reprlib.repr(term)}")
-            for field in ("block", "i", "j", "s", "coeff"):
+            if block is not None and "block" in term:
+                raise ValueError(
+                    f"basis term {k} names block {reprlib.repr(term['block'])}; "
+                    f"the terms of a basis export take its block {block.name!r}")
+            for field in fields:
                 if field not in term:
                     raise ValueError(f"cochain term missing field {field!r}")
-            block = block_named(term["block"])
             i, j, s = (as_int(term[k], k) for k in "ijs")
-            yield ColumnKey(block, i, j, s), as_coeff(term["coeff"])
+            key = ColumnKey(block_named(term["block"]) if block is None else block, i, j, s)
+            yield key, as_coeff(term["coeff"])
 
     try:
         return Cochain2(alg, terms(), allow_x0_target=allow_x0_target)

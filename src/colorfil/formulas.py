@@ -72,6 +72,15 @@ def _dim_E(n: int, m: int, p: int) -> tuple:
     return m * p, "odd/p<n-m+1"
 
 
+def closed_form_exceptions(n: int, m: int, p: int) -> dict:
+    """{block letter: closed form} where a closed form is not the block's dimension.
+
+    Only E at p = 0, n = m + 2, whose branch p = m - n + 2 reads n * p - 1 = -1
+    where the block is 0 (tests/test_formulas.py proves there is no other).
+    """
+    return {"E": -1} if p == 0 and n == m + 2 else {}
+
+
 def _closed_forms(n: int, m: int, p: int) -> dict:
     """{block letter: (dimension, branch label)} at (n, m, p).
 
@@ -118,10 +127,8 @@ class DimensionReport(NamedTuple):
         return {name: getattr(self, name) for name in "ABCDEF"}
 
     def to_json_dict(self) -> dict:
-        out = {"n": self.n, "m": self.m, "p": self.p, "method": self.method}
-        out.update(self.blocks())
-        out["total"] = self.total
-        return out
+        return {"n": self.n, "m": self.m, "p": self.p, "method": self.method,
+                **self.blocks(), "total": self.total}
 
 
 def main_theorem_total(n: int, m: int, p: int) -> DimensionReport:

@@ -15,7 +15,8 @@ import colorfil
 from colorfil import cli, deformation, formulas
 from colorfil.algebra import build_model
 from colorfil.cli import main
-from colorfil.cohomology import ALL_BLOCKS, block_named, cocycle_basis_json
+from colorfil.cohomology import (ALL_BLOCKS, block_named, cocycle_basis_json,
+                                 write_cocycle_basis)
 from colorfil.weights import count_weight_dim
 
 
@@ -363,7 +364,7 @@ def test_write_basis_is_json_dump_indent_2(point, allow_x0_target, blocks):
     for block in blocks:
         doc = cocycle_basis_json(alg, block, allow_x0_target=allow_x0_target)
         stream = io.StringIO()
-        cli._write_basis(doc, stream)
+        write_cocycle_basis(doc, stream)
         assert stream.getvalue() == json.dumps(doc, indent=2) + "\n", block.name
 
 
@@ -376,20 +377,24 @@ def test_cocycles_out_file_bytes_equal_stdout(capsys, tmp_path):
 
 
 def test_cocycles_unverified_kernel_exits_1(capsys, monkeypatch, tmp_path):
-    # a basis vector outside the kernel is caught before anything is written
+    # a basis vector outside the kernel is caught before anything is
+    # written: a wrong kernel, and a kernel whose KernelBasis.verify fails
     from colorfil import cohomology
     from colorfil.linalg import KernelBasis
 
     def wrong(rows, n_cols):
         return KernelBasis((({c: 1 for c in range(n_cols)}, 1),))
 
-    monkeypatch.setattr(cohomology, "kernel_basis", wrong)
     out_path = tmp_path / "basis.json"
-    code, out, err = run_cli(capsys, "cocycles", "--n", "3", "--m", "2", "--p", "2",
-                             "--block", "D", "--out", str(out_path))
-    assert code == 1
-    assert "M v = 0" in err and out == ""
-    assert not out_path.exists()
+    for target, name, fake in [(cohomology, "kernel_basis", wrong),
+                               (KernelBasis, "verify", lambda self, rows: False)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fake)
+            code, out, err = run_cli(capsys, "cocycles", "--n", "3", "--m", "2", "--p", "2",
+                                     "--block", "D", "--out", str(out_path))
+        assert (code, out) == (1, ""), name
+        assert err == "error: block D kernel basis fails M v = 0 at (n, m, p) = (3, 2, 2)\n"
+        assert not out_path.exists(), name
 
 
 def test_cocycles_unknown_block_exits_2(capsys):
@@ -642,6 +647,15 @@ def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):
     code, out, err = run_cli(capsys, "deform", "--algebra", str(alg_path),
                              "--cocycle", str(path))
     assert (code, out, err) == (2, "", "error: unknown block 'G' (A-F)\n")
+    # an export's terms take its block: a term naming another block is
+    # refused, not read as a map of that block
+    path = tmp_path / "export_term_block.json"
+    path.write_text(json.dumps({**export, "basis": [
+        [{"block": "B", "i": 1, "j": 1, "s": 1, "coeff": "1"}]]}))
+    code, out, err = run_cli(capsys, "deform", "--algebra", str(alg_path),
+                             "--cocycle", str(path))
+    assert (code, out, err) == (2, "", "error: basis term 0 names block 'B'; "
+                                "the terms of a basis export take its block 'D'\n")
     good = cochain_file("good.json", [{"block": "D", "i": 1, "j": 2, "s": 1, "coeff": 1}])
     doc = json.loads(alg_path.read_text())
     for field, value in [("k", 3.9), ("dims", [4.2, True, 1])]:

@@ -413,6 +413,44 @@ def test_cochain_json_roundtrip():
             cochain_from_json(alg, bad)
 
 
+def test_cochain_from_json_reads_a_one_vector_basis_export():
+    # each vector of an export, alone in its document, loads as the
+    # "terms" document whose terms carry the export's block
+    alg = build_model(3, 2, 2)
+    for block in ALL_BLOCKS:
+        export = cocycle_basis_json(alg, block)
+        for vector in export["basis"]:
+            one = cochain_from_json(alg, {**export, "dim": 1, "basis": [vector]})
+            terms = {"n": 3, "m": 2, "p": 2,
+                     "terms": [{"block": block.name, **term} for term in vector]}
+            assert list(one.items()) == list(cochain_from_json(alg, terms).items())
+
+
+def test_cochain_from_json_refuses_a_malformed_basis_export():
+    alg = build_model(3, 2, 2)
+    export = cocycle_basis_json(alg, BlockKind.B)  # four vectors
+    vector = export["basis"][0]
+    no_block = {k: v for k, v in export.items() if k != "block"}
+    no_n = {k: v for k, v in export.items() if k != "n"}
+    for bad, message in [
+            ({**export, "basis": []}, "basis export holds 0 vectors"),
+            ({**export, "basis": export["basis"][:2]}, "basis export holds 2 vectors"),
+            ({**export, "basis": 5}, "'basis' must be a list of vectors"),
+            ({**export, "basis": {"0": vector}}, "'basis' must be a list of vectors"),
+            ({**export, "basis": [5]}, "'basis' must be a list of vectors"),
+            ({**export, "basis": [[5]]}, "each basis term must be an object"),
+            ({**no_block, "basis": [vector]}, "basis export missing field 'block'"),
+            ({**no_n, "basis": [vector]}, "basis export missing field 'n'"),
+            ({**export, "n": 4, "basis": [vector]},
+             "cochain parameters disagree with the algebra's (n, m, p)"),
+            ({**export, "basis": [[{**vector[0], "block": "B"}]]},
+             "basis term 0 names block 'B'; the terms of a basis export take its block 'B'"),
+            ({"nope": True}, "cochain document must carry 'terms' or 'basis'"),
+            ([vector], "cochain document must carry 'terms' or 'basis'")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cochain_from_json(alg, bad)
+
+
 def test_cochain_from_json_refuses_repeated_and_outside_terms():
     alg = build_model(3, 2, 1)
     term = {"block": "D", "i": 1, "j": 2, "s": 1, "coeff": "1"}

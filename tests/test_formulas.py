@@ -9,8 +9,8 @@ import pytest
 from colorfil.cohomology import ALL_BLOCKS, BlockKind, block_dims
 from colorfil.algebra import build_model
 from colorfil.algebra import InvalidParams
-from colorfil.formulas import (IntegralityError, branch_labels, main_theorem_total,
-                               _exact_div)
+from colorfil.formulas import (IntegralityError, branch_labels, closed_form_exceptions,
+                               main_theorem_total, _exact_div)
 from colorfil.weights import count_weight_dim
 
 
@@ -97,17 +97,19 @@ def test_invalid_parameters_rejected():
 
 
 def test_degenerate_components_defer_to_brute_force():
-    # the closed form for E reads -1 at p = 0, n = m + 2, where the block
-    # is 0; the kernel computation is the arbiter there, and every other
-    # closed form, on degenerate models too, equals it
+    # where closed_form_exceptions names a closed form (E at p = 0,
+    # n = m + 2), the block is 0 and the kernel computation is the
+    # arbiter; every other closed form, on degenerate models too, equals it
+    excepted = 0
     for nmp in [(2, 0, 0), (5, 3, 0), (4, 3, 0), (3, 0, 1), (2, 0, 2)]:
         closed = main_theorem_total(*nmp).blocks()
         brute = {block.name: dim for block, dim in block_dims(build_model(*nmp)).items()}
-        n, m, p = nmp
-        if p == 0 and n == m + 2:
-            assert (closed["E"], brute["E"]) == (-1, 0), nmp
-            closed["E"] = 0
+        for name, value in closed_form_exceptions(*nmp).items():
+            assert (closed[name], brute[name]) == (value, 0), nmp
+            closed[name] = 0
+            excepted += 1
         assert closed == brute, nmp
+    assert excepted == 2
 
 
 def _weight_report(n, m, p) -> dict:
@@ -127,12 +129,12 @@ def test_closed_forms_match_weight_oracle_beyond_brute_force(nmp, total):
 
 
 def test_closed_forms_match_weight_oracle_on_wide_grid():
-    # the one exception is the one `verify` excuses: E at p = 0, n = m + 2
+    # the exceptions are the ones `verify` excuses: closed_form_exceptions
     for n, m, p in product(range(1, 21), range(0, 13), range(0, 13)):
         closed = main_theorem_total(n, m, p).blocks()
-        if p == 0 and n == m + 2:
-            assert closed["E"] == -1, (n, m, p)
-            closed["E"] = 0
+        for name, value in closed_form_exceptions(n, m, p).items():
+            assert closed[name] == value, (n, m, p)
+            closed[name] = 0
         assert closed == _weight_report(n, m, p), (n, m, p)
 
 
@@ -313,7 +315,8 @@ def _closed_at(x):
 
 
 def test_closed_forms_equal_summand_sum_everywhere():
-    """closed == count_weight_dim for all n >= 1 and m, p >= 0, save E on _EXCEPTION.
+    """closed == count_weight_dim for all n >= 1 and m, p >= 0, save E on _EXCEPTION,
+    which is the set `closed_form_exceptions` states.
 
     Fix the residues of the chains (`_MODULI`).  Each closed-form branch
     is then one quadratic polynomial (the floor in A's odd branch is
@@ -352,5 +355,9 @@ def test_closed_forms_equal_summand_sum_everywhere():
                         closed, labels = _closed_at(x)
                         assert labels[block.name] == label, (x, where)
                         assert closed[block.name] - count_weight_dim(block, *x) == want, (x, where)
+                        # the library's statement of the exception is exactly _EXCEPTION
+                        excepted = block is BlockKind.E and _holds(_EXCEPTION, x)
+                        assert closed_form_exceptions(*x).get(block.name) == \
+                            (closed[block.name] if excepted else None), (x, where)
                     quadratics = comb(dim + 2, 2)  # their dimension on the hull
                     assert _rank(map(_quadratic_monomials, points), quadratics) == quadratics, where
