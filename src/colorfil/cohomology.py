@@ -47,16 +47,17 @@ the model, where only X_0 acts, the reached triples are O(dim^2).
 `algebra.integral_law`, so its rows are integral as made, and drops
 what cancels.  `assemble_Z2_system` builds the library's matrix
 (`ConstraintSystem`) from these rows.  The brute force and the export
-take the same rows directly, with no matrix: `cocycle_basis_json`
-solves one block's rows with `kernel_basis` and checks every vector
-against them, and `block_dims` ranks them.
-The columns come grouped by block, so a row whose lowest and highest
-columns share a block lies inside it.  Each block's rows are ranked
-once; a block's dimension is its column count minus that rank.
-In the model no row spans two blocks, so the six-block decomposition
-holds by structure.  When a row does (a law with [Y, Y] != 0 couples
-blocks B and C), every row is restricted to each block, the joint rows
-are ranked once as well, and a difference raises DecompositionMismatch.
+call it over one block at a time and take its rows as made, with no
+matrix: `cocycle_basis_json` solves one block's rows with
+`kernel_basis` and checks every vector against them, and `block_dims`
+ranks each block's rows once; a block's dimension is its column count
+minus that rank.  Each entry lives in one column and each column in one
+block, so a block's rows are exactly the joint rows restricted to it.
+A joint row spans blocks exactly when its (triple, target) is reached
+by the sums of two blocks.  In the model no row does, so the six-block
+decomposition holds by structure.  When a row does (a law with
+[Y, Y] != 0 couples blocks B and C), the joint rows are made and ranked
+as well, and a difference raises DecompositionMismatch.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from __future__ import annotations
 import json
 import reprlib
 from enum import Enum
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -419,28 +420,32 @@ def _restrict_to_block(system: ConstraintSystem, block: BlockKind) -> SparseIntM
 def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
     """Per-block cocycle dimensions, ranked straight from `_term_sums`.
 
-    The same rows as `assemble_Z2_system`, without a matrix or a column
-    key; the block and spanning rules are the module docstring's.
+    Each block's rows come from a call over that block alone, scaled
+    once for all calls, and are ranked as made; the joint rows are made
+    and ranked only when a (triple, target) is reached by two blocks
+    (the module docstring's spanning rule).
     """
-    ranges, sums = _term_sums(alg, ALL_BLOCKS, allow_x0_target)
-    ranges = [(block, cols) for block, cols in ranges if cols]
-    position = [k for k, (_, cols) in enumerate(ranges) for _ in cols]
-    joint = [row for acc in sums.values() for row in acc.values()]
-    pieces: list = [[] for _ in ranges]
-    spanning = False
-    for row in joint:
-        k = position[min(row)]
-        if position[max(row)] == k:
-            pieces[k].append(row)
-            continue
-        spanning = True
-        for k, part in groupby(sorted(row.items()), key=lambda entry: position[entry[0]]):
-            pieces[k].append(dict(part))
+    alg = integral_law(alg)
     dims = dict.fromkeys(ALL_BLOCKS, 0)
-    for (block, cols), rows in zip(ranges, pieces):
-        dims[block] = len(cols) - rank_certified(rows)
+    reached: dict = {}  # triple -> the targets of its rows, over the blocks so far
+    spanning = False
+    for block in ALL_BLOCKS:
+        ((_, cols),), sums = _term_sums(alg, (block,), allow_x0_target)
+        if not cols:
+            continue
+        for triple, acc in sums.items():
+            targets = reached.get(triple)
+            if targets is None:
+                reached[triple] = acc.keys()
+            else:
+                spanning = spanning or not targets.isdisjoint(acc)
+                reached[triple] = targets | acc.keys()
+        dims[block] = len(cols) - rank_certified([row for acc in sums.values()
+                                                  for row in acc.values()])
     if spanning:
-        total = len(position) - rank_certified(joint)
+        ranges, sums = _term_sums(alg, ALL_BLOCKS, allow_x0_target)
+        joint = [row for acc in sums.values() for row in acc.values()]
+        total = sum(len(cols) for _, cols in ranges) - rank_certified(joint)
         if total != sum(dims.values()):
             raise DecompositionMismatch(
                 f"joint kernel dimension {total} != block sum {sum(dims.values())} "

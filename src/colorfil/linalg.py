@@ -25,9 +25,9 @@ All three take the rows in either form: a `SparseIntMatrix`, or
 cocycle export solves and checks its row sums without building a
 matrix.
 
-Matrices are immutable after construction; the elimination routines
-work on private row copies, so concurrent use on shared matrices is
-safe.
+Matrices are immutable after construction, and the routines read their
+input rows without writing them: the elimination copies a row only to
+reduce it, so concurrent use on shared rows is safe.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
@@ -147,26 +148,31 @@ def _eliminate_int(rows: Iterable) -> dict:
     """Fraction-free elimination over Z; returns the echelon {col: row}.
 
     `rows` is a sequence of sparse integer rows ({col: value} dicts or
-    tuples of (col, value) pairs); the elimination works on its own copies.
+    tuples of (col, value) pairs, which are turned into dicts first).
     The nonempty rows are inserted one at a time, highest lowest column
-    first.  A row whose lowest column c already has a pivot row is reduced
-    by it until its lowest column is free, where it becomes the pivot row,
-    or until it vanishes; the echelon rows are never touched again.  At a
-    unit pivot a = +-1 the update is row -= (b*a)*pivot, with b the row's
-    entry at c; at any other pivot it is the gcd-scaled
-    cross-multiplication (a/g)*row - (b/g)*pivot, g = gcd(a, b), followed
-    by removal of the integer content.  Every intermediate entry is an
-    exact integer.  The rows form a basis of the row space, and the
-    lowest columns of any echelon basis are the pivot columns of the row
-    space's reduced row echelon form: the leftmost-pivot set, whatever
-    the insertion order.
+    first, with each row's lowest column found once.  A row whose lowest
+    column is free becomes a pivot row as it was given.  A row whose
+    lowest column c already has a pivot row is copied and the copy is
+    reduced by it until its lowest column is free, where it becomes the
+    pivot row, or until it vanishes; the input rows and the echelon rows
+    are never written.  At a unit pivot a = +-1 the update is
+    row -= (b*a)*pivot, with b the row's entry at c; at any other pivot
+    it is the gcd-scaled cross-multiplication (a/g)*row - (b/g)*pivot,
+    g = gcd(a, b), followed by removal of the integer content.  Every
+    intermediate entry is an exact integer.  The rows form a basis of
+    the row space, and the lowest columns of any echelon basis are the
+    pivot columns of the row space's reduced row echelon form: the
+    leftmost-pivot set, whatever the insertion order.
     """
+    rows = [(min(row), row) for row in (r if type(r) is dict else dict(r) for r in rows) if row]
+    rows.sort(key=itemgetter(0), reverse=True)
     echelon: dict = {}
-    for row in sorted((dict(row) for row in rows if row), key=min, reverse=True):
-        c = min(row)
-        while c in echelon:
-            prow = echelon[c]
-            a, b = prow[c], row[c]
+    for c, row in rows:
+        prow = echelon.get(c)
+        if prow is not None:
+            row = dict(row)  # reduced on a copy: the input is never written
+        while prow is not None:
+            a, b = prow[c], row.pop(c)
             unit = a == 1 or a == -1
             if unit:
                 f = b * a
@@ -176,13 +182,13 @@ def _eliminate_int(rows: Iterable) -> dict:
                 if scale != 1:
                     for k in row:
                         row[k] *= scale
-            # the pivot's own entry cancels to 0 here too
             for k, v in prow.items():
-                nv = row.get(k, 0) - f * v
-                if nv:
-                    row[k] = nv
-                else:
-                    del row[k]
+                if k != c:
+                    nv = row.get(k, 0) - f * v
+                    if nv:
+                        row[k] = nv
+                    else:
+                        del row[k]
             if not row:
                 break
             if not unit:
@@ -191,6 +197,7 @@ def _eliminate_int(rows: Iterable) -> dict:
                     for k in row:
                         row[k] //= content
             c = min(row)
+            prow = echelon.get(c)
         else:
             echelon[c] = row
     return echelon

@@ -7,13 +7,14 @@ of the per-layer timings.
 """
 
 import importlib
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
 import colorfil.cli
 import colorfil.cohomology
 from colorfil.algebra import build_model
-from colorfil.cohomology import ALL_BLOCKS, assemble_Z2_system, cochain_columns
+from colorfil.cohomology import ALL_BLOCKS, _term_sums, assemble_Z2_system, cochain_columns
 from colorfil.formulas import METHOD_WEIGHTS
 from colorfil.linalg import kernel_basis, rank_certified
 from colorfil.weights import count_weight_dim
@@ -32,43 +33,70 @@ def test_traced_names_resolve(monkeypatch):
 def test_block_dims_ranks_each_block_once(monkeypatch):
     # the tracer times the rank layer through colorfil.cohomology.rank_certified;
     # block_dims ranks the rows of every block that has columns through that
-    # name, once, and neither restricts to blocks nor ranks the joint matrix.
-    # No model row spans two blocks, so the joint rank, and with it
-    # DecompositionMismatch, is never reached on the model
-    ranked = []
+    # name, once, each on all the rows of a _term_sums call over that block
+    # alone, and neither restricts to blocks nor ranks the joint matrix.
+    # No model row spans two blocks, so the joint rows, the joint rank and
+    # with them DecompositionMismatch are never reached on the model
+    events = []  # ("sums", blocks, cols, rows) and ("rank", rows, rank), in call order
+
+    def recording_sums(alg, blocks, allow_x0_target):
+        ranges, sums = _term_sums(alg, blocks, allow_x0_target)
+        rows = [row for acc in sums.values() for row in acc.values()]
+        events.append(("sums", tuple(blocks), sum(len(cols) for _, cols in ranges), rows))
+        return ranges, sums
 
     def counting(rows):
         rows = list(rows)
-        ranked.append(({block_of[c] for row in rows for c in row}, rank_certified(rows)))
-        return ranked[-1][1]
+        events.append(("rank", rows, rank_certified(rows)))
+        return events[-1][2]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("block_dims called a whole-matrix pass")
 
+    def ranked_blocks():
+        """(block, columns, rank) per rank call, from the _term_sums call before it."""
+        out = []
+        for k, event in enumerate(events):
+            if event[0] != "rank":
+                continue
+            kind, blocks, cols, made = events[k - 1]
+            assert kind == "sums" and len(blocks) == 1, blocks
+            # the rows ranked are exactly those this call made, as it made them
+            assert list(map(id, event[1])) == list(map(id, made))
+            out.append((blocks[0], cols, event[2]))
+        return out
+
+    monkeypatch.setattr(colorfil.cohomology, "_term_sums", recording_sums)
     monkeypatch.setattr(colorfil.cohomology, "rank_certified", counting)
     monkeypatch.setattr(colorfil.cohomology, "_restrict_to_block", forbidden)
     monkeypatch.setattr(colorfil.cohomology, "nullity", forbidden)
     for nmp in product(range(1, 9), range(7), range(7)):
         alg = build_model(*nmp)
         for allow_x0_target in (False, True):
-            block_of = [key.block for key in cochain_columns(alg, ALL_BLOCKS, allow_x0_target)]
-            ranked.clear()
+            columns = Counter(key.block for key in cochain_columns(alg, ALL_BLOCKS,
+                                                                   allow_x0_target))
+            events.clear()
             dims = colorfil.cohomology.block_dims(alg, allow_x0_target)
             point = (nmp, allow_x0_target)
-            assert len(ranked) == len(set(block_of)), point
-            touched = [blocks for blocks, _ in ranked if blocks]
-            assert all(len(blocks) == 1 for blocks in touched), point
-            assert len(set().union(*touched)) == len(touched), point
-            assert sum(dims.values()) == len(block_of) - sum(rank for _, rank in ranked), point
+            ranked = ranked_blocks()
+            assert sorted(block.name for block, _, _ in ranked) == \
+                sorted(block.name for block in columns), point
+            assert all(cols == columns[block] for block, cols, _ in ranked), point
+            assert all(kind == "rank" or len(blocks) == 1
+                       for kind, blocks, *_ in events), point
+            assert dims == {block: columns[block] for block in ALL_BLOCKS} | \
+                {block: cols - rank for block, cols, rank in ranked}, point
     # every block holds columns and rows at (8,6,6), and the block ranks sum
     # to the joint rank
     alg = build_model(8, 6, 6)
     joint = assemble_Z2_system(alg)
-    ranked.clear()
+    events.clear()
     colorfil.cohomology.block_dims(alg)
+    ranked = ranked_blocks()
     assert {joint.col_keys[row[0][0]].block for row in joint.matrix.rows} == set(ALL_BLOCKS)
     assert len(ranked) == len(ALL_BLOCKS)
-    assert sum(rank for _, rank in ranked) == rank_certified(joint.matrix)
+    assert all(event[1] for event in events if event[0] == "rank")
+    assert sum(rank for _, _, rank in ranked) == rank_certified(joint.matrix)
 
 
 def test_cocycle_export_solves_once_through_the_traced_name(monkeypatch):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from colorfil.algebra import ColorLieAlgebra, build_model, from_json_dict, validate_jacobi
 from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
-                                 assemble_Z2_system, block_dims, cochain_columns,
-                                 cochain_from_json, cocycle_basis_json, cocycle_defect,
-                                 delta1, delta2, is_cocycle)
+                                 DecompositionMismatch, assemble_Z2_system, block_dims,
+                                 cochain_columns, cochain_from_json, cocycle_basis_json,
+                                 cocycle_defect, delta1, delta2, is_cocycle)
 from colorfil.deformation import deform
 from colorfil.formulas import main_theorem_total
 from colorfil.linalg import kernel_basis
@@ -203,6 +203,35 @@ def test_decomposition_sum_over_grid():
         joint = assemble_Z2_system(alg).nullity()
         parts = block_dims(alg)  # raises DecompositionMismatch on failure
         assert joint == sum(parts.values())
+
+
+def test_block_dims_scales_a_rational_law_once(monkeypatch):
+    # block_dims scales the law once and hands the integral law to every
+    # per-block row source (and to the joint one of a spanning law), so a law
+    # with rational constants is rebuilt once, not once per block
+    def scaled(alg, factor):
+        return ColorLieAlgebra(alg.dims, {(a, b): {t: c * factor for t, c in vec.items()}
+                                          for a, b, vec in alg.nonzero_constants()})
+
+    model = build_model(3, 2, 2)
+    base = build_model(1, 2, 1)  # deformed to [Y1, Y2] = Z1, which couples blocks B and C
+    spanning = deform(base, assemble_Z2_system(base, {BlockKind.D}).kernel_cochains()[0]).result
+    rational, halved = scaled(model, Fraction(-3, 2)), scaled(spanning, Fraction(1, 2))
+    expected = block_dims(model, allow_x0_target=True)
+    built = []
+    init = ColorLieAlgebra.__init__
+
+    def counting(self, dims, *args, **kwargs):
+        built.append(dims)
+        init(self, dims, *args, **kwargs)
+
+    monkeypatch.setattr(ColorLieAlgebra, "__init__", counting)
+    assert block_dims(rational, allow_x0_target=True) == expected
+    assert built == [model.dims]
+    built.clear()
+    with pytest.raises(DecompositionMismatch):
+        block_dims(halved)
+    assert built == [halved.dims]
 
 
 def test_kernel_cochains_reverified_via_delta2():

@@ -25,11 +25,13 @@ which reads the algebra's bracket index;
 against the canonical constants, so a sign slip in it cannot hide
 behind the references.
 `reference_block_dims` restricts the assembled joint rows to each block
-and ranks the joint matrix as a whole; `block_dims` ranks the same row
-sums of each block once and must give the same dimensions and the same
-`DecompositionMismatch`, also on laws with rational constants and on
-laws whose row sums cancel, while `checked_rank` sees only nonempty
-rows of nonzero ints.  On cancelling laws the row source must hold the
+and ranks the joint matrix as a whole; `block_dims` ranks each block's
+row sums, made over that block alone, once, finds a spanning row from
+the (triple, target) keys the blocks share, and must give the same
+dimensions and the same `DecompositionMismatch`, also on laws with
+rational constants, on laws whose row sums cancel and on a law whose one
+row holds three blocks, while `checked_rank` sees only nonempty rows of
+nonzero ints.  On cancelling laws the row source must hold the
 walk's sums with only the cancelled entries and rows dropped.
 `reference_is_cocycle` and `reference_validate_jacobi` walk every
 ascending basis triple as well; `is_cocycle` and `validate_jacobi`
@@ -42,6 +44,7 @@ echelon rows and must give the same dimensions and the same
 verdict `reference_graded_filiform` reads off the reference sequences.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -443,6 +446,62 @@ def test_block_dims_matches_reference_on_deformed_algebras(n, m, p, allow_x0_tar
         patch.setattr(colorfil.cohomology, "rank_certified", checked_rank)
         assert dims_or_mismatch(block_dims, alg, allow_x0_target) == \
             dims_or_mismatch(reference_block_dims, alg, allow_x0_target)
+
+
+def three_block_law():
+    """[Y1, Z2] = X1 on dims (3, 1, 2): the one row at triple (X2, Y1, Z2) and
+    target X1 holds terms of blocks A, B and C."""
+    return ColorLieAlgebra((3, 1, 2), {(3, 5): {1: 1}})
+
+
+def random_yy_law(seed, dims):
+    """A graded law with a random [Y1, Y2] != 0 among other random brackets.
+
+    The row sums need no Jacobi identity; [Y, Y] != 0 couples blocks B and C.
+    """
+    rng = random.Random(seed)
+    alg = ColorLieAlgebra(dims)
+    table = {}
+    for a, b in combinations(range(alg.dim), 2):
+        targets = list(alg.component_indices((alg.degree_of(a) + alg.degree_of(b)) % 3))
+        if targets and rng.random() < 0.15:
+            table[(a, b)] = {t: rng.choice([-2, -1, 1, Fraction(1, 2)])
+                             for t in rng.sample(targets, min(2, len(targets)))}
+    y1, y2 = alg.global_index(1, 1), alg.global_index(1, 2)
+    table[(y1, y2)] = {alg.global_index(2, rng.randint(1, dims[2])): rng.choice([-1, 1, 3])}
+    return ColorLieAlgebra(dims, table)
+
+
+def test_block_dims_spanning_rule_matches_joint_route():
+    # block_dims reads a spanning row off the per-block sums (a (triple,
+    # target) reached by two blocks) and only then ranks the joint rows; the
+    # joint route restricts the assembled rows to each block and always
+    # ranks the whole.  Both must give the same dims or the same failure
+    deformed = []
+    for nmp in [(3, 2, 2), (5, 3, 4), (8, 6, 6)]:
+        base = build_model(*nmp)
+        for block in (BlockKind.D, BlockKind.E, BlockKind.F):
+            for psi in assemble_Z2_system(base, {block}).kernel_cochains()[:3]:
+                deformed.append(deform(base, psi).result)
+    assert len(deformed) == 23
+    random_laws = [random_yy_law(seed, dims) for seed, dims in
+                   enumerate([(2, 2, 1), (3, 2, 2), (4, 3, 2), (3, 3, 3), (5, 2, 3), (4, 4, 4)])]
+    three = three_block_law()
+    reached: dict = {}
+    for block in ALL_BLOCKS:
+        _, sums = _term_sums(three, (block,), False)
+        for triple, acc in sums.items():
+            for u in acc:
+                reached.setdefault((triple, u), []).append(block)
+    assert reached[((2, 3, 5), 1)] == [BlockKind.A, BlockKind.B, BlockKind.C]
+    outcomes = {}
+    for alg in deformed + random_laws + [three]:
+        for allow_x0_target in (False, True):
+            got = dims_or_mismatch(block_dims, alg, allow_x0_target)
+            assert got == dims_or_mismatch(reference_block_dims, alg, allow_x0_target)
+            outcomes[id(alg), allow_x0_target] = isinstance(got, str)
+    assert sum(outcomes[id(alg), False] for alg in deformed) == 17
+    assert all(outcomes[id(alg), False] for alg in random_laws + [three])
 
 
 def weighted_law(n, m, p, shift):

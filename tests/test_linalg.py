@@ -280,3 +280,38 @@ def test_kernel_basis_rejects_columns_outside_its_width():
         with pytest.raises(ValueError, match=f"column {col} outside the 3 kernel columns"):
             kernel_basis(rows, 3)
     assert kernel_basis(wide, 6).dim == 5
+
+
+def test_elimination_never_writes_its_input_rows():
+    # a row whose lowest column is free becomes a pivot row as it was given;
+    # a row that must be reduced (at a unit or a non-unit pivot, with content
+    # removal) is reduced on a copy.  Rows of a SparseIntMatrix are tuples
+    # and are read as dicts.  Each input compares equal to a deep copy taken
+    # before the call, and the basis still verifies on the very same objects
+    handmade = [{0: 2, 1: 3, 4: 1}, {0: 3, 2: -1}, {1: 1, 3: 5}, {1: -1, 3: 1, 4: 2},
+                {2: 6, 4: 9}, {4: 3}, {0: 2, 1: 3, 4: 1}]
+    rng = random.Random(28)
+    cases = [(handmade, 6)]
+    for _ in range(60):
+        n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 10)
+        cases.append(([dict(row) for row in random_sparse(rng, n_rows, n_cols, (-3, -1, 1, 2, 4))],
+                      n_cols))
+    stored = reduced = 0
+    for dict_rows, n_cols in cases:
+        matrix = SparseIntMatrix(len(dict_rows), n_cols, dict_rows)
+        for rows in (dict_rows, matrix, matrix.rows):
+            before = copy.deepcopy(list(rows))
+            echelon = _eliminate_int(rows)
+            assert list(rows) == before
+            assert rank_certified(rows) == len(echelon)
+            assert list(rows) == before
+            basis = kernel_basis(rows, n_cols)
+            assert list(rows) == before
+            assert basis.verify(rows)
+        given = {id(row) for row in dict_rows}
+        as_given = sum(id(row) in given for row in _eliminate_int(dict_rows).values())
+        stored += as_given
+        reduced += sum(map(bool, dict_rows)) - as_given
+    # the echelon holds the given dicts themselves, and other rows were reduced
+    assert _eliminate_int(handmade)[4] is handmade[5]
+    assert stored and reduced
