@@ -429,10 +429,11 @@ def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
     dims = dict.fromkeys(ALL_BLOCKS, 0)
     reached: dict = {}  # triple -> the targets of its rows, over the blocks so far
     spanning = False
-    for block in ALL_BLOCKS:
-        ((_, cols),), sums = _term_sums(alg, (block,), allow_x0_target)
-        if not cols:
+    for block, pairs, tgts in _block_bases(alg, ALL_BLOCKS, allow_x0_target):
+        width = len(pairs) * len(tgts)
+        if not width:  # no columns: no rows are made, dimension 0
             continue
+        _, sums = _term_sums(alg, (block,), allow_x0_target)
         for triple, acc in sums.items():
             targets = reached.get(triple)
             if targets is None:
@@ -440,8 +441,8 @@ def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
             else:
                 spanning = spanning or not targets.isdisjoint(acc)
                 reached[triple] = targets | acc.keys()
-        dims[block] = len(cols) - rank_certified([row for acc in sums.values()
-                                                  for row in acc.values()])
+        dims[block] = width - rank_certified([row for acc in sums.values()
+                                              for row in acc.values()])
     if spanning:
         ranges, sums = _term_sums(alg, ALL_BLOCKS, allow_x0_target)
         joint = [row for acc in sums.values() for row in acc.values()]

@@ -11,10 +11,10 @@ the pivot rows are the row space's leftmost-pivot set, whatever the
 insertion order.
 
 * `rank_certified` -- the number of pivots; exact by construction.
-* `kernel_basis(rows, n_cols)` -- sparse back-substitution over the
-  integer echelon rows the elimination leaves, one free column at a
-  time, giving the canonical kernel basis.  Each vector stays integral:
-  integer numerators over one denominator, which is the form
+* `kernel_basis(rows, n_cols)` -- the canonical kernel basis, all of
+  it solved in one descending pass over the echelon rows the
+  elimination leaves.  Each vector stays integral: integer numerators
+  over one denominator, rescaled only at a non-unit pivot, the form
   `KernelBasis` stores; `Fraction` appears only in its `vectors` view.
 * `KernelBasis.verify(rows)` -- M w = 0 for each vector's numerators w,
   summed row by row through a dict column index of M, so it needs no
@@ -33,7 +33,6 @@ reduce it, so concurrent use on shared rows is safe.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -231,49 +230,50 @@ def kernel_basis(rows: Iterable, n_cols: int) -> KernelBasis:
     exactly one kernel vector with x_f = 1 and every other free
     coordinate 0; that vector is the output, independent of row order
     and row scale.
-    Only the pivots reachable from f through the echelon rows are
-    visited, largest column first, so every x_k a row needs is final
-    when the row is solved.  The solution is kept as integers over one
-    common denominator and stored that way.  Each step scales by the
-    least factor that keeps the new entry integral, so the denominator is
-    the lcm of the entries' reduced denominators: gcd(d, numerators) = 1.
+    All vectors are solved in one pass over the pivot columns, largest
+    first, so every x_k a row needs is final when the row is solved, and
+    each echelon row is read once.  At a unit pivot a the new entry is
+    -total * a; at any other, the vector (its entries so far and its
+    denominator) is first scaled by the least factor that keeps the new
+    entry integral, so the denominator is the lcm of the entries'
+    reduced denominators: gcd(d, numerators) = 1.
     """
     echelon = _eliminate_int(rows)
-    users: dict = {}  # col k -> pivot cols whose echelon row holds k
-    for c, row in echelon.items():
-        for k in row:  # the echelon rows span the input rows: checking them checks all
+    # col k -> {free col f: numerator of x_k in f's vector}
+    values: dict = {f: {f: 1} for f in range(n_cols) if f not in echelon}
+    support = {f: [f] for f in values}  # free col f -> the cols its vector holds
+    denoms = dict.fromkeys(values, 1)
+    for c in sorted(echelon, reverse=True):
+        row = echelon[c]
+        totals: dict = {}
+        for k, v in row.items():  # the echelon rows span the input rows: checking them checks all
             if not 0 <= k < n_cols:
                 raise ValueError(f"column {k} outside the {n_cols} kernel columns")
-            if k != c:
-                users.setdefault(k, []).append(c)
-    vectors = []
-    for f in range(n_cols):
-        if f in echelon:
+            xs = values.get(k)  # x_c is not solved yet: c adds nothing
+            if xs:
+                for f, x in xs.items():
+                    totals[f] = totals.get(f, 0) + v * x
+        if not totals:
             continue
-        vec = {f: 1}  # the solution is vec / denom, kept integral
-        denom = 1
-        queued = set(users.get(f, ()))
-        heap = [-c for c in queued]
-        heapify(heap)
-        while heap:
-            c = -heappop(heap)
-            row = echelon[c]
-            total = sum(v * vec[k] for k, v in row.items() if k in vec)
+        a = row[c]
+        solved = values[c] = {}
+        for f, total in totals.items():
             if not total:
                 continue
-            a = row[c]
-            scale = abs(a) // gcd(total, a)
-            if scale != 1:
-                for k in vec:
-                    vec[k] *= scale
-                denom *= scale
-                total *= scale
-            vec[c] = -total // a
-            for u in users.get(c, ()):
-                if u not in queued:
-                    queued.add(u)
-                    heappush(heap, -u)
-        sign = -1 if vec[min(vec)] < 0 else 1
-        vectors.append(({k: sign * vec[k] for k in sorted(vec)}, denom))
+            if a == 1 or a == -1:
+                solved[f] = -total * a
+            else:
+                scale = abs(a) // gcd(total, a)
+                if scale != 1:
+                    for k in support[f]:
+                        values[k][f] *= scale
+                    denoms[f] *= scale
+                solved[f] = -total * scale // a
+            support[f].append(c)
+    vectors = []
+    for f, cols in support.items():
+        cols.sort()
+        sign = -1 if values[cols[0]][f] < 0 else 1
+        vectors.append(({k: sign * values[k][f] for k in cols}, denoms[f]))
     vectors.sort(key=lambda wd: min(wd[0]))
     return KernelBasis(tuple(vectors))

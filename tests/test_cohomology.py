@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import colorfil.cohomology
 from colorfil.algebra import ColorLieAlgebra, build_model, from_json_dict, validate_jacobi
 from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
                                  DecompositionMismatch, assemble_Z2_system, block_dims,
@@ -232,6 +233,34 @@ def test_block_dims_scales_a_rational_law_once(monkeypatch):
     with pytest.raises(DecompositionMismatch):
         block_dims(halved)
     assert built == [halved.dims]
+
+
+def test_block_dims_makes_no_rows_for_an_empty_block(monkeypatch):
+    # m = 0 or p = 0 leaves blocks without columns: block_dims takes each
+    # block's width from its basis maps and calls the row source only for
+    # blocks that have columns, one call each, and the dimensions stay those
+    # of each block's own system
+    term_sums = colorfil.cohomology._term_sums
+    calls = []
+
+    def recording(alg, blocks, allow_x0_target):
+        calls.append(tuple(blocks))
+        return term_sums(alg, blocks, allow_x0_target)
+
+    for nmp in [(4, 0, 3), (4, 3, 0), (3, 0, 0)]:
+        alg = build_model(*nmp)
+        for allow_x0_target in (False, True):
+            with_columns = [block for block in ALL_BLOCKS
+                            if cochain_columns(alg, {block}, allow_x0_target)]
+            expected = {block: assemble_Z2_system(alg, {block}, allow_x0_target).nullity()
+                        for block in ALL_BLOCKS}
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(colorfil.cohomology, "_term_sums", recording)
+                dims = block_dims(alg, allow_x0_target)
+            assert calls == [(block,) for block in with_columns], (nmp, allow_x0_target)
+            assert dims == expected, (nmp, allow_x0_target)
+            assert 0 < len(with_columns) < len(ALL_BLOCKS)
 
 
 def test_kernel_cochains_reverified_via_delta2():

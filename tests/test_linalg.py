@@ -3,7 +3,7 @@
 import copy
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -113,6 +113,43 @@ def test_stored_kernel_form(matrix, data):
     at = data.draw(st.integers(0, basis.dim))
     bad = basis.integral[:at] + (({col: 1}, 1),) + basis.integral[at:]
     assert not KernelBasis(bad).verify(matrix)
+
+
+def test_stored_form_of_a_hand_worked_kernel():
+    # x2 = 1 is the one free coordinate.  Row 1 gives 3 x1 = -2: the vector
+    # is scaled by 3 and x1 = -2/3.  Row 0 gives 2 x0 = -(x1 + x2) = -1/3, a
+    # second non-unit step that scales the entries already set by 2.  The
+    # vector (-1/6, -2/3, 1) is stored with a positive lead as (1, 4, -6) / 6
+    rows = [{0: 2, 1: 1, 2: 1}, {1: 3, 2: 2}]
+    basis = kernel_basis(rows, 3)
+    assert basis.integral == (({0: 1, 1: 4, 2: -6}, 6),)
+    assert list(basis.integral[0][0]) == [0, 1, 2]
+    # a fourth column in no row is free, and its own vector
+    assert kernel_basis(rows, 4).integral == (({0: 1, 1: 4, 2: -6}, 6), ({3: 1}, 1))
+
+
+@st.composite
+def wide_sparse_rows(draw):
+    """A few sparse rows over many mostly empty columns, entries in +-{1, 2, 3, 4, 6}."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+        st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4, 6, -6]), max_size=3 * n_rows))
+    return from_cells(n_rows, n_cols, cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_sparse_rows())
+def test_stored_denominators_match_dense_oracle(matrix):
+    # the Fraction view hides the stored pair: numerators and a denominator
+    # both too large by one factor read the same.  The stored form is the
+    # oracle's vector over the lcm d of its denominators, numerators v * d
+    expected = []
+    for vec in dense_kernel(to_dense(matrix), matrix.n_cols):
+        d = lcm(*(v.denominator for v in vec.values()))
+        expected.append(({c: int(v * d) for c, v in vec.items()}, d))
+    rows = [dict(row) for row in matrix.rows]
+    assert kernel_basis(rows, matrix.n_cols).integral == tuple(expected)
 
 
 def test_rank_certified_identity():
