@@ -8,8 +8,8 @@ independent routes: brute-force kernel computation and weight counting.
 """
 
 from .algebra import (BasisElement, ColorLieAlgebra, InvalidParams,
-                      JacobiViolation, NotNilpotent, build_model, check_params,
-                      from_json_dict, validate_jacobi)
+                      JacobiViolation, build_model, check_params, from_json_dict,
+                      validate_jacobi)
 from .cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
                          ConstraintSystem, DecompositionMismatch, KernelMismatch,
                          assemble_Z2_system, block_dims, cochain_from_json,

@@ -24,7 +24,6 @@ import reprlib
 from math import lcm
 from typing import Iterator, Mapping, NamedTuple
 
-from .linalg import _eliminate_int
 from .scalars import add_into, as_coeff, as_int, coeff_to_json
 
 FAMILY_LETTERS = "XYZ"
@@ -34,10 +33,6 @@ Vector = dict  # sparse vector: global basis index -> exact coefficient
 
 class InvalidParams(ValueError):
     """Model parameters outside the legal range."""
-
-
-class NotNilpotent(ValueError):
-    """A descending sequence stabilized at a nonzero subspace."""
 
 
 class AlgebraFormatError(ValueError):
@@ -372,28 +367,3 @@ def validate_jacobi(alg: ColorLieAlgebra) -> list:
             for a, b, c in sorted(reached_triples(alg, alg))
             if (res := jacobiator(alg, alg, a, b, c))]
 
-
-# -- descending sequences ---------------------------------------------
-
-
-def _descending_dims(alg: ColorLieAlgebra, g: int) -> list:
-    """Dimensions of C^0(L_g), C^1(L_g), ... down to zero.
-
-    C^{k+1}(L_g) = [L_0, C^k(L_g)]; each term is bracketed from the
-    integer echelon rows of the one before, in `integral_law(alg)`, so
-    the images are integral.  Each term lies in the one before, so a
-    step that keeps the dimension raises NotNilpotent.
-    """
-    law = integral_law(alg)
-    l0 = list(alg.component_indices(0))
-    current = [{i: 1} for i in alg.component_indices(g)]
-    dims = [len(current)]
-    while dims[-1]:
-        images = [w for a in l0 for v in current if (w := law.bracket({a: 1}, v))]
-        echelon = _eliminate_int(images)
-        if len(echelon) == dims[-1]:
-            raise NotNilpotent(
-                f"descending sequence of degree-{g} component stabilizes at dimension {dims[-1]}")
-        current = list(echelon.values())
-        dims.append(len(current))
-    return dims

@@ -540,7 +540,7 @@ def delta1(alg: ColorLieAlgebra, g_map: Mapping) -> Cochain2:
                 add_into(vec, t, -c * v)
         if vec:
             table[(a, b)] = vec
-    result = Cochain2(alg, allow_x0_target=True)
+    result = Cochain2(alg)
     result.law = ColorLieAlgebra(alg.dims, table)
     return result
 
@@ -608,8 +608,7 @@ def write_cocycle_basis(doc: Mapping, stream) -> None:
     stream.write("\n  ]\n}\n" if doc["basis"] else "]\n}\n")
 
 
-def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
-                      allow_x0_target: bool = False) -> Cochain2:
+def cochain_from_json(alg: ColorLieAlgebra, data: Mapping) -> Cochain2:
     """Parse a cochain document onto an algebra: {"terms": [...]}, each
     term naming its block, or a `cocycle_basis_json` export of one vector,
     whose terms take the document's block and may not name one.  Each
@@ -658,6 +657,6 @@ def cochain_from_json(alg: ColorLieAlgebra, data: Mapping,
             yield key, as_coeff(term["coeff"])
 
     try:
-        return Cochain2(alg, terms(), allow_x0_target=allow_x0_target)
+        return Cochain2(alg, terms())
     except TypeError as exc:
         raise ValueError(f"malformed cochain term: {exc}") from exc

@@ -15,16 +15,21 @@ then takes both routes.  First order only: no higher deformation terms.
 
 The Jacobi and cocycle checks evaluate only the basis triples
 `algebra.reached_triples` names.
+
+`filiform_check` states the graded-filiform rule and computes it: the
+descending sequences C^{k+1}(L_g) = [L_0, C^k(L_g)], each term spanned
+by integer elimination over the brackets of the last term's echelon
+rows with the L_0 partners the bracket index lists for them.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import (ColorLieAlgebra, NotNilpotent, _descending_dims, integral_law,
-                      validate_jacobi)
+from .algebra import ColorLieAlgebra, integral_law, validate_jacobi
 # is_cocycle is not called here; it stays importable because bench/spans.py rebinds it
 from .cohomology import Cochain2, _check_cochain_of, cocycle_defect, is_cocycle
+from .linalg import _eliminate_int
 
 
 class CharacteristicVectorViolation(ValueError):
@@ -96,22 +101,28 @@ def is_integrable(d: DeformedLaw) -> bool:
 
 
 def filiform_check(alg: ColorLieAlgebra) -> bool:
-    """Whether `alg` is graded filiform: the one rule, stated here only.
+    """Whether `alg` is graded filiform: the one rule, stated and computed here only.
 
     For each degree g with d = dims[g], the descending sequence C^0(L_g)
     = L_g, C^{k+1}(L_g) = [L_0, C^k(L_g)] must have dimensions d, d-1,
-    ..., 1, 0.  The one exception is L_0 with d >= 2, a filiform Lie
-    algebra, whose sequence skips d-1.  A sequence that stabilizes at a
-    nonzero subspace (NotNilpotent) fails.
+    ..., 1, 0 (Vergne).  The one exception is L_0 with d >= 2, a
+    filiform Lie algebra, whose sequence skips d-1.  Each next term is
+    spanned by `_eliminate_int` over the images [a, v] of the current
+    echelon vectors v, taken in `integral_law(alg)` so they are
+    integral, with a only among the L_0 partners the bracket index lists
+    for v's support: [a, v] is zero for every other a.  The first step
+    whose dimension is off the rule fails; a step that keeps its
+    dimension (a sequence stuck above zero) is one.
     """
     law = integral_law(alg)
-    try:
-        for g, d in enumerate(alg.dims):
-            expected = list(range(d, -1, -1))
-            if g == 0 and d >= 2:
-                del expected[1]
-            if _descending_dims(law, g) != expected:
+    partners, l0 = law.bracket_index, alg.component_indices(0)
+    for g, d in enumerate(alg.dims):
+        current = [{i: 1} for i in alg.component_indices(g)]
+        for expected in range(d - 2 if g == 0 and d >= 2 else d - 1, -1, -1):
+            images = [w for v in current
+                      for a in {x for b in v for x in partners.get(b, ()) if x in l0}
+                      if (w := law.bracket({a: 1}, v))]
+            current = list(_eliminate_int(images).values())
+            if len(current) != expected:
                 return False
-    except NotNilpotent:
-        return False
     return True

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from colorfil.algebra import (AlgebraFormatError, ColorLieAlgebra,
-                              InvalidParams, NotNilpotent,
-                              _descending_dims, build_model, from_json_dict,
-                              jacobiator, reached_triples, validate_jacobi)
+from colorfil.algebra import (AlgebraFormatError, ColorLieAlgebra, InvalidParams,
+                              build_model, from_json_dict, jacobiator, reached_triples,
+                              validate_jacobi)
 from colorfil.deformation import filiform_check
 
 
@@ -106,8 +105,6 @@ def test_model_properties_sweep(n, m, p):
         ("X0", f"{family}{i}"): {f"{family}{i + 1}": 1}
         for family, length in zip("XYZ", (n, m, p)) for i in range(1, length)}
     assert validate_jacobi(alg) == []
-    # each descending sequence drops to zero in n, m and p steps
-    assert [len(_descending_dims(alg, g)) - 1 for g in range(3)] == [n, m, p]
     assert filiform_check(alg)
 
 
@@ -138,12 +135,6 @@ def test_jacobiator_is_the_three_term_identity():
     psi = ColorLieAlgebra(base.dims, {(1, 2): {1: 1}})
     assert jacobiator(base, psi, 0, 1, 2) == {}       # psi(X2, X2) - psi(X0, 0) + psi(X1, X3)
     assert jacobiator(psi, base, 0, 1, 2) == {2: -1}  # [0, X2] - [X0, X1] + [X1, 0]
-
-
-def test_not_nilpotent_detected():
-    broken = build_model(2, 1, 1).with_added_constants({(1, 2): {1: 1}})
-    with pytest.raises(NotNilpotent):
-        _descending_dims(broken, 0)
 
 
 def test_filiform_module_examples():
@@ -239,3 +230,10 @@ def test_degree_incompatible_constant_rejected():
 def test_diagonal_bracket_rejected():
     with pytest.raises(ValueError):
         ColorLieAlgebra((2, 1, 1), {(1, 1): {0: 1}})
+
+
+def test_pair_given_in_both_orientations_rejected():
+    # from_json_dict refuses such a document first; the constructor must
+    # refuse it too, not let the second orientation replace the first
+    with pytest.raises(ValueError, match=r"^duplicate structure constant for pair \(1, 2\)$"):
+        ColorLieAlgebra((3, 0, 0), {(1, 2): {0: 1}, (2, 1): {0: 2}})

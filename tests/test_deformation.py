@@ -107,6 +107,24 @@ def test_filiform_check_fails_on_non_nilpotent():
         assert not filiform_check(ColorLieAlgebra(dims, {pair: vector}))
 
 
+@pytest.mark.parametrize("nmp", [(8, 6, 6), (40, 30, 30)])
+def test_filiform_check_brackets_only_the_partners_the_index_lists(nmp, monkeypatch):
+    # a step brackets each echelon vector of C^k with the L_0 partners of
+    # its support only, so on the model degree g costs at most d_g(d_g+1)/2
+    # brackets; every L_0 element against every vector costs about d_0 times that
+    calls = []
+    real = ColorLieAlgebra.bracket
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(ColorLieAlgebra, "bracket", counting)
+    alg = build_model(*nmp)
+    assert filiform_check(alg)
+    assert len(calls) <= sum(d * (d + 1) // 2 for d in alg.dims)
+
+
 @pytest.mark.parametrize("nmp", [(4, 3, 3), (5, 2, 4), (6, 4, 5), (8, 6, 6)])
 def test_e_and_f_cocycles_integrate_and_a_b_c_cocycles_need_not(nmp):
     # For a cocycle phi on a Lie base, mu0 + phi is a Lie law exactly when

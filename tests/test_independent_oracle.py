@@ -38,10 +38,11 @@ ascending basis triple as well; `is_cocycle` and `validate_jacobi`
 evaluate only the triples a bracket or a cochain value reaches and must
 give the same verdicts and the same violation lists, in order.
 `reference_descending_dims` spans each term of a descending sequence by
-`dense_rref`; `_descending_dims` brackets the next term from the sparse
-echelon rows and must give the same dimensions and the same
-`NotNilpotent` verdicts; `filiform_check` must give the graded-filiform
-verdict `reference_graded_filiform` reads off the reference sequences.
+`dense_rref`, bracketing every L_0 element against every row;
+`filiform_check` brackets only the partners the bracket index lists and
+must give the graded-filiform verdict `reference_graded_filiform` reads
+off the reference sequences, also on laws whose sequence stabilizes
+above zero and on laws with rational constants.
 """
 
 import random
@@ -54,8 +55,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import colorfil.cohomology
-from colorfil.algebra import (ColorLieAlgebra, JacobiViolation, NotNilpotent,
-                              _descending_dims, build_model, validate_jacobi)
+from colorfil.algebra import ColorLieAlgebra, JacobiViolation, build_model, validate_jacobi
 from colorfil.cohomology import (ALL_BLOCKS, CONDITION_BY_SHAPE, BlockKind, Cochain2,
                                  DecompositionMismatch, RowLabel, _restrict_to_block,
                                  _term_sums, assemble_Z2_system, block_dims, cochain_columns,
@@ -699,9 +699,9 @@ def reference_descending_dims(alg, g):
     """Dimensions of C^0(L_g), C^1(L_g), ... by dense `Fraction` elimination.
 
     C^{k+1}(L_g) = [L_0, C^k(L_g)] is spanned by the brackets of L_0 with
-    the rows `dense_rref` leaves for C^k(L_g); a term whose dimension
-    repeats a nonzero one is a nonzero fixed point, so the sequence
-    never reaches zero.
+    the rows `dense_rref` leaves for C^k(L_g).  Each term lies in the one
+    before, so a term whose dimension repeats a nonzero one is a nonzero
+    fixed point and the sequence never reaches zero: then None.
     """
     basis = [[int(i == j) for j in range(alg.dim)] for i in alg.component_indices(g)]
     dims = [len(basis)]
@@ -716,49 +716,9 @@ def reference_descending_dims(alg, g):
                 images.append(w)
         basis, pivots = dense_rref(images, alg.dim)
         if len(pivots) == dims[-1]:
-            raise NotNilpotent(f"degree {g} stabilizes at dimension {dims[-1]}")
+            return None
         dims.append(len(pivots))
     return dims
-
-
-def descending_outcomes(fn, alg):
-    """Per degree g = 0, 1, 2: the dimension list, or "NotNilpotent"."""
-    out = []
-    for g in range(3):
-        try:
-            out.append(fn(alg, g))
-        except NotNilpotent:
-            out.append("NotNilpotent")
-    return out
-
-
-def test_descending_dims_not_nilpotent_like_reference():
-    # [X1, X2] = X1 fixes X1 in every C^k(L_0); [X0, Y2] = Y1 closes the
-    # Y chain into a cycle, so only degree 1 stabilizes
-    model = build_model(2, 2, 1)
-    y1, y2 = model.index("Y1"), model.index("Y2")
-    for additions, expected in [({(1, 2): {1: 1}}, 0), ({(0, y2): {y1: 1}}, 1)]:
-        alg = model.with_added_constants(additions)
-        outcomes = descending_outcomes(_descending_dims, alg)
-        assert outcomes == descending_outcomes(reference_descending_dims, alg)
-        assert [g for g, dims in enumerate(outcomes) if dims == "NotNilpotent"] == [expected]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5), st.integers(2, 4), st.integers(1, 4), st.data())
-def test_descending_dims_match_dense_reference(n, m, p, data):
-    for alg in (d_deformed(n, m, p, data), drawn_algebra(data)):
-        assert descending_outcomes(_descending_dims, alg) == \
-            descending_outcomes(reference_descending_dims, alg)
-
-
-def test_descending_dims_scale_rational_images_like_reference():
-    # [X0, X1] = X2/2 + X3 and [X0, X4] = X2 + 2 X3 span one line; ranking the
-    # numerators of the images instead of the images scaled by the law's
-    # denominator would count two
-    alg = ColorLieAlgebra((5, 0, 0), {(0, 1): {2: Fraction(1, 2), 3: 1}, (0, 4): {2: 1, 3: 2}})
-    assert descending_outcomes(_descending_dims, alg) == \
-        descending_outcomes(reference_descending_dims, alg) == [[5, 1, 0], [0], [0]]
 
 
 def reference_graded_filiform(alg):
@@ -768,9 +728,8 @@ def reference_graded_filiform(alg):
     that the first step of L_0 drops two when dim L_0 >= 2.
     """
     for g in range(3):
-        try:
-            dims = reference_descending_dims(alg, g)
-        except NotNilpotent:
+        dims = reference_descending_dims(alg, g)
+        if dims is None:
             return False
         drops = [a - b for a, b in zip(dims, dims[1:])]
         if drops and drops[0] != (2 if g == 0 and dims[0] >= 2 else 1):
@@ -778,6 +737,58 @@ def reference_graded_filiform(alg):
         if any(drop != 1 for drop in drops[1:]):
             return False
     return True
+
+
+def test_stuck_sequences_fail_like_reference():
+    # [X1, X2] = X1 fixes X1 in every C^k(L_0), on (2,1,1) and on (2,2,1);
+    # [X0, Y2] = Y1 closes the Y chain into a cycle, so only degree 1 stabilizes
+    model = build_model(2, 2, 1)
+    y1, y2 = model.index("Y1"), model.index("Y2")
+    # a Lie law on dims (2,0,3): [X1, Z2] = Z3 and [X1, Z3] = Z2 - Z1, so
+    # degree 2 runs 3, 2, 2.  C^1 holds Z2 - Z1, whose lowest column Z1 has
+    # no partner: a pass that took partners from the lowest column alone
+    # would drop its image Z3 and read 3, 2, 1, 0
+    witness = ColorLieAlgebra((2, 0, 3), {(1, 3): {4: 1}, (1, 4): {3: 1, 2: -1}})
+    assert validate_jacobi(witness) == []
+    for alg, stuck in [(build_model(2, 1, 1).with_added_constants({(1, 2): {1: 1}}), 0),
+                       (model.with_added_constants({(1, 2): {1: 1}}), 0),
+                       (model.with_added_constants({(0, y2): {y1: 1}}), 1),
+                       (witness, 2)]:
+        assert [g for g in range(3) if reference_descending_dims(alg, g) is None] == [stuck]
+        assert filiform_check(alg) is reference_graded_filiform(alg) is False, stuck
+
+
+def test_filiform_check_matches_dense_reference_on_models():
+    # each descending sequence drops to zero in n, m and p steps
+    for n, m, p in product(range(1, 7), range(6), range(6)):
+        alg = build_model(n, m, p)
+        assert [len(reference_descending_dims(alg, g)) - 1 for g in range(3)] == [n, m, p]
+        assert filiform_check(alg) is reference_graded_filiform(alg) is True, (n, m, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 4), st.integers(1, 4), st.data())
+def test_filiform_check_matches_dense_reference_on_deformed_models(n, m, p, data):
+    for alg in (d_deformed(n, m, p, data), drawn_algebra(data)):
+        assert filiform_check(alg) == reference_graded_filiform(alg)
+
+
+def test_filiform_check_scales_rational_images_like_reference():
+    # [X0, X1] = X2/2 + X3 and [X0, X4] = X2 + 2 X3 span one line; ranking the
+    # numerators of the images instead of the images scaled by the law's
+    # denominator would count two
+    alg = ColorLieAlgebra((5, 0, 0), {(0, 1): {2: Fraction(1, 2), 3: 1}, (0, 4): {2: 1, 3: 2}})
+    assert [reference_descending_dims(alg, g) for g in range(3)] == [[5, 1, 0], [0], [0]]
+    assert filiform_check(alg) is reference_graded_filiform(alg) is False
+    # ad X0 and ad X1 map Y1 and Y2 onto the line of Y1/2 + Y2 and kill it:
+    # 2, 1, 0 and filiform, where the numerators would span two and stick
+    y1, y2 = 2, 3
+    alg = ColorLieAlgebra((2, 2, 0), {
+        (0, y1): {y1: Fraction(1, 2), y2: 1}, (0, y2): {y1: Fraction(-1, 4), y2: Fraction(-1, 2)},
+        (1, y1): {y1: 1, y2: 2}, (1, y2): {y1: Fraction(-1, 2), y2: -1}})
+    assert validate_jacobi(alg) == []
+    assert reference_descending_dims(alg, 1) == [2, 1, 0]
+    assert filiform_check(alg) is reference_graded_filiform(alg) is True
 
 
 @settings(max_examples=100, deadline=None)
