@@ -137,6 +137,13 @@ def test_jacobiator_is_the_three_term_identity():
     assert jacobiator(psi, base, 0, 1, 2) == {2: -1}  # [0, X2] - [X0, X1] + [X1, 0]
 
 
+def test_not_nilpotent_detected():
+    # [X1, X2] = X1 fixes X1 in every C^k(L_0): the sequence never reaches zero
+    broken = build_model(2, 1, 1).with_added_constants({(1, 2): {1: 1}})
+    assert filiform_check(build_model(2, 1, 1))
+    assert not filiform_check(broken)
+
+
 def test_filiform_module_examples():
     alg = build_model(3, 2, 2)
     assert filiform_check(alg)

@@ -739,23 +739,27 @@ def reference_graded_filiform(alg):
     return True
 
 
-def test_stuck_sequences_fail_like_reference():
+def test_descending_dims_not_nilpotent_like_reference():
     # [X1, X2] = X1 fixes X1 in every C^k(L_0), on (2,1,1) and on (2,2,1);
     # [X0, Y2] = Y1 closes the Y chain into a cycle, so only degree 1 stabilizes
     model = build_model(2, 2, 1)
     y1, y2 = model.index("Y1"), model.index("Y2")
+    for alg, stuck in [(build_model(2, 1, 1).with_added_constants({(1, 2): {1: 1}}), 0),
+                       (model.with_added_constants({(1, 2): {1: 1}}), 0),
+                       (model.with_added_constants({(0, y2): {y1: 1}}), 1)]:
+        assert [g for g in range(3) if reference_descending_dims(alg, g) is None] == [stuck]
+        assert filiform_check(alg) is reference_graded_filiform(alg) is False, stuck
+
+
+def test_stuck_sequences_fail_like_reference():
     # a Lie law on dims (2,0,3): [X1, Z2] = Z3 and [X1, Z3] = Z2 - Z1, so
     # degree 2 runs 3, 2, 2.  C^1 holds Z2 - Z1, whose lowest column Z1 has
     # no partner: a pass that took partners from the lowest column alone
     # would drop its image Z3 and read 3, 2, 1, 0
     witness = ColorLieAlgebra((2, 0, 3), {(1, 3): {4: 1}, (1, 4): {3: 1, 2: -1}})
     assert validate_jacobi(witness) == []
-    for alg, stuck in [(build_model(2, 1, 1).with_added_constants({(1, 2): {1: 1}}), 0),
-                       (model.with_added_constants({(1, 2): {1: 1}}), 0),
-                       (model.with_added_constants({(0, y2): {y1: 1}}), 1),
-                       (witness, 2)]:
-        assert [g for g in range(3) if reference_descending_dims(alg, g) is None] == [stuck]
-        assert filiform_check(alg) is reference_graded_filiform(alg) is False, stuck
+    assert [g for g in range(3) if reference_descending_dims(witness, g) is None] == [2]
+    assert filiform_check(witness) is reference_graded_filiform(witness) is False
 
 
 def test_filiform_check_matches_dense_reference_on_models():
