@@ -155,10 +155,16 @@ class ColorLieAlgebra:
         return self._offsets[g] + i - (0 if g == 0 else 1)
 
     def vector(self, source) -> Vector:
-        """Build a sparse vector from a label, an index, or a mapping of them to scalars."""
+        """Build a sparse vector from a label, an index, or a mapping of them to scalars.
+
+        An unknown label raises ValueError, as a non-integer or out-of-range index does.
+        """
         out: Vector = {}
         for key, c in (source.items() if isinstance(source, Mapping) else [(source, 1)]):
-            i = self.index(key) if isinstance(key, str) else as_int(key, "basis index")
+            try:
+                i = self.index(key) if isinstance(key, str) else as_int(key, "basis index")
+            except KeyError as exc:
+                raise ValueError(*exc.args) from None
             if not 0 <= i < self.dim:
                 raise ValueError(f"basis index {i} out of range 0..{self.dim - 1}")
             add_into(out, i, as_coeff(c))

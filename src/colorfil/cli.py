@@ -8,6 +8,9 @@ Exit codes form the scripting contract:
        parameters out of range)
     3  structurally valid but invalid input object (e.g. not a cocycle,
        or a base algebra that fails the Jacobi identity)
+
+Commands raise; `main` maps each error to its code and its `error:` line
+through `ERROR_EXITS`, the one such mapping.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import os
 import sys
 
-from .algebra import AlgebraFormatError, build_model, check_params, from_json_dict
+from .algebra import build_model, check_params, from_json_dict
 from .cohomology import (ALL_BLOCKS, DecompositionMismatch, KernelMismatch, block_dims,
                          block_named, cochain_from_json, cocycle_basis_json,
                          write_cocycle_basis)
@@ -36,6 +39,17 @@ METHOD_ALIASES = {
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
 INVALID_OBJECT_ERROR = 3
+
+# (error types, exit code, whether the `error:` line names the type), most
+# specific first; the ValueError row takes InvalidParams, AlgebraFormatError,
+# json.JSONDecodeError and the unreadable or unwritable files of
+# `_load_json` and `_write_output`
+ERROR_EXITS = (
+    ((CharacteristicVectorViolation, NotALieAlgebra, NotACocycle), INVALID_OBJECT_ERROR, False),
+    ((IntegralityError, DecompositionMismatch, IntegrabilityMismatch), MISMATCH_ERROR, True),
+    ((KernelMismatch,), MISMATCH_ERROR, False),
+    ((ValueError,), USAGE_ERROR, False),
+)
 
 
 def _parse_range(text: str) -> range:
@@ -89,22 +103,20 @@ def _grid_point(args) -> tuple:
         return (n, m, p), f"{type(exc).__name__}: {exc}"
 
 
-def _write_output(path, write) -> int:
+def _write_output(path, write) -> None:
     """write(stream) to stdout (path None or "-") or to the file at path.
 
-    Returns 0, or USAGE_ERROR after a message when the file cannot be
-    written: a bad path is a usage error, not a mismatch.
+    A file that cannot be written raises ValueError: a bad path is a usage
+    error, not a mismatch.
     """
     if path in (None, "-"):
         write(sys.stdout)
-        return 0
+        return
     try:
         with open(path, "w", encoding="utf-8") as stream:
             write(stream)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    return 0
+        raise ValueError(str(exc)) from None
 
 
 def _write_json(doc, stream) -> None:
@@ -118,21 +130,12 @@ def _write_json(doc, stream) -> None:
 def cmd_dims(args) -> int:
     methods = list(dict.fromkeys(METHOD_ALIASES[m] for m in args.method or ["closed"]))
     if args.allow_x0_target and (set(methods) & {METHOD_CLOSED, METHOD_WEIGHTS}):
-        print("error: --allow-x0-target applies to --method brute only; the closed "
-              "forms and the weight oracle count the space with X0 excluded",
-              file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        for method in methods:
-            report = compute_report(args.n, args.m, args.p, method,
-                                    allow_x0_target=args.allow_x0_target)
-            print(json.dumps(report.to_json_dict()))
-    except ValueError as exc:  # InvalidParams is one
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (IntegralityError, DecompositionMismatch) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return MISMATCH_ERROR
+        raise ValueError("--allow-x0-target applies to --method brute only; the closed "
+                         "forms and the weight oracle count the space with X0 excluded")
+    for method in methods:
+        report = compute_report(args.n, args.m, args.p, method,
+                                allow_x0_target=args.allow_x0_target)
+        print(json.dumps(report.to_json_dict()))
     return 0
 
 
@@ -209,23 +212,13 @@ def _emit_rows(rows, methods, fmt: str, stream) -> None:
 def cmd_verify(args) -> int:
     points = [(n, m, p) for n in args.n for m in args.m for p in args.p]
     if not points:
-        print("error: empty parameter grid", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        check_params(min(args.n), min(args.m), min(args.p))
-    except ValueError as exc:  # InvalidParams is one
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("empty parameter grid")
+    check_params(min(args.n), min(args.m), min(args.p))
     if args.jobs < 0:
-        print(f"error: --jobs must be >= 0 (0: available cores), got {args.jobs}",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"--jobs must be >= 0 (0: available cores), got {args.jobs}")
     jobs = args.jobs or (os.cpu_count() or 1)
     rows, mismatches = run_verify(points, args.methods, jobs=jobs)
-    code = _write_output(args.output,
-                         lambda stream: _emit_rows(rows, args.methods, args.format, stream))
-    if code:
-        return code
+    _write_output(args.output, lambda stream: _emit_rows(rows, args.methods, args.format, stream))
     for row in mismatches:
         if "error" in row:
             print(f"error at n={row['n']} m={row['m']} p={row['p']}: {row['error']}",
@@ -244,56 +237,39 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cocycles(args) -> int:
-    try:
-        block = block_named(args.block)
-        alg = build_model(args.n, args.m, args.p)
-    except ValueError as exc:  # InvalidParams is one
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        doc = cocycle_basis_json(alg, block, allow_x0_target=args.allow_x0_target)
-    except KernelMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MISMATCH_ERROR
-    return _write_output(args.out, lambda stream: write_cocycle_basis(doc, stream))
+    block = block_named(args.block)
+    alg = build_model(args.n, args.m, args.p)
+    doc = cocycle_basis_json(alg, block, allow_x0_target=args.allow_x0_target)
+    _write_output(args.out, lambda stream: write_cocycle_basis(doc, stream))
+    return 0
 
 
 # -- deform -------------------------------------------------------------
 
 
 def _load_json(path: str):
-    with open(path, encoding="utf-8") as f:
-        try:
+    """The document in the file at path; a file that cannot be read raises ValueError."""
+    try:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
-        except RecursionError as exc:  # nested deeper than the parser's stack
-            raise ValueError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
+    except RecursionError as exc:  # nested deeper than the parser's stack
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_deform(args) -> int:
-    try:
-        alg = from_json_dict(_load_json(args.algebra))
-        phi = cochain_from_json(alg, _load_json(args.cocycle))
-    except (OSError, json.JSONDecodeError, AlgebraFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        law = deform(alg, phi)
-        integrable = is_integrable(law)
-    except (CharacteristicVectorViolation, NotALieAlgebra, NotACocycle) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INVALID_OBJECT_ERROR
-    except IntegrabilityMismatch as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return MISMATCH_ERROR
+    alg = from_json_dict(_load_json(args.algebra))
+    phi = cochain_from_json(alg, _load_json(args.cocycle))
+    law = deform(alg, phi)
+    integrable = is_integrable(law)
     filiform = filiform_check(law.result) if integrable else False
     verdict = {"integrable": integrable, "filiform": filiform}
     algebra_doc = law.result.to_json_dict()
     if args.out in (None, "-"):  # stdout carries one document: the verdict with the algebra
         verdict["algebra"] = algebra_doc
     else:
-        code = _write_output(args.out, lambda stream: _write_json(algebra_doc, stream))
-        if code:
-            return code
+        _write_output(args.out, lambda stream: _write_json(algebra_doc, stream))
     print(json.dumps(verdict))
     return 0
 
@@ -356,11 +332,18 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except OSError:  # before ERROR_EXITS: io.UnsupportedOperation is a ValueError too
+            raise
+        except tuple(t for types, _, _ in ERROR_EXITS for t in types) as exc:
+            code, named = next((code, named) for types, code, named in ERROR_EXITS
+                               if isinstance(exc, types))
+            print(f"error: {type(exc).__name__ + ': ' if named else ''}{exc}", file=sys.stderr)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except OSError as exc:
-        # the reader went away (`| head`, silent) or stdout cannot be written;
-        # devnull keeps the flush at exit quiet
+        # only standard output gets here: the reader went away (`| head`,
+        # silent) or it cannot be written; devnull keeps the flush at exit quiet
         if not isinstance(exc, BrokenPipeError):
             print(f"error: {exc}", file=sys.stderr)
         with open(os.devnull, "w") as devnull:

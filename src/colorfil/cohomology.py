@@ -183,8 +183,8 @@ class Cochain2:
         table: dict = {}  # (a, b), a < b -> {t: coeff}
         named: set = set()  # named once, so each value is set, not summed
         for (block, i, j, s), c in coeffs or ():
-            c = as_coeff(c)
             a, b, t, sign = self._locate(block, i, j, s)
+            c = as_coeff(c)
             if (a, b, t) in named:
                 raise ValueError(f"cochain names the basis map of block {block.name} "
                                  f"at i={i}, j={j}, s={s} twice")
@@ -196,9 +196,10 @@ class Cochain2:
     def _locate(self, block: BlockKind, i: int, j: int, s: int) -> tuple:
         """Global (a, b, t) of phi^s_{i,j} with a < b, and the swap sign.
 
-        Raises ValueError for a diagonal pair or an index outside the
-        family ranges.
+        Raises ValueError for an index that is not an int (a bool or a
+        float too), a diagonal pair or an index outside the family ranges.
         """
+        i, j, s = as_int(i, "i"), as_int(j, "j"), as_int(s, "s")
         sign = 1
         if block.same_family:
             if i == j:
@@ -652,9 +653,8 @@ def cochain_from_json(alg: ColorLieAlgebra, data: Mapping) -> Cochain2:
             for field in fields:
                 if field not in term:
                     raise ValueError(f"cochain term missing field {field!r}")
-            i, j, s = (as_int(term[k], k) for k in "ijs")
-            key = ColumnKey(block_named(term["block"]) if block is None else block, i, j, s)
-            yield key, as_coeff(term["coeff"])
+            yield (ColumnKey(block_named(term["block"]) if block is None else block,
+                             term["i"], term["j"], term["s"]), term["coeff"])
 
     try:
         return Cochain2(alg, terms())

@@ -458,14 +458,15 @@ def test_deform_out_dash_prints_one_document(capsys, deform_files):
 class _ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone away: every write raises BrokenPipeError."""
 
-    def __init__(self, fd):
+    def __init__(self, fd, error=BrokenPipeError(32, "Broken pipe")):
         self._fd = fd
+        self._error = error
 
     def writable(self):
         return True
 
     def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
+        raise self._error
 
     def fileno(self):
         return self._fd
@@ -475,7 +476,9 @@ class _ClosedPipe(io.TextIOBase):
 def test_closed_stdout_exits_2_without_traceback(capsys, monkeypatch, tmp_path, deform_files,
                                                   command):
     # `colorfil ... | head`: exit 2, as for an unwritable --out, with nothing on
-    # stderr, and stdout pointed at devnull so the flush at exit cannot fail
+    # stderr, and stdout pointed at devnull so the flush at exit cannot fail.
+    # A stdout that cannot be written at all takes the same path with one
+    # error line: io.UnsupportedOperation is an OSError, though a ValueError too
     alg_path, cochain_file = deform_files
     argv = {
         "verify": ["verify", "--n", "1..2", "--m", "0..1", "--p", "0..1",
@@ -483,18 +486,20 @@ def test_closed_stdout_exits_2_without_traceback(capsys, monkeypatch, tmp_path, 
         "deform": ["deform", "--algebra", str(alg_path),
                    "--cocycle", str(cochain_file("zero.json", [])), "--out", "-"],
     }[command]
-    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
-    fds = "/proc/self/fd"
-    before = len(os.listdir(fds)) if os.path.isdir(fds) else None
-    try:
-        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
-        code = main(argv)
-        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
-        if before is not None:  # the devnull descriptor is closed, not leaked
-            assert len(os.listdir(fds)) == before
-    finally:
-        os.close(fd)
-    assert (code, capsys.readouterr().err) == (2, "")
+    for error, message in [(BrokenPipeError(32, "Broken pipe"), ""),
+                           (io.UnsupportedOperation("not writable"), "error: not writable\n")]:
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        fds = "/proc/self/fd"
+        before = len(os.listdir(fds)) if os.path.isdir(fds) else None
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd, error))
+            code = main(argv)
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+            if before is not None:  # the devnull descriptor is closed, not leaked
+                assert len(os.listdir(fds)) == before
+        finally:
+            os.close(fd)
+        assert (code, capsys.readouterr().err) == (2, message), error
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -568,13 +573,21 @@ def test_deform_malformed_json_exits_2(capsys, tmp_path, deform_files):
     code, _, _ = run_cli(capsys, "deform", "--algebra", str(alg_path),
                          "--cocycle", str(bad))
     assert code == 2
+    # an input file that cannot be read: one error line naming the OS error
+    ok = cochain_file("ok.json", [])
+    for algebra, cocycle in [(tmp_path / "missing.json", ok), (tmp_path, ok),
+                             (alg_path, tmp_path / "missing.json")]:
+        code, out, err = run_cli(capsys, "deform", "--algebra", str(algebra),
+                                 "--cocycle", str(cocycle))
+        assert (code, out) == (2, ""), (algebra, cocycle)
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
     # nesting deeper than the parser's stack is malformed input, not a
     # RecursionError traceback: as the algebra, and as a cochain's terms
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000)
     deep_terms = tmp_path / "deep_terms.json"
     deep_terms.write_text('{"n": 3, "m": 2, "p": 1, "terms": ' + "[" * 100000 + "]" * 100000 + "}")
-    for algebra, cocycle in [(deep, cochain_file("ok.json", [])), (alg_path, deep_terms)]:
+    for algebra, cocycle in [(deep, ok), (alg_path, deep_terms)]:
         code, out, err = run_cli(capsys, "deform", "--algebra", str(algebra),
                                  "--cocycle", str(cocycle))
         assert (code, out) == (2, ""), cocycle

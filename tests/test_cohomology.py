@@ -118,6 +118,14 @@ def test_library_constructors_refuse_non_integer_indices():
             ((3, 1, 1), {(0, 1): {5: 0}}, "target index out of range in the value of pair")]:
         with pytest.raises(ValueError, match=re.escape(message)):
             ColorLieAlgebra(dims, constants)
+    # a family index of Cochain2 is read under its own name, before any range check
+    model = build_model(3, 2, 2)
+    for key, message in [(ColumnKey(BlockKind.D, True, 2, 1), "i must be an integer, got True"),
+                         (ColumnKey(BlockKind.D, 1, 2, True), "s must be an integer, got True"),
+                         (ColumnKey(BlockKind.B, 1, True, 1), "j must be an integer, got True"),
+                         (ColumnKey(BlockKind.D, 1.0, 2, 1), "i must be an integer, got 1.0")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Cochain2(model, {key: 1})
     alg = build_model(2, 1, 1)
     # delta1 refuses, never drops, a key outside the basis
     for g_map, message in [({1.7: "X1"}, "basis index must be an integer, got 1.7"),
@@ -125,7 +133,8 @@ def test_library_constructors_refuse_non_integer_indices():
                            ({1: {1.7: 1}}, "basis index must be an integer, got 1.7"),
                            ({99: {}}, "basis index 99 out of range 0..4"),
                            ({-4: "X1"}, "basis index -4 out of range 0..4"),
-                           ({1: 7}, "basis index 7 out of range 0..4")]:
+                           ({1: 7}, "basis index 7 out of range 0..4"),
+                           ({"Q9": {}}, "no basis element 'Q9'")]:
         with pytest.raises(ValueError, match=re.escape(message)):
             delta1(alg, g_map)
     assert delta1(alg, {1: {1: 1}}).law.bracket_basis(0, 1) == {2: 1}
