@@ -1,9 +1,9 @@
 """Exact sparse integer/rational linear algebra.
 
 Rank, nullity and kernel bases of sparse integer matrices, computed
-exactly by one engine, `_eliminate_int`: fraction-free elimination over
-Z (Bareiss-style) by inserting the rows one at a time into a table of
-pivot rows.  A row is reduced by the pivot row of its lowest column
+exactly.  The engine, `_eliminate_int`, is fraction-free elimination
+over Z (Bareiss-style) by inserting the rows one at a time into a table
+of pivot rows.  A row is reduced by the pivot row of its lowest column
 until that column is free; at a unit pivot the update is a plain
 subtraction, at any other a gcd-scaled cross-multiplication followed by
 content removal, so no fractions ever appear.  The lowest columns of
@@ -11,10 +11,13 @@ the pivot rows are the row space's leftmost-pivot set, whatever the
 insertion order.
 
 * `rank_certified` -- the number of pivots; exact by construction.
-* `kernel_basis(rows, n_cols)` -- the canonical kernel basis, all of
-  it solved in one descending pass over the echelon rows the
-  elimination leaves.  Each vector stays integral: integer numerators
-  over one denominator, rescaled only at a non-unit pivot, the form
+  Ranks keep this one elimination: ranked in two stages, as kernels
+  are, the blocks of a grid verify take about a third longer.
+* `kernel_basis(rows, n_cols)` -- the canonical kernel basis.  The
+  first row at each lowest column is a pivot row as given, and one
+  descending pass solves them; the rows set aside become a small system
+  that `_eliminate_int` and the same pass solve.  Each vector stays
+  integral, integer numerators over one denominator: the form
   `KernelBasis` stores; `Fraction` appears only in its `vectors` view.
 * `KernelBasis.verify(rows)` -- M w = 0 for each vector's numerators w,
   summed row by row through a dict column index of M, so it needs no
@@ -143,6 +146,13 @@ class KernelBasis(NamedTuple):
 # -- elimination engine -------------------------------------------------
 
 
+def _lowest_first(rows: Iterable) -> list:
+    """The nonempty rows as (lowest column, dict row), highest lowest column first, stably."""
+    rows = [(min(row), row) for row in (r if type(r) is dict else dict(r) for r in rows) if row]
+    rows.sort(key=itemgetter(0), reverse=True)
+    return rows
+
+
 def _eliminate_int(rows: Iterable) -> dict:
     """Fraction-free elimination over Z; returns the echelon {col: row}.
 
@@ -163,10 +173,8 @@ def _eliminate_int(rows: Iterable) -> dict:
     pivot columns of the row space's reduced row echelon form: the
     leftmost-pivot set, whatever the insertion order.
     """
-    rows = [(min(row), row) for row in (r if type(r) is dict else dict(r) for r in rows) if row]
-    rows.sort(key=itemgetter(0), reverse=True)
     echelon: dict = {}
-    for c, row in rows:
+    for c, row in _lowest_first(rows):
         prow = echelon.get(c)
         if prow is not None:
             row = dict(row)  # reduced on a copy: the input is never written
@@ -217,43 +225,36 @@ def nullity(matrix: SparseIntMatrix) -> int:
     return matrix.n_cols - rank_certified(matrix)
 
 
-def kernel_basis(rows: Iterable, n_cols: int) -> KernelBasis:
-    """Exact basis of the kernel of `n_cols`-wide rows, integral and canonical.
+def _sweep(echelon: dict, free: Iterable, n_cols: int, aside: Iterable = ()) -> tuple:
+    """Back-substitute echelon rows {col: row} for all free columns' vectors at once.
 
-    `rows` is any sequence of sparse integer rows with nonzero entries,
-    as `rank_certified` takes them: a `SparseIntMatrix`, or {col: value}
-    dicts.  A column outside range(n_cols) raises ValueError naming it.
-
-    Back-substitution over the integer echelon rows of `_eliminate_int`.
-    Their lowest columns are the leftmost-pivot set of the row space, in
-    whatever order the rows were inserted, so each free column f has
-    exactly one kernel vector with x_f = 1 and every other free
-    coordinate 0; that vector is the output, independent of row order
-    and row scale.
-    All vectors are solved in one pass over the pivot columns, largest
-    first, so every x_k a row needs is final when the row is solved, and
-    each echelon row is read once.  At a unit pivot a the new entry is
+    Returns (values, support, denoms, small): values[k][f] is the
+    numerator of x_k in free column f's vector, support[f] the columns
+    that vector holds and denoms[f] its denominator, so x_f = 1.  One
+    pass over the pivot columns, largest first, so every x_k a row needs
+    is final when the row is solved.  At a unit pivot a the new entry is
     -total * a; at any other, the vector (its entries so far and its
     denominator) is first scaled by the least factor that keeps the new
-    entry integral, so the denominator is the lcm of the entries'
-    reduced denominators: gcd(d, numerators) = 1.
+    entry integral, so gcd(d, numerators) = 1.  Each row r of `aside`,
+    read after the pass, gives the row {f: r . numerators of f} of
+    `small`.  A column outside range(n_cols) raises ValueError naming it.
     """
-    echelon = _eliminate_int(rows)
-    # col k -> {free col f: numerator of x_k in f's vector}
-    values: dict = {f: {f: 1} for f in range(n_cols) if f not in echelon}
-    support = {f: [f] for f in values}  # free col f -> the cols its vector holds
+    values: dict = {f: {f: 1} for f in free}
+    support = {f: [f] for f in values}
     denoms = dict.fromkeys(values, 1)
-    for c in sorted(echelon, reverse=True):
-        row = echelon[c]
+    small = []
+    solve_order = [(c, echelon[c]) for c in sorted(echelon, reverse=True)]
+    for c, row in solve_order + [(None, r) for r in aside]:
         totals: dict = {}
-        for k, v in row.items():  # the echelon rows span the input rows: checking them checks all
+        for k, v in row.items():
             if not 0 <= k < n_cols:
                 raise ValueError(f"column {k} outside the {n_cols} kernel columns")
             xs = values.get(k)  # x_c is not solved yet: c adds nothing
             if xs:
                 for f, x in xs.items():
                     totals[f] = totals.get(f, 0) + v * x
-        if not totals:
+        if c is None:
+            small.append({f: t for f, t in totals.items() if t})
             continue
         a = row[c]
         solved = values[c] = {}
@@ -270,10 +271,58 @@ def kernel_basis(rows: Iterable, n_cols: int) -> KernelBasis:
                     denoms[f] *= scale
                 solved[f] = -total * scale // a
             support[f].append(c)
+    return values, support, denoms, small
+
+
+def kernel_basis(rows: Iterable, n_cols: int) -> KernelBasis:
+    """Exact basis of the kernel of `n_cols`-wide rows, integral and canonical.
+
+    `rows` is any sequence of sparse integer rows with nonzero entries,
+    as `rank_certified` takes them: a `SparseIntMatrix`, or {col: value}
+    dicts.  A column outside range(n_cols) raises ValueError naming it.
+
+    For each free column g of the row space's leftmost-pivot set the
+    output is the one kernel vector with x_g = 1 and every other free
+    coordinate 0, whatever the order and scale of the rows.  Two stages:
+
+    1. In `_eliminate_int`'s insertion order the first row at each
+       lowest column is that column's pivot row, as given; the others
+       are set aside unreduced.  `_sweep` solves the pivot rows for a
+       vector v_f = w_f / d_f of each column f they leave free (support
+       in columns <= f), and reads each set-aside row r as the row
+       {f: r . w_f} of a small system T over those columns.
+    2. `_eliminate_int` and `_sweep` solve T for its canonical vectors
+       z = u / e.  A vector whose z is its own coordinate alone is v_g as
+       stored; any other is sum u_f w_f over e * d_g, content removed.
+
+    M's leftmost-pivot set is the pivot rows' lowest columns and T's
+    leftmost pivots, so the sum is M's vector for g, in the stored form.
+    """
+    pivots: dict = {}
+    aside = []
+    for c, row in _lowest_first(rows):
+        if c in pivots:
+            aside.append(row)
+        else:
+            pivots[c] = row
+    values, support, denoms, small = _sweep(
+        pivots, (f for f in range(n_cols) if f not in pivots), n_cols, aside)
+    echelon = _eliminate_int(small)
+    coeffs, used, scales, _ = _sweep(echelon, [f for f in support if f not in echelon], n_cols)
     vectors = []
-    for f, cols in support.items():
-        cols.sort()
-        sign = -1 if values[cols[0]][f] < 0 else 1
-        vectors.append(({k: sign * values[k][f] for k in cols}, denoms[f]))
+    for g, fs in used.items():
+        if len(fs) == 1:  # T's column g is zero: v_g is in the kernel of M
+            w, d = {k: values[k][g] for k in support[g]}, denoms[g]
+        else:
+            w, d = {}, scales[g] * denoms[g]
+            for f in fs:
+                u = coeffs[f][g]
+                for k in support[f]:
+                    w[k] = w.get(k, 0) + u * values[k][f]
+            content = gcd(d, *w.values())
+            w, d = {k: v // content for k, v in w.items() if v}, d // content
+        cols = sorted(w)
+        sign = -1 if w[cols[0]] < 0 else 1
+        vectors.append(({k: sign * w[k] for k in cols}, d))
     vectors.sort(key=lambda wd: min(wd[0]))
     return KernelBasis(tuple(vectors))

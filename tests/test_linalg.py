@@ -138,18 +138,66 @@ def wide_sparse_rows(draw):
     return from_cells(n_rows, n_cols, cells)
 
 
+def oracle_stored_form(dense, n_cols):
+    """The dense oracle's kernel in the stored form: each vector over the
+    lcm d of its denominators, numerators v * d."""
+    expected = []
+    for vec in dense_kernel(dense, n_cols):
+        d = lcm(*(v.denominator for v in vec.values()))
+        expected.append(({c: int(v * d) for c, v in vec.items()}, d))
+    return tuple(expected)
+
+
 @settings(max_examples=200, deadline=None)
 @given(wide_sparse_rows())
 def test_stored_denominators_match_dense_oracle(matrix):
     # the Fraction view hides the stored pair: numerators and a denominator
-    # both too large by one factor read the same.  The stored form is the
-    # oracle's vector over the lcm d of its denominators, numerators v * d
-    expected = []
-    for vec in dense_kernel(to_dense(matrix), matrix.n_cols):
-        d = lcm(*(v.denominator for v in vec.values()))
-        expected.append(({c: int(v * d) for c, v in vec.items()}, d))
+    # both too large by one factor read the same
     rows = [dict(row) for row in matrix.rows]
-    assert kernel_basis(rows, matrix.n_cols).integral == tuple(expected)
+    assert kernel_basis(rows, matrix.n_cols).integral == oracle_stored_form(to_dense(matrix),
+                                                                            matrix.n_cols)
+
+
+@st.composite
+def rows_sharing_lowest_columns(draw):
+    """Sparse rows that start at a few shared columns, entries in +-{1, 2, 3, 6},
+    with some rows repeated and some repeated times an integer."""
+    n_cols = draw(st.integers(1, 14))
+    entry = st.sampled_from([1, -1, 2, -2, 3, -3, 6, -6])
+    rows = []
+    for lead in draw(st.lists(st.integers(0, min(3, n_cols - 1)), min_size=1, max_size=10)):
+        rest = draw(st.dictionaries(st.integers(lead + 1, n_cols), entry, max_size=4))
+        rows.append({lead: draw(entry), **{c: v for c, v in rest.items() if c < n_cols}})
+    for k, factor in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                             st.sampled_from([1, 1, -1, 2, -3])), max_size=4)):
+        rows.append({c: factor * v for c, v in rows[k].items()})
+    rows = draw(st.permutations(rows))
+    # a row whose lowest column another row already holds is set aside
+    assume(len({min(row) for row in rows}) < len(rows))
+    return rows, n_cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_sharing_lowest_columns())
+def test_set_aside_rows_match_dense_oracle(case):
+    rows, n_cols = case
+    basis = kernel_basis(rows, n_cols)
+    dense = [[row.get(c, 0) for c in range(n_cols)] for row in rows]
+    assert basis.integral == oracle_stored_form(dense, n_cols)
+    assert basis.verify(rows)
+
+
+def test_set_aside_row_solved_through_a_non_unit_pivot():
+    # Row 0 is column 0's pivot row as given and leaves columns 1 and 2
+    # free, with vectors (-1, 1, 0) and (0, 0, 1).  Row 1, set aside, reads
+    # -2 and 3 on them: the small system -2 y1 + 3 y2 = 0 pivots on -2, so
+    # y1 = 3/2 and the vector is (-3/2, 3/2, 1), stored as (3, -3, -2) / 2
+    rows = [{0: 1, 1: 1}, {0: 2, 2: 3}]
+    expected = (({0: 3, 1: -3, 2: -2}, 2),)
+    assert kernel_basis(rows, 3).integral == expected
+    # swapped, column 0's pivot row as given is the non-unit one
+    assert kernel_basis(rows[::-1], 3).integral == expected
+    assert kernel_basis(rows, 4).integral == expected + (({3: 1}, 1),)
 
 
 def test_rank_certified_identity():
@@ -313,7 +361,9 @@ def test_kernel_basis_rejects_columns_outside_its_width():
     # a vector keyed outside range(n_cols) would name no basis map (the export
     # would write column -1 as the block's last (i, j, s)), so it is refused
     wide = SparseIntMatrix(1, 6, [{0: 1, 5: 1}])
-    for rows, col in [([{0: 1, 5: 1}], 5), ([((-1, 1), (0, 2))], -1), (wide, 5)]:
+    # in the last, column 7 is only in a row set aside behind column 0's pivot row
+    for rows, col in [([{0: 1, 5: 1}], 5), ([((-1, 1), (0, 2))], -1), (wide, 5),
+                      ([{0: 1}, {0: 1, 7: 1}], 7)]:
         with pytest.raises(ValueError, match=f"column {col} outside the 3 kernel columns"):
             kernel_basis(rows, 3)
     assert kernel_basis(wide, 6).dim == 5
