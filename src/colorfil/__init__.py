@@ -12,7 +12,7 @@ from .algebra import (BasisElement, ColorLieAlgebra, InvalidParams,
                       validate_jacobi)
 from .cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
                          ConstraintSystem, DecompositionMismatch, KernelMismatch,
-                         assemble_Z2_system, block_dims, cochain_from_json,
+                         assemble_Z2_system, block_dims, cochain_from_json, cocycle_basis,
                          cocycle_basis_json, delta1, delta2, is_cocycle, write_cocycle_basis)
 from .deformation import (CharacteristicVectorViolation, DeformedLaw,
                           IntegrabilityMismatch, NotACocycle, NotALieAlgebra,

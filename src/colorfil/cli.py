@@ -22,8 +22,9 @@ import sys
 
 from .algebra import build_model, check_params, from_json_dict
 from .cohomology import (ALL_BLOCKS, DecompositionMismatch, KernelMismatch, block_dims,
-                         block_named, cochain_from_json, cocycle_basis_json,
-                         write_cocycle_basis)
+                         block_named, cochain_from_json, cocycle_basis, write_cocycle_basis)
+# cocycle_basis_json is not called here; it stays importable because bench/spans.py rebinds it
+from .cohomology import cocycle_basis_json
 from .deformation import (CharacteristicVectorViolation, IntegrabilityMismatch, NotACocycle,
                           NotALieAlgebra, deform, filiform_check, is_integrable)
 from .formulas import (METHOD_BRUTE, METHOD_CLOSED, METHOD_WEIGHTS, DimensionReport,
@@ -239,8 +240,8 @@ def cmd_verify(args) -> int:
 def cmd_cocycles(args) -> int:
     block = block_named(args.block)
     alg = build_model(args.n, args.m, args.p)
-    doc = cocycle_basis_json(alg, block, allow_x0_target=args.allow_x0_target)
-    _write_output(args.out, lambda stream: write_cocycle_basis(doc, stream))
+    solved = cocycle_basis(alg, block, allow_x0_target=args.allow_x0_target)
+    _write_output(args.out, lambda stream: write_cocycle_basis(solved, stream))
     return 0
 
 

@@ -48,11 +48,14 @@ the model, where only X_0 acts, the reached triples are O(dim^2).
 what cancels.  `assemble_Z2_system` builds the library's matrix
 (`ConstraintSystem`) from these rows.  The brute force and the export
 call it over one block at a time and take its rows as made, with no
-matrix: `cocycle_basis_json` solves one block's rows with
-`kernel_basis` and checks every vector against them, and `block_dims`
-ranks each block's rows once; a block's dimension is its column count
-minus that rank.  Each entry lives in one column and each column in one
-block, so a block's rows are exactly the joint rows restricted to it.
+matrix: `cocycle_basis` solves one block's rows with `kernel_basis`
+and checks every vector against them, and `block_dims` ranks each
+block's rows once; a block's dimension is its column count minus that
+rank.  The export writes the checked basis as stored, integer
+numerators over one denominator per vector (`write_cocycle_basis`);
+`cocycle_basis_json` is the same basis as a document of dicts.  Each
+entry lives in one column and each column in one block, so a block's
+rows are exactly the joint rows restricted to it.
 A joint row spans blocks exactly when its (triple, target) is reached
 by the sums of two blocks.  In the model no row does, so the six-block
 decomposition holds by structure.  When a row does (a law with
@@ -62,15 +65,13 @@ as well, and a difference raises DecompositionMismatch.
 
 from __future__ import annotations
 
-import json
 import reprlib
 from enum import Enum
 from itertools import combinations, product
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .algebra import ColorLieAlgebra, Vector, integral_law, jacobiator, reached_triples
-from .linalg import SparseIntMatrix, kernel_basis, nullity, rank_certified
+from .linalg import KernelBasis, SparseIntMatrix, kernel_basis, nullity, rank_certified
 from .scalars import add_into, as_coeff, as_int, ratio_str
 
 
@@ -549,64 +550,93 @@ def delta1(alg: ColorLieAlgebra, g_map: Mapping) -> Cochain2:
 # -- serialization ------------------------------------------------------
 
 
-def cocycle_basis_json(alg: ColorLieAlgebra, block: BlockKind,
-                       allow_x0_target: bool = False) -> dict:
-    """Kernel basis of one block in the export JSON schema.
+class CocycleBasis(NamedTuple):
+    """One block's verified kernel basis, with the (i, j, s) of each column.
+
+    `columns[c]` names the basis map phi^s_{i,j} of column c, in
+    `cochain_columns` order; `kernel` is the `KernelBasis` over those
+    columns, every vector checked against the block's rows.
+    """
+
+    block: BlockKind
+    n: int
+    m: int
+    p: int
+    columns: tuple
+    kernel: KernelBasis
+
+
+def cocycle_basis(alg: ColorLieAlgebra, block: BlockKind,
+                  allow_x0_target: bool = False) -> CocycleBasis:
+    """The canonical kernel basis of one block, checked before it is returned.
 
     Solves the block's rows of `_term_sums` as they are, the rows
     `block_dims` ranks, with no `ConstraintSystem` or `SparseIntMatrix`
     between; the columns are the (i, j, s) maps of `_block_bases`, in
     `cochain_columns` order.  Every vector is checked against those same
-    rows (M v = 0) before the document is built; a failure raises
-    KernelMismatch.  Each coefficient is written from the stored
-    numerator and denominator (`ratio_str`), as `str` of the `Fraction`
-    would write it.
+    rows (M v = 0); a failure raises KernelMismatch, so nothing built
+    from the result is ever written unchecked.
     """
     n, m, p = model_shape(alg)
     _, sums = _term_sums(alg, {block}, allow_x0_target)
     rows = [row for acc in sums.values() for row in acc.values()]
     ((_, pairs, targets),) = _block_bases(alg, {block}, allow_x0_target)
-    keys = [(i, j, s) for i, j in pairs for s in targets]
-    basis = kernel_basis(rows, len(keys))
-    if not basis.verify(rows):
+    columns = tuple((i, j, s) for i, j in pairs for s in targets)
+    kernel = kernel_basis(rows, len(columns))
+    if not kernel.verify(rows):
         raise KernelMismatch(
             f"block {block.name} kernel basis fails M v = 0 at (n, m, p) = {(n, m, p)}")
-    vectors = [[{"i": keys[c][0], "j": keys[c][1], "s": keys[c][2], "coeff": ratio_str(v, d)}
-                for c, v in w.items()]
-               for w, d in basis.integral]
-    return {"block": block.name, "n": n, "m": m, "p": p,
-            "dim": basis.dim, "basis": vectors}
+    return CocycleBasis(block, n, m, p, columns, kernel)
 
 
-_TERM_HEAD = '      {{\n        "i": {},\n        "j": {},\n        "s": {},\n        "coeff": '
+def cocycle_basis_json(alg: ColorLieAlgebra, block: BlockKind,
+                       allow_x0_target: bool = False) -> dict:
+    """`cocycle_basis` as a document of the export JSON schema.
+
+    One dict per term, each coefficient written from the stored
+    numerator and denominator (`ratio_str`), as `str` of the `Fraction`
+    would write it.  `write_cocycle_basis` writes the same document's
+    text from the `CocycleBasis` itself, without these dicts.
+    """
+    solved = cocycle_basis(alg, block, allow_x0_target)
+    columns = solved.columns
+    vectors = [[{"i": columns[c][0], "j": columns[c][1], "s": columns[c][2],
+                 "coeff": ratio_str(v, d)} for c, v in w.items()]
+               for w, d in solved.kernel.integral]
+    return {"block": block.name, "n": solved.n, "m": solved.m, "p": solved.p,
+            "dim": solved.kernel.dim, "basis": vectors}
 
 
-def write_cocycle_basis(doc: Mapping, stream) -> None:
-    """json.dump(doc, stream, indent=2) and a newline, for a `cocycle_basis_json` doc.
+_TERM_HEAD = '      {{\n        "i": {},\n        "j": {},\n        "s": {},\n        "coeff": "'
+
+
+def write_cocycle_basis(solved: CocycleBasis, stream) -> None:
+    """json.dump(doc, stream, indent=2) and a newline, doc the `cocycle_basis_json` of `solved`.
 
     An indented json.dump runs the pure-Python encoder, one write per
-    token.  Here the header comes first and "basis" last, as
-    `cocycle_basis_json` orders them; each vector is one string, written
-    once built, and a term's text up to its coefficient is formatted once
-    per (i, j, s) column and reused by every vector that holds it.
+    token; this writes the same bytes straight from the stored integral
+    basis, with no term dicts.  A term's text up to its coefficient is
+    formatted once per column and reused by every vector that holds it;
+    each coefficient is `str(v)` over a denominator d = 1, else
+    `ratio_str(v, d)`, digits, sign and slash only, so it is quoted as
+    is.  Each vector is one string, written once built.
     """
-    header = "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n"
-                     for key, value in doc.items() if key != "basis")
-    stream.write("{\n" + header + '  "basis": [')
-    heads: dict = {}
+    stream.write(f'{{\n  "block": "{solved.block.name}",\n  "n": {solved.n},\n  '
+                 f'"m": {solved.m},\n  "p": {solved.p},\n  "dim": {solved.kernel.dim},\n  '
+                 '"basis": [')
+    heads = [None] * len(solved.columns)
     sep = "\n"
-    for vector in doc["basis"]:
+    for w, d in solved.kernel.integral:
         parts = []
-        for t in vector:
-            key = t["i"], t["j"], t["s"]
-            head = heads.get(key)
+        for c, v in w.items():
+            head = heads[c]
             if head is None:
-                head = heads[key] = _TERM_HEAD.format(*key)
-            parts.append(head + encode_basestring_ascii(t["coeff"]))
-        terms = "\n      },\n".join(parts)
-        stream.write(f"{sep}    [\n{terms}\n      }}\n    ]")
+                head = heads[c] = _TERM_HEAD.format(*solved.columns[c])
+            parts.append(head + (str(v) if d == 1 else ratio_str(v, d)))
+        terms = '"\n      },\n'.join(parts)
+        stream.write(f'{sep}    [\n{terms}"\n      }}\n    ]')
         sep = ",\n"
-    stream.write("\n  ]\n}\n" if doc["basis"] else "]\n}\n")
+    stream.write("\n  ]\n}\n" if solved.kernel.integral else "]\n}\n")
 
 
 def cochain_from_json(alg: ColorLieAlgebra, data: Mapping) -> Cochain2:

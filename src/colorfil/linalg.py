@@ -297,6 +297,12 @@ def kernel_basis(rows: Iterable, n_cols: int) -> KernelBasis:
 
     M's leftmost-pivot set is the pivot rows' lowest columns and T's
     leftmost pivots, so the sum is M's vector for g, in the stored form.
+
+    Key order, which the export writes as stored: v_g's support is g and
+    then the pivot columns below it in the order the pass solved them,
+    largest first, so it is emitted reversed, ascending, with no sort; a
+    sum is sorted once.  The vectors are then ordered by their first key,
+    their lowest column.
     """
     pivots: dict = {}
     aside = []
@@ -312,17 +318,23 @@ def kernel_basis(rows: Iterable, n_cols: int) -> KernelBasis:
     vectors = []
     for g, fs in used.items():
         if len(fs) == 1:  # T's column g is zero: v_g is in the kernel of M
-            w, d = {k: values[k][g] for k in support[g]}, denoms[g]
+            # support[g] is g, then the columns below it as the pass solved
+            # them, largest first: reversed, it ascends
+            cols, d = support[g][::-1], denoms[g]
+            sign = -1 if values[cols[0]][g] < 0 else 1
+            w = {k: sign * values[k][g] for k in cols}
         else:
             w, d = {}, scales[g] * denoms[g]
             for f in fs:
                 u = coeffs[f][g]
                 for k in support[f]:
                     w[k] = w.get(k, 0) + u * values[k][f]
+            cols = sorted(k for k, v in w.items() if v)
             content = gcd(d, *w.values())
-            w, d = {k: v // content for k, v in w.items() if v}, d // content
-        cols = sorted(w)
-        sign = -1 if w[cols[0]] < 0 else 1
-        vectors.append(({k: sign * w[k] for k in cols}, d))
-    vectors.sort(key=lambda wd: min(wd[0]))
+            d //= content
+            if w[cols[0]] < 0:
+                content = -content
+            w = {k: w[k] // content for k in cols}
+        vectors.append((w, d))
+    vectors.sort(key=lambda wd: next(iter(wd[0])))  # each vector's first key is its lowest
     return KernelBasis(tuple(vectors))

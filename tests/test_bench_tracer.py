@@ -7,6 +7,7 @@ of the per-layer timings.
 """
 
 import importlib
+import json
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -99,10 +100,11 @@ def test_block_dims_ranks_each_block_once(monkeypatch):
     assert sum(rank for _, _, rank in ranked) == rank_certified(joint.matrix)
 
 
-def test_cocycle_export_solves_once_through_the_traced_name(monkeypatch):
+def test_cocycle_export_solves_once_through_the_traced_name(monkeypatch, capsys):
     # the tracer times the kernel layer through colorfil.cohomology.kernel_basis;
-    # cocycle_basis_json solves its block through that name, once, straight
-    # from the row sums, with no assembled ConstraintSystem in between
+    # cocycle_basis_json and the cocycles command solve their block through
+    # that name, once, straight from the row sums, with no assembled
+    # ConstraintSystem in between
     alg = build_model(8, 6, 6)
     calls = []
 
@@ -120,6 +122,11 @@ def test_cocycle_export_solves_once_through_the_traced_name(monkeypatch):
         doc = colorfil.cohomology.cocycle_basis_json(alg, block)
         assert calls == [len(cochain_columns(alg, {block}))], block.name
         assert doc["dim"] == len(doc["basis"])
+        calls.clear()
+        code = colorfil.cli.main(["cocycles", "--n", "8", "--m", "6", "--p", "6",
+                                  "--block", block.name])
+        assert (code, calls) == (0, [len(cochain_columns(alg, {block}))]), block.name
+        assert json.loads(capsys.readouterr().out) == doc
 
 
 def test_weight_report_counts_through_the_traced_name(monkeypatch):

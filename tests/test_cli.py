@@ -15,7 +15,7 @@ import colorfil
 from colorfil import cli, deformation, formulas
 from colorfil.algebra import build_model
 from colorfil.cli import main
-from colorfil.cohomology import (ALL_BLOCKS, block_named, cocycle_basis_json,
+from colorfil.cohomology import (ALL_BLOCKS, block_named, cocycle_basis, cocycle_basis_json,
                                  write_cocycle_basis)
 from colorfil.weights import count_weight_dim
 
@@ -358,13 +358,16 @@ def test_cocycles_empty_block(capsys):
     ((8, 6, 6), False, ALL_BLOCKS), ((8, 6, 6), True, ALL_BLOCKS),
     ((3, 2, 2), False, ALL_BLOCKS), ((3, 2, 2), True, ALL_BLOCKS),
     ((1, 1, 1), False, (block_named("D"),)),  # the empty basis
+    ((14, 10, 12), False, (block_named("B"),)),  # 28 of its 91 vectors over d > 1
 ])
 def test_write_basis_is_json_dump_indent_2(point, allow_x0_target, blocks):
+    # the writer formats the stored integral basis itself; its text must be
+    # the indented dump of the library's dict view of the same basis
     alg = build_model(*point)
     for block in blocks:
         doc = cocycle_basis_json(alg, block, allow_x0_target=allow_x0_target)
         stream = io.StringIO()
-        write_cocycle_basis(doc, stream)
+        write_cocycle_basis(cocycle_basis(alg, block, allow_x0_target=allow_x0_target), stream)
         assert stream.getvalue() == json.dumps(doc, indent=2) + "\n", block.name
 
 

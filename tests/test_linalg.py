@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from colorfil.algebra import build_model
+from colorfil.cohomology import ALL_BLOCKS, _term_sums, cochain_columns
 from colorfil.linalg import (KernelBasis, SparseIntMatrix, _eliminate_int, kernel_basis, nullity,
                              rank_certified)
 from colorfil.scalars import ratio_str
@@ -198,6 +200,40 @@ def test_set_aside_row_solved_through_a_non_unit_pivot():
     # swapped, column 0's pivot row as given is the non-unit one
     assert kernel_basis(rows[::-1], 3).integral == expected
     assert kernel_basis(rows, 4).integral == expected + (({3: 1}, 1),)
+
+
+def assert_stored_key_order(basis):
+    """Each vector's columns ascend, and the vectors ascend by their lead column.
+
+    The oracle checks compare dicts with ==, which ignores key order; the
+    export writes the terms in stored order, so the order is checked here.
+    """
+    leads = []
+    for w, _ in basis.integral:
+        cols = list(w)
+        assert cols == sorted(cols), cols
+        leads.append(cols[0])
+    assert leads == sorted(leads), leads
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(non_unit_matrices().map(lambda m: (m, m.n_cols)),
+                 wide_sparse_rows().map(lambda m: ([dict(row) for row in m.rows], m.n_cols)),
+                 rows_sharing_lowest_columns()))
+def test_stored_key_order(case):
+    rows, n_cols = case
+    assert_stored_key_order(kernel_basis(rows, n_cols))
+
+
+@pytest.mark.parametrize("nmp", [(8, 6, 6), (14, 10, 12)])
+def test_stored_key_order_on_model_blocks(nmp):
+    alg = build_model(*nmp)
+    for block in ALL_BLOCKS:
+        _, sums = _term_sums(alg, {block}, False)
+        rows = [row for acc in sums.values() for row in acc.values()]
+        basis = kernel_basis(rows, len(cochain_columns(alg, {block})))
+        assert basis.dim, block.name
+        assert_stored_key_order(basis)
 
 
 def test_rank_certified_identity():
