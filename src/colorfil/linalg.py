@@ -318,8 +318,6 @@ def kernel_basis(rows: Iterable, n_cols: int) -> KernelBasis:
     vectors = []
     for g, fs in used.items():
         if len(fs) == 1:  # T's column g is zero: v_g is in the kernel of M
-            # support[g] is g, then the columns below it as the pass solved
-            # them, largest first: reversed, it ascends
             cols, d = support[g][::-1], denoms[g]
             sign = -1 if values[cols[0]][g] < 0 else 1
             w = {k: sign * values[k][g] for k in cols}
