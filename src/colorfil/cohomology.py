@@ -423,9 +423,10 @@ def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
     """Per-block cocycle dimensions, ranked straight from `_term_sums`.
 
     Each block's rows come from a call over that block alone, scaled
-    once for all calls, and are ranked as made; the joint rows are made
-    and ranked only when a (triple, target) is reached by two blocks
-    (the module docstring's spanning rule).
+    once for all calls, ranked as made and released before the next
+    block's: only the target indices each triple reached are kept.  The
+    joint rows are made and ranked only when a (triple, target) is
+    reached by two blocks (the module docstring's spanning rule).
     """
     alg = integral_law(alg)
     dims = dict.fromkeys(ALL_BLOCKS, 0)
@@ -437,14 +438,12 @@ def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
             continue
         _, sums = _term_sums(alg, (block,), allow_x0_target)
         for triple, acc in sums.items():
-            targets = reached.get(triple)
-            if targets is None:
-                reached[triple] = acc.keys()
-            else:
-                spanning = spanning or not targets.isdisjoint(acc)
-                reached[triple] = targets | acc.keys()
+            targets = reached.get(triple, ())
+            spanning = spanning or not acc.keys().isdisjoint(targets)
+            reached[triple] = (*targets, *acc)
         dims[block] = width - rank_certified([row for acc in sums.values()
                                               for row in acc.values()])
+        sums = acc = None  # release this block's rows before the next block's are made
     if spanning:
         ranges, sums = _term_sums(alg, ALL_BLOCKS, allow_x0_target)
         joint = [row for acc in sums.values() for row in acc.values()]

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,12 +13,12 @@ from hypothesis import strategies as st
 import colorfil.cohomology
 from colorfil.algebra import ColorLieAlgebra, build_model, from_json_dict, validate_jacobi
 from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
-                                 DecompositionMismatch, assemble_Z2_system, block_dims,
+                                 DecompositionMismatch, _term_sums, assemble_Z2_system, block_dims,
                                  cochain_columns, cochain_from_json, cocycle_basis_json,
                                  cocycle_defect, delta1, delta2, is_cocycle)
 from colorfil.deformation import deform
 from colorfil.formulas import main_theorem_total
-from colorfil.linalg import kernel_basis
+from colorfil.linalg import kernel_basis, rank_certified
 
 
 def vec_by_label(alg, vec):
@@ -270,6 +271,72 @@ def test_block_dims_makes_no_rows_for_an_empty_block(monkeypatch):
             assert calls == [(block,) for block in with_columns], (nmp, allow_x0_target)
             assert dims == expected, (nmp, allow_x0_target)
             assert 0 < len(with_columns) < len(ALL_BLOCKS)
+
+
+def test_block_dims_spans_at_a_shared_triple_and_target_only(monkeypatch):
+    # a law deformed by block B's or C's first vector reaches some triples
+    # from two blocks (in one of them every row cancels), but never at the
+    # same target: no row spans blocks, so block_dims makes no joint rows.
+    # Deformed by block D's, a (triple, target) is shared and the joint rows
+    # are made and ranked
+    calls = []
+
+    def recording(alg, blocks, allow_x0_target):
+        calls.append(tuple(blocks))
+        return _term_sums(alg, blocks, allow_x0_target)
+
+    monkeypatch.setattr(colorfil.cohomology, "_term_sums", recording)
+    for nmp in [(3, 2, 2), (5, 3, 4)]:
+        base = build_model(*nmp)
+        for block in (BlockKind.B, BlockKind.C, BlockKind.D):
+            alg = deform(base, assemble_Z2_system(base, {block}).kernel_cochains()[0]).result
+            triple_blocks, target_blocks = {}, {}
+            for kind in ALL_BLOCKS:
+                for triple, acc in _term_sums(alg, (kind,), False)[1].items():
+                    triple_blocks.setdefault(triple, []).append(kind)
+                    for u in acc:
+                        target_blocks.setdefault((triple, u), []).append(kind)
+            shared_triples = [t for t, kinds in triple_blocks.items() if len(kinds) > 1]
+            shared_targets = [t for t, kinds in target_blocks.items() if len(kinds) > 1]
+            assert shared_triples, (nmp, block)
+            calls.clear()
+            if block is BlockKind.D:
+                assert shared_targets, nmp
+                with pytest.raises(DecompositionMismatch):
+                    block_dims(alg)
+                assert calls[-1] == tuple(ALL_BLOCKS), nmp
+            else:
+                assert not shared_targets, (nmp, block)
+                dims = block_dims(alg)
+                assert all(len(blocks) == 1 for blocks in calls), (nmp, block)
+                assert sum(dims.values()) == assemble_Z2_system(alg).nullity(), (nmp, block)
+
+
+def test_block_dims_holds_one_block_of_rows_at_a_time():
+    # block_dims keeps only the target indices each triple reached and
+    # releases a block's rows once ranked, so its peak is that of the largest
+    # block's row source and rank run alone.  Keeping every block's rows
+    # took 3.0x that, and releasing a block's rows only as the next block's
+    # were made 1.4x
+    alg = build_model(14, 10, 12)
+
+    def peak(run, *args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+
+    def one_block(block):
+        _, sums = _term_sums(alg, (block,), False)
+        rank_certified([row for acc in sums.values() for row in acc.values()])
+
+    tracemalloc.start()
+    try:
+        largest = max(peak(one_block, block) for block in ALL_BLOCKS)
+        whole = peak(block_dims, alg)
+    finally:
+        tracemalloc.stop()
+    assert whole <= 1.25 * largest, (whole, largest)
 
 
 def test_kernel_cochains_reverified_via_delta2():
