@@ -74,15 +74,8 @@ class ColorLieAlgebra:
             raise ValueError(f"expected 3 graded components, got {len(dims)}")
         if any(d < 0 for d in dims):
             raise ValueError("component dimensions must be nonnegative")
-        self._dims = dims
-        self._elements: list[BasisElement] = []
-        self._offsets = []
-        for g, d in enumerate(dims):
-            self._offsets.append(len(self._elements))
-            start = 0 if g == 0 else 1
-            self._elements.extend(BasisElement(FAMILY_LETTERS[g], i, g)
-                                  for i in range(start, start + d))
-        self._index = {e.label: i for i, e in enumerate(self._elements)}
+        self._dims = dims  # the basis is read from dims, never tabulated
+        self._offsets = (0, dims[0], dims[0] + dims[1])
         # {x: {y: [e_x, e_y]}}: the mirrored entry (b, a) holds the negated vector
         self._brackets: dict = {}
         for (a, b), vec in (constants or {}).items():
@@ -109,10 +102,8 @@ class ColorLieAlgebra:
         target_degree = (self.degree_of(a) + self.degree_of(b)) % 3
         for t in clean:
             if self.degree_of(t) != target_degree:
-                raise ValueError(
-                    f"bracket [{self.label(a)}, {self.label(b)}] must land in degree "
-                    f"{target_degree}, got component {self.label(t)}"
-                )
+                raise ValueError(f"bracket [{self.label(a)}, {self.label(b)}] must land in "
+                                 f"degree {target_degree}, got component {self.label(t)}")
         if b in self._brackets.get(a, ()):
             raise ValueError(f"duplicate structure constant for pair ({a}, {b})")
         self._brackets.setdefault(a, {})[b] = clean
@@ -126,29 +117,37 @@ class ColorLieAlgebra:
 
     @property
     def dim(self) -> int:
-        return len(self._elements)
+        return self._offsets[2] + self._dims[2]
 
     def element(self, i: int) -> BasisElement:
-        return self._elements[i]
+        g = self.degree_of(i)
+        return BasisElement(FAMILY_LETTERS[g], i - self._offsets[g] + (g > 0), g)
 
     def label(self, i: int) -> str:
-        return self._elements[i].label
-
-    def labels(self) -> list:
-        return [e.label for e in self._elements]
+        g = self.degree_of(i)
+        return f"{FAMILY_LETTERS[g]}{i - self._offsets[g] + (g > 0)}"
 
     def degree_of(self, i: int) -> int:
-        return self._elements[i].degree
+        _, off1, off2 = self._offsets
+        if not 0 <= i < off2 + self._dims[2]:  # negative indices too: no list wraps them round
+            raise IndexError(f"basis index {i} out of range 0..{self.dim - 1}")
+        return (i >= off1) + (i >= off2)
 
     def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"no basis element {reprlib.repr(label)}") from None
+        """Index of the label X0..Xn, Y1..Ym or Z1..Zp (no leading zeros), else KeyError.
+
+        Digits longer than the family's dimension allows are not read by `int`.
+        """
+        g = FAMILY_LETTERS.find(label[:1] or "?") if isinstance(label, str) else -1
+        digits = label[1:] if g >= 0 else ""
+        if (digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0")
+                and len(digits) <= self._dims[g].bit_length()
+                and 0 <= (i := int(digits) - (g > 0)) < self._dims[g]):
+            return self._offsets[g] + i
+        raise KeyError(f"no basis element {reprlib.repr(label)}")
 
     def component_indices(self, g: int) -> range:
-        start = self._offsets[g]
-        return range(start, start + self._dims[g])
+        return range(self._offsets[g], self._offsets[g] + self._dims[g])
 
     def global_index(self, g: int, i: int) -> int:
         """Global basis index of the family-g element numbered i (X_0 is 0)."""
@@ -171,10 +170,7 @@ class ColorLieAlgebra:
         return out
 
     def format_vector(self, vec: Mapping) -> str:
-        if not vec:
-            return "0"
-        parts = [f"{c}*{self.label(i)}" for i, c in sorted(vec.items())]
-        return " + ".join(parts)
+        return " + ".join(f"{c}*{self.label(i)}" for i, c in sorted(vec.items())) or "0"
 
     # -- the bracket --------------------------------------------------
 
@@ -228,14 +224,10 @@ class ColorLieAlgebra:
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        constants = []
-        for a, b, vec in self.nonzero_constants():
-            constants.append({
-                "lhs": self.label(a),
-                "rhs": self.label(b),
-                "value": [{"basis": self.label(t), "coeff": coeff_to_json(c)}
-                          for t, c in vec.items()],
-            })
+        constants = [{"lhs": self.label(a), "rhs": self.label(b),
+                      "value": [{"basis": self.label(t), "coeff": coeff_to_json(c)}
+                                for t, c in vec.items()]}
+                     for a, b, vec in self.nonzero_constants()]
         return {
             "k": 3,
             "dims": list(self._dims),
@@ -269,8 +261,7 @@ def from_json_dict(data) -> ColorLieAlgebra:
         alg = ColorLieAlgebra(dims)
         constants = {}
         for entry in data.get("constants", []):
-            a = alg.index(entry["lhs"])
-            b = alg.index(entry["rhs"])
+            a, b = alg.index(entry["lhs"]), alg.index(entry["rhs"])
             vec = {}
             for item in entry["value"]:
                 t = alg.index(item["basis"])
@@ -368,8 +359,8 @@ def validate_jacobi(alg: ColorLieAlgebra) -> list:
     are evaluated: J is zero at every other triple, and the list is the
     one a walk over all C(dim, 3) triples would give.
     """
-    labels = alg.labels()
-    return [JacobiViolation((labels[a], labels[b], labels[c]), alg.format_vector(res))
+    label = alg.label  # only the reported triples are labelled
+    return [JacobiViolation((label(a), label(b), label(c)), alg.format_vector(res))
             for a, b, c in sorted(reached_triples(alg, alg))
             if (res := jacobiator(alg, alg, a, b, c))]
 

@@ -276,10 +276,9 @@ class ConstraintSystem(NamedTuple):
     @property
     def row_labels(self) -> tuple:
         """RowLabel (condition family, triple labels, target label) per row."""
-        labels = self.alg.labels()
-        degree = self.alg.degree_of
+        label, degree = self.alg.label, self.alg.degree_of
         return tuple(RowLabel(CONDITION_BY_SHAPE[(degree(a), degree(b), degree(c))],
-                              (labels[a], labels[b], labels[c]), labels[u])
+                              (label(a), label(b), label(c)), label(u))
                      for (a, b, c), u in self.row_origins)
 
     def nullity(self) -> int:
@@ -300,7 +299,7 @@ def _term_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) ->
     Each term of d2 psi is generated from the nonzero bracket it holds
     (see the module docstring) in `integral_law(alg)`, so every entry is
     an int, and summed into its triple.  Entries that cancel to 0, and
-    rows that cancel whole, are dropped.
+    rows and triples that cancel whole, are dropped.
     """
     alg = integral_law(alg)
     cancelled = False  # no model sum cancels, so the model's rows are final as made
@@ -376,9 +375,12 @@ def _term_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) ->
                             cancelled = True
                     col += 1
     if cancelled:
+        kept = {}
         for triple, acc in sums.items():
             rows = ((u, {c: v for c, v in row.items() if v}) for u, row in acc.items())
-            sums[triple] = {u: row for u, row in rows if row}
+            if acc := {u: row for u, row in rows if row}:
+                kept[triple] = acc
+        sums = kept
     return ranges, sums
 
 
@@ -469,12 +471,14 @@ def delta2(alg: ColorLieAlgebra, psi: Cochain2, triple) -> Vector:
     built on an algebra of other dims, raises ValueError naming it.
     """
     _check_cochain_of(alg, psi)
-    index = {i: i for i in range(alg.dim)} | {label: i for i, label in enumerate(alg.labels())}
+    abc = []
     for entry in triple:
-        if type(entry) not in (int, str) or entry not in index:
+        try:  # an index in range, else a label: index raises KeyError for anything else
+            abc.append(entry if type(entry) is int and 0 <= entry < alg.dim else alg.index(entry))
+        except KeyError:
             raise ValueError(f"delta2 takes basis labels or indices 0..{alg.dim - 1}, "
-                             f"got {reprlib.repr(entry)}")
-    return _delta2(alg, psi.law, *(index[entry] for entry in triple))
+                             f"got {reprlib.repr(entry)}") from None
+    return _delta2(alg, psi.law, *abc)
 
 
 def _delta2(alg: ColorLieAlgebra, law: ColorLieAlgebra, a: int, b: int, c: int) -> Vector:

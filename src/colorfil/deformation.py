@@ -24,6 +24,7 @@ rows with the L_0 partners the bracket index lists for them.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .algebra import ColorLieAlgebra, integral_law, validate_jacobi
@@ -112,13 +113,20 @@ def filiform_check(alg: ColorLieAlgebra) -> bool:
     integral, with a only among the L_0 partners the bracket index lists
     for v's support: [a, v] is zero for every other a.  The first step
     whose dimension is off the rule fails; a step that keeps its
-    dimension (a sequence stuck above zero) is one.
+    dimension (a sequence stuck above zero) is one.  A component with
+    fewer brackets with L_0 than its first step needs fails before its
+    basis is listed: the cost is bounded by the constants, not the dims.
     """
     law = integral_law(alg)
     partners, l0 = law.bracket_index, alg.component_indices(0)
+    stored = Counter(alg.degree_of(b) for a, row in partners.items() if a in l0
+                     for b in row if b > a)  # [a, b], a in L_0, by the degree of b
     for g, d in enumerate(alg.dims):
+        first = d - 2 if g == 0 and d >= 2 else d - 1
+        if stored[g] < first:
+            return False
         current = [{i: 1} for i in alg.component_indices(g)]
-        for expected in range(d - 2 if g == 0 and d >= 2 else d - 1, -1, -1):
+        for expected in range(first, -1, -1):
             images = [w for v in current
                       for a in {x for b in v for x in partners.get(b, ()) if x in l0}
                       if (w := law.bracket({a: 1}, v))]

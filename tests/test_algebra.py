@@ -1,5 +1,7 @@
 """Model construction, bracket arithmetic, and structural checks."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,60 @@ def test_model_3_2_2_constants():
 def test_model_invalid_params(n, m, p):
     with pytest.raises(InvalidParams):
         build_model(n, m, p)
+
+
+@pytest.mark.parametrize("dims", [(4, 2, 2), (1, 0, 0), (4, 0, 2), (3, 2, 0), (11, 10, 0),
+                                  (1, 0, 12)])
+def test_basis_queries_match_a_table(dims):
+    # the basis is read from dims: the answers are those of the table
+    # X0..Xn, Y1..Ym, Z1..Zp, and index accepts its labels and nothing else.
+    # An index outside 0..dim-1 raises: list indexing answered label(-1) of
+    # the (3,2,2) model with the last element, Z2
+    table = [(letter, i, g) for g, letter in enumerate("XYZ")
+             for i in range(g > 0, dims[g] + (g > 0))]
+    labels = [f"{letter}{i}" for letter, i, _ in table]
+    alg = ColorLieAlgebra(dims)
+    assert alg.dim == len(table)
+    assert [tuple(alg.element(k)) for k in range(alg.dim)] == table
+    assert [alg.label(k) for k in range(alg.dim)] == labels
+    assert [alg.degree_of(k) for k in range(alg.dim)] == [g for _, _, g in table]
+    assert [alg.index(label) for label in labels] == list(range(alg.dim))
+    candidates = {f"{letter}{i}" for letter in "XYZxW" for i in range(-2, 16)}
+    candidates |= {f"{letter}0{i}" for letter in "XYZ" for i in range(4)}
+    for label in sorted(candidates - set(labels)):
+        with pytest.raises(KeyError):
+            alg.index(label)
+    for k in (-1, -alg.dim, alg.dim, 10**40):
+        for query in (alg.element, alg.label, alg.degree_of):
+            with pytest.raises(IndexError):
+                query(k)
+
+
+@pytest.mark.parametrize("label", ["X01", "Y0", "Z3", "x1", "X+1", "X 1", "X\uff11", "X", "",
+                                   "X-1", "Y1 ", "X" + "1" * 5000, None, 1, ("X", 1)])
+def test_index_refuses_what_is_not_a_label(label):
+    alg = build_model(3, 2, 2)
+    with pytest.raises(KeyError):
+        alg.index(label)
+
+
+def test_dims_are_not_tabulated():
+    # an algebra stores its dims, not one entry per basis element: 300000
+    # elements cost what 3 do, and 10**40 of them build at once.  The checks
+    # after parsing run on such dims in tests/test_readers.py, under a cap
+    tracemalloc.start()
+    try:
+        ColorLieAlgebra((100000, 100000, 100000))
+        assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+    finally:
+        tracemalloc.stop()
+    alg = ColorLieAlgebra((10**40, 2, 2))
+    assert alg.dim == 10**40 + 4
+    assert alg.label(10**40 - 1) == f"X{10**40 - 1}"
+    assert alg.index(f"X{10**40 - 1}") == 10**40 - 1
+    assert alg.index("Z2") == 10**40 + 3 and alg.element(10**40 + 3) == ("Z", 2, 2)
+    with pytest.raises(KeyError):
+        alg.index(f"X{10**40}")
 
 
 def test_bracket_is_linear():

@@ -274,11 +274,12 @@ def test_block_dims_makes_no_rows_for_an_empty_block(monkeypatch):
 
 
 def test_block_dims_spans_at_a_shared_triple_and_target_only(monkeypatch):
-    # a law deformed by block B's or C's first vector reaches some triples
-    # from two blocks (in one of them every row cancels), but never at the
-    # same target: no row spans blocks, so block_dims makes no joint rows.
-    # Deformed by block D's, a (triple, target) is shared and the joint rows
-    # are made and ranked
+    # the (3,2,2) model with [X1, Y1] = Y1 added reaches some triples from
+    # two blocks, but never at the same target: no row spans blocks, so
+    # block_dims makes no joint rows.  Nor does it for a law deformed by
+    # block B's or C's first vector, which shares no triple.  Deformed by
+    # block D's, a (triple, target) is shared and the joint rows are made
+    # and ranked
     calls = []
 
     def recording(alg, blocks, allow_x0_target):
@@ -286,30 +287,34 @@ def test_block_dims_spans_at_a_shared_triple_and_target_only(monkeypatch):
         return _term_sums(alg, blocks, allow_x0_target)
 
     monkeypatch.setattr(colorfil.cohomology, "_term_sums", recording)
+    base = build_model(3, 2, 2)
+    laws = [((3, 2, 2), "X1Y1", base.with_added_constants({(1, 4): {4: 1}}))]
     for nmp in [(3, 2, 2), (5, 3, 4)]:
         base = build_model(*nmp)
-        for block in (BlockKind.B, BlockKind.C, BlockKind.D):
-            alg = deform(base, assemble_Z2_system(base, {block}).kernel_cochains()[0]).result
-            triple_blocks, target_blocks = {}, {}
-            for kind in ALL_BLOCKS:
-                for triple, acc in _term_sums(alg, (kind,), False)[1].items():
-                    triple_blocks.setdefault(triple, []).append(kind)
-                    for u in acc:
-                        target_blocks.setdefault((triple, u), []).append(kind)
-            shared_triples = [t for t, kinds in triple_blocks.items() if len(kinds) > 1]
-            shared_targets = [t for t, kinds in target_blocks.items() if len(kinds) > 1]
-            assert shared_triples, (nmp, block)
-            calls.clear()
-            if block is BlockKind.D:
-                assert shared_targets, nmp
-                with pytest.raises(DecompositionMismatch):
-                    block_dims(alg)
-                assert calls[-1] == tuple(ALL_BLOCKS), nmp
-            else:
-                assert not shared_targets, (nmp, block)
-                dims = block_dims(alg)
-                assert all(len(blocks) == 1 for blocks in calls), (nmp, block)
-                assert sum(dims.values()) == assemble_Z2_system(alg).nullity(), (nmp, block)
+        laws += [(nmp, block, deform(base, assemble_Z2_system(base, {block})
+                                     .kernel_cochains()[0]).result)
+                 for block in (BlockKind.B, BlockKind.C, BlockKind.D)]
+    for nmp, block, alg in laws:
+        triple_blocks, target_blocks = {}, {}
+        for kind in ALL_BLOCKS:
+            for triple, acc in _term_sums(alg, (kind,), False)[1].items():
+                triple_blocks.setdefault(triple, []).append(kind)
+                for u in acc:
+                    target_blocks.setdefault((triple, u), []).append(kind)
+        shared_triples = [t for t, kinds in triple_blocks.items() if len(kinds) > 1]
+        shared_targets = [t for t, kinds in target_blocks.items() if len(kinds) > 1]
+        assert bool(shared_triples) == (block in ("X1Y1", BlockKind.D)), (nmp, block)
+        calls.clear()
+        if block is BlockKind.D:
+            assert shared_targets, nmp
+            with pytest.raises(DecompositionMismatch):
+                block_dims(alg)
+            assert calls[-1] == tuple(ALL_BLOCKS), nmp
+        else:
+            assert not shared_targets, (nmp, block)
+            dims = block_dims(alg)
+            assert all(len(blocks) == 1 for blocks in calls), (nmp, block)
+            assert sum(dims.values()) == assemble_Z2_system(alg).nullity(), (nmp, block)
 
 
 def test_block_dims_holds_one_block_of_rows_at_a_time():
@@ -726,6 +731,19 @@ def test_term_sums_are_unchanged(name, make, allow_x0_target, digest):
                  [(triple, [(u, list(row.items())) for u, row in acc.items()])
                   for triple, acc in sums.items()]))
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
+
+
+def test_term_sums_drop_triples_whose_rows_all_cancel():
+    # deformed by block B's first exported vector, the (3,2,2) model's block-B
+    # terms cancel whole at (1,2,4), (1,2,5), (1,3,4) and (1,3,5): those
+    # triples have no rows, so the sums hold no entry for them
+    base = build_model(3, 2, 2)
+    export = cocycle_basis_json(base, BlockKind.B)
+    alg = deform(base, cochain_from_json(base, {**export, "basis": export["basis"][:1]})).result
+    _, sums = _term_sums(alg, (BlockKind.B,), False)
+    assert sums and all(acc for acc in sums.values())
+    assert all(row for acc in sums.values() for row in acc.values())
+    assert not {(1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5)} & sums.keys()
 
 
 def _order_views(alg, allow_x0_target):
