@@ -7,12 +7,11 @@ the closed-form dimension of each of the six blocks A-F against two
 independent routes: brute-force kernel computation and weight counting.
 """
 
-from .algebra import (BasisElement, ColorLieAlgebra, InvalidParams,
-                      JacobiViolation, build_model, check_params, from_json_dict,
-                      validate_jacobi)
-from .cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
-                         ConstraintSystem, DecompositionMismatch, KernelMismatch,
-                         assemble_Z2_system, block_dims, cochain_from_json, cocycle_basis,
+from .algebra import (ColorLieAlgebra, InvalidParams, JacobiViolation, build_model,
+                      check_params, from_json_dict, validate_jacobi)
+from .cohomology import (ALL_BLOCKS, BlockKind, ColumnKey, ConstraintSystem,
+                         DecompositionMismatch, KernelMismatch, assemble_Z2_system,
+                         block_dims, cochain, cochain_from_json, cocycle_basis,
                          cocycle_basis_json, delta1, delta2, is_cocycle, write_cocycle_basis)
 from .deformation import (CharacteristicVectorViolation, DeformedLaw,
                           IntegrabilityMismatch, NotACocycle, NotALieAlgebra,

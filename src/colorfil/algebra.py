@@ -39,16 +39,6 @@ class AlgebraFormatError(ValueError):
     """Malformed algebra JSON document."""
 
 
-class BasisElement(NamedTuple):
-    family: str
-    index: int
-    degree: int
-
-    @property
-    def label(self) -> str:
-        return f"{self.family}{self.index}"
-
-
 class JacobiViolation(NamedTuple):
     elements: tuple
     residual: str
@@ -118,10 +108,6 @@ class ColorLieAlgebra:
     @property
     def dim(self) -> int:
         return self._offsets[2] + self._dims[2]
-
-    def element(self, i: int) -> BasisElement:
-        g = self.degree_of(i)
-        return BasisElement(FAMILY_LETTERS[g], i - self._offsets[g] + (g > 0), g)
 
     def label(self, i: int) -> str:
         g = self.degree_of(i)
@@ -321,8 +307,8 @@ def build_model(n: int, m: int, p: int) -> ColorLieAlgebra:
 def reached_triples(inner: ColorLieAlgebra, outer: ColorLieAlgebra) -> set:
     """Ascending triples sorted(a, b, w) where outer(inner(a, b), w) can be nonzero.
 
-    `inner` and `outer` are laws (a bracket, or a cochain's values as
-    `Cochain2.law`).  A triple is reached when a component t of
+    `inner` and `outer` are laws (a bracket, or a cochain, whose values
+    form a law).  A triple is reached when a component t of
     inner(a, b) pairs nonzero with w in `outer` and w is neither a nor
     b.  A term such as [[a, b], w] or psi([a, b], w) is zero at every
     other triple.

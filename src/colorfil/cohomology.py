@@ -16,11 +16,11 @@ from the targets of the two L0-valued blocks A and E (pass
 `allow_x0_target=True` to readmit it there).  `_index_ranges` is the
 one statement of this X_0 rule.
 
-A degree-0 cochain has the shape of a law, so a `Cochain2` holds its
-values as one: `Cochain2.law` is the `ColorLieAlgebra` whose structure
-constants are psi's values, and the deformed law mu0 + phi is the sum
-of two such tables.  The block-wise basis maps phi^s_{i,j} (the matrix
-columns, `ColumnKey`) address it through `ColorLieAlgebra.global_index`.
+A degree-0 cochain has the shape of a law, so it is one: `cochain`
+returns the `ColorLieAlgebra` whose structure constants are psi's
+values, and the deformed law mu0 + phi is the sum of two such tables.
+The block-wise basis maps phi^s_{i,j} (the matrix columns, `ColumnKey`)
+address it through `ColorLieAlgebra.global_index`.
 
 The cocycle identity is the mixed Jacobiator of mu and psi:
 
@@ -107,9 +107,6 @@ class BlockKind(Enum):
         return g1 == g2
 
 
-_BLOCK_BY_SOURCE = {kind.source_degrees: kind for kind in BlockKind}
-
-
 def block_named(name) -> BlockKind:
     """The block with letter `name`; ValueError naming it otherwise."""
     try:
@@ -159,83 +156,56 @@ def _index_ranges(nmp: tuple, allow_x0_target: bool) -> tuple:
     return (range(1, n + 1), *rest), (target, *rest)
 
 
-class Cochain2:
-    """An immutable sparse degree-0 2-cochain on a model-shaped algebra.
+def cochain(alg: ColorLieAlgebra, coeffs: Mapping | Iterable | None = None,
+            allow_x0_target: bool = False) -> ColorLieAlgebra:
+    """A sparse degree-0 2-cochain psi on a model-shaped algebra, as a law.
 
-    Its values are a law: `law` is the `ColorLieAlgebra` whose structure
-    constants are psi(e_a, e_b), so psi is evaluated like a bracket.  The
-    block-wise interface addresses the basis map phi^s_{i,j} of a block
-    by family indices: same-family source pairs with i < j, mixed pairs
-    with the lower-degree family first, in the ranges of `_index_ranges`.
-    A law set directly (`delta1`) may take X_0 as a source:
-    `has_x0_source` tells.
-
-    `coeffs` (a mapping, or an iterable of (ColumnKey, coeff) pairs) may
-    name each basis map once: a repeat, or the swapped pair of an
-    alternating block, raises ValueError instead of summing.
+    The result is the `ColorLieAlgebra` whose structure constants are
+    psi(e_a, e_b), so psi is evaluated like a bracket.  `coeffs` (a
+    mapping, or an iterable of (ColumnKey, coeff) pairs) addresses the
+    basis map phi^s_{i,j} of a block by family indices: same-family
+    source pairs with i < j (the swapped pair stores the negative), mixed
+    pairs with the lower-degree family first, in the ranges of
+    `_index_ranges`.  Each basis map may be named once: a repeat, or the
+    swapped pair of an alternating block, raises ValueError instead of
+    summing.  So does a key that is not (BlockKind, i, j, s), an index
+    that is not an int (a bool or a float too), a diagonal pair or an
+    index outside the family ranges.
     """
-
-    def __init__(self, alg: ColorLieAlgebra, coeffs: Mapping | Iterable | None = None,
-                 allow_x0_target: bool = False):
-        self.alg = alg
-        self._sources, self._targets = _index_ranges(model_shape(alg), allow_x0_target)
-        if isinstance(coeffs, Mapping):
-            coeffs = coeffs.items()
-        table: dict = {}  # (a, b), a < b -> {t: coeff}
-        named: set = set()  # named once, so each value is set, not summed
-        for (block, i, j, s), c in coeffs or ():
-            a, b, t, sign = self._locate(block, i, j, s)
-            c = as_coeff(c)
-            if (a, b, t) in named:
-                raise ValueError(f"cochain names the basis map of block {block.name} "
-                                 f"at i={i}, j={j}, s={s} twice")
-            named.add((a, b, t))
-            if c:
-                table.setdefault((a, b), {})[t] = sign * c
-        self.law = ColorLieAlgebra(alg.dims, table)
-
-    def _locate(self, block: BlockKind, i: int, j: int, s: int) -> tuple:
-        """Global (a, b, t) of phi^s_{i,j} with a < b, and the swap sign.
-
-        Raises ValueError for an index that is not an int (a bool or a
-        float too), a diagonal pair or an index outside the family ranges.
-        """
-        i, j, s = as_int(i, "i"), as_int(j, "j"), as_int(s, "s")
-        sign = 1
+    sources, targets = _index_ranges(model_shape(alg), allow_x0_target)
+    glob = alg.global_index
+    if isinstance(coeffs, Mapping):
+        coeffs = coeffs.items()
+    table: dict = {}  # (a, b), a < b -> {t: coeff}
+    named: set = set()  # named once, so each value is set, not summed
+    for key, c in coeffs or ():
+        if not (isinstance(key, tuple) and len(key) == 4 and isinstance(key[0], BlockKind)):
+            raise ValueError(f"cochain key {reprlib.repr(key)} is not (block, i, j, s) "
+                             "with a BlockKind block")
+        block, i, j, s = key
+        # the range checks name the ordered pair, the repeat check the caller's
+        x, y, s, sign = as_int(i, "i"), as_int(j, "j"), as_int(s, "s"), 1
         if block.same_family:
-            if i == j:
-                raise ValueError(f"diagonal source pair ({i},{i}) in alternating block {block.name}")
-            if i > j:
-                i, j, sign = j, i, -1
-        g1, g2 = block.source_degrees
-        if i not in self._sources[g1]:
-            raise ValueError(f"source index i={i} out of range for block {block.name}")
-        if j not in self._sources[g2]:
-            raise ValueError(f"source index j={j} out of range for block {block.name}")
-        if s not in self._targets[block.target_degree]:
+            if x == y:
+                raise ValueError(f"diagonal source pair ({x},{x}) in alternating block {block.name}")
+            if x > y:
+                x, y, sign = y, x, -1
+        (g1, g2), gt = block.source_degrees, block.target_degree
+        if x not in sources[g1]:
+            raise ValueError(f"source index i={x} out of range for block {block.name}")
+        if y not in sources[g2]:
+            raise ValueError(f"source index j={y} out of range for block {block.name}")
+        if s not in targets[gt]:
             raise ValueError(f"target index s={s} out of range for block {block.name}")
-        glob = self.alg.global_index
-        return glob(g1, i), glob(g2, j), glob(block.target_degree, s), sign
-
-    def items(self) -> Iterator:
-        """Canonical (ColumnKey, coeff) pairs, deterministic order."""
-        elem = self.alg.element
-        out = []
-        for a, b, slot in self.law.nonzero_constants():
-            ea, eb = elem(a), elem(b)
-            block = _BLOCK_BY_SOURCE[(ea.degree, eb.degree)]
-            out.extend((ColumnKey(block, ea.index, eb.index, elem(t).index), c)
-                       for t, c in slot.items())
-        out.sort(key=lambda kc: (kc[0].block.name, kc[0][1:]))
-        return iter(out)
-
-    @property
-    def has_x0_source(self) -> bool:
-        return 0 in self.law.bracket_index
-
-    def as_constant_additions(self) -> dict:
-        """Values keyed by canonical global pairs, for deforming a law."""
-        return {(a, b): vec for a, b, vec in self.law.nonzero_constants()}
+        a, b, t = glob(g1, x), glob(g2, y), glob(gt, s)
+        c = as_coeff(c)
+        if (a, b, t) in named:
+            raise ValueError(f"cochain names the basis map of block {block.name} "
+                             f"at i={i}, j={j}, s={s} twice")
+        named.add((a, b, t))
+        if c:
+            table.setdefault((a, b), {})[t] = sign * c
+    return ColorLieAlgebra(alg.dims, table)
 
 
 def _block_bases(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) -> list:
@@ -285,12 +255,10 @@ class ConstraintSystem(NamedTuple):
         return nullity(self.matrix)
 
     def kernel_cochains(self) -> list:
-        """Kernel basis vectors converted to Cochain2 values."""
-        out = []
-        for vec in kernel_basis(self.matrix, self.matrix.n_cols).vectors:
-            coeffs = {self.col_keys[c]: v for c, v in vec.items()}
-            out.append(Cochain2(self.alg, coeffs, allow_x0_target=self.allow_x0_target))
-        return out
+        """Kernel basis vectors as cochains (laws, see `cochain`)."""
+        return [cochain(self.alg, {self.col_keys[c]: v for c, v in vec.items()},
+                        allow_x0_target=self.allow_x0_target)
+                for vec in kernel_basis(self.matrix, self.matrix.n_cols).vectors]
 
 
 def _term_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) -> tuple:
@@ -457,14 +425,14 @@ def block_dims(alg: ColorLieAlgebra, allow_x0_target: bool = False) -> dict:
     return dims
 
 
-def _check_cochain_of(alg: ColorLieAlgebra, psi: Cochain2) -> None:
+def _check_cochain_of(alg: ColorLieAlgebra, psi: ColorLieAlgebra) -> None:
     """ValueError unless psi was built on an algebra of `alg`'s dims."""
-    if psi.alg.dims != alg.dims:
-        raise ValueError(f"cochain built on dims {psi.alg.dims} given for an algebra "
+    if psi.dims != alg.dims:
+        raise ValueError(f"cochain built on dims {psi.dims} given for an algebra "
                          f"of dims {alg.dims}")
 
 
-def delta2(alg: ColorLieAlgebra, psi: Cochain2, triple) -> Vector:
+def delta2(alg: ColorLieAlgebra, psi: ColorLieAlgebra, triple) -> Vector:
     """(d2 psi) at three basis elements, each a label or an index: -(J(mu, psi) + J(psi, mu)).
 
     Any other entry (an out-of-range index, a bool, a vector), or a psi
@@ -478,7 +446,7 @@ def delta2(alg: ColorLieAlgebra, psi: Cochain2, triple) -> Vector:
         except KeyError:
             raise ValueError(f"delta2 takes basis labels or indices 0..{alg.dim - 1}, "
                              f"got {reprlib.repr(entry)}") from None
-    return _delta2(alg, psi.law, *abc)
+    return _delta2(alg, psi, *abc)
 
 
 def _delta2(alg: ColorLieAlgebra, law: ColorLieAlgebra, a: int, b: int, c: int) -> Vector:
@@ -488,7 +456,7 @@ def _delta2(alg: ColorLieAlgebra, law: ColorLieAlgebra, a: int, b: int, c: int) 
     return {t: -v for t, v in out.items()}
 
 
-def cocycle_defect(alg: ColorLieAlgebra, psi: Cochain2):
+def cocycle_defect(alg: ColorLieAlgebra, psi: ColorLieAlgebra):
     """The first ascending basis triple where d2 psi is nonzero, with that value.
 
     Returns None for a cocycle.  A term [x, psi(y, z)] of the six-term
@@ -502,15 +470,14 @@ def cocycle_defect(alg: ColorLieAlgebra, psi: Cochain2):
     on an algebra of other dims raises ValueError.
     """
     _check_cochain_of(alg, psi)
-    law = psi.law
-    for triple in sorted(reached_triples(law, alg) | reached_triples(alg, law)):
-        value = _delta2(alg, law, *triple)
+    for triple in sorted(reached_triples(psi, alg) | reached_triples(alg, psi)):
+        value = _delta2(alg, psi, *triple)
         if value:
             return triple, value
     return None
 
 
-def is_cocycle(alg: ColorLieAlgebra, psi: Cochain2) -> bool:
+def is_cocycle(alg: ColorLieAlgebra, psi: ColorLieAlgebra) -> bool:
     """Whether d2 psi = 0, checked directly by `cocycle_defect`.
 
     Only the triples a value of psi or a stored bracket reaches are
@@ -519,12 +486,12 @@ def is_cocycle(alg: ColorLieAlgebra, psi: Cochain2) -> bool:
     return cocycle_defect(alg, psi) is None
 
 
-def delta1(alg: ColorLieAlgebra, g_map: Mapping) -> Cochain2:
+def delta1(alg: ColorLieAlgebra, g_map: Mapping) -> ColorLieAlgebra:
     """Coboundary of a degree-0 linear map g, X_0 sources and targets included.
 
     g is given as {basis index or label: sparse vector}; missing basis
-    elements map to zero.  The result satisfies d2(d1 g) = 0.  Its law is
-    set directly, past the X_0 rule of the block-wise constructor.
+    elements map to zero.  The result, a law like every cochain, satisfies
+    d2(d1 g) = 0.  It is built directly, past the X_0 rule of `cochain`.
     """
     gm: dict = {}
     for key, vec in g_map.items():
@@ -545,9 +512,7 @@ def delta1(alg: ColorLieAlgebra, g_map: Mapping) -> Cochain2:
                 add_into(vec, t, -c * v)
         if vec:
             table[(a, b)] = vec
-    result = Cochain2(alg)
-    result.law = ColorLieAlgebra(alg.dims, table)
-    return result
+    return ColorLieAlgebra(alg.dims, table)
 
 
 # -- serialization ------------------------------------------------------
@@ -642,11 +607,11 @@ def write_cocycle_basis(solved: CocycleBasis, stream) -> None:
     stream.write("\n  ]\n}\n" if solved.kernel.integral else "]\n}\n")
 
 
-def cochain_from_json(alg: ColorLieAlgebra, data: Mapping) -> Cochain2:
+def cochain_from_json(alg: ColorLieAlgebra, data: Mapping) -> ColorLieAlgebra:
     """Parse a cochain document onto an algebra: {"terms": [...]}, each
     term naming its block, or a `cocycle_basis_json` export of one vector,
     whose terms take the document's block and may not name one.  Each
-    basis map may be named once (the `Cochain2` rule): a repeated term,
+    basis map may be named once (the `cochain` rule): a repeated term,
     or the swapped pair of an alternating block, raises ValueError
     instead of summing.
     """
@@ -690,6 +655,6 @@ def cochain_from_json(alg: ColorLieAlgebra, data: Mapping) -> Cochain2:
                              term["i"], term["j"], term["s"]), term["coeff"])
 
     try:
-        return Cochain2(alg, terms())
+        return cochain(alg, terms())
     except TypeError as exc:
         raise ValueError(f"malformed cochain term: {exc}") from exc

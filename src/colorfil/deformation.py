@@ -2,8 +2,8 @@
 
 A cochain phi vanishing on the characteristic vector defines the
 candidate law mu0 + phi: the model's structure constants plus phi's
-values on each basis pair (`Cochain2.law`).  By bilinearity of the
-Jacobiator (`algebra.jacobiator`)
+values on each basis pair, phi being itself a law (`cochain`).  By
+bilinearity of the Jacobiator (`algebra.jacobiator`)
 
     J(mu0 + phi) = J(mu0) + (J(mu0, phi) + J(phi, mu0)) + J(phi)
                  = J(mu0) - d2 phi + J(phi),
@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .algebra import ColorLieAlgebra, integral_law, validate_jacobi
 # is_cocycle is not called here; it stays importable because bench/spans.py rebinds it
-from .cohomology import Cochain2, _check_cochain_of, cocycle_defect, is_cocycle
+from .cohomology import _check_cochain_of, cocycle_defect, is_cocycle
 from .linalg import _eliminate_int
 
 
@@ -53,20 +53,20 @@ class DeformedLaw(NamedTuple):
     """A model law, a cochain, and their sum."""
 
     base: ColorLieAlgebra
-    phi: Cochain2
+    phi: ColorLieAlgebra
     result: ColorLieAlgebra
 
 
-def deform(alg: ColorLieAlgebra, phi: Cochain2) -> DeformedLaw:
+def deform(alg: ColorLieAlgebra, phi: ColorLieAlgebra) -> DeformedLaw:
     """Structure constants of mu0 + phi; no validity claim is made yet.
 
     A phi built on an algebra of other dims raises ValueError.
     """
     _check_cochain_of(alg, phi)
-    if phi.has_x0_source:
+    if 0 in phi.bracket_index:
         raise CharacteristicVectorViolation(
             "deformation cochains must vanish on the characteristic vector X0")
-    result = alg.with_added_constants(phi.as_constant_additions())
+    result = alg.with_added_constants({(a, b): vec for a, b, vec in phi.nonzero_constants()})
     return DeformedLaw(base=alg, phi=phi, result=result)
 
 
@@ -91,7 +91,7 @@ def is_integrable(d: DeformedLaw) -> bool:
         raise NotACocycle("phi fails the 2-cocycle conditions on the base algebra: "
                           f"d2 phi({labels}) = {d.base.format_vector(value)} != 0")
     deformed, alone = ({v.elements: v.residual for v in validate_jacobi(law)}
-                       for law in (d.result, d.phi.law))
+                       for law in (d.result, d.phi))
     if deformed != alone:
         triple = min((t for t, _ in deformed.items() ^ alone.items()),
                      key=lambda t: [d.base.index(x) for x in t])

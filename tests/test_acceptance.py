@@ -16,8 +16,8 @@ from itertools import combinations, product
 import pytest
 
 from colorfil.algebra import build_model
-from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
-                                 assemble_Z2_system, block_dims, delta1, delta2)
+from colorfil.cohomology import (ALL_BLOCKS, BlockKind, ColumnKey, assemble_Z2_system,
+                                 block_dims, cochain, delta1, delta2)
 from colorfil.deformation import deform, filiform_check, is_integrable
 from colorfil.formulas import branch_labels, main_theorem_total
 from colorfil.weights import count_weight_dim
@@ -238,8 +238,8 @@ def test_criterion_8_integrability(grid_results):
         assert tested > 0
         # constructed obstruction: D and F interact through the deformed bracket
         alg = build_model(1, 2, 2)
-        phi = Cochain2(alg, {ColumnKey(BlockKind.D, 1, 2, 2): 1,
-                             ColumnKey(BlockKind.F, 1, 2, 2): 1})
+        phi = cochain(alg, {ColumnKey(BlockKind.D, 1, 2, 2): 1,
+                            ColumnKey(BlockKind.F, 1, 2, 2): 1})
         assert not is_integrable(deform(alg, phi))
 
 

@@ -59,7 +59,7 @@ def test_basis_queries_match_a_table(dims):
     labels = [f"{letter}{i}" for letter, i, _ in table]
     alg = ColorLieAlgebra(dims)
     assert alg.dim == len(table)
-    assert [tuple(alg.element(k)) for k in range(alg.dim)] == table
+    assert [alg.global_index(g, i) for _, i, g in table] == list(range(alg.dim))
     assert [alg.label(k) for k in range(alg.dim)] == labels
     assert [alg.degree_of(k) for k in range(alg.dim)] == [g for _, _, g in table]
     assert [alg.index(label) for label in labels] == list(range(alg.dim))
@@ -69,7 +69,7 @@ def test_basis_queries_match_a_table(dims):
         with pytest.raises(KeyError):
             alg.index(label)
     for k in (-1, -alg.dim, alg.dim, 10**40):
-        for query in (alg.element, alg.label, alg.degree_of):
+        for query in (alg.label, alg.degree_of):
             with pytest.raises(IndexError):
                 query(k)
 
@@ -96,7 +96,8 @@ def test_dims_are_not_tabulated():
     assert alg.dim == 10**40 + 4
     assert alg.label(10**40 - 1) == f"X{10**40 - 1}"
     assert alg.index(f"X{10**40 - 1}") == 10**40 - 1
-    assert alg.index("Z2") == 10**40 + 3 and alg.element(10**40 + 3) == ("Z", 2, 2)
+    assert alg.index("Z2") == 10**40 + 3
+    assert alg.label(10**40 + 3) == "Z2" and alg.degree_of(10**40 + 3) == 2
     with pytest.raises(KeyError):
         alg.index(f"X{10**40}")
 

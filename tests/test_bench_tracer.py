@@ -31,6 +31,20 @@ def test_traced_names_resolve(monkeypatch):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
 
 
+def test_workload_names_resolve(monkeypatch):
+    # bench/workloads.py imports colorfil names at module level and calls
+    # colorfil.cli's entry points: a removed or renamed one fails here, on
+    # every Python version, not only when the benchmark runs
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    workloads = importlib.import_module("workloads")
+    assert set(workloads.WORKLOADS) == {"grid-verify", "cocycle-export"}
+    for attr in ("main", "run_verify"):
+        assert callable(getattr(workloads.cli, attr, None)), f"colorfil.cli.{attr}"
+    alg = build_model(3, 2, 2)
+    doc = {"n": 3, "m": 2, "p": 2, "terms": [{"block": "D", "i": 1, "j": 2, "s": 2, "coeff": "1"}]}
+    assert workloads.is_cocycle(alg, workloads.cochain_from_json(alg, doc))
+
+
 def test_block_dims_ranks_each_block_once(monkeypatch):
     # the tracer times the rank layer through colorfil.cohomology.rank_certified;
     # block_dims ranks the rows of every block that has columns through that

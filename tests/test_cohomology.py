@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 import colorfil.cohomology
 from colorfil.algebra import ColorLieAlgebra, build_model, from_json_dict, validate_jacobi
-from colorfil.cohomology import (ALL_BLOCKS, BlockKind, Cochain2, ColumnKey,
-                                 DecompositionMismatch, _term_sums, assemble_Z2_system, block_dims,
-                                 cochain_columns, cochain_from_json, cocycle_basis_json,
-                                 cocycle_defect, delta1, delta2, is_cocycle)
+from colorfil.cohomology import (ALL_BLOCKS, BlockKind, ColumnKey, DecompositionMismatch,
+                                 _term_sums, assemble_Z2_system, block_dims, cochain,
+                                 cochain_columns, cochain_from_json, cocycle_basis,
+                                 cocycle_basis_json, cocycle_defect, delta1, delta2, is_cocycle)
 from colorfil.deformation import deform
 from colorfil.formulas import main_theorem_total
 from colorfil.linalg import kernel_basis, rank_certified
@@ -23,6 +23,17 @@ from colorfil.linalg import kernel_basis, rank_certified
 
 def vec_by_label(alg, vec):
     return {alg.label(i): c for i, c in vec.items()}
+
+
+def cochain_values(psi):
+    """{(a, b, t): psi(e_a, e_b)_t} over psi's nonzero values, a < b."""
+    return {(a, b, t): c for a, b, vec in psi.nonzero_constants() for t, c in vec.items()}
+
+
+def at_global(alg, key):
+    """The global (a, b, t) that a canonical ColumnKey addresses."""
+    (g1, g2), gt = key.block.source_degrees, key.block.target_degree
+    return alg.global_index(g1, key.i), alg.global_index(g2, key.j), alg.global_index(gt, key.s)
 
 
 def test_blocks_are_exactly_the_degree_balanced_signatures():
@@ -39,21 +50,21 @@ def test_blocks_are_exactly_the_degree_balanced_signatures():
 
 def test_delta2_zero_cochain():
     alg = build_model(3, 2, 2)
-    psi = Cochain2(alg)
+    psi = cochain(alg)
     for triple in combinations(range(alg.dim), 3):
         assert delta2(alg, psi, triple) == {}
 
 
 def test_delta2_non_cocycle_example():
     alg = build_model(2, 1, 1)
-    psi = Cochain2(alg, {ColumnKey(BlockKind.A, 1, 2, 1): 1})  # a(X1, X2) = X1
+    psi = cochain(alg, {ColumnKey(BlockKind.A, 1, 2, 1): 1})  # a(X1, X2) = X1
     assert vec_by_label(alg, delta2(alg, psi, ("X0", "X1", "X2"))) == {"X2": 1}
     assert delta2(alg, psi, (0, "X1", 2)) == {alg.index("X2"): 1}
 
 
 def test_delta2_refuses_entries_that_are_not_basis_elements():
     alg = build_model(4, 1, 1)  # dimension 7
-    psi = Cochain2(alg, {ColumnKey(BlockKind.A, 1, 2, 1): 1})
+    psi = cochain(alg, {ColumnKey(BlockKind.A, 1, 2, 1): 1})
     for triple, shown in [((0, 1, 999), "999"), ((0, 1, -1), "-1"), ((True, 1, 2), "True"),
                           (({0: 5}, "X1", "X2"), "{0: 5}"), ((0, 1, 2.0), "2.0"),
                           (("X0", "X1", "X9"), "'X9'"), (("X0", "X1", "x" * 500), "'xxxxxx")]:
@@ -63,21 +74,21 @@ def test_delta2_refuses_entries_that_are_not_basis_elements():
 
 
 def test_delta2_refuses_a_cochain_of_other_dims():
-    phi = Cochain2(build_model(3, 2, 2), {ColumnKey(BlockKind.D, 1, 2, 2): 1})
+    phi = cochain(build_model(3, 2, 2), {ColumnKey(BlockKind.D, 1, 2, 2): 1})
     with pytest.raises(ValueError, match=r"cochain built on dims \(4, 2, 2\)"):
         delta2(build_model(3, 3, 1), phi, ("X0", "Y1", "Y2"))
 
 
 def test_cocycle_defect_refuses_a_cochain_of_other_dims():
     # is_cocycle and is_integrable read psi through cocycle_defect
-    phi = Cochain2(build_model(3, 2, 2), {ColumnKey(BlockKind.D, 1, 2, 2): 1})
+    phi = cochain(build_model(3, 2, 2), {ColumnKey(BlockKind.D, 1, 2, 2): 1})
     with pytest.raises(ValueError, match=r"cochain built on dims \(4, 2, 2\)"):
         cocycle_defect(build_model(3, 3, 1), phi)
 
 
 def test_delta2_cocycle_example():
     alg = build_model(2, 1, 1)
-    psi = Cochain2(alg, {ColumnKey(BlockKind.A, 1, 2, 2): 1})  # a(X1, X2) = X2
+    psi = cochain(alg, {ColumnKey(BlockKind.A, 1, 2, 2): 1})  # a(X1, X2) = X2
     assert delta2(alg, psi, ("X0", "X1", "X2")) == {}
     assert is_cocycle(alg, psi)
 
@@ -92,18 +103,18 @@ def test_delta1_of_identity_is_bracket():
     for a in range(alg.dim):
         for b in range(alg.dim):
             if a != b:
-                assert db.law.bracket_basis(a, b) == alg.bracket_basis(a, b)
+                assert db.bracket_basis(a, b) == alg.bracket_basis(a, b)
 
 
 def test_delta1_of_zero_is_zero():
     alg = build_model(3, 2, 2)
-    assert not delta1(alg, {}).law.bracket_index
+    assert not delta1(alg, {}).bracket_index
 
 
 def test_delta1_single_entry_example():
     alg = build_model(3, 2, 2)
     db = delta1(alg, {"X1": "X2"})
-    got = db.law.bracket_basis(alg.index("X0"), alg.index("X1"))
+    got = db.bracket_basis(alg.index("X0"), alg.index("X1"))
     assert vec_by_label(alg, got) == {"X3": 1}
 
 
@@ -119,14 +130,14 @@ def test_library_constructors_refuse_non_integer_indices():
             ((3, 1, 1), {(0, 1): {5: 0}}, "target index out of range in the value of pair")]:
         with pytest.raises(ValueError, match=re.escape(message)):
             ColorLieAlgebra(dims, constants)
-    # a family index of Cochain2 is read under its own name, before any range check
+    # a family index of a cochain is read under its own name, before any range check
     model = build_model(3, 2, 2)
     for key, message in [(ColumnKey(BlockKind.D, True, 2, 1), "i must be an integer, got True"),
                          (ColumnKey(BlockKind.D, 1, 2, True), "s must be an integer, got True"),
                          (ColumnKey(BlockKind.B, 1, True, 1), "j must be an integer, got True"),
                          (ColumnKey(BlockKind.D, 1.0, 2, 1), "i must be an integer, got 1.0")]:
         with pytest.raises(ValueError, match=re.escape(message)):
-            Cochain2(model, {key: 1})
+            cochain(model, {key: 1})
     alg = build_model(2, 1, 1)
     # delta1 refuses, never drops, a key outside the basis
     for g_map, message in [({1.7: "X1"}, "basis index must be an integer, got 1.7"),
@@ -138,7 +149,7 @@ def test_library_constructors_refuse_non_integer_indices():
                            ({"Q9": {}}, "no basis element 'Q9'")]:
         with pytest.raises(ValueError, match=re.escape(message)):
             delta1(alg, g_map)
-    assert delta1(alg, {1: {1: 1}}).law.bracket_basis(0, 1) == {2: 1}
+    assert delta1(alg, {1: {1: 1}}).bracket_basis(0, 1) == {2: 1}
 
 
 def test_delta1_rejects_degree_mixing_map():
@@ -398,24 +409,24 @@ def test_row_labels_cover_expected_conditions():
 
 def test_cochain_skew_symmetry():
     alg = build_model(3, 2, 2)
-    psi = Cochain2(alg, {ColumnKey(BlockKind.A, 1, 2, 2): 3,
-                         ColumnKey(BlockKind.A, 3, 1, 0): 5,  # swapped same-family pair, X0 target
-                         ColumnKey(BlockKind.B, 1, 1, 2): Fraction(1, 2),
-                         ColumnKey(BlockKind.C, 3, 2, 1): 4,
-                         ColumnKey(BlockKind.D, 2, 1, 1): 1,
-                         ColumnKey(BlockKind.E, 2, 1, 1): -2,
-                         ColumnKey(BlockKind.F, 1, 2, 2): 7}, allow_x0_target=True)
+    psi = cochain(alg, {ColumnKey(BlockKind.A, 1, 2, 2): 3,
+                        ColumnKey(BlockKind.A, 3, 1, 0): 5,  # swapped same-family pair, X0 target
+                        ColumnKey(BlockKind.B, 1, 1, 2): Fraction(1, 2),
+                        ColumnKey(BlockKind.C, 3, 2, 1): 4,
+                        ColumnKey(BlockKind.D, 2, 1, 1): 1,
+                        ColumnKey(BlockKind.E, 2, 1, 1): -2,
+                        ColumnKey(BlockKind.F, 1, 2, 2): 7}, allow_x0_target=True)
     for u in range(alg.dim):
         for v in range(alg.dim):
-            lhs = psi.law.bracket_basis(u, v)
-            rhs = {t: -c for t, c in psi.law.bracket_basis(v, u).items()}
+            lhs = psi.bracket_basis(u, v)
+            rhs = {t: -c for t, c in psi.bracket_basis(v, u).items()}
             assert lhs == rhs
-    assert psi.law.bracket_basis(1, 3) == {0: -5}
+    assert psi.bracket_basis(1, 3) == {0: -5}
     # the values are the law-shaped additions deform puts on the model
-    values = {(a, b): psi.law.bracket_basis(a, b) for a, b in combinations(range(alg.dim), 2)}
+    values = {(a, b): psi.bracket_basis(a, b) for a, b in combinations(range(alg.dim), 2)}
     values = {pair: vec for pair, vec in values.items() if vec}
     assert len(values) == 7
-    assert psi.as_constant_additions() == values
+    assert {(a, b): vec for a, b, vec in psi.nonzero_constants()} == values
     law = deform(alg, psi).result
     added = {}
     for a, b in combinations(range(alg.dim), 2):
@@ -432,8 +443,8 @@ def test_cochain_accepts_exactly_the_column_keys(allow_x0_target):
     alg = build_model(3, 2, 2)
     cols = cochain_columns(alg, ALL_BLOCKS, allow_x0_target)
     coeff = {key: k + 1 for k, key in enumerate(cols)}
-    psi = Cochain2(alg, coeff, allow_x0_target=allow_x0_target)
-    assert list(psi.items()) == [(key, coeff[key]) for key in cols]
+    psi = cochain(alg, coeff, allow_x0_target=allow_x0_target)
+    assert cochain_values(psi) == {at_global(alg, key): coeff[key] for key in cols}
     accepted = set(cols)
     for block in ALL_BLOCKS:
         for i, j, s in product(range(-1, 6), repeat=3):
@@ -441,20 +452,21 @@ def test_cochain_accepts_exactly_the_column_keys(allow_x0_target):
             canonical = ColumnKey(block, *sorted((i, j)), s) if block.same_family else key
             if canonical in accepted:
                 sign = -1 if canonical.i != i else 1
-                single = Cochain2(alg, {key: 1}, allow_x0_target=allow_x0_target)
-                assert list(single.items()) == [(canonical, sign)]
+                single = cochain(alg, {key: 1}, allow_x0_target=allow_x0_target)
+                assert cochain_values(single) == {at_global(alg, canonical): sign}
                 continue
             # outside the family ranges, never a neighbour's basis map
             with pytest.raises(ValueError):
-                Cochain2(alg, {key: 1}, allow_x0_target=allow_x0_target)
+                cochain(alg, {key: 1}, allow_x0_target=allow_x0_target)
 
 
 def test_cochain_canonicalization_and_validation():
     alg = build_model(3, 2, 2)
-    psi = Cochain2(alg, {ColumnKey(BlockKind.A, 2, 1, 2): 1})  # swapped pair stores the negative
-    assert list(psi.items()) == [(ColumnKey(BlockKind.A, 1, 2, 2), -1)]
-    assert psi.law.bracket_index
-    assert not Cochain2(alg, {ColumnKey(BlockKind.A, 1, 2, 2): 0}).law.bracket_index
+    psi = cochain(alg, {ColumnKey(BlockKind.A, 2, 1, 2): 1})  # swapped pair stores the negative
+    assert psi.bracket_basis(alg.index("X1"), alg.index("X2")) == {alg.index("X2"): -1}
+    assert cochain_values(psi) == {at_global(alg, ColumnKey(BlockKind.A, 1, 2, 2)): -1}
+    assert psi.bracket_index
+    assert not cochain(alg, {ColumnKey(BlockKind.A, 1, 2, 2): 0}).bracket_index
     # the messages and their order: diagonal, then i, j, s after the swap
     for args, message in [((BlockKind.D, 1, 1, 1), "diagonal source pair (1,1)"),
                           ((BlockKind.A, 0, 1, 1), "source index i=0"),  # X0 source
@@ -466,7 +478,22 @@ def test_cochain_canonicalization_and_validation():
                           ((BlockKind.B, 1, 9, 9), "source index j=9"),
                           ((BlockKind.E, 1, 1, 4), "target index s=4")]:
         with pytest.raises(ValueError, match=re.escape(message)):
-            Cochain2(alg, {ColumnKey(*args): 1})
+            cochain(alg, {ColumnKey(*args): 1})
+
+
+def test_cochain_refuses_a_key_that_is_not_block_i_j_s():
+    # a block given by its letter, or a key of another length, is named in
+    # a ValueError, not met by an AttributeError or an unpacking error
+    alg = build_model(3, 2, 2)
+    for key, shown in [(("D", 1, 2, 2), "('D', 1, 2, 2)"), ((None, 1, 2, 2), "(None, 1, 2, 2)"),
+                       ((BlockKind.D, 1, 2, 2, 0), "(<BlockKind.D: ((1, 1), 2)>, 1, 2, 2, 0)"),
+                       ((BlockKind.D, 1, 2), "(<BlockKind.D: ((1, 1), 2)>, 1, 2)"),
+                       ("D122", "'D122'"), ([BlockKind.D, 1, 2, 2], "[<BlockKind.D")]:
+        with pytest.raises(ValueError, match=re.escape(f"cochain key {shown}")):
+            cochain(alg, [(key, 1)])
+    # a tuple in the shape of a ColumnKey is one
+    assert cochain(alg, {(BlockKind.D, 1, 2, 2): 1}).bracket_basis(
+        alg.index("Y1"), alg.index("Y2")) == {alg.index("Z2"): 1}
 
 
 # -- serialization --------------------------------------------------------
@@ -505,13 +532,13 @@ def test_export_route_equals_library_route(nmp, allow_x0_target):
 
 def test_cochain_json_roundtrip():
     alg = build_model(3, 2, 2)
-    psi = Cochain2(alg, {ColumnKey(BlockKind.D, 1, 2, 2): Fraction(3, 2),
-                         ColumnKey(BlockKind.B, 2, 1, 1): -1})
+    psi = cochain(alg, {ColumnKey(BlockKind.D, 1, 2, 2): Fraction(3, 2),
+                        ColumnKey(BlockKind.B, 2, 1, 1): -1})
     doc = {"n": 3, "m": 2, "p": 2,
            "terms": [{"block": "D", "i": 1, "j": 2, "s": 2, "coeff": "3/2"},
                      {"block": "B", "i": 2, "j": 1, "s": 1, "coeff": -1}]}
     back = cochain_from_json(alg, doc)
-    assert list(back.items()) == list(psi.items())
+    assert list(back.nonzero_constants()) == list(psi.nonzero_constants())
     with pytest.raises(ValueError):
         cochain_from_json(alg, {"n": 1, "m": 1, "p": 1, "terms": []})
     with pytest.raises(ValueError):
@@ -562,7 +589,8 @@ def test_cochain_from_json_reads_a_one_vector_basis_export():
             one = cochain_from_json(alg, {**export, "dim": 1, "basis": [vector]})
             terms = {"n": 3, "m": 2, "p": 2,
                      "terms": [{"block": block.name, **term} for term in vector]}
-            assert list(one.items()) == list(cochain_from_json(alg, terms).items())
+            assert list(one.nonzero_constants()) == \
+                list(cochain_from_json(alg, terms).nonzero_constants())
 
 
 def test_cochain_from_json_refuses_a_malformed_basis_export():
@@ -605,10 +633,10 @@ def test_cochain_from_json_refuses_repeated_and_outside_terms():
         with pytest.raises(ValueError, match="source index i=99 out of range for block D"):
             cochain_from_json(alg, {"terms": [{**outside, "coeff": coeff}]})
     with pytest.raises(ValueError, match="source index i=99 out of range"):
-        Cochain2(alg, {ColumnKey(BlockKind.D, 99, 100, 7): 0})
+        cochain(alg, {ColumnKey(BlockKind.D, 99, 100, 7): 0})
     # distinct basis maps still load as written
     b_term = {"block": "B", "i": 2, "j": 1, "s": 1, "coeff": "1"}
-    assert len(list(cochain_from_json(alg, {"terms": [term, b_term]}).items())) == 2
+    assert len(cochain_values(cochain_from_json(alg, {"terms": [term, b_term]}))) == 2
 
 
 def test_cochain_refuses_a_basis_map_named_twice():
@@ -618,19 +646,19 @@ def test_cochain_refuses_a_basis_map_named_twice():
     for coeffs in ({d12: 1, d21: 1}, {d12: 0, d21: 1}):
         with pytest.raises(ValueError,
                            match=re.escape("basis map of block D at i=2, j=1, s=1 twice")):
-            Cochain2(alg, coeffs)
+            cochain(alg, coeffs)
     with pytest.raises(ValueError, match=re.escape("block D at i=1, j=2, s=1 twice")):
-        Cochain2(alg, [(d12, 1), (d12, 1)])
+        cochain(alg, [(d12, 1), (d12, 1)])
     # each map named once loads as written, the swapped pair negated
-    psi = Cochain2(alg, {d21: 3, ColumnKey(BlockKind.B, 2, 1, 1): 0})
-    assert list(psi.items()) == [(d12, -3)]
+    psi = cochain(alg, {d21: 3, ColumnKey(BlockKind.B, 2, 1, 1): 0})
+    assert cochain_values(psi) == {at_global(alg, d12): -3}
 
 
 def test_assembly_is_a_generic_validator():
     # the condition enumeration also applies to non-model algebras: the
     # blocks may couple there, but kernel vectors still verify directly
     base = build_model(3, 2, 1)
-    phi = Cochain2(base, {ColumnKey(BlockKind.D, 1, 2, 1): 1})
+    phi = cochain(base, {ColumnKey(BlockKind.D, 1, 2, 1): 1})
     deformed = deform(base, phi).result
     system = assemble_Z2_system(deformed)
     assert system.nullity() >= 0
@@ -646,15 +674,17 @@ def test_kernel_round_trip_on_deformed_algebras(n, m, p, block, data):
     # and vanishes on L2), so any integer combination of them gives a
     # Jacobi-valid non-model algebra; its kernel vectors must be cocycles
     base = build_model(n, m, p)
-    d_vectors = assemble_Z2_system(base, {BlockKind.D}).kernel_cochains()
+    system = assemble_Z2_system(base, {BlockKind.D})
+    d_vectors = kernel_basis(system.matrix, system.matrix.n_cols).vectors
     coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(d_vectors),
                                 max_size=len(d_vectors)))
     assume(any(coeffs))
-    total: dict = {}
-    for c, psi in zip(coeffs, d_vectors):
-        for key, v in psi.items():
+    total: dict = {}  # the combination, summed in column space
+    for c, vec in zip(coeffs, d_vectors):
+        for col, v in vec.items():
+            key = system.col_keys[col]
             total[key] = total.get(key, 0) + c * v
-    alg = deform(base, Cochain2(base, total)).result
+    alg = deform(base, cochain(base, total)).result
     assert validate_jacobi(alg) == []
     assert list(alg.nonzero_constants()) != list(base.nonzero_constants())
     for psi in assemble_Z2_system(alg, {block}).kernel_cochains():
@@ -675,8 +705,9 @@ def test_matrix_and_direct_evaluation_agree_on_non_cocycles():
         position = {key: idx for idx, key in enumerate(system.col_keys)}
         for _ in range(12):
             keys = rng.sample(system.col_keys, k=min(4, len(system.col_keys)))
-            psi = Cochain2(alg, {key: rng.randint(-2, 2) for key in keys})
-            coords = {position[key]: c for key, c in psi.items()}
+            coeffs = {key: rng.randint(-2, 2) for key in keys}
+            psi = cochain(alg, coeffs)
+            coords = {position[key]: c for key, c in coeffs.items() if c}
             in_kernel = not system.matrix.multiply_vector(coords)
             assert in_kernel == is_cocycle(alg, psi), nmp
 
@@ -763,13 +794,14 @@ def test_law_order_depends_on_the_law_alone(deformed, allow_x0_target, rng, data
         # a D-deformed model, read back from JSON with its constants and each value shuffled
         base = build_model(*data.draw(st.tuples(st.integers(1, 4), st.integers(2, 4),
                                                 st.integers(1, 4))))
-        d_vectors = assemble_Z2_system(base, {BlockKind.D}).kernel_cochains()
-        coeffs = [rng.choice([-1, 1, 2, Fraction(3, 7)]) for _ in d_vectors]
-        total: dict = {}
-        for c, psi in zip(coeffs, d_vectors):
-            for key, v in psi.items():
+        solved = cocycle_basis(base, BlockKind.D)
+        coeffs = [rng.choice([-1, 1, 2, Fraction(3, 7)]) for _ in solved.kernel.vectors]
+        total: dict = {}  # the combination, summed in column space
+        for c, vec in zip(coeffs, solved.kernel.vectors):
+            for col, v in vec.items():
+                key = ColumnKey(BlockKind.D, *solved.columns[col])
                 total[key] = total.get(key, 0) + c * v
-        law = deform(base, Cochain2(base, total)).result
+        law = deform(base, cochain(base, total)).result
         table = {(a, b): vec for a, b, vec in law.nonzero_constants()}
         doc = law.to_json_dict()
         rng.shuffle(doc["constants"])

@@ -56,10 +56,10 @@ from hypothesis import strategies as st
 
 import colorfil.cohomology
 from colorfil.algebra import ColorLieAlgebra, JacobiViolation, build_model, validate_jacobi
-from colorfil.cohomology import (ALL_BLOCKS, CONDITION_BY_SHAPE, BlockKind, Cochain2,
+from colorfil.cohomology import (ALL_BLOCKS, CONDITION_BY_SHAPE, BlockKind,
                                  DecompositionMismatch, RowLabel, _restrict_to_block,
-                                 _term_sums, assemble_Z2_system, block_dims, cochain_columns,
-                                 cocycle_defect, delta1, is_cocycle)
+                                 _term_sums, assemble_Z2_system, block_dims, cochain,
+                                 cochain_columns, cocycle_defect, delta1, is_cocycle)
 from colorfil.deformation import deform, filiform_check
 from colorfil.linalg import SparseIntMatrix, kernel_basis, rank_certified
 
@@ -315,15 +315,17 @@ def d_deformed(n, m, p, data):
     [X0, -].
     """
     base = build_model(n, m, p)
-    d_vectors = assemble_Z2_system(base, {BlockKind.D}).kernel_cochains()
+    system = assemble_Z2_system(base, {BlockKind.D})
+    d_vectors = kernel_basis(system.matrix, system.matrix.n_cols).vectors
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     coeffs = data.draw(st.lists(coeff, min_size=len(d_vectors), max_size=len(d_vectors)))
     assume(any(coeffs))
-    total: dict = {}
-    for c, psi in zip(coeffs, d_vectors):
-        for key, v in psi.items():
+    total: dict = {}  # the combination, summed in column space
+    for c, vec in zip(coeffs, d_vectors):
+        for col, v in vec.items():
+            key = system.col_keys[col]
             total[key] = total.get(key, 0) + c * v
-    alg = deform(base, Cochain2(base, total)).result
+    alg = deform(base, cochain(base, total)).result
     assert validate_jacobi(alg) == []
     return alg
 
@@ -514,7 +516,7 @@ def weighted_law(n, m, p, shift):
     model = build_model(n, m, p)
     constants = {(a, b): vec for a, b, vec in model.nonzero_constants()} if shift else {}
     for e in range(1, model.dim):
-        constants.setdefault((0, e), {})[e] = model.element(e).index
+        constants.setdefault((0, e), {})[e] = int(model.label(e)[1:])  # the family index
     return ColorLieAlgebra(model.dims, constants)
 
 
@@ -585,7 +587,7 @@ def reference_d2(alg, psi, a, b, c):
     psi's values are read as the brackets of its law, through
     `bracket_basis` like the algebra's own.
     """
-    value = psi.law.bracket_basis
+    value = psi.bracket_basis
     out: dict = {}
     for sign, x, y, z in ((1, a, b, c), (-1, b, a, c), (1, c, a, b)):
         for t, v in value(y, z).items():  # sign * [x, psi(y, z)]
@@ -646,13 +648,13 @@ def drawn_cochain(data, alg):
     terms = data.draw(st.dictionaries(st.sampled_from(keys),
                                       st.sampled_from((1, -1, 2, Fraction(1, 2))),
                                       max_size=3)) if keys else {}
-    psi = Cochain2(alg, terms, allow_x0_target=allow_x0_target)
+    psi = cochain(alg, terms, allow_x0_target=allow_x0_target)
     if coboundary:
         u = data.draw(st.integers(0, alg.dim - 1))
         same = [t for t in range(alg.dim) if alg.degree_of(t) == alg.degree_of(u)]
         d1 = delta1(alg, {u: {data.draw(st.sampled_from(same)): 1}})
-        # the sum's law is set directly, as delta1 sets its own
-        psi.law = d1.law.with_added_constants(psi.as_constant_additions())
+        # a cochain is a law, so the sum is the sum of two laws, X0 sources and all
+        psi = d1.with_added_constants({(a, b): vec for a, b, vec in psi.nonzero_constants()})
     return psi
 
 
@@ -682,7 +684,7 @@ def test_checkers_match_full_walks(data):
     assert cocycle_defect(alg, psi) == defect
     assert is_cocycle(alg, psi) == (defect is None)
     # the cochain's values as extra brackets: a law with X0 sources
-    summed = alg.with_added_constants(psi.as_constant_additions())
+    summed = alg.with_added_constants({(a, b): vec for a, b, vec in psi.nonzero_constants()})
     assert validate_jacobi(summed) == reference_validate_jacobi(summed)
 
 

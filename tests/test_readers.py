@@ -3,15 +3,17 @@
 Each test runs `cli.main` in one child process whose address space is capped
 at 512 MiB (RLIMIT_AS, set by the child on itself), so a reader that
 allocates by what a document declares, not by what it holds, ends in a
-MemoryError there instead of exhausting the machine.  The fuzz test mutates
-the (3,2,2) model file and the block-D export with a committed list of
-replacement values and keys under committed seeds.
+MemoryError there instead of exhausting the machine.  The fuzz tests mutate
+the (3,2,2) model file and the block-D export under committed seeds: one
+with a committed list of replacement values and keys, one by moving a
+value within its type, so the document stays readable.
 """
 
 import copy
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -157,19 +159,25 @@ def mutate(doc: dict, rng: random.Random) -> dict:
     return doc
 
 
-def test_fuzzed_documents_exit_with_a_code_and_an_error_line(tmp_path):
+def run_mutants(tmp_path, seeds, mutation) -> list:
+    """(code, seconds) of `deform` on MUTATIONS_PER_SEED mutants per seed.
+
+    The mutants alternate between the (3,2,2) model file and its block-D
+    export, the other file given as is.  Each exit is one of `cli.ERROR_EXITS`
+    or 0, and each nonzero exit prints one `error:` line.
+    """
     alg = build_model(3, 2, 2)
     algebra, export = alg.to_json_dict(), cocycle_basis_json(alg, BlockKind.D)
     algebra_path = write_json(tmp_path / "m.json", algebra)
     export_path = write_json(tmp_path / "d.json", export)
     argvs = []
-    for seed in FUZZ_SEEDS:
+    for seed in seeds:
         rng = random.Random(seed)
         for k in range(MUTATIONS_PER_SEED):
             paths = [algebra_path, export_path]
             which = k % 2  # the algebra file, then the export
             paths[which] = write_json(tmp_path / f"{seed}-{k}.json",
-                                      mutate((algebra, export)[which], rng))
+                                      mutation((algebra, export)[which], rng))
             argvs.append(["deform", "--algebra", paths[0], "--cocycle", paths[1],
                           "--out", str(tmp_path / "out.json")])
     results = run_capped(argvs)
@@ -177,5 +185,56 @@ def test_fuzzed_documents_exit_with_a_code_and_an_error_line(tmp_path):
     for argv, (code, _, err, _) in zip(argvs, results):
         assert code in codes, (argv, err[-2000:])
         assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1), (argv, err)
-    assert {code for code, *_ in results} >= {0, 2}
-    assert sum(seconds for *_, seconds in results) < 5.0
+    return [(code, seconds) for code, _, _, seconds in results]
+
+
+def test_fuzzed_documents_exit_with_a_code_and_an_error_line(tmp_path):
+    results = run_mutants(tmp_path, FUZZ_SEEDS, mutate)
+    assert {code for code, _ in results} >= {0, 2}
+    assert sum(seconds for _, seconds in results) < 5.0
+
+
+# -- value-preserving mutations -------------------------------------------
+
+NUDGE_SEEDS = (4, 5, 6, 7)
+LABEL = re.compile(r"[XYZ][0-9]+")
+RATIONALS = ("0", "1", "-1", "2", "-2", "1/2", "-3/2", "7/3")
+
+
+def _movable(key, value) -> bool:
+    return ((isinstance(value, int) and not isinstance(value, bool))
+            or (isinstance(value, str) and (key == "coeff" or LABEL.fullmatch(value))))
+
+
+def nudge(doc: dict, rng: random.Random) -> dict:
+    """A copy of doc with one or two values moved within their type.
+
+    An int moves by +-1 or +-2, a label's index by +-1 (never below 0) and a
+    coefficient string becomes another rational, so the document stays well
+    formed and may still be read: a law that fails Jacobi, or a cochain
+    that is no cocycle, reaches the refusals behind the readers.
+    """
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 2)):
+        node, key = rng.choice([(node, key) for node, key in _slots(doc)
+                                if _movable(key, node[key])])
+        value = node[key]
+        if isinstance(value, int):
+            node[key] = value + rng.choice((-2, -1, 1, 2))
+        elif key == "coeff":
+            node[key] = rng.choice([r for r in RATIONALS if r != value])
+        else:
+            index = int(value[1:])
+            node[key] = f"{value[0]}{index + rng.choice((-1, 1) if index else (1,))}"
+    return doc
+
+
+def test_nudged_documents_reach_the_refusals_of_readable_input(tmp_path):
+    # exit 3 names a base that fails Jacobi or a cochain that is no cocycle.
+    # Exit 1 (IntegrabilityMismatch) guards the identity J(mu0 + phi) = J(phi)
+    # for a cocycle phi on a Lie base, so a correct program never reaches it:
+    # it is not required, and the exits must lie in {0, 2, 3}
+    results = run_mutants(tmp_path, NUDGE_SEEDS, nudge)
+    codes = [code for code, _ in results]
+    assert set(codes) == {0, 2, 3}, {code: codes.count(code) for code in set(codes)}
+    assert sum(seconds for _, seconds in results) < 5.0
