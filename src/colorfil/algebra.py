@@ -266,7 +266,12 @@ def from_json_dict(data) -> ColorLieAlgebra:
 
 
 def check_params(n: int, m: int, p: int) -> None:
-    """The parameter domain of L^{n,m,p}: n >= 1 and m, p >= 0, else InvalidParams."""
+    """The parameter domain of L^{n,m,p}: ints n >= 1 and m, p >= 0, else InvalidParams."""
+    for name, value in (("n", n), ("m", m), ("p", p)):
+        try:
+            as_int(value, name)
+        except ValueError as exc:
+            raise InvalidParams(str(exc)) from None
     if n < 1:
         raise InvalidParams(f"n must be >= 1, got {n}")
     if m < 0 or p < 0:

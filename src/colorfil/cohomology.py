@@ -168,9 +168,9 @@ def cochain(alg: ColorLieAlgebra, coeffs: Mapping | Iterable | None = None,
     pairs with the lower-degree family first, in the ranges of
     `_index_ranges`.  Each basis map may be named once: a repeat, or the
     swapped pair of an alternating block, raises ValueError instead of
-    summing.  So does a key that is not (BlockKind, i, j, s), an index
-    that is not an int (a bool or a float too), a diagonal pair or an
-    index outside the family ranges.
+    summing.  So does an item that is not a (key, coeff) pair, a key that
+    is not (BlockKind, i, j, s), an index that is not an int (a bool or a
+    float too), a diagonal pair or an index outside the family ranges.
     """
     sources, targets = _index_ranges(model_shape(alg), allow_x0_target)
     glob = alg.global_index
@@ -178,7 +178,12 @@ def cochain(alg: ColorLieAlgebra, coeffs: Mapping | Iterable | None = None,
         coeffs = coeffs.items()
     table: dict = {}  # (a, b), a < b -> {t: coeff}
     named: set = set()  # named once, so each value is set, not summed
-    for key, c in coeffs or ():
+    for k, item in enumerate(coeffs or ()):
+        try:
+            key, c = item
+        except (TypeError, ValueError):
+            raise ValueError(f"cochain coeffs item {k} is {reprlib.repr(item)}, "
+                             "not a (key, coeff) pair") from None
         if not (isinstance(key, tuple) and len(key) == 4 and isinstance(key[0], BlockKind)):
             raise ValueError(f"cochain key {reprlib.repr(key)} is not (block, i, j, s) "
                              "with a BlockKind block")
@@ -241,7 +246,6 @@ class ConstraintSystem(NamedTuple):
     col_keys: tuple
     row_origins: tuple  # (ascending global basis triple, global target) per row
     alg: ColorLieAlgebra
-    allow_x0_target: bool
 
     @property
     def row_labels(self) -> tuple:
@@ -253,12 +257,6 @@ class ConstraintSystem(NamedTuple):
 
     def nullity(self) -> int:
         return nullity(self.matrix)
-
-    def kernel_cochains(self) -> list:
-        """Kernel basis vectors as cochains (laws, see `cochain`)."""
-        return [cochain(self.alg, {self.col_keys[c]: v for c, v in vec.items()},
-                        allow_x0_target=self.allow_x0_target)
-                for vec in kernel_basis(self.matrix, self.matrix.n_cols).vectors]
 
 
 def _term_sums(alg: ColorLieAlgebra, blocks: Iterable, allow_x0_target: bool) -> tuple:
@@ -368,8 +366,7 @@ def assemble_Z2_system(alg: ColorLieAlgebra, blocks: Iterable = ALL_BLOCKS,
     origins = tuple((triple, u) for triple, acc in sums.items() for u in acc)
     cols = cochain_columns(alg, blocks, allow_x0_target=allow_x0_target)
     matrix = SparseIntMatrix(len(rows), len(cols), rows)
-    return ConstraintSystem(matrix=matrix, col_keys=tuple(cols), row_origins=origins,
-                            alg=alg, allow_x0_target=allow_x0_target)
+    return ConstraintSystem(matrix=matrix, col_keys=tuple(cols), row_origins=origins, alg=alg)
 
 
 def _restrict_to_block(system: ConstraintSystem, block: BlockKind) -> SparseIntMatrix:
@@ -383,7 +380,7 @@ def _restrict_to_block(system: ConstraintSystem, block: BlockKind) -> SparseIntM
     renum = {old: new for new, old in enumerate(keep)}
     rows = []
     for row in system.matrix.rows:
-        sub = tuple((renum[c], v) for c, v in row if c in renum)
+        sub = {renum[c]: v for c, v in row if c in renum}
         if sub:
             rows.append(sub)
     return SparseIntMatrix(len(rows), len(keep), rows)
@@ -435,8 +432,8 @@ def _check_cochain_of(alg: ColorLieAlgebra, psi: ColorLieAlgebra) -> None:
 def delta2(alg: ColorLieAlgebra, psi: ColorLieAlgebra, triple) -> Vector:
     """(d2 psi) at three basis elements, each a label or an index: -(J(mu, psi) + J(psi, mu)).
 
-    Any other entry (an out-of-range index, a bool, a vector), or a psi
-    built on an algebra of other dims, raises ValueError naming it.
+    Any other entry (an out-of-range index, a bool, a vector), another
+    entry count, or a psi built on an algebra of other dims raises ValueError.
     """
     _check_cochain_of(alg, psi)
     abc = []
@@ -446,6 +443,8 @@ def delta2(alg: ColorLieAlgebra, psi: ColorLieAlgebra, triple) -> Vector:
         except KeyError:
             raise ValueError(f"delta2 takes basis labels or indices 0..{alg.dim - 1}, "
                              f"got {reprlib.repr(entry)}") from None
+    if len(abc) != 3:
+        raise ValueError(f"delta2 takes a triple of three basis elements, got {len(abc)}")
     return _delta2(alg, psi, *abc)
 
 

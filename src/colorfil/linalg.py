@@ -23,10 +23,10 @@ insertion order.
   summed row by row through a dict column index of M, so it needs no
   width.
 
-All three take the rows in either form: a `SparseIntMatrix`, or
-{col: value} dicts as `cohomology._term_sums` yields them, so the
-cocycle export solves and checks its row sums without building a
-matrix.
+All three read rows as {col: value} dicts, the form
+`cohomology._term_sums` yields, so the cocycle export solves and checks
+its row sums without building a matrix; a `SparseIntMatrix` yields its
+rows in that form.
 
 Matrices are immutable after construction, and the routines read their
 input rows without writing them: the elimination copies a row only to
@@ -44,9 +44,10 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 class SparseIntMatrix:
     """Immutable sparse matrix with exact integer entries.
 
-    Stored row-wise as tuples of (col, value) pairs, ascending column,
-    no zeros, no duplicates.  Rows are given either as {col: value}
-    dicts, which are sorted here, or already in that tuple form.
+    Given as {col: value} rows and stored row-wise as tuples of
+    (col, value) pairs, ascending column, no zeros.  Iterating yields
+    each stored row as a {col: value} dict again, the form the routines
+    below read.
     """
 
     __slots__ = ("n_rows", "n_cols", "rows")
@@ -54,19 +55,14 @@ class SparseIntMatrix:
     def __init__(self, n_rows: int, n_cols: int, rows: Iterable = ()):
         canonical = []
         for row in rows:
-            row = tuple(sorted(row.items())) if isinstance(row, dict) else tuple(row)
-            prev = -1
+            row = tuple(sorted(row.items()))
             for c, v in row:
                 if not 0 <= c < n_cols:
                     raise ValueError("column index out of range")
-                if c <= prev:
-                    raise ValueError("duplicate column in row" if c == prev
-                                     else "row columns must ascend")
                 if v == 0:
                     raise ValueError("explicit zero entry stored")
                 if type(v) is not int:  # bool is an int subclass, and not a matrix entry
                     raise ValueError("entries must be exact integers")
-                prev = c
             canonical.append(row)
         if len(canonical) != n_rows:
             raise ValueError(f"expected {n_rows} rows, got {len(canonical)}")
@@ -79,7 +75,7 @@ class SparseIntMatrix:
         return sum(len(row) for row in self.rows)
 
     def __iter__(self) -> Iterator:
-        return iter(self.rows)
+        return map(dict, self.rows)
 
     def multiply_vector(self, v: Mapping) -> dict:
         """M @ v for a sparse column vector; returns sparse result."""
@@ -122,7 +118,7 @@ class KernelBasis(NamedTuple):
     def verify(self, rows: Iterable) -> bool:
         """Whether M w = 0 for every vector's numerators w.
 
-        `rows` are the rows of M in either form `kernel_basis` takes.
+        `rows` are the rows of M as `kernel_basis` takes them.
         Indexes the columns of M once in a dict (col -> [(row, value)]),
         so no width is needed, and sums each vector's products into the
         rows its support reaches, so the cost follows the vectors'
@@ -131,7 +127,7 @@ class KernelBasis(NamedTuple):
         """
         columns: dict = {}
         for r, row in enumerate(rows):
-            for c, v in (row.items() if isinstance(row, dict) else row):
+            for c, v in row.items():
                 columns.setdefault(c, []).append((r, v))
         for w, _ in self.integral:
             sums: dict = {}
@@ -148,7 +144,7 @@ class KernelBasis(NamedTuple):
 
 def _lowest_first(rows: Iterable) -> list:
     """The nonempty rows as (lowest column, dict row), highest lowest column first, stably."""
-    rows = [(min(row), row) for row in (r if type(r) is dict else dict(r) for r in rows) if row]
+    rows = [(min(row), row) for row in rows if row]
     rows.sort(key=itemgetter(0), reverse=True)
     return rows
 
@@ -156,8 +152,7 @@ def _lowest_first(rows: Iterable) -> list:
 def _eliminate_int(rows: Iterable) -> dict:
     """Fraction-free elimination over Z; returns the echelon {col: row}.
 
-    `rows` is a sequence of sparse integer rows ({col: value} dicts or
-    tuples of (col, value) pairs, which are turned into dicts first).
+    `rows` is a sequence of sparse integer rows as {col: value} dicts.
     The nonempty rows are inserted one at a time, highest lowest column
     first, with each row's lowest column found once.  A row whose lowest
     column is free becomes a pivot row as it was given.  A row whose
@@ -213,8 +208,8 @@ def _eliminate_int(rows: Iterable) -> dict:
 def rank_certified(rows: Iterable) -> int:
     """Exact rank over Q by fraction-free integer elimination.
 
-    `rows` is any sequence of sparse integer rows with nonzero entries: a
-    `SparseIntMatrix`, or {col: value} dicts.  Every intermediate value
+    `rows` is any sequence of {col: value} rows with nonzero integer
+    entries, such as a `SparseIntMatrix`.  Every intermediate value
     is an exact integer, so the elimination is its own certificate.
     """
     return len(_eliminate_int(rows))
@@ -277,9 +272,9 @@ def _sweep(echelon: dict, free: Iterable, n_cols: int, aside: Iterable = ()) -> 
 def kernel_basis(rows: Iterable, n_cols: int) -> KernelBasis:
     """Exact basis of the kernel of `n_cols`-wide rows, integral and canonical.
 
-    `rows` is any sequence of sparse integer rows with nonzero entries,
-    as `rank_certified` takes them: a `SparseIntMatrix`, or {col: value}
-    dicts.  A column outside range(n_cols) raises ValueError naming it.
+    `rows` is any sequence of {col: value} rows with nonzero integer
+    entries, as `rank_certified` takes them.  A column outside
+    range(n_cols) raises ValueError naming it.
 
     For each free column g of the row space's leftmost-pivot set the
     output is the one kernel vector with x_g = 1 and every other free

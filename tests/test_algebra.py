@@ -41,8 +41,10 @@ def test_model_3_2_2_constants():
     }
 
 
-@pytest.mark.parametrize("n, m, p", [(0, 1, 1), (-1, 0, 0), (1, -1, 0), (1, 0, -2)])
+@pytest.mark.parametrize("n, m, p", [(0, 1, 1), (-1, 0, 0), (1, -1, 0), (1, 0, -2),
+                                     (True, 1, 1), (1, 2.0, 1), (1, 1, "1")])
 def test_model_invalid_params(n, m, p):
+    # a bool, a float or a string is refused, not read as the int it stands for
     with pytest.raises(InvalidParams):
         build_model(n, m, p)
 

@@ -10,14 +10,16 @@ import importlib
 import json
 from collections import Counter
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import colorfil.cli
 import colorfil.cohomology
 from colorfil.algebra import build_model
-from colorfil.cohomology import ALL_BLOCKS, _term_sums, assemble_Z2_system, cochain_columns
+from colorfil.cohomology import (ALL_BLOCKS, BlockKind, _term_sums, assemble_Z2_system,
+                                 cochain_columns)
 from colorfil.formulas import METHOD_WEIGHTS
-from colorfil.linalg import kernel_basis, rank_certified
+from colorfil.linalg import kernel_basis, nullity, rank_certified
 from colorfil.weights import count_weight_dim
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -43,6 +45,46 @@ def test_workload_names_resolve(monkeypatch):
     alg = build_model(3, 2, 2)
     doc = {"n": 3, "m": 2, "p": 2, "terms": [{"block": "D", "i": 1, "j": 2, "s": 2, "coeff": "1"}]}
     assert workloads.is_cocycle(alg, workloads.cochain_from_json(alg, doc))
+
+
+def test_bench_reads_what_it_names(monkeypatch, tmp_path):
+    # spans.count reads the shape, tuple rows, row labels and algebra of an
+    # assemble_Z2_system result and the width of a nullity's matrix, and
+    # CocycleExport._in_kernel reads col_keys and multiply_vector; no traced
+    # pass and no smoke run reaches these reads, so they are made here on
+    # real results and compared with the row source
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    alg, block = build_model(3, 2, 2), BlockKind.D
+    system = assemble_Z2_system(alg, {block})
+    matrix = system.matrix
+    basis = kernel_basis(matrix, matrix.n_cols)
+    counts = spans.count([("cohomology.assemble_Z2_system", (alg, {block}), system),
+                          ("linalg.nullity", (matrix,), nullity(matrix)),
+                          ("linalg.kernel_basis", (matrix, matrix.n_cols), basis)])
+    _, sums = _term_sums(alg, {block}, False)
+    rows = [row for acc in sums.values() for row in acc.values()]
+    width = len(cochain_columns(alg, {block}))
+    assert rows and basis.dim
+    assert counts["cohomology.assemble.calls"] == counts["linalg.rank.calls"] == 1
+    assert (counts["cohomology.assemble.rows"], counts["cohomology.assemble.cols"],
+            counts["cohomology.assemble.nnz"]) == (len(rows), width, sum(map(len, rows)))
+    assert counts["cohomology.assemble.useful_triple_ratio"] == len(sums) / comb(alg.dim, 3)
+    assert counts["linalg.rank"] == rank_certified(rows) == width - basis.dim
+    assert (counts["linalg.kernel_basis.calls"], counts["linalg.kernel_dim"]) == (1, basis.dim)
+    assert 1 <= counts["linalg.components"] <= width
+    assert 1 <= counts["linalg.largest_component_cols"] <= width
+    # the block-D export as cocycles writes it passes the benchmark's M v = 0
+    # check, and fails it with its one vector, phi^2_{1,2}, moved to phi^1_{1,2}
+    out = tmp_path / "basis-D.json"
+    assert colorfil.cli.main(["cocycles", "--n", "3", "--m", "2", "--p", "2",
+                              "--block", "D", "--out", str(out)]) == 0
+    exported = json.loads(out.read_text(encoding="utf-8"))["basis"]
+    assert exported == [[{"i": 1, "j": 2, "s": 2, "coeff": "1"}]]
+    assert workloads.CocycleExport._in_kernel(alg, block, exported)
+    exported[0][0]["s"] = 1
+    assert not workloads.CocycleExport._in_kernel(alg, block, exported)
 
 
 def test_block_dims_ranks_each_block_once(monkeypatch):

@@ -25,6 +25,13 @@ def vec_by_label(alg, vec):
     return {alg.label(i): c for i, c in vec.items()}
 
 
+def basis_cochains(alg, block):
+    """One cochain per vector of `cocycle_basis(alg, block)`, the checked export route."""
+    solved = cocycle_basis(alg, block)
+    return [cochain(alg, {ColumnKey(block, *solved.columns[c]): v for c, v in vec.items()})
+            for vec in solved.kernel.vectors]
+
+
 def cochain_values(psi):
     """{(a, b, t): psi(e_a, e_b)_t} over psi's nonzero values, a < b."""
     return {(a, b, t): c for a, b, vec in psi.nonzero_constants() for t, c in vec.items()}
@@ -71,6 +78,14 @@ def test_delta2_refuses_entries_that_are_not_basis_elements():
         with pytest.raises(ValueError, match=re.escape(
                 f"delta2 takes basis labels or indices 0..6, got {shown}")):
             delta2(alg, psi, triple)
+
+
+@pytest.mark.parametrize("triple", [(0, 1), ("X0", "X1", "X2", "X3")])
+def test_delta2_refuses_a_triple_of_other_length(triple):
+    alg = build_model(4, 1, 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"delta2 takes a triple of three basis elements, got {len(triple)}")):
+        delta2(alg, cochain(alg), triple)
 
 
 def test_delta2_refuses_a_cochain_of_other_dims():
@@ -237,7 +252,7 @@ def test_block_dims_scales_a_rational_law_once(monkeypatch):
 
     model = build_model(3, 2, 2)
     base = build_model(1, 2, 1)  # deformed to [Y1, Y2] = Z1, which couples blocks B and C
-    spanning = deform(base, assemble_Z2_system(base, {BlockKind.D}).kernel_cochains()[0]).result
+    spanning = deform(base, basis_cochains(base, BlockKind.D)[0]).result
     rational, halved = scaled(model, Fraction(-3, 2)), scaled(spanning, Fraction(1, 2))
     expected = block_dims(model, allow_x0_target=True)
     built = []
@@ -302,8 +317,7 @@ def test_block_dims_spans_at_a_shared_triple_and_target_only(monkeypatch):
     laws = [((3, 2, 2), "X1Y1", base.with_added_constants({(1, 4): {4: 1}}))]
     for nmp in [(3, 2, 2), (5, 3, 4)]:
         base = build_model(*nmp)
-        laws += [(nmp, block, deform(base, assemble_Z2_system(base, {block})
-                                     .kernel_cochains()[0]).result)
+        laws += [(nmp, block, deform(base, basis_cochains(base, block)[0]).result)
                  for block in (BlockKind.B, BlockKind.C, BlockKind.D)]
     for nmp, block, alg in laws:
         triple_blocks, target_blocks = {}, {}
@@ -355,13 +369,14 @@ def test_block_dims_holds_one_block_of_rows_at_a_time():
     assert whole <= 1.25 * largest, (whole, largest)
 
 
-def test_kernel_cochains_reverified_via_delta2():
+def test_basis_cochains_reverified_via_delta2():
     # independent route: every kernel vector satisfies all condition
     # instances evaluated directly, not through the matrix
     for nmp in [(2, 1, 1), (3, 2, 2)]:
         alg = build_model(*nmp)
-        for psi in assemble_Z2_system(alg).kernel_cochains():
-            assert is_cocycle(alg, psi)
+        for block in ALL_BLOCKS:
+            for psi in basis_cochains(alg, block):
+                assert is_cocycle(alg, psi)
 
 
 def test_x0_target_exclusion():
@@ -494,6 +509,23 @@ def test_cochain_refuses_a_key_that_is_not_block_i_j_s():
     # a tuple in the shape of a ColumnKey is one
     assert cochain(alg, {(BlockKind.D, 1, 2, 2): 1}).bracket_basis(
         alg.index("Y1"), alg.index("Y2")) == {alg.index("Z2"): 1}
+
+
+D122 = ColumnKey(BlockKind.D, 1, 2, 2)
+
+
+@pytest.mark.parametrize("items, shown", [
+    ([(ColumnKey(BlockKind.B, 1, 1, 1), 1), D122], "ColumnKey(blo...i=1, j=2, s=2)"),
+    ([(D122,)], "(ColumnKey(blo...i=1, j=2, s=2),)"),
+    ([(D122, 1, 2)], "(ColumnKey(blo...i=1, j=2, s=2), 1, 2)"),
+    (["D122"], "'D122'"),
+])
+def test_cochain_refuses_an_item_that_is_not_a_key_coeff_pair(items, shown):
+    # keys without coefficients, a 1- or 3-tuple and a bare string: the
+    # item's position and the expected shape are named, not an unpacking error
+    with pytest.raises(ValueError, match=re.escape(
+            f"cochain coeffs item {len(items) - 1} is {shown}, not a (key, coeff) pair")):
+        cochain(build_model(3, 2, 2), items)
 
 
 # -- serialization --------------------------------------------------------
@@ -662,7 +694,8 @@ def test_assembly_is_a_generic_validator():
     deformed = deform(base, phi).result
     system = assemble_Z2_system(deformed)
     assert system.nullity() >= 0
-    for psi in system.kernel_cochains():
+    for vec in kernel_basis(system.matrix, system.matrix.n_cols).vectors:
+        psi = cochain(deformed, {system.col_keys[c]: v for c, v in vec.items()})
         assert is_cocycle(deformed, psi)
 
 
@@ -687,7 +720,7 @@ def test_kernel_round_trip_on_deformed_algebras(n, m, p, block, data):
     alg = deform(base, cochain(base, total)).result
     assert validate_jacobi(alg) == []
     assert list(alg.nonzero_constants()) != list(base.nonzero_constants())
-    for psi in assemble_Z2_system(alg, {block}).kernel_cochains():
+    for psi in basis_cochains(alg, block):
         assert is_cocycle(alg, psi)
 
 

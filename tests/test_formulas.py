@@ -89,7 +89,9 @@ def test_exact_div_guards():
 
 
 def test_invalid_parameters_rejected():
-    for nmp in [(0, 0, 0), (1, -1, 0), (0, 1, 1), (2, 1, -1)]:
+    # a non-int is refused as a parameter, not met by IntegralityError
+    for nmp in [(0, 0, 0), (1, -1, 0), (0, 1, 1), (2, 1, -1), (2.5, 1, 1), (True, 1, 1),
+                (2, "1", 1)]:
         with pytest.raises(InvalidParams):
             main_theorem_total(*nmp)
         with pytest.raises(InvalidParams):

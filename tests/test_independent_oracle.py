@@ -62,6 +62,7 @@ from colorfil.cohomology import (ALL_BLOCKS, CONDITION_BY_SHAPE, BlockKind,
                                  cochain_columns, cocycle_defect, delta1, is_cocycle)
 from colorfil.deformation import deform, filiform_check
 from colorfil.linalg import SparseIntMatrix, kernel_basis, rank_certified
+from test_cohomology import basis_cochains
 
 
 def dense_rref(rows, n_cols):
@@ -416,7 +417,7 @@ def test_block_dims_matches_reference_on_acceptance_grid(monkeypatch):
 def spanning_law():
     """L^{1,2,1} deformed by its D-block cocycle: [Y1, Y2] = Z1 is added."""
     base = build_model(1, 2, 1)
-    psi = assemble_Z2_system(base, {BlockKind.D}).kernel_cochains()[0]
+    psi = basis_cochains(base, BlockKind.D)[0]
     return deform(base, psi).result
 
 
@@ -483,7 +484,7 @@ def test_block_dims_spanning_rule_matches_joint_route():
     for nmp in [(3, 2, 2), (5, 3, 4), (8, 6, 6)]:
         base = build_model(*nmp)
         for block in (BlockKind.D, BlockKind.E, BlockKind.F):
-            for psi in assemble_Z2_system(base, {block}).kernel_cochains()[:3]:
+            for psi in basis_cochains(base, block)[:3]:
                 deformed.append(deform(base, psi).result)
     assert len(deformed) == 23
     random_laws = [random_yy_law(seed, dims) for seed, dims in
@@ -691,7 +692,7 @@ def test_checkers_match_full_walks(data):
 def test_checkers_match_full_walks_on_exported_vectors():
     alg = build_model(6, 4, 5)
     for block in ALL_BLOCKS:
-        for psi in assemble_Z2_system(alg, {block}).kernel_cochains():
+        for psi in basis_cochains(alg, block):
             assert is_cocycle(alg, psi) and reference_is_cocycle(alg, psi), block.name
             result = deform(alg, psi).result
             assert validate_jacobi(result) == reference_validate_jacobi(result), block.name

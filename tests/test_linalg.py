@@ -67,15 +67,15 @@ def test_kernel_canonical_form():
         assert kernel_basis(m, m.n_cols).vectors == kb.vectors
 
 
-def test_kernel_and_verify_take_tuple_or_dict_rows():
-    # the rows of a SparseIntMatrix, or the {col: value} dicts the cocycle
-    # export passes: the same basis, accepted, and rejected with one entry changed
+def test_kernel_and_verify_take_a_matrix_or_dict_rows():
+    # a SparseIntMatrix, or the {col: value} dicts the cocycle export
+    # passes: the same basis, accepted, and rejected with one entry changed
     dict_rows = [{0: 1, 1: 2, 3: -1}, {1: 3, 2: -6}, {0: 2, 4: 5}]
     matrix = SparseIntMatrix(len(dict_rows), 6, dict_rows)
     basis = kernel_basis(matrix, matrix.n_cols)
     assert kernel_basis(dict_rows, 6) == basis
     assert basis.dim == 3
-    for rows in (matrix, matrix.rows, dict_rows):
+    for rows in (matrix, dict_rows):
         assert basis.verify(rows)
         for k, (w, d) in enumerate(basis.integral):
             for c in w:
@@ -93,7 +93,7 @@ def non_unit_matrices(draw):
         st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
         st.sampled_from([1, -1, 2, -3, 4, 6, -9, 35]), min_size=1, max_size=3 * n_cols))
     matrix = from_cells(n_rows, n_cols, cells)
-    assume(any(abs(row[c]) != 1 for c, row in _eliminate_int(matrix.rows).items()))
+    assume(any(abs(row[c]) != 1 for c, row in _eliminate_int(matrix).items()))
     return matrix
 
 
@@ -374,21 +374,21 @@ def test_constructor_rejects_stored_zero_and_non_int():
         SparseIntMatrix(1, 2, [{0: True}])
 
 
-def test_constructor_checks_tuple_rows():
-    # canonical tuple rows are taken as given, after the same checks as dicts
-    m = SparseIntMatrix(2, 3, [((0, 1), (2, -4)), ()])
+def test_constructor_checks_dict_rows():
+    # {col: value} rows are stored as ascending (col, value) tuples, and
+    # iterated as dicts again, after each entry is checked
+    m = SparseIntMatrix(2, 3, [{2: -4, 0: 1}, {}])
     assert m.rows == (((0, 1), (2, -4)), ())
-    for row, message in [(((0, 1), (3, 1)), "column index out of range"),
-                         (((-1, 1),), "column index out of range"),
-                         (((1, 1), (1, 2)), "duplicate column in row"),
-                         (((0, 1), (1, 0)), "explicit zero entry stored"),
-                         (((0, Fraction(1, 2)),), "entries must be exact integers"),
-                         (((0, True),), "entries must be exact integers"),
-                         (((2, 1), (0, 1)), "row columns must ascend")]:
+    assert list(m) == [{0: 1, 2: -4}, {}]
+    for row, message in [({0: 1, 3: 1}, "column index out of range"),
+                         ({-1: 1}, "column index out of range"),
+                         ({0: 1, 1: 0}, "explicit zero entry stored"),
+                         ({0: Fraction(1, 2)}, "entries must be exact integers"),
+                         ({0: True}, "entries must be exact integers")]:
         with pytest.raises(ValueError, match=message):
             SparseIntMatrix(1, 3, [row])
     with pytest.raises(ValueError, match="expected 2 rows, got 1"):
-        SparseIntMatrix(2, 3, [((0, 1),)])
+        SparseIntMatrix(2, 3, [{0: 1}])
 
 
 def test_kernel_basis_rejects_columns_outside_its_width():
@@ -396,7 +396,7 @@ def test_kernel_basis_rejects_columns_outside_its_width():
     # would write column -1 as the block's last (i, j, s)), so it is refused
     wide = SparseIntMatrix(1, 6, [{0: 1, 5: 1}])
     # in the last, column 7 is only in a row set aside behind column 0's pivot row
-    for rows, col in [([{0: 1, 5: 1}], 5), ([((-1, 1), (0, 2))], -1), (wide, 5),
+    for rows, col in [([{0: 1, 5: 1}], 5), ([{-1: 1, 0: 2}], -1), (wide, 5),
                       ([{0: 1}, {0: 1, 7: 1}], 7)]:
         with pytest.raises(ValueError, match=f"column {col} outside the 3 kernel columns"):
             kernel_basis(rows, 3)
@@ -406,9 +406,9 @@ def test_kernel_basis_rejects_columns_outside_its_width():
 def test_elimination_never_writes_its_input_rows():
     # a row whose lowest column is free becomes a pivot row as it was given;
     # a row that must be reduced (at a unit or a non-unit pivot, with content
-    # removal) is reduced on a copy.  Rows of a SparseIntMatrix are tuples
-    # and are read as dicts.  Each input compares equal to a deep copy taken
-    # before the call, and the basis still verifies on the very same objects
+    # removal) is reduced on a copy.  A SparseIntMatrix yields its stored
+    # rows as dicts.  Each input compares equal to a deep copy taken before
+    # the call, and the basis still verifies on the very same objects
     handmade = [{0: 2, 1: 3, 4: 1}, {0: 3, 2: -1}, {1: 1, 3: 5}, {1: -1, 3: 1, 4: 2},
                 {2: 6, 4: 9}, {4: 3}, {0: 2, 1: 3, 4: 1}]
     rng = random.Random(28)
@@ -420,7 +420,7 @@ def test_elimination_never_writes_its_input_rows():
     stored = reduced = 0
     for dict_rows, n_cols in cases:
         matrix = SparseIntMatrix(len(dict_rows), n_cols, dict_rows)
-        for rows in (dict_rows, matrix, matrix.rows):
+        for rows in (dict_rows, matrix):
             before = copy.deepcopy(list(rows))
             echelon = _eliminate_int(rows)
             assert list(rows) == before

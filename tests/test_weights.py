@@ -71,10 +71,14 @@ def test_count_tolerates_empty_components():
 
 
 @pytest.mark.parametrize("block", ALL_BLOCKS)
-@pytest.mark.parametrize("nmp", [(0, 1, 1), (2, -1, 1), (2, 1, -1)])
+@pytest.mark.parametrize("nmp", [(0, 1, 1), (2, -1, 1), (2, 1, -1),
+                                 (True, 1, 1), (2, 1.0, 1), (2, 1, "1")])
 def test_count_rejects_invalid_params(block, nmp):
     # the closed forms reject these points; the oracle must not count them
-    message = "n must be >= 1" if nmp[0] < 1 else "m and p must be >= 0"
+    if any(type(v) is not int for v in nmp):
+        message = "must be an integer"
+    else:
+        message = "n must be >= 1" if nmp[0] < 1 else "m and p must be >= 0"
     with pytest.raises(InvalidParams, match=message):
         count_weight_dim(block, *nmp)
 
